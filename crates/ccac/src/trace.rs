@@ -8,7 +8,7 @@ use std::fmt;
 /// A fully concrete execution trace of the network model.
 ///
 /// Index 0 of every vector corresponds to `t = t_min = −h`; use
-/// [`Trace::get`] helpers for time-indexed access.
+/// the `*_at` helpers (such as [`Trace::a_at`]) for time-indexed access.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
     /// First time index (−h).

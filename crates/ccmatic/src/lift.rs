@@ -2,7 +2,7 @@
 //!
 //! [`lift_schedule`] executes a candidate [`CcaSpec`] against an explicit
 //! per-step link schedule (band positions λ and waste fractions ω, the
-//! exact-arithmetic twin of [`ccmatic_simnet::TableSchedule`]) and emits a
+//! exact-arithmetic twin of `ccmatic_simnet::TableSchedule`) and emits a
 //! [`Trace`] in the verifier's shape: `t ∈ [−h, T]`, with simulator round
 //! `u` landing at model time `t = u + 1 − h` and the `t = −h` row carrying
 //! the initial conditions (`S = W = 0`, `A = ` initial backlog).

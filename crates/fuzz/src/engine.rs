@@ -16,7 +16,7 @@
 //!    up front. A confirmed concrete failure on a candidate the verifier
 //!    *certified* is a **model gap**: the UNSAT claim said this trace
 //!    cannot exist, and here it is. Gaps are shrunk
-//!    ([`crate::shrink`]) and dumped as replayable JSON artifacts.
+//!    ([`crate::shrink()`]) and dumped as replayable JSON artifacts.
 //! 4. **Feedback**: the corpus exports `(candidate, trace)` seeds for
 //!    [`ccmatic::synth::synthesize_seeded`], warm-starting CEGIS with
 //!    fuzz-found refutations.

@@ -8,7 +8,7 @@
 //! rational arithmetic via the trace lift, and cross-checks every confirmed
 //! failure against the verifier's verdict ([`engine`]). A confirmed concrete
 //! failure on a candidate the verifier certified is a **model gap** — a
-//! soundness bug in the encoding — minimized by [`shrink`] and dumped as a
+//! soundness bug in the encoding — minimized by [`shrink()`] and dumped as a
 //! replayable artifact. Everything else lands in the [`corpus`] and feeds
 //! back into CEGIS as warm-start counterexamples.
 
