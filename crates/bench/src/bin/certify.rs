@@ -63,12 +63,13 @@ fn main() -> ExitCode {
             let (pass, v) = certified_verify(spec, worst_case);
             let a = v.cert_audit;
             println!(
-                "{name}{}: {} — {} certificates replayed ({} clauses, {} bytes, {:.2} ms in checker)",
+                "{name}{}: {} — {} certificates replayed ({} clauses, {} bytes, {} steps replayed, {:.2} ms in checker)",
                 if worst_case { " (WCE)" } else { "" },
                 if pass { "VERIFIED" } else { "REFUTED" },
                 a.checked,
                 a.clauses,
                 a.bytes,
+                a.steps_replayed,
                 a.check_ns as f64 / 1e6,
             );
             json_cases.push(Json::obj(vec![
@@ -78,6 +79,7 @@ fn main() -> ExitCode {
                 ("certs_checked", Json::UInt(a.checked)),
                 ("proof_clauses", Json::UInt(a.clauses)),
                 ("cert_bytes", Json::UInt(a.bytes)),
+                ("steps_replayed", Json::UInt(a.steps_replayed)),
                 ("check_ms", Json::Num(a.check_ns as f64 / 1e6)),
                 ("solver_probes", Json::UInt(v.solver_probes)),
             ]));
@@ -94,11 +96,12 @@ fn main() -> ExitCode {
     let cert = run_cell_with(&rows[0], OptMode::RangePruningWce, budget, true, 1, true, true);
     let overhead = cert.wall.as_secs_f64() / plain.wall.as_secs_f64().max(1e-9);
     println!(
-        "plain {:.2}s vs certified {:.2}s → {overhead:.2}x overhead ({} proof clauses, {} cert bytes, {:.1} ms in checker)",
+        "plain {:.2}s vs certified {:.2}s → {overhead:.2}x overhead ({} proof clauses, {} cert bytes, {} steps replayed, {:.1} ms in checker)",
         plain.wall.as_secs_f64(),
         cert.wall.as_secs_f64(),
         cert.proof_clauses,
         cert.cert_bytes,
+        cert.steps_replayed,
         cert.check_ms,
     );
 

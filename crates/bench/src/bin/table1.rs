@@ -14,7 +14,8 @@
 
 use ccmatic::synth::OptMode;
 use ccmatic_bench::{
-    fmt_duration, render_table1, run_cell, run_cell_with, table1_rows, write_json, Json, Scale,
+    fmt_duration, render_table1_json, run_cell, run_cell_with, table1_json, table1_rows,
+    write_json, Scale,
 };
 use std::time::Duration;
 
@@ -158,7 +159,8 @@ fn main() {
         results.push((row, cells));
     }
 
-    println!("{}", render_table1(&results));
+    let json = table1_json(scale, budget_secs, &results);
+    println!("{}", render_table1_json(&json).expect("a run renders from its own JSON"));
     println!("\nDNF = no solution within the per-cell budget (the paper's analogue: one week).");
     println!("Each row's extra RP+WCE lines: (no-sync) = the legacy reset-and-reassert theory");
     println!("bridge (the trail-sync A/B pair), (scratch) = the non-incremental verifier,");
@@ -166,31 +168,5 @@ fn main() {
     println!("the shard-stealing portfolio at that worker count (tiny spaces auto-fall back");
     println!("to the serial loop below the dispatch threshold).");
 
-    let json = Json::obj(vec![
-        ("bench", Json::Str("table1".into())),
-        ("scale", Json::Str(format!("{scale:?}").to_lowercase())),
-        ("budget_secs", Json::UInt(budget_secs)),
-        (
-            "rows",
-            Json::Arr(
-                results
-                    .iter()
-                    .map(|(row, cells)| {
-                        Json::obj(vec![
-                            ("params", Json::Str(row.params.into())),
-                            ("domain", Json::Str(row.domain_label.into())),
-                            (
-                                "search_size",
-                                Json::UInt(
-                                    row.shape.search_space_size().min(u64::MAX as u128) as u64
-                                ),
-                            ),
-                            ("cells", Json::Arr(cells.iter().map(|c| c.to_json()).collect())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
     let _ = write_json("BENCH_table1.json", &json);
 }

@@ -12,6 +12,11 @@
 //! certificate, a truncated file, a stale engine version) rejects the entry
 //! and falls through to a fresh solve.
 //!
+//! One verifier produces an entry's Pass certificates from one proof log,
+//! so each is a prefix of the next. [`PassCerts`] holds them as prefix
+//! lengths of the newest, and validation checks them with one
+//! [`Replayer`], which replays each shared prefix once.
+//!
 //! Only complete enumerations are stored: a budget-truncated result is not
 //! a fact about the problem, just about the budget.
 
@@ -20,7 +25,7 @@ use crate::json::Json;
 use crate::synth::SynthOptions;
 use crate::template::CcaSpec;
 use ccmatic_num::Rat;
-use ccmatic_proof::UnsatCertificate;
+use ccmatic_proof::{steps_to_text, ProofStep, Replayer, UnsatCertificate};
 use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -52,6 +57,10 @@ pub struct CachedOutcome {
     /// Certificates replayed through the independent checker (one per
     /// solution plus the exhaustion certificate).
     pub certs_checked: u64,
+    /// Proof steps the checker executed for them: each solution
+    /// certificate costs only the steps past the prefix it shares with the
+    /// one before.
+    pub steps_replayed: u64,
     /// Wall-clock milliseconds spent inside the checker.
     pub cert_ms: f64,
 }
@@ -85,6 +94,59 @@ impl CacheStats {
     }
 }
 
+/// The Pass certificates of one enumeration, one per solution in order.
+///
+/// A certificate that the newest one extends is held as a length, not a
+/// copy: one verifier's certificates are snapshots of one append-only log.
+/// Whether a certificate is a prefix of the newest is checked step by
+/// step; one that is not is kept whole.
+#[derive(Debug, Default)]
+pub struct PassCerts {
+    newest: Vec<ProofStep>,
+    held: Vec<Held>,
+}
+
+#[derive(Debug)]
+enum Held {
+    /// The first `n` steps of the newest certificate.
+    Prefix(usize),
+    /// A certificate the newest one does not extend.
+    Whole(Vec<ProofStep>),
+}
+
+impl PassCerts {
+    /// Adds the certificate of the next solution.
+    pub fn push(&mut self, cert: UnsatCertificate) {
+        let old = std::mem::replace(&mut self.newest, cert.steps);
+        if !self.newest.starts_with(&old) {
+            for held in &mut self.held {
+                if let Held::Prefix(n) = *held {
+                    *held = Held::Whole(old[..n].to_vec());
+                }
+            }
+        }
+        self.held.push(Held::Prefix(self.newest.len()));
+    }
+
+    /// Number of certificates held.
+    pub fn len(&self) -> usize {
+        self.held.len()
+    }
+
+    /// Whether no certificate is held.
+    pub fn is_empty(&self) -> bool {
+        self.held.is_empty()
+    }
+
+    /// The certificates' steps, in solution order.
+    pub fn iter(&self) -> impl Iterator<Item = &[ProofStep]> {
+        self.held.iter().map(|held| match held {
+            Held::Prefix(n) => &self.newest[..*n],
+            Held::Whole(steps) => steps.as_slice(),
+        })
+    }
+}
+
 impl ResultCache {
     /// Open (creating if needed) a cache directory.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
@@ -108,7 +170,7 @@ impl ResultCache {
         &self,
         opts: &SynthOptions,
         solutions: &[CcaSpec],
-        solution_certs: &[UnsatCertificate],
+        solution_certs: &PassCerts,
         exhaustion: &UnsatCertificate,
     ) -> io::Result<()> {
         assert_eq!(
@@ -121,7 +183,7 @@ impl ResultCache {
             .iter()
             .map(|s| Json::Arr(s.flat().iter().map(|c| Json::Str(c.to_string())).collect()))
             .collect();
-        let certs = solution_certs.iter().map(|c| Json::Str(c.to_text())).collect();
+        let certs = solution_certs.iter().map(|c| Json::Str(steps_to_text(c))).collect();
         let entry = Json::obj(vec![
             ("engine", Json::Str(fingerprint::ENGINE_VERSION.into())),
             ("canonical", Json::Str(canonical)),
@@ -199,25 +261,56 @@ impl ResultCache {
             .and_then(Json::as_str)
             .ok_or_else(|| "missing exhaustion certificate".to_string())?;
 
-        // Replay every proof through the independent checker.
+        // Replay every proof through the independent checker. The solution
+        // certificates share one log, so one replayer resumes along it; the
+        // exhaustion certificate comes from the generator's log, so the
+        // replayer finds no shared prefix and replays it from scratch.
         let t0 = Instant::now();
+        let mut replayer = Replayer::new();
         let mut checked = 0u64;
         for (i, c) in certs.iter().enumerate() {
             let text = c.as_str().ok_or_else(|| format!("certificate {i} is not a string"))?;
             let cert = UnsatCertificate::from_text(text)
                 .map_err(|e| format!("solution certificate {i} unparseable: {e}"))?;
-            ccmatic_proof::check(&cert)
-                .map_err(|e| format!("solution certificate {i} rejected: {e}"))?;
+            replayer.check(&cert).map_err(|e| format!("solution certificate {i} rejected: {e}"))?;
             checked += 1;
         }
         let cert = UnsatCertificate::from_text(exhaustion)
             .map_err(|e| format!("exhaustion certificate unparseable: {e}"))?;
-        ccmatic_proof::check(&cert).map_err(|e| format!("exhaustion certificate rejected: {e}"))?;
+        replayer.check(&cert).map_err(|e| format!("exhaustion certificate rejected: {e}"))?;
         checked += 1;
         Ok(CachedOutcome {
             solutions,
             certs_checked: checked,
+            steps_replayed: replayer.steps_replayed(),
             cert_ms: t0.elapsed().as_secs_f64() * 1e3,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cert(ids: &[u64]) -> UnsatCertificate {
+        UnsatCertificate {
+            steps: ids.iter().map(|&id| ProofStep::Input { id, lits: vec![] }).collect(),
+        }
+    }
+
+    #[test]
+    fn pass_certs_hold_prefixes_and_keep_the_rest_whole() {
+        let mut held = PassCerts::default();
+        held.push(cert(&[1, 2]));
+        held.push(cert(&[1, 2, 3]));
+        // Not an extension of [1, 2, 3]: both earlier certificates are kept
+        // whole, and the unrelated one becomes the newest.
+        held.push(cert(&[4]));
+        held.push(cert(&[4, 5]));
+        let got: Vec<Vec<ProofStep>> = held.iter().map(<[ProofStep]>::to_vec).collect();
+        let want: Vec<Vec<ProofStep>> =
+            [&[1, 2][..], &[1, 2, 3], &[4], &[4, 5]].iter().map(|ids| cert(ids).steps).collect();
+        assert_eq!(got, want);
+        assert_eq!(held.len(), 4);
     }
 }

@@ -29,7 +29,7 @@
 //!   certification forced on and stores its solution set, per-solution
 //!   Pass certificates, and the exhaustion certificate.
 
-use crate::cache::{Lookup, ResultCache};
+use crate::cache::{Lookup, PassCerts, ResultCache};
 use crate::synth::{build_loop, make_replay, SynthOptions};
 use crate::template::CcaSpec;
 use ccac_model::Trace;
@@ -138,7 +138,7 @@ pub fn enumerate_all_with(
     let (mut generator, mut verifier) = build_loop(opts_run);
     let replayer = make_replay(opts_run);
     let mut solutions: Vec<CcaSpec> = Vec::new();
-    let mut pass_certs: Vec<UnsatCertificate> = Vec::new();
+    let mut pass_certs = PassCerts::default();
     let mut remaining = opts.budget.max_iterations;
     let deadline = t0 + opts.budget.max_wall;
 

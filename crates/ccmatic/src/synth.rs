@@ -570,11 +570,7 @@ fn synthesize_portfolio(opts: &SynthOptions) -> SynthResult {
     let verifier_probes = workers.iter().map(|w| w.verifier.solver_probes).sum();
     let mut cert_audit = CertAudit::default();
     for w in &workers {
-        let a = w.verifier.cert_audit;
-        cert_audit.checked += a.checked;
-        cert_audit.clauses += a.clauses;
-        cert_audit.bytes += a.bytes;
-        cert_audit.check_ns += a.check_ns;
+        cert_audit.absorb(&w.verifier.cert_audit);
     }
     SynthResult {
         outcome: run.outcome,

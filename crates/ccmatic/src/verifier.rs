@@ -28,6 +28,7 @@ use ccac_model::{
 };
 use ccmatic_cegis::Verdict;
 use ccmatic_num::Rat;
+use ccmatic_proof::Replayer;
 use ccmatic_smt::{
     maximize, maximize_scoped, ClauseExchange, Context, Interrupt, LinExpr, MaximizeOutcome,
     MaximizeParams, RealVar, SatResult, SearchConfig, Solver, Term,
@@ -93,23 +94,44 @@ pub struct CertAudit {
     pub clauses: u64,
     /// Total rendered size of those certificates, in bytes.
     pub bytes: u64,
+    /// Proof steps the checker executed. A certificate that extends one the
+    /// verifier's replayer already accepted costs only its new steps, so
+    /// this is at most the summed certificate lengths.
+    pub steps_replayed: u64,
     /// Wall-clock nanoseconds spent inside the checker.
     pub check_ns: u64,
 }
 
 impl CertAudit {
-    /// Replay `cert` through the independent checker, panicking with the
-    /// checker's diagnosis if it is rejected.
-    fn replay(&mut self, cert: &ccmatic_proof::UnsatCertificate, what: &str) {
+    /// Replay `cert` through the independent checker, resuming `replayer`
+    /// where the certificate extends what it already accepted, and panic
+    /// with the checker's diagnosis if it is rejected.
+    fn replay(
+        &mut self,
+        replayer: &mut Replayer,
+        cert: &ccmatic_proof::UnsatCertificate,
+        what: &str,
+    ) {
         let t0 = std::time::Instant::now();
-        let stats = match ccmatic_proof::check(cert) {
+        let replayed0 = replayer.steps_replayed();
+        let stats = match replayer.check(cert) {
             Ok(stats) => stats,
             Err(e) => panic!("{what}: certificate rejected by the independent checker: {e}"),
         };
         self.checked += 1;
         self.clauses += stats.clauses as u64;
-        self.bytes += cert.byte_len();
+        self.bytes += stats.bytes;
+        self.steps_replayed += replayer.steps_replayed() - replayed0;
         self.check_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Adds `other`'s totals to these.
+    pub fn absorb(&mut self, other: &CertAudit) {
+        self.checked += other.checked;
+        self.clauses += other.clauses;
+        self.bytes += other.bytes;
+        self.steps_replayed += other.steps_replayed;
+        self.check_ns += other.check_ns;
     }
 }
 
@@ -138,6 +160,10 @@ pub struct CcaVerifier {
     pub solver_probes: u64,
     /// Certificate-checking totals (all zero unless `cfg.certify`).
     pub cert_audit: CertAudit,
+    /// Checks every certificate this verifier produces. The incremental
+    /// solver logs its whole life into one proof log, so each certificate
+    /// extends the previous one and only its new steps are replayed.
+    replayer: Replayer,
     /// The checker-accepted certificate behind the most recent Pass
     /// verdict (`cfg.certify` only; cleared at the start of every verify
     /// call). The persistent result cache persists these so a cache hit
@@ -161,6 +187,7 @@ impl CcaVerifier {
             calls: 0,
             solver_probes: 0,
             cert_audit: CertAudit::default(),
+            replayer: Replayer::new(),
             last_pass_cert: None,
             inc: None,
             exchange: None,
@@ -177,6 +204,7 @@ impl CcaVerifier {
     /// Drop the cached incremental encoding (required after mutating `cfg`).
     pub fn reset(&mut self) {
         self.inc = None;
+        self.replayer = Replayer::new();
     }
 
     /// Join a portfolio clause exchange as worker `worker`. Must be called
@@ -217,7 +245,7 @@ impl CcaVerifier {
     /// Encode the template rule with *concrete* coefficients over the trace
     /// variables: for `t ∈ [0, T]`,
     /// `cwnd(t) = Σ αᵢ·cwnd(t−i) + Σ βᵢ·S(t−1−i) + γ`.
-    fn template_constraints(ctx: &mut Context, nv: &NetVars, spec: &CcaSpec) -> Term {
+    pub fn template_constraints(ctx: &mut Context, nv: &NetVars, spec: &CcaSpec) -> Term {
         let mut cs = Vec::new();
         for t in 0..=nv.cfg().t_max() {
             let mut rhs = LinExpr::constant(spec.gamma.clone());
@@ -317,7 +345,7 @@ impl CcaVerifier {
                     self.solver_probes += 1;
                     if self.cfg.certify {
                         let cert = certificate.expect("certify mode must produce a certificate");
-                        self.cert_audit.replay(&cert, "WCE infeasibility");
+                        self.cert_audit.replay(&mut self.replayer, &cert, "WCE infeasibility");
                         self.last_pass_cert = Some(*cert);
                     }
                     Verdict::Pass
@@ -328,7 +356,7 @@ impl CcaVerifier {
                     // binary search carries its own certificate; the final
                     // model was already exact-audited inside `maximize`.
                     for cert in &certificates {
-                        self.cert_audit.replay(cert, "WCE bracket probe");
+                        self.cert_audit.replay(&mut self.replayer, cert, "WCE bracket probe");
                     }
                     Verdict::Fail(Trace::from_model(&model, &nv))
                 }
@@ -353,7 +381,7 @@ impl CcaVerifier {
                     SatResult::Unsat => {
                         let cert =
                             out.certificate.expect("certify mode must produce a certificate");
-                        self.cert_audit.replay(&cert, "verifier UNSAT verdict");
+                        self.cert_audit.replay(&mut self.replayer, &cert, "verifier UNSAT verdict");
                         self.last_pass_cert = Some(cert);
                     }
                     SatResult::Sat => {
@@ -429,7 +457,11 @@ impl CcaVerifier {
                     self.solver_probes += 1;
                     if self.cfg.certify {
                         let cert = certificate.expect("certify mode must produce a certificate");
-                        self.cert_audit.replay(&cert, "scoped WCE infeasibility");
+                        self.cert_audit.replay(
+                            &mut self.replayer,
+                            &cert,
+                            "scoped WCE infeasibility",
+                        );
                         self.last_pass_cert = Some(*cert);
                     }
                     Verdict::Pass
@@ -437,7 +469,11 @@ impl CcaVerifier {
                 MaximizeOutcome::Feasible { model, probes, certificates, .. } => {
                     self.solver_probes += probes as u64;
                     for cert in &certificates {
-                        self.cert_audit.replay(cert, "scoped WCE bracket probe");
+                        self.cert_audit.replay(
+                            &mut self.replayer,
+                            cert,
+                            "scoped WCE bracket probe",
+                        );
                     }
                     Verdict::Fail(Trace::from_model(&model, &st.nv))
                 }
@@ -458,7 +494,11 @@ impl CcaVerifier {
                     SatResult::Unsat => {
                         let cert =
                             out.certificate.expect("certify mode must produce a certificate");
-                        self.cert_audit.replay(&cert, "incremental UNSAT verdict");
+                        self.cert_audit.replay(
+                            &mut self.replayer,
+                            &cert,
+                            "incremental UNSAT verdict",
+                        );
                         self.last_pass_cert = Some(cert);
                     }
                     SatResult::Sat => {

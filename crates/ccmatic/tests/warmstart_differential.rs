@@ -12,6 +12,7 @@ use ccmatic::sweep::{sweep_with_config, sweep_with_threads, SweepConfig, SweepRo
 use ccmatic::synth::{OptMode, SynthOptions};
 use ccmatic::template::{CoeffDomain, TemplateShape};
 use ccmatic_num::{int, rat, Rat};
+use ccmatic_proof::{ProofStep, UnsatCertificate};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -136,6 +137,64 @@ fn corrupted_certificate_is_rejected_and_resolved_fresh() {
     let fresh = enumerate_all_with(&opts, None, Some(&cache));
     assert!(!fresh.from_cache, "rejected entry must not be used");
     assert!(fresh.cache_rejected.is_some(), "rejection reason must be surfaced");
+    assert_eq!(fresh.result.solutions, baseline.result.solutions, "fresh solve must be correct");
+    assert!(fresh.stored, "fresh solve must repair the entry");
+    assert!(matches!(cache.lookup(&opts), Lookup::Hit(_)), "repaired entry must validate");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The solution certificates of a cache entry's JSON.
+fn solution_certs(entry: &Json) -> Vec<UnsatCertificate> {
+    let certs = entry.get("solution_certs").and_then(Json::as_arr).expect("solution_certs");
+    certs.iter().map(|c| UnsatCertificate::from_text(c.as_str().unwrap()).unwrap()).collect()
+}
+
+#[test]
+fn solution_certificate_mutated_inside_its_shared_prefix_is_rejected_and_repaired() {
+    // A loose delay bound, so the space has several solutions.
+    let mut opts = tiny_base();
+    opts.thresholds.delay = int(8);
+    let dir = fresh_cache_dir("prefix");
+    let cache = ResultCache::new(&dir).unwrap();
+    let baseline = enumerate_all_with(&opts, None, Some(&cache));
+    assert!(baseline.stored);
+    assert!(baseline.result.solutions.len() >= 2, "the entry needs two solution certificates");
+
+    // One verifier's certificates are prefixes of one log, and validation
+    // replays each shared step once.
+    let path = cache.entry_path(&opts);
+    let mut entry = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let certs = solution_certs(&entry);
+    assert!(certs.windows(2).all(|w| w[1].steps.starts_with(&w[0].steps)));
+    let exhaustion = entry.get("exhaustion_cert").and_then(Json::as_str).unwrap();
+    let exhaustion_len = UnsatCertificate::from_text(exhaustion).unwrap().steps.len();
+    let Lookup::Hit(hit) = cache.lookup(&opts) else { panic!("fresh entry must validate") };
+    assert_eq!(hit.steps_replayed, (certs.last().unwrap().steps.len() + exhaustion_len) as u64);
+
+    // Perturb a Farkas coefficient of the second certificate inside the
+    // prefix it shares with the first.
+    let shared = certs[0].steps.len();
+    let mut bad = certs[1].clone();
+    let i = (0..shared)
+        .find(|&i| matches!(bad.steps[i], ProofStep::Theory { .. }))
+        .expect("the shared prefix holds theory lemmas");
+    let ProofStep::Theory { farkas, .. } = &mut bad.steps[i] else { unreachable!() };
+    farkas[0].1 = &farkas[0].1 + &int(7);
+    let Json::Obj(fields) = &mut entry else { panic!("entry is not an object") };
+    let (_, Json::Arr(texts)) = fields.iter_mut().find(|(k, _)| k == "solution_certs").unwrap()
+    else {
+        panic!("solution_certs is not an array")
+    };
+    texts[1] = Json::Str(bad.to_text());
+    std::fs::write(&path, entry.render()).unwrap();
+    match cache.lookup(&opts) {
+        Lookup::Rejected(why) => assert!(why.contains("solution certificate 1"), "{why}"),
+        other => panic!("mutated shared prefix must be rejected, got {other:?}"),
+    }
+
+    let fresh = enumerate_all_with(&opts, None, Some(&cache));
+    assert!(!fresh.from_cache, "rejected entry must not be used");
+    assert!(fresh.cache_rejected.is_some());
     assert_eq!(fresh.result.solutions, baseline.result.solutions, "fresh solve must be correct");
     assert!(fresh.stored, "fresh solve must repair the entry");
     assert!(matches!(cache.lookup(&opts), Lookup::Hit(_)), "repaired entry must validate");

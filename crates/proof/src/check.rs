@@ -1,16 +1,20 @@
 //! Independent certificate replay: RUP propagation over the live clause set
-//! plus exact-rational Farkas summation for theory lemmas.
+//! plus exact-rational Farkas summation for theory lemmas, resumable across
+//! certificates that extend one another.
 
 use crate::{ProofStep, UnsatCertificate};
 use ccmatic_num::{DeltaRat, Rat};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-/// Counters from a successful replay.
+/// Counters from a successful replay. They describe the whole certificate,
+/// whether its steps were replayed now or resumed from an accepted prefix.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CertStats {
-    /// Steps replayed.
+    /// Steps in the certificate.
     pub steps: usize,
+    /// Bytes of the certificate's text rendering.
+    pub bytes: u64,
     /// Clauses added to the live set (input + RUP + theory).
     pub clauses: usize,
     /// RUP derivations checked.
@@ -108,8 +112,10 @@ struct Checker {
     id_to_slot: HashMap<u64, usize>,
     /// Literal code → slots watching it (clauses of length ≥ 2 only).
     watches: Vec<Vec<usize>>,
-    /// Literal code → number of live unit clauses asserting it.
-    units: HashMap<u32, u32>,
+    /// Literal code → number of live unit clauses asserting it. Ordered, so
+    /// RUP checks seed units in a fixed order and the propagation count is
+    /// a function of the certificate alone.
+    units: BTreeMap<u32, u32>,
     /// Live empty clauses (axiomatic or verified).
     empties: u32,
     /// Variable → 0 unset, 1 true, −1 false (scratch; clean between checks).
@@ -117,6 +123,13 @@ struct Checker {
     /// Assigned literals in order, for propagation and undo.
     trail: Vec<u32>,
     stats: CertStats,
+}
+
+/// Assigns `l` true and records it on the trail. Caller checks the current
+/// value first.
+fn assign_lit(assign: &mut [i8], trail: &mut Vec<u32>, l: u32) {
+    assign[(l >> 1) as usize] = if l & 1 == 0 { 1 } else { -1 };
+    trail.push(l);
 }
 
 fn lit_value(assign: &[i8], l: u32) -> Option<bool> {
@@ -191,13 +204,6 @@ impl Checker {
         Ok(())
     }
 
-    /// Assigns `l` true and records it on the trail. Caller checks the
-    /// current value first.
-    fn assign_lit(&mut self, l: u32) {
-        self.assign[(l >> 1) as usize] = if l & 1 == 0 { 1 } else { -1 };
-        self.trail.push(l);
-    }
-
     /// True iff assuming the negation of every literal in `lits` (on top of
     /// the live unit clauses) propagates to a conflict.
     fn rup_holds(&mut self, lits: &[u32]) -> bool {
@@ -222,16 +228,15 @@ impl Checker {
             match lit_value(&self.assign, nl) {
                 Some(true) => {}
                 Some(false) => return true, // complementary pair: tautology
-                None => self.assign_lit(nl),
+                None => assign_lit(&mut self.assign, &mut self.trail, nl),
             }
         }
         // …seed every live unit clause…
-        let unit_lits: Vec<u32> = self.units.keys().copied().collect();
-        for u in unit_lits {
+        for &u in self.units.keys() {
             match lit_value(&self.assign, u) {
                 Some(true) => {}
                 Some(false) => return true,
-                None => self.assign_lit(u),
+                None => assign_lit(&mut self.assign, &mut self.trail, u),
             }
         }
         // …and propagate over the watched clauses.
@@ -287,7 +292,7 @@ impl Checker {
             }
             match lit_value(&self.assign, other_lit) {
                 None => {
-                    self.assign_lit(other_lit);
+                    assign_lit(&mut self.assign, &mut self.trail, other_lit);
                     i += 1;
                 }
                 Some(false) => {
@@ -344,10 +349,10 @@ impl Checker {
                 *vars.entry(*v).or_insert_with(Rat::zero) += &add;
             }
         }
-        for (v, c) in &vars {
-            if !c.is_zero() {
-                return Err(CheckError::FarkasVarsDontCancel { id, var: *v });
-            }
+        // The smallest uncancelled variable, so the diagnosis does not
+        // depend on hash order.
+        if let Some(var) = vars.iter().filter(|(_, c)| !c.is_zero()).map(|(v, _)| *v).min() {
+            return Err(CheckError::FarkasVarsDontCancel { id, var });
         }
         if konst >= DeltaRat::zero() {
             return Err(CheckError::FarkasNotNegative(id));
@@ -359,34 +364,97 @@ impl Checker {
 /// Replays a certificate from scratch. Returns replay counters on success;
 /// the first invalid step otherwise.
 pub fn check(cert: &UnsatCertificate) -> Result<CertStats, CheckError> {
-    let mut ck = Checker::default();
-    for step in &cert.steps {
-        ck.stats.steps += 1;
-        match step {
-            ProofStep::Atom { var, expr, bound, strict } => {
-                ck.atoms.insert(
-                    *var,
-                    AtomDef { expr: expr.clone(), bound: bound.clone(), strict: *strict },
-                );
+    Replayer::new().check(cert)
+}
+
+/// A checker that resumes from the last certificate it accepted.
+///
+/// It holds the checker state after the steps it has accepted and the steps
+/// themselves. [`Replayer::check`] resumes only when those steps equal the
+/// start of the new certificate, compared step by step; otherwise it starts
+/// from an empty checker. Either way it then replays the rest and applies
+/// the end-of-certificate test. A rejection resets the replayer, so a bad
+/// certificate leaves no state behind.
+#[derive(Default)]
+pub struct Replayer {
+    ck: Checker,
+    /// The steps `ck` has replayed, in order.
+    accepted: Vec<ProofStep>,
+    /// Steps executed over this replayer's life, rejected replays included.
+    replayed: u64,
+}
+
+impl Replayer {
+    /// An empty replayer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Checks `cert`, replaying only the steps past the accepted prefix it
+    /// shares. The verdict and counters equal [`check`]'s on the same
+    /// certificate.
+    pub fn check(&mut self, cert: &UnsatCertificate) -> Result<CertStats, CheckError> {
+        if !cert.steps.starts_with(&self.accepted) {
+            self.reset();
+        }
+        let start = self.accepted.len();
+        match self.replay(&cert.steps[start..]) {
+            Ok(stats) => {
+                self.accepted.extend_from_slice(&cert.steps[start..]);
+                Ok(stats)
             }
-            ProofStep::Input { id, lits } => ck.add_clause(*id, lits)?,
-            ProofStep::Rup { id, lits } => {
-                if !ck.rup_holds(lits) {
-                    return Err(CheckError::RupFailed(*id));
-                }
-                ck.stats.rup_checked += 1;
-                ck.add_clause(*id, lits)?;
+            Err(e) => {
+                self.reset();
+                Err(e)
             }
-            ProofStep::Theory { id, lits, farkas } => {
-                ck.check_farkas(*id, lits, farkas)?;
-                ck.stats.theory_checked += 1;
-                ck.add_clause(*id, lits)?;
-            }
-            ProofStep::Delete { id } => ck.delete(*id)?,
         }
     }
-    if ck.empties == 0 {
-        return Err(CheckError::NoEmptyClause);
+
+    /// Steps the checker has executed over this replayer's life: a
+    /// deterministic measure of checking work.
+    pub fn steps_replayed(&self) -> u64 {
+        self.replayed
     }
-    Ok(ck.stats)
+
+    /// Drops the checker state and the accepted steps.
+    fn reset(&mut self) {
+        *self = Replayer { replayed: self.replayed, ..Replayer::default() };
+    }
+
+    /// The replay loop: applies `steps` to the checker state, then the
+    /// end-of-certificate test.
+    fn replay(&mut self, steps: &[ProofStep]) -> Result<CertStats, CheckError> {
+        let ck = &mut self.ck;
+        for step in steps {
+            self.replayed += 1;
+            ck.stats.steps += 1;
+            ck.stats.bytes += step.byte_len();
+            match step {
+                ProofStep::Atom { var, expr, bound, strict } => {
+                    ck.atoms.insert(
+                        *var,
+                        AtomDef { expr: expr.clone(), bound: bound.clone(), strict: *strict },
+                    );
+                }
+                ProofStep::Input { id, lits } => ck.add_clause(*id, lits)?,
+                ProofStep::Rup { id, lits } => {
+                    if !ck.rup_holds(lits) {
+                        return Err(CheckError::RupFailed(*id));
+                    }
+                    ck.stats.rup_checked += 1;
+                    ck.add_clause(*id, lits)?;
+                }
+                ProofStep::Theory { id, lits, farkas } => {
+                    ck.check_farkas(*id, lits, farkas)?;
+                    ck.stats.theory_checked += 1;
+                    ck.add_clause(*id, lits)?;
+                }
+                ProofStep::Delete { id } => ck.delete(*id)?,
+            }
+        }
+        if ck.empties == 0 {
+            return Err(CheckError::NoEmptyClause);
+        }
+        Ok(ck.stats)
+    }
 }

@@ -16,15 +16,24 @@
 //! certificate is accepted only if every derivation checks out and a verified
 //! empty clause is live at the end.
 //!
+//! A solver that keeps one proof log for its whole life (an incremental
+//! verifier) hands out certificates that are snapshots of that log, so each
+//! extends the one before. A [`Replayer`] keeps the checker state after a
+//! certificate it accepted and, when the next certificate starts with the
+//! same steps (compared step by step, never assumed), replays only the new
+//! suffix. Each step's outcome depends only on the steps before it, so the
+//! verdict and [`CertStats`] equal a replay from scratch; [`check`] is a
+//! fresh `Replayer`, so there is one replay loop.
+//!
 //! Literals use the dense encoding `var << 1 | sign` (odd = negated). The
 //! encoding is re-stated here, not imported from the solver.
 
 use ccmatic_num::Rat;
-use std::fmt::Write as _;
+use std::fmt;
 use std::io::Write;
 
 mod check;
-pub use check::{check, CertStats, CheckError};
+pub use check::{check, CertStats, CheckError, Replayer};
 
 /// One step of a proof log.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,7 +61,7 @@ pub enum ProofStep {
 impl ProofStep {
     /// Renders the step as one line of the text format (used for size
     /// accounting and the streaming sink).
-    pub fn render(&self, out: &mut String) {
+    pub fn render<W: fmt::Write>(&self, out: &mut W) {
         match self {
             ProofStep::Atom { var, expr, bound, strict } => {
                 let _ = write!(out, "a {var} {} {bound}", u8::from(*strict));
@@ -77,7 +86,7 @@ impl ProofStep {
                 for l in lits {
                     let _ = write!(out, " {l}");
                 }
-                out.push_str(" f");
+                let _ = out.write_str(" f");
                 for (l, c) in farkas {
                     let _ = write!(out, " {l}:{c}");
                 }
@@ -86,8 +95,36 @@ impl ProofStep {
                 let _ = write!(out, "d {id}");
             }
         }
-        out.push('\n');
+        let _ = out.write_char('\n');
     }
+
+    /// Length of the step's text rendering in bytes, counted without
+    /// building the text.
+    pub fn byte_len(&self) -> u64 {
+        let mut count = ByteCount(0);
+        self.render(&mut count);
+        count.0
+    }
+}
+
+/// A `fmt::Write` that counts the bytes written to it and keeps none.
+struct ByteCount(u64);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len() as u64;
+        Ok(())
+    }
+}
+
+/// `steps` in the one-line-per-step text format: the text of a certificate
+/// made of exactly these steps.
+pub fn steps_to_text(steps: &[ProofStep]) -> String {
+    let mut s = String::new();
+    for step in steps {
+        step.render(&mut s);
+    }
+    s
 }
 
 /// A complete proof log prefix ending in (at least one) verified empty
@@ -101,23 +138,7 @@ pub struct UnsatCertificate {
 impl UnsatCertificate {
     /// The certificate in the one-line-per-step text format.
     pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        for step in &self.steps {
-            step.render(&mut s);
-        }
-        s
-    }
-
-    /// Size of the text rendering in bytes.
-    pub fn byte_len(&self) -> u64 {
-        let mut s = String::new();
-        let mut total = 0u64;
-        for step in &self.steps {
-            s.clear();
-            step.render(&mut s);
-            total += s.len() as u64;
-        }
-        total
+        steps_to_text(&self.steps)
     }
 
     /// Parses the one-line-per-step text format back into a certificate:
@@ -251,10 +272,8 @@ impl MemorySink {
     }
 
     fn push(&mut self, step: ProofStep) {
-        let mut s = String::new();
-        step.render(&mut s);
         self.stats.steps += 1;
-        self.stats.bytes += s.len() as u64;
+        self.stats.bytes += step.byte_len();
         self.steps.push(step);
     }
 

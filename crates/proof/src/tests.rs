@@ -1,4 +1,4 @@
-use crate::{check, CheckError, MemorySink, ProofSink, ProofStep, UnsatCertificate};
+use crate::{check, CheckError, MemorySink, ProofSink, ProofStep, Replayer, UnsatCertificate};
 use ccmatic_num::{rat, Rat};
 
 // Literal helpers mirroring the dense encoding: var << 1 | sign.
@@ -168,6 +168,44 @@ fn rejects_empty_farkas_and_missing_empty_clause() {
 }
 
 #[test]
+fn replayer_resumes_on_extensions_and_restarts_otherwise() {
+    // A log that refutes, retracts its empty clause and refutes again.
+    let first = sat_refutation();
+    let mut second = first.clone();
+    second.steps.push(ProofStep::Delete { id: 6 });
+    second.steps.push(ProofStep::Rup { id: 7, lits: vec![] });
+
+    let mut r = Replayer::new();
+    assert_eq!(r.check(&first), check(&first));
+    assert_eq!(r.steps_replayed(), 6);
+    let stats = r.check(&second);
+    assert_eq!(stats, check(&second));
+    assert_eq!(stats.unwrap().bytes, second.to_text().len() as u64);
+    assert_eq!(r.steps_replayed(), 8, "only the two new steps are replayed");
+
+    // A certificate shorter than the accepted steps restarts from scratch.
+    assert_eq!(r.check(&first), check(&first));
+    assert_eq!(r.steps_replayed(), 14);
+
+    // A mutated prefix is not resumed from: it is replayed and rejected,
+    // and the rejection leaves nothing behind.
+    let mut bad = second.clone();
+    bad.steps.remove(0);
+    assert_eq!(r.check(&bad), Err(CheckError::RupFailed(5)));
+    assert_eq!(r.steps_replayed(), 14 + 4);
+    assert_eq!(r.check(&second), check(&second));
+    assert_eq!(r.steps_replayed(), 14 + 4 + 8);
+
+    // A suffix that deletes the empty clause and stops is rejected.
+    let mut open = first.clone();
+    open.steps.push(ProofStep::Delete { id: 6 });
+    let mut r = Replayer::new();
+    r.check(&first).unwrap();
+    assert_eq!(r.check(&open), Err(CheckError::NoEmptyClause));
+    assert_eq!(r.steps_replayed(), 7);
+}
+
+#[test]
 fn memory_sink_roundtrip_and_stats() {
     let mut sink = MemorySink::new();
     let a = sink.log_input(vec![p(0), p(1)]);
@@ -182,7 +220,7 @@ fn memory_sink_roundtrip_and_stats() {
     assert_eq!(stats.deletions, 1);
     let cert = sink.snapshot().unwrap();
     assert_eq!(cert.steps.len(), 5);
-    assert_eq!(stats.bytes, cert.byte_len());
+    assert_eq!(stats.bytes, cert.to_text().len() as u64, "counted bytes equal the rendering");
     assert!(cert.to_text().lines().count() == 5);
 }
 

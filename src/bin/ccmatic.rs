@@ -245,10 +245,11 @@ fn main() -> ExitCode {
                 // a rejected one panics inside the verifier with the
                 // checker's diagnosis.
                 eprintln!(
-                    "certified: {} certificates replayed ({} clauses, {} bytes, {:.1} ms in checker)",
+                    "certified: {} certificates replayed ({} clauses, {} bytes, {} steps replayed, {:.1} ms in checker)",
                     r.cert_audit.checked,
                     r.cert_audit.clauses,
                     r.cert_audit.bytes,
+                    r.cert_audit.steps_replayed,
                     r.cert_audit.check_ns as f64 / 1e6
                 );
             }
@@ -297,10 +298,11 @@ fn main() -> ExitCode {
             let result = v.verify(&spec);
             if certify {
                 eprintln!(
-                    "certified: {} certificates replayed ({} clauses, {} bytes, {:.1} ms in checker)",
+                    "certified: {} certificates replayed ({} clauses, {} bytes, {} steps replayed, {:.1} ms in checker)",
                     v.cert_audit.checked,
                     v.cert_audit.clauses,
                     v.cert_audit.bytes,
+                    v.cert_audit.steps_replayed,
                     v.cert_audit.check_ns as f64 / 1e6
                 );
             }
