@@ -11,12 +11,25 @@
 //!   regions pruned, counterexamples subsumed and simplex pivots;
 //! * a certifying WCE verifier over the known-CCA set — per candidate the
 //!   verdict, a digest of the counterexample trace, the probe count, the
-//!   certificate bytes replayed by the independent checker and the pivots.
+//!   certificate bytes replayed by the independent checker and the pivots;
+//! * `synthesize_seeded` on the same cell at delay ≤ 4, seeded from the
+//!   refuted-pair carry of a complete enumeration at delay ≤ 3 — the carry
+//!   digest, the warm seeded/rejected split, replay hits and the search
+//!   counters;
+//! * the warm one-thread delay sweep through `sweep_with_config` — per
+//!   point the solution set, iterations, probes, warm seeded/rejected/
+//!   confirmed counts, regions pruned and counterexamples subsumed;
+//! * a 2-worker fixed-seed portfolio run on the same cell — outcome and
+//!   the aggregate and per-worker counters.
 
 use ccac_model::{NetConfig, Thresholds};
+use ccmatic::enumerate::enumerate_all_with;
 use ccmatic::fingerprint::fnv1a64;
 use ccmatic::known;
-use ccmatic::synth::{synthesize, OptMode, SynthOptions, DEFAULT_DISPATCH_MIN};
+use ccmatic::sweep::{sweep_with_config, SweepConfig};
+use ccmatic::synth::{
+    synthesize, synthesize_seeded, OptMode, SynthOptions, SynthResult, DEFAULT_DISPATCH_MIN,
+};
 use ccmatic::template::{CoeffDomain, TemplateShape};
 use ccmatic::verifier::{CcaVerifier, VerifyConfig};
 use ccmatic_cegis::{Budget, Outcome};
@@ -30,8 +43,9 @@ fn ci_net(history: usize) -> NetConfig {
     NetConfig { horizon: 6, history, link_rate: Rat::one(), jitter: 1, buffer: None }
 }
 
-fn synth_record() -> String {
-    let opts = SynthOptions {
+/// The Table-1 No-cwnd/Small cell at ci scale, RP+WCE on one thread.
+fn ci_cell() -> SynthOptions {
+    SynthOptions {
         shape: TemplateShape { lookback: 3, use_cwnd: false, domain: CoeffDomain::Small },
         net: ci_net(4),
         thresholds: Thresholds::default(),
@@ -45,20 +59,100 @@ fn synth_record() -> String {
         certify: false,
         region_pruning: true,
         theory_sync: true,
-    };
-    let p0 = pivots_total();
-    let r = synthesize(&opts);
-    let outcome = match &r.outcome {
+    }
+}
+
+fn outcome(r: &SynthResult) -> String {
+    match &r.outcome {
         Outcome::Solution(s) => format!("solution {s}"),
         other => format!("{other:?}"),
-    };
+    }
+}
+
+fn synth_record() -> String {
+    let p0 = pivots_total();
+    let r = synthesize(&ci_cell());
     format!(
-        "{outcome} · iterations {} · probes {} · regions pruned {} · cex subsumed {} · pivots {}",
+        "{} · iterations {} · probes {} · regions pruned {} · cex subsumed {} · pivots {}",
+        outcome(&r),
         r.stats.iterations,
         r.verifier_probes,
         r.stats.regions_pruned,
         r.stats.cex_subsumed,
         pivots_total() - p0
+    )
+}
+
+fn with_delay(opts: &SynthOptions, delay: Rat) -> SynthOptions {
+    let mut opts = opts.clone();
+    opts.thresholds.delay = delay;
+    opts
+}
+
+fn seeded_record() -> String {
+    let carry = enumerate_all_with(&with_delay(&ci_cell(), int(3)), None, None).carry;
+    let p0 = pivots_total();
+    let r = synthesize_seeded(&with_delay(&ci_cell(), int(4)), &carry.refuted);
+    format!(
+        "carry {} pairs {:016x} · {} · iterations {} · probes {} · warm seeded {} · \
+         warm rejected {} · replay hits {} · regions pruned {} · cex subsumed {} · pivots {}",
+        carry.refuted.len(),
+        fnv1a64(&format!("{:?}", carry.refuted)),
+        outcome(&r),
+        r.stats.iterations,
+        r.verifier_probes,
+        r.stats.warm_traces_seeded,
+        r.stats.warm_traces_rejected,
+        r.stats.replay_hits,
+        r.stats.regions_pruned,
+        r.stats.cex_subsumed,
+        pivots_total() - p0
+    )
+}
+
+fn sweep_records() -> Vec<String> {
+    let delays = [int(8), int(4), rat(18, 5), int(3)];
+    let cfg = SweepConfig { threads: 1, warm_start: true, cache: None, sweep_wall: None };
+    let report = sweep_with_config(&ci_cell(), &delays, |t, d| t.delay = d.clone(), &cfg);
+    assert!(!report.budget_exceeded);
+    report
+        .rows
+        .iter()
+        .map(|row| {
+            let (r, s) = (&row.result, &row.result.stats);
+            format!(
+                "delay {}: {} solutions {:016x} · iterations {} · probes {} · warm seeded {} \
+                 · warm rejected {} · warm confirmed {} · regions pruned {} · cex subsumed {}",
+                row.thresholds.delay,
+                r.solutions.len(),
+                fnv1a64(&format!("{:?}", r.solutions)),
+                s.iterations,
+                r.solver_probes,
+                s.warm_traces_seeded,
+                s.warm_traces_rejected,
+                s.warm_solutions_confirmed,
+                s.regions_pruned,
+                s.cex_subsumed
+            )
+        })
+        .collect()
+}
+
+fn portfolio_record() -> String {
+    let opts = SynthOptions { threads: 2, seed: 7, dispatch_min: 0, ..ci_cell() };
+    let r = synthesize(&opts);
+    format!(
+        "{} · iterations {} · verifier calls {} · probes {} · replay hits {} · wasted {} · \
+         regions pruned {} · cex subsumed {} · workers {:?}",
+        outcome(&r),
+        r.stats.iterations,
+        r.stats.verifier_calls,
+        r.verifier_probes,
+        r.stats.replay_hits,
+        r.stats.speculative_wasted,
+        r.stats.regions_pruned,
+        r.stats.cex_subsumed,
+        r.workers
     )
 }
 
@@ -115,5 +209,33 @@ fn search_trajectories_match_goldens() {
             "const_cwnd(20): fail a89dc44547fd1fcf · probes 6 · cert bytes 248792 · pivots 182",
             "copy_cwnd: fail 9039d8c244875164 · probes 6 · cert bytes 270178 · pivots 232",
         ]
+    );
+    assert_eq!(
+        seeded_record(),
+        "carry 7 pairs ef3fc39291cd6d73 · solution cwnd(t) = 1 · iterations 2 · probes 1 \
+         · warm seeded 6 · warm rejected 1 · replay hits 1 · regions pruned 84 \
+         · cex subsumed 0 · pivots 289"
+    );
+    assert_eq!(
+        sweep_records(),
+        [
+            "delay 8: 7 solutions 3412880f999f089a · iterations 15 · probes 49 · warm seeded 0 \
+             · warm rejected 0 · warm confirmed 0 · regions pruned 75 · cex subsumed 0",
+            "delay 4: 4 solutions 50c22085580013ce · iterations 1 · probes 22 · warm seeded 7 \
+             · warm rejected 0 · warm confirmed 4 · regions pruned 138 · cex subsumed 0",
+            "delay 18/5: 3 solutions 1ecfdc70515fafbd · iterations 1 · probes 9 · warm seeded 10 \
+             · warm rejected 0 · warm confirmed 3 · regions pruned 170 · cex subsumed 0",
+            "delay 3: 3 solutions 1ecfdc70515fafbd · iterations 1 · probes 3 · warm seeded 11 \
+             · warm rejected 0 · warm confirmed 3 · regions pruned 170 · cex subsumed 0",
+        ]
+    );
+    assert_eq!(
+        portfolio_record(),
+        "solution cwnd(t) = 1·ack(t−2) − 1·ack(t−3) + 1 · iterations 11 · verifier calls 7 \
+         · probes 37 · replay hits 3 · wasted 0 · regions pruned 145 · cex subsumed 0 \
+         · workers [WorkerStats { iterations: 6, verifier_calls: 5, replay_hits: 0, \
+         shards_stolen: 0, shared_clauses_exported: 10, shared_clauses_imported: 2 }, \
+         WorkerStats { iterations: 5, verifier_calls: 2, replay_hits: 3, shards_stolen: 0, \
+         shared_clauses_exported: 2, shared_clauses_imported: 0 }]"
     );
 }
