@@ -18,27 +18,15 @@ fn main() {
         assert!(cell.solved);
     });
     bench_case("table1/no_cwnd_small/rp_wce_scratch", 1, 5, || {
-        let cell = run_cell_with(
-            &row,
-            OptMode::RangePruningWce,
-            Duration::from_secs(120),
-            false,
-            1,
-            false,
-            true,
-        );
+        let cell = run_cell_with(&row, OptMode::RangePruningWce, Duration::from_secs(120), |o| {
+            o.incremental = false
+        });
         assert!(cell.solved);
     });
     bench_case("table1/no_cwnd_small/rp_wce_certified", 1, 5, || {
-        let cell = run_cell_with(
-            &row,
-            OptMode::RangePruningWce,
-            Duration::from_secs(120),
-            true,
-            1,
-            true,
-            true,
-        );
+        let cell = run_cell_with(&row, OptMode::RangePruningWce, Duration::from_secs(120), |o| {
+            o.certify = true
+        });
         assert!(cell.solved);
         assert!(cell.proof_clauses > 0, "certified run must have replayed certificates");
     });

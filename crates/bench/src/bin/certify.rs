@@ -17,7 +17,7 @@ use ccmatic::known;
 use ccmatic::synth::OptMode;
 use ccmatic::template::CcaSpec;
 use ccmatic::verifier::{CcaVerifier, VerifyConfig};
-use ccmatic_bench::{run_cell_with, table1_rows, write_json, Json, Scale};
+use ccmatic_bench::{run_cell, run_cell_with, table1_rows, write_json, Json, Scale};
 use ccmatic_num::{rat, Rat};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -91,9 +91,9 @@ fn main() -> ExitCode {
     let rows = table1_rows(Scale::Ci);
     let budget = Duration::from_secs(budget_secs);
     println!("\nrunning No-cwnd/Small RP+WCE, plain …");
-    let plain = run_cell_with(&rows[0], OptMode::RangePruningWce, budget, true, 1, false, true);
+    let plain = run_cell(&rows[0], OptMode::RangePruningWce, budget);
     println!("running No-cwnd/Small RP+WCE, certified …");
-    let cert = run_cell_with(&rows[0], OptMode::RangePruningWce, budget, true, 1, true, true);
+    let cert = run_cell_with(&rows[0], OptMode::RangePruningWce, budget, |o| o.certify = true);
     let overhead = cert.wall.as_secs_f64() / plain.wall.as_secs_f64().max(1e-9);
     println!(
         "plain {:.2}s vs certified {:.2}s → {overhead:.2}x overhead ({} proof clauses, {} cert bytes, {} steps replayed, {:.1} ms in checker)",

@@ -90,7 +90,8 @@ fn main() {
         // The same-build A/B pair for the trail-sync speedup claim: re-run
         // the RP+WCE cell with the legacy reset-and-reassert theory bridge.
         eprintln!("running {} / {} / RP+WCE (no-sync) …", row.params, row.domain_label);
-        let nosync = run_cell_with(&row, OptMode::RangePruningWce, budget, true, 1, false, false);
+        let nosync =
+            run_cell_with(&row, OptMode::RangePruningWce, budget, |o| o.theory_sync = false);
         let sync_wall = cells[2].wall;
         eprintln!(
             "  → {} in {} ({} iterations, {:.2}x the trail-synced cell)",
@@ -106,7 +107,8 @@ fn main() {
             "running {} / {} / RP+WCE (from-scratch verifier) …",
             row.params, row.domain_label
         );
-        let scratch = run_cell_with(&row, OptMode::RangePruningWce, budget, false, 1, false, true);
+        let scratch =
+            run_cell_with(&row, OptMode::RangePruningWce, budget, |o| o.incremental = false);
         eprintln!(
             "  → {} in {} ({} iterations, {} verifier probes)",
             if scratch.solved { "solved" } else { "DNF" },
@@ -119,7 +121,7 @@ fn main() {
         // certificate. Reported next to the uncertified cell so the
         // overhead factor is visible per row.
         eprintln!("running {} / {} / RP+WCE (certified) …", row.params, row.domain_label);
-        let certified = run_cell_with(&row, OptMode::RangePruningWce, budget, true, 1, true, true);
+        let certified = run_cell_with(&row, OptMode::RangePruningWce, budget, |o| o.certify = true);
         let plain_wall = cells[2].wall;
         eprintln!(
             "  → {} in {} ({} proof clauses, {} cert bytes, {:.1} ms in checker, {:.2}x uncertified)",
@@ -142,7 +144,7 @@ fn main() {
                 row.params, row.domain_label, threads
             );
             let cell =
-                run_cell_with(&row, OptMode::RangePruningWce, budget, true, threads, false, true);
+                run_cell_with(&row, OptMode::RangePruningWce, budget, |o| o.threads = threads);
             eprintln!(
                 "  → {} in {} ({} iterations, {} replay hits, {} wasted, {} shards stolen, {}/{} clauses shared)",
                 if cell.solved { "solved" } else { "DNF" },

@@ -125,7 +125,13 @@ fn fold_cache_stats(stats: &mut CacheStats, cfg_has_cache: bool, out: &WarmEnume
     }
 }
 
-/// Run a sweep under an explicit [`SweepConfig`].
+/// Enumerate the solution space once per threshold value, with `set`
+/// writing each value into the run's thresholds, under `cfg`'s strategy.
+/// Rows come back in the order of `values` regardless of which worker
+/// finished first. The paper's §4 sweeps are the delay axis (at ≥50 %
+/// utilization: 245 solutions at ≤8×RTT, 9 at ≤3.6×RTT, none at ≤3×RTT)
+/// and the utilization axis (at ≤4×RTT: ≥65 % leaves 2 CCAs, ≥70 % only
+/// Equation (iii)).
 pub fn sweep_with_config<F>(
     base: &SynthOptions,
     values: &[Rat],
@@ -242,45 +248,6 @@ where
     SweepReport { rows, budget_exceeded, cache_stats }
 }
 
-/// Enumerate the solution space once per threshold value, with `set`
-/// writing each value into the run's thresholds. Rows come back in the
-/// order of `values` regardless of which worker finished first.
-pub fn sweep_with<F>(base: &SynthOptions, values: &[Rat], set: F) -> Vec<SweepRow>
-where
-    F: Fn(&mut Thresholds, &Rat) + Sync,
-{
-    sweep_with_threads(base, values, set, sweep_threads())
-}
-
-/// [`sweep_with`] with an explicit worker count (exposed so tests and
-/// benches can pin the pool size).
-pub fn sweep_with_threads<F>(
-    base: &SynthOptions,
-    values: &[Rat],
-    set: F,
-    threads: usize,
-) -> Vec<SweepRow>
-where
-    F: Fn(&mut Thresholds, &Rat) + Sync,
-{
-    let cfg = SweepConfig { threads, warm_start: false, cache: None, sweep_wall: None };
-    sweep_with_config(base, values, set, &cfg).rows
-}
-
-/// Enumerate the solution space at each utilization threshold (delay held
-/// fixed). The paper's §4: at ≤4×RTT delay, ≥65 % utilization leaves 2
-/// CCAs and ≥70 % leaves only Equation (iii).
-pub fn sweep_utilization(base: &SynthOptions, utils: &[Rat]) -> Vec<SweepRow> {
-    sweep_with(base, utils, |th, u| th.util = u.clone())
-}
-
-/// Enumerate the solution space at each delay threshold (utilization held
-/// fixed). The paper's §4: at ≥50 % utilization there are 245 solutions at
-/// ≤8×RTT, 9 at ≤3.6×RTT, and none at ≤3×RTT.
-pub fn sweep_delay(base: &SynthOptions, delays: &[Rat]) -> Vec<SweepRow> {
-    sweep_with(base, delays, |th, d| th.delay = d.clone())
-}
-
 /// Render sweep rows as a Markdown table (used by the bench binaries and
 /// EXPERIMENTS.md).
 pub fn render_table(rows: &[SweepRow]) -> String {
@@ -333,10 +300,17 @@ mod tests {
         }
     }
 
+    /// The cold (parallel) strategy on `threads` workers.
+    fn cold(threads: usize) -> SweepConfig {
+        SweepConfig { threads, warm_start: false, cache: None, sweep_wall: None }
+    }
+
     #[test]
     fn tighter_delay_never_adds_solutions() {
         let base = tiny_base();
-        let rows = sweep_delay(&base, &[int(8), int(4), int(2)]);
+        let values = [int(8), int(4), int(2)];
+        let set = |th: &mut Thresholds, d: &Rat| th.delay = d.clone();
+        let rows = sweep_with_config(&base, &values, set, &cold(sweep_threads())).rows;
         assert_eq!(rows.len(), 3);
         for w in rows.windows(2) {
             assert!(
@@ -351,7 +325,9 @@ mod tests {
     #[test]
     fn tighter_utilization_never_adds_solutions() {
         let base = tiny_base();
-        let rows = sweep_utilization(&base, &[rat(1, 2), rat(7, 10)]);
+        let set = |th: &mut Thresholds, u: &Rat| th.util = u.clone();
+        let rows =
+            sweep_with_config(&base, &[rat(1, 2), rat(7, 10)], set, &cold(sweep_threads())).rows;
         assert!(
             rows[0].result.solutions.len() >= rows[1].result.solutions.len(),
             "solution count must shrink as the utilization target rises"
@@ -385,7 +361,7 @@ mod tests {
         let base = tiny_base();
         let values = [int(8), int(4), int(2)];
         let set = |th: &mut Thresholds, d: &Rat| th.delay = d.clone();
-        let cold = sweep_with_threads(&base, &values, set, 1);
+        let cold = sweep_with_config(&base, &values, set, &cold(1)).rows;
         let cfg = SweepConfig { threads: 1, warm_start: true, cache: None, sweep_wall: None };
         let warm = sweep_with_config(&base, &values, set, &cfg);
         assert!(!warm.budget_exceeded);
@@ -404,8 +380,8 @@ mod tests {
         let base = tiny_base();
         let values = [int(8), int(4), int(3), int(2)];
         let set = |th: &mut Thresholds, d: &Rat| th.delay = d.clone();
-        let serial = sweep_with_threads(&base, &values, set, 1);
-        let parallel = sweep_with_threads(&base, &values, set, 4);
+        let serial = sweep_with_config(&base, &values, set, &cold(1)).rows;
+        let parallel = sweep_with_config(&base, &values, set, &cold(4)).rows;
         assert_eq!(serial.len(), parallel.len());
         for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
             assert_eq!(a.thresholds.delay, b.thresholds.delay, "row {i}: order differs");

@@ -8,7 +8,7 @@ use ccac_model::{NetConfig, Thresholds};
 use ccmatic::cache::{Lookup, ResultCache};
 use ccmatic::enumerate::enumerate_all_with;
 use ccmatic::json::Json;
-use ccmatic::sweep::{sweep_with_config, sweep_with_threads, SweepConfig, SweepRow};
+use ccmatic::sweep::{sweep_with_config, SweepConfig, SweepRow};
 use ccmatic::synth::{OptMode, SynthOptions};
 use ccmatic::template::{CoeffDomain, TemplateShape};
 use ccmatic_num::{int, rat, Rat};
@@ -63,8 +63,9 @@ fn warm_equals_cold_on_both_axes_across_thread_counts() {
     let set_delay = |t: &mut Thresholds, d: &Rat| t.delay = d.clone();
     let set_util = |t: &mut Thresholds, u: &Rat| t.util = u.clone();
 
-    let cold_delay = sweep_with_threads(&base, &delay_values, set_delay, 1);
-    let cold_util = sweep_with_threads(&base, &util_values, set_util, 1);
+    let cold = SweepConfig { threads: 1, warm_start: false, cache: None, sweep_wall: None };
+    let cold_delay = sweep_with_config(&base, &delay_values, set_delay, &cold).rows;
+    let cold_util = sweep_with_config(&base, &util_values, set_util, &cold).rows;
     for threads in [1, 4] {
         let cfg = SweepConfig { threads, warm_start: true, cache: None, sweep_wall: None };
         let warm_delay = sweep_with_config(&base, &delay_values, set_delay, &cfg);

@@ -7,7 +7,7 @@
 //! ```
 
 use ccac_model::{NetConfig, Thresholds};
-use ccmatic::sweep::{render_table, sweep_delay, sweep_utilization};
+use ccmatic::sweep::{render_table, sweep_with_config, SweepConfig};
 use ccmatic::synth::{OptMode, SynthOptions};
 use ccmatic::template::{CoeffDomain, TemplateShape};
 use ccmatic_cegis::Budget;
@@ -37,13 +37,16 @@ fn main() {
     println!("## Delay sweep (util ≥ 1/2 fixed)\n");
     println!("Paper (9⁵ space): 245 solutions at ≤8×RTT, 9 at ≤3.6×RTT, 0 at ≤3×RTT.\n");
     let delays = [int(8), int(4), rat(18, 5), int(3), int(2)];
-    let rows = sweep_delay(&base, &delays);
+    // The default strategy runs loose→tight points in order, warm-starting
+    // each from the previous one (same rows as a cold sweep, less work).
+    let cfg = SweepConfig::default();
+    let rows = sweep_with_config(&base, &delays, |th, d| th.delay = d.clone(), &cfg).rows;
     println!("{}", render_table(&rows));
 
     println!("## Utilization sweep (delay ≤ 4×RTT fixed)\n");
     println!("Paper (9⁵ space): 12 solutions at ≥50 %, 2 at ≥65 %, 1 at ≥70 % (Eq. iii).\n");
     let utils = [rat(1, 2), rat(13, 20), rat(7, 10), rat(9, 10)];
-    let rows = sweep_utilization(&base, &utils);
+    let rows = sweep_with_config(&base, &utils, |th, u| th.util = u.clone(), &cfg).rows;
     println!("{}", render_table(&rows));
 
     println!("The qualitative shape matches the paper: counts shrink monotonically as");
