@@ -1,6 +1,6 @@
 //! Fuzz corpus → CEGIS learn sites: the serial subsumption guard must
 //! fire on redundant fuzz-found traces, and `synthesize_seeded` must
-//! accept a fuzz corpus as warm-start counterexamples.
+//! accept a fuzz corpus as warm-start counterexamples, off-grid ones too.
 
 use ccac_model::{NetConfig, Thresholds};
 use ccmatic::generator::FeasibilityMode;
@@ -97,4 +97,13 @@ fn fuzz_seeds_warm_start_cegis() {
         seeded.stats.iterations,
         cold.stats.iterations
     );
+
+    // γ = 8 lies outside the domain: the seed asserts its trace alone, with
+    // no region walk around a point the generator cannot name.
+    let off = CcaSpec { alpha: vec![], beta: vec![int(0)], gamma: int(8) };
+    let trace =
+        lift_checked(&off, &genome.lift_config(&o.net, &int(7))).expect("eager lifts are feasible");
+    let seeded = synthesize_seeded(&o, &[(off, trace)]);
+    assert_eq!(seeded.stats.warm_traces_seeded, 1, "the off-grid seed must be pre-learned");
+    assert!(matches!(seeded.outcome, Outcome::NoSolution), "{:?}", seeded.outcome);
 }
