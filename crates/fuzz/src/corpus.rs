@@ -37,30 +37,42 @@ impl Corpus {
         Corpus { entries: Vec::new(), cap: DEFAULT_CAP }
     }
 
+    /// The stored entry a newcomer would evict: the lowest-scoring one,
+    /// when the corpus is at capacity.
+    fn eviction_victim(&self) -> Option<(usize, f64)> {
+        if self.cap == 0 || self.entries.len() < self.cap {
+            return None;
+        }
+        self.entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (i, e.score))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+    }
+
+    /// Whether an entry scoring `score` could be admitted: always below
+    /// capacity, and at capacity only if it beats the lowest stored score.
+    /// [`Corpus::add`] applies exactly this rule, so a caller may skip
+    /// building an entry (say, an exact lift) that this rejects.
+    pub fn admits(&self, score: f64) -> bool {
+        self.eviction_victim().is_none_or(|(_, worst)| score > worst)
+    }
+
     /// Admit a failure unless an equivalent one is already stored —
     /// equivalence is exact-trace equality when a trace exists (two
     /// genomes realizing the same model behaviour are the same failure),
-    /// genome equality otherwise. At capacity, the lowest-scoring entry
-    /// is evicted if the newcomer beats it. Returns `true` on admission.
+    /// genome equality otherwise — or [`Corpus::admits`] rejects its
+    /// score. At capacity, the lowest-scoring entry is evicted. Returns
+    /// `true` on admission.
     pub fn add(&mut self, entry: CorpusEntry) -> bool {
         let dup = self.entries.iter().any(|e| match (&e.trace, &entry.trace) {
             (Some(a), Some(b)) => a == b,
             _ => e.genome == entry.genome,
         });
-        if dup {
+        if dup || !self.admits(entry.score) {
             return false;
         }
-        if self.cap > 0 && self.entries.len() >= self.cap {
-            let (worst, score) = self
-                .entries
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (i, e.score))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("non-empty at capacity");
-            if entry.score <= score {
-                return false;
-            }
+        if let Some((worst, _)) = self.eviction_victim() {
             self.entries.remove(worst);
         }
         self.entries.push(entry);
@@ -158,6 +170,26 @@ mod tests {
         assert!(c.add(entry(3, 3.0)), "at capacity, higher score evicts the worst");
         assert_eq!(c.len(), 2);
         assert!(c.entries().iter().all(|e| e.score >= 2.0));
+    }
+
+    #[test]
+    fn add_rejects_whatever_admits_rejects() {
+        let mut c = Corpus { entries: Vec::new(), cap: 3 };
+        let mut rng = ccmatic_num::SmallRng::seed_from_u64(5);
+        for tag in 0..200u8 {
+            let score = rng.gen_range_usize(0, 8) as f64;
+            let admits = c.admits(score);
+            let before: Vec<u64> = c.entries().iter().map(|e| e.genome.fingerprint()).collect();
+            let added = c.add(entry(tag, score));
+            if !admits {
+                assert!(!added, "add admitted a score admits rejected");
+                let after: Vec<u64> = c.entries().iter().map(|e| e.genome.fingerprint()).collect();
+                assert_eq!(before, after, "a rejected add changed the entries");
+            } else {
+                assert!(added, "a fresh genome the corpus admits must be added");
+            }
+        }
+        assert_eq!(c.len(), 3);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! 1. **Screen** (`f64`): every genome runs through the simulator
 //!    ([`crate::fitness`]); the score is the margin to an objective
 //!    violation, giving selection a gradient before any genome fails.
-//! 2. **Confirm** (exact, spec targets only): a screened violation is
-//!    lifted to an exact rational trace ([`ccmatic::lift`]), gated through
+//! 2. **Confirm** (exact, spec targets only): a screened violation the
+//!    corpus could still admit ([`Corpus::admits`]) is lifted to an exact
+//!    rational trace ([`ccmatic::lift`]), gated through
 //!    the native model checker (`ccac_model::check_trace` — partial waste
 //!    can leave the feasibility band; such lifts are counted, not
 //!    claimed), and judged by [`TraceReplay::refutes`] — the same verdict
@@ -124,9 +125,13 @@ pub struct FuzzCounters {
     /// Corpus traces asserted into a seeded CEGIS run (filled by the
     /// caller that runs [`ccmatic::synth::synthesize_seeded`]).
     pub cex_seeded: u64,
-    /// Screened violations whose lift left the model's feasibility band
-    /// (expected under partial waste) and were discarded unclaimed.
+    /// Among lifted genomes, those whose lift left the model's feasibility
+    /// band (expected under partial waste), discarded unclaimed.
     pub lift_infeasible: u64,
+    /// Screened violations never lifted: the corpus was full and their
+    /// score could not evict its lowest entry, so no exact verdict could
+    /// have changed the report.
+    pub confirm_skipped: u64,
 }
 
 /// A minimized, replayable soundness violation: the verifier certified
@@ -219,6 +224,7 @@ impl FuzzReport {
     /// Deterministic content digest (FNV-1a over counters, the fitness
     /// trajectory's bit patterns, and corpus/gap genome fingerprints) —
     /// two runs of the same `(config, seed)` must produce equal digests.
+    /// `confirm_skipped` is left out: it counts work avoided, not found.
     pub fn digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |v: u64| {
@@ -247,8 +253,9 @@ impl FuzzReport {
     pub fn stats_line(&self) -> String {
         let c = &self.counters;
         format!(
-            "fuzz: genomes evaluated {} · failures {} · model gaps {} · cex seeded {}",
-            c.genomes_evaluated, c.failures_found, c.model_gaps, c.cex_seeded
+            "fuzz: genomes evaluated {} · failures {} · model gaps {} · cex seeded {} · \
+             confirm skipped {}",
+            c.genomes_evaluated, c.failures_found, c.model_gaps, c.cex_seeded, c.confirm_skipped
         )
     }
 
@@ -264,6 +271,7 @@ impl FuzzReport {
                     ("model_gaps", Json::UInt(c.model_gaps)),
                     ("cex_seeded", Json::UInt(c.cex_seeded)),
                     ("lift_infeasible", Json::UInt(c.lift_infeasible)),
+                    ("confirm_skipped", Json::UInt(c.confirm_skipped)),
                 ]),
             ),
             ("verifier_passed", self.verifier_passed.map(Json::Bool).unwrap_or(Json::Null)),
@@ -349,20 +357,19 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let mut population = initial_population(&mut rng, rounds, cfg.population);
     for _gen in 0..cfg.generations {
         // Screen.
-        let scored: Vec<(ScheduleGenome, Fitness)> = population
+        let scored: Vec<Fitness> = population
             .iter()
             .map(|g| {
                 let mut cca = cfg.target.make_cca();
                 let mut table = g.table();
-                let fit = evaluate(cca.as_mut(), &mut table, g.backlog_f64(), &fitness_cfg);
                 counters.genomes_evaluated += 1;
-                (g.clone(), fit)
+                evaluate(cca.as_mut(), &mut table, g.backlog_f64(), &fitness_cfg)
             })
             .collect();
-        best_fitness.push(scored.iter().map(|(_, f)| f.score).fold(f64::NEG_INFINITY, f64::max));
+        best_fitness.push(scored.iter().map(|f| f.score).fold(f64::NEG_INFINITY, f64::max));
 
         // Confirm flagged genomes.
-        for (genome, fit) in &scored {
+        for (genome, fit) in population.iter().zip(&scored) {
             if fit.violated.is_none() || !confirmed.insert(genome.fingerprint()) {
                 continue;
             }
@@ -394,15 +401,15 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
 
         // Select & breed (elitism + tournament), deterministically.
         let mut order: Vec<usize> = (0..scored.len()).collect();
-        order.sort_by(|&a, &b| scored[b].1.score.total_cmp(&scored[a].1.score).then(a.cmp(&b)));
+        order.sort_by(|&a, &b| scored[b].score.total_cmp(&scored[a].score).then(a.cmp(&b)));
         let elites = 2.min(scored.len());
         let mut next: Vec<ScheduleGenome> =
-            order[..elites].iter().map(|&i| scored[i].0.clone()).collect();
+            order[..elites].iter().map(|&i| population[i].clone()).collect();
         let tournament = |rng: &mut SmallRng| -> usize {
             let mut best = rng.gen_range_usize(0, scored.len());
             for _ in 0..2 {
                 let other = rng.gen_range_usize(0, scored.len());
-                if scored[other].1.score > scored[best].1.score {
+                if scored[other].score > scored[best].score {
                     best = other;
                 }
             }
@@ -412,9 +419,9 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
             let a = tournament(&mut rng);
             let mut child = if rng.gen_bool(0.7) {
                 let b = tournament(&mut rng);
-                scored[a].0.crossover(&scored[b].0, &mut rng)
+                population[a].crossover(&population[b], &mut rng)
             } else {
-                scored[a].0.clone()
+                population[a].clone()
             };
             child.mutate(&mut rng);
             if rng.gen_bool(0.3) {
@@ -428,8 +435,14 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     FuzzReport { counters, best_fitness, verifier_passed, gaps, corpus }
 }
 
-/// The exact tier for one flagged genome: lift → feasibility gate →
-/// replay verdict → corpus/gap bookkeeping.
+/// The exact tier for one flagged genome: admission gate → lift →
+/// feasibility gate → replay verdict → corpus/gap bookkeeping.
+///
+/// The admission gate comes first because a broken window's flagged
+/// genomes all score alike (a constant cwnd's Δcwnd margin is 0), so once
+/// the corpus is full nearly every later lift would be thrown away by
+/// [`Corpus::add`]; skipping it leaves the corpus, the failure and gap
+/// counts and the gaps exactly as they were.
 #[allow(clippy::too_many_arguments)]
 fn confirm_exact(
     cfg: &FuzzConfig,
@@ -442,6 +455,10 @@ fn confirm_exact(
     corpus: &mut Corpus,
     gaps: &mut Vec<ModelGapReport>,
 ) {
+    if !corpus.admits(score) {
+        counters.confirm_skipped += 1;
+        return;
+    }
     let lift_cfg = genome.lift_config(&cfg.net, &cfg.initial_cwnd);
     let trace = match lift_checked(spec, &lift_cfg) {
         Ok(trace) => trace,

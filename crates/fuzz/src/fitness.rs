@@ -38,7 +38,7 @@ impl ModelCca {
 }
 
 impl Cca for ModelCca {
-    fn on_round(&mut self, obs: &Observation) -> f64 {
+    fn on_round(&mut self, obs: &Observation<'_>) -> f64 {
         let mut cwnd = self.gamma;
         for (i, a) in self.alpha.iter().enumerate() {
             cwnd += a * obs.cwnd_back(i + 1);

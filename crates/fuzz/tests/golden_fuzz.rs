@@ -6,7 +6,8 @@
 //! Both targets have β = 0, so the screen's ACK taps never touch them.
 //! Both runs are long enough for their corpora to reach [`DEFAULT_CAP`];
 //! after that, only an entry scoring above the lowest stored score can
-//! still be admitted.
+//! still be admitted, and the engine skips the exact lift of any flagged
+//! genome that cannot be.
 //!
 //! Pinned per target: `failures_found`, `model_gaps`, the corpus genome
 //! fingerprints in admission order, and the bit patterns of the
@@ -52,6 +53,7 @@ fn record(r: &FuzzReport) -> String {
 fn broken_const_windows_match_goldens() {
     let six = run_fuzz(&config(known::const_cwnd(int(6))));
     assert_eq!(six.corpus.len(), DEFAULT_CAP, "the corpus must fill so admission is gated");
+    assert!(six.counters.confirm_skipped > 0, "the admission gate must skip lifts");
     assert_eq!(
         record(&six),
         "failures 64 · model gaps 0 · corpus 64 1a5d4909673d094e · best fitness 3f2cac30869e7899"
@@ -59,6 +61,7 @@ fn broken_const_windows_match_goldens() {
 
     let zero = run_fuzz(&config(known::const_cwnd(Rat::zero())));
     assert_eq!(zero.corpus.len(), DEFAULT_CAP);
+    assert!(zero.counters.confirm_skipped > 0);
     assert_eq!(
         record(&zero),
         "failures 64 · model gaps 0 · corpus 64 f7188a32eb04ce8a · best fitness 3f2cac30869e7899"

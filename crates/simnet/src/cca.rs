@@ -1,51 +1,39 @@
 //! Congestion-control algorithms runnable on the simulator.
 
-/// What a CCA sees at the start of round `t`.
+/// What a CCA sees at the start of round `t`: a view of the caller's
+/// histories, borrowed, so building one per round allocates nothing.
 ///
 /// Histories are indexed backwards: `ack_back(1)` is `ack(t−1)`,
 /// `cwnd_back(1)` is `cwnd(t−1)`, etc. Lookbacks beyond the recorded
 /// history saturate at the oldest value (ack) or 0 (cwnd), matching a flow
 /// that has just started.
-#[derive(Clone, Debug)]
-pub struct Observation {
+#[derive(Clone, Copy, Debug)]
+pub struct Observation<'a> {
     /// Current round number (starts at 0).
     pub t: usize,
-    /// Cumulative-ACK samples: `acks[i]` is `ack(t−i)` for `i ≥ 1`
-    /// (index 0 unused, kept for symmetric indexing).
-    acks: Vec<f64>,
-    /// Previous cwnd values: `cwnds[i]` is `cwnd(t−i)` for `i ≥ 1`.
-    cwnds: Vec<f64>,
+    /// Cumulative-ACK samples, newest first: `acks[i]` is `ack(t−i−1)`.
+    acks: &'a [f64],
+    /// Previous cwnd values, newest first: `cwnds[i]` is `cwnd(t−i−1)`.
+    cwnds: &'a [f64],
 }
 
-impl Observation {
-    /// Build an observation from backwards histories (index `i` ↦ `t−i−1`).
-    pub fn new(t: usize, ack_history: &[f64], cwnd_history: &[f64]) -> Self {
-        let mut acks = vec![0.0];
-        acks.extend_from_slice(ack_history);
-        let mut cwnds = vec![0.0];
-        cwnds.extend_from_slice(cwnd_history);
-        Observation { t, acks, cwnds }
+impl<'a> Observation<'a> {
+    /// View backwards histories (index `i` ↦ `t−i−1`).
+    pub fn new(t: usize, ack_history: &'a [f64], cwnd_history: &'a [f64]) -> Self {
+        Observation { t, acks: ack_history, cwnds: cwnd_history }
     }
 
     /// `ack(t−i)` (cumulative bytes ACKed), `i ≥ 1`. Saturates at the
-    /// oldest recorded sample.
+    /// oldest recorded sample (0 before any).
     pub fn ack_back(&self, i: usize) -> f64 {
         debug_assert!(i >= 1);
-        if i < self.acks.len() {
-            self.acks[i]
-        } else {
-            *self.acks.last().unwrap_or(&0.0)
-        }
+        self.acks.get(i - 1).or(self.acks.last()).copied().unwrap_or(0.0)
     }
 
     /// `cwnd(t−i)`, `i ≥ 1`. Returns 0 beyond recorded history.
     pub fn cwnd_back(&self, i: usize) -> f64 {
         debug_assert!(i >= 1);
-        if i < self.cwnds.len() {
-            self.cwnds[i]
-        } else {
-            0.0
-        }
+        self.cwnds.get(i - 1).copied().unwrap_or(0.0)
     }
 }
 
@@ -54,7 +42,7 @@ impl Observation {
 /// control matches per-ACK control in this model).
 pub trait Cca {
     /// Choose `cwnd(t)` from the observation.
-    fn on_round(&mut self, obs: &Observation) -> f64;
+    fn on_round(&mut self, obs: &Observation<'_>) -> f64;
 
     /// Diagnostic name.
     fn name(&self) -> String;
@@ -88,7 +76,7 @@ impl LinearCca {
 }
 
 impl Cca for LinearCca {
-    fn on_round(&mut self, obs: &Observation) -> f64 {
+    fn on_round(&mut self, obs: &Observation<'_>) -> f64 {
         let mut cwnd = self.gamma;
         for (i, a) in self.alpha.iter().enumerate() {
             cwnd += a * obs.cwnd_back(i + 1);
@@ -127,7 +115,7 @@ impl Cca for LinearCca {
 pub struct ConstCwnd(pub f64);
 
 impl Cca for ConstCwnd {
-    fn on_round(&mut self, _obs: &Observation) -> f64 {
+    fn on_round(&mut self, _obs: &Observation<'_>) -> f64 {
         self.0
     }
 
@@ -151,7 +139,7 @@ pub struct ThresholdCca {
 }
 
 impl Cca for ThresholdCca {
-    fn on_round(&mut self, obs: &Observation) -> f64 {
+    fn on_round(&mut self, obs: &Observation<'_>) -> f64 {
         let delivered = obs.ack_back(1) - obs.ack_back(2);
         if delivered >= self.theta {
             self.then_branch.on_round(obs)
@@ -195,7 +183,7 @@ impl AimdCca {
 }
 
 impl Cca for AimdCca {
-    fn on_round(&mut self, obs: &Observation) -> f64 {
+    fn on_round(&mut self, obs: &Observation<'_>) -> f64 {
         // Inferred inflight beyond one BDP ≈ standing queue: cwnd − delivered
         // over the last RTT.
         let delivered = obs.ack_back(1) - obs.ack_back(2);
@@ -259,11 +247,13 @@ mod tests {
         // Deliveries keep pace → growth.
         let obs = Observation::new(1, &[10.0, 8.0], &[2.0]);
         let c1 = aimd.on_round(&obs);
-        let obs2 = Observation::new(2, &[12.0, 10.0], &[c1]);
+        let cwnds2 = [c1];
+        let obs2 = Observation::new(2, &[12.0, 10.0], &cwnds2);
         let c2 = aimd.on_round(&obs2);
         assert!(c2 > c1);
         // Stalled deliveries with a big window → decrease.
-        let obs3 = Observation::new(3, &[12.0, 12.0], &[c2]);
+        let cwnds3 = [c2];
+        let obs3 = Observation::new(3, &[12.0, 12.0], &cwnds3);
         let mut big = AimdCca { cwnd: 100.0, ..AimdCca::standard() };
         let c3 = big.on_round(&obs3);
         assert!(c3 < 100.0);
