@@ -468,7 +468,9 @@ fn confirm_exact(
         }
     };
     if !replay.refutes(spec, &trace) {
-        // Float drift: the screen flagged it, exact arithmetic disagrees.
+        // The screen runs this trajectory bit for bit (dyadic genes), so
+        // this only fires if the `f64` verdict and the exact one part
+        // ways; the exact one is authoritative.
         return;
     }
     let admitted =

@@ -2,9 +2,11 @@
 //! how close the trajectory comes to violating the verifier's desired
 //! property on the model window.
 //!
-//! Scores are *screens*, not verdicts — float arithmetic drifts once band
-//! positions compound (denominators grow as `16^t`), so every flagged
-//! genome is re-derived in exact rationals and judged by
+//! Scores are *screens*, not verdicts: the simulator does not check the
+//! model's feasibility band (partial waste can leave it), and `f64` is
+//! exact only while the dyadic denominators (`16^t`) fit its mantissa, so
+//! every flagged genome is re-derived in exact rationals, gated through
+//! the model checker and judged by
 //! [`TraceReplay::refutes`](ccmatic::replay::TraceReplay) before anything
 //! is claimed. The screen's job is cheap gradient: continuous violation
 //! margins the genetic search can climb even while every genome in the
@@ -19,9 +21,11 @@ use ccmatic_simnet::{
 /// A [`CcaSpec`] evaluated under the *model's* observation convention:
 /// `cwnd(t) = γ + Σᵢ αᵢ·cwnd(t−i−1) + Σᵢ βᵢ·S(t−i−2)`, with lookback past
 /// the trace start reading the model anchors (`S = 0`) instead of the
-/// simulator's saturate-at-oldest. [`ccmatic_simnet::LinearCca`] taps one
-/// step fresher (`S(t−i−1)`); using it here would make the screen disagree
-/// with the exact lift on every ack-driven candidate.
+/// simulator's saturate-at-oldest. The simulator's ACK sample is already
+/// one round old (`ack_back(1)` is `S(t−2)`), so tap `i` reads
+/// `ack_back(i + 1)` — the same samples [`ccmatic_simnet::LinearCca`]
+/// reads; only the anchor past the trace start differs. The screen thus
+/// runs, round for round, the CCA the exact lift runs.
 pub struct ModelCca {
     alpha: Vec<f64>,
     beta: Vec<f64>,
@@ -44,9 +48,9 @@ impl Cca for ModelCca {
             cwnd += a * obs.cwnd_back(i + 1);
         }
         for (i, b) in self.beta.iter().enumerate() {
-            // Model tap S(t−i−2); rounds before 0 read the anchor S = 0.
-            let back = i + 2;
-            let s = if back <= obs.t { obs.ack_back(back) } else { 0.0 };
+            // Model tap S(t−i−2) = ack_back(i + 1); rounds before 0 read
+            // the anchor S = 0.
+            let s = if i + 2 <= obs.t { obs.ack_back(i + 1) } else { 0.0 };
             cwnd += b * s;
         }
         cwnd
@@ -178,9 +182,11 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::genome::ScheduleGenome;
     use ccmatic::known;
-    use ccmatic_num::{int, Rat};
-    use ccmatic_simnet::{IdealLink, TableSchedule};
+    use ccmatic::lift::lift_schedule;
+    use ccmatic_num::{int, Rat, SmallRng};
+    use ccmatic_simnet::{run_simulation, IdealLink, TableSchedule};
 
     fn cfg(history: usize) -> FitnessConfig {
         FitnessConfig {
@@ -216,6 +222,36 @@ mod tests {
         let mut stall = TableSchedule { lambdas: vec![0.0], omegas: vec![1.0] };
         let fit = evaluate(&mut cca, &mut stall, 0.0, &cfg);
         assert_eq!(fit.violated, Some(Violation::Starvation), "{fit:?}");
+    }
+
+    /// The screen simulates the CCA the exact tier checks: on seeded
+    /// random genomes, every round's service and cwnd in `f64` equal the
+    /// exact lift's (genes are dyadic, so no rounding is involved).
+    #[test]
+    fn screen_trajectory_equals_the_lift() {
+        let cfg = cfg(5);
+        let rounds = cfg.net.history + cfg.net.horizon;
+        for spec in [known::const_cwnd(int(6)), known::rocc(), known::eq_iii()] {
+            let mut rng = SmallRng::seed_from_u64(17);
+            for _ in 0..300 {
+                let genome = ScheduleGenome::random(&mut rng, rounds);
+                let sim = run_simulation(
+                    &mut ModelCca::new(&spec),
+                    &mut genome.table(),
+                    &cfg.sim_config(genome.backlog_f64()),
+                );
+                let lift = lift_schedule(&spec, &genome.lift_config(&cfg.net, &Rat::one()));
+                for (u, r) in sim.steps.iter().enumerate() {
+                    let (s, cwnd) = (lift.s[u + 1].to_f64(), lift.cwnd[u + 1].to_f64());
+                    assert!(
+                        r.served == s && r.cwnd == cwnd,
+                        "{spec}, round {u} of {genome:?}: screen S {} cwnd {}, lift S {s} cwnd {cwnd}",
+                        r.served,
+                        r.cwnd
+                    );
+                }
+            }
+        }
     }
 
     #[test]
