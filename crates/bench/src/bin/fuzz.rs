@@ -3,19 +3,29 @@
 //! counterexamples are worth as warm-start seeds.
 //!
 //! ```sh
-//! cargo run --release -p ccmatic-bench --bin fuzz -- [--budget-secs N] [--fuzz-seed N]
+//! cargo run --release -p ccmatic-bench --bin fuzz -- [--budget-secs N] [--fuzz-seed N] \
+//!     [--check BENCH_fuzz.json]
 //! ```
 //!
 //! Emits `BENCH_fuzz.json` with, per fuzz run: the counter columns
-//! (genomes evaluated, failures, model gaps, lift-infeasible discards),
-//! the per-generation best-fitness trajectory, and the verifier verdict —
-//! and for the A/B: cold vs seeded iteration counts on a Table-1 cell.
+//! (genomes evaluated, failures, model gaps, lift-infeasible discards,
+//! skipped confirmations), the per-generation best-fitness trajectory,
+//! and the verifier verdict — and for the A/B: cold vs seeded iteration
+//! counts on a Table-1 cell.
+//!
+//! `--check FILE` reads FILE before the run and, after writing the fresh
+//! `BENCH_fuzz.json`, compares every deterministic field with it:
+//! counters, digests, best fitness, gaps, corpus sizes, the verifier
+//! verdicts, the fuzz seed and the A/B's iteration and trace counts. Wall
+//! times and the budget are ignored. Any difference is printed by path
+//! and fails the run.
 //!
 //! Exit-code invariants (CI smoke relies on these):
 //! * broken targets must yield failures and **zero** model gaps;
 //! * verified targets must yield zero failures and zero gaps;
 //! * the seeded run must agree with the cold run's outcome in no more
-//!   iterations.
+//!   iterations;
+//! * with `--check`, no deterministic field may drift.
 
 use ccac_model::Thresholds;
 use ccmatic::known;
@@ -28,11 +38,69 @@ use ccmatic_num::{int, Rat};
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// Fields that vary from run to run and are left out of `--check`.
+fn nondeterministic(key: &str) -> bool {
+    key == "budget_secs" || key.ends_with("_wall_s")
+}
+
+/// Append to `out` the path of every deterministic field where `fresh`
+/// and `committed` differ. Leaves compare by rendered text, so a float
+/// and the integer it prints as are equal.
+fn drift(path: &str, fresh: &Json, committed: &Json, out: &mut Vec<String>) {
+    match (fresh, committed) {
+        (Json::Obj(a), Json::Obj(b)) => {
+            for (key, x) in a.iter().filter(|(k, _)| !nondeterministic(k)) {
+                match committed.get(key) {
+                    Some(y) => drift(&format!("{path}.{key}"), x, y, out),
+                    None => out.push(format!("{path}.{key}: not in the committed file")),
+                }
+            }
+            for (key, _) in b.iter().filter(|(k, _)| !nondeterministic(k)) {
+                if fresh.get(key).is_none() {
+                    out.push(format!("{path}.{key}: not in the fresh run"));
+                }
+            }
+        }
+        (Json::Arr(a), Json::Arr(b)) if a.len() != b.len() => {
+            out.push(format!("{path}: {} items (committed {})", a.len(), b.len()));
+        }
+        (Json::Arr(a), Json::Arr(b)) => {
+            for (i, (x, y)) in a.iter().zip(b).enumerate() {
+                let name =
+                    x.get("name").and_then(Json::as_str).map_or(i.to_string(), str::to_string);
+                drift(&format!("{path}[{name}]"), x, y, out);
+            }
+        }
+        _ => {
+            let (x, y) = (fresh.render(), committed.render());
+            if x != y {
+                out.push(format!("{path}: {} (committed {})", x.trim_end(), y.trim_end()));
+            }
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let flag = |key: &str| args.windows(2).find(|w| w[0] == key).map(|w| w[1].clone());
     let budget_secs: u64 = flag("--budget-secs").and_then(|v| v.parse().ok()).unwrap_or(120);
     let fuzz_seed: u64 = flag("--fuzz-seed").and_then(|v| v.parse().ok()).unwrap_or(7);
+    // Read before the run: the run rewrites `BENCH_fuzz.json`.
+    let committed = match flag("--check") {
+        None => None,
+        Some(path) => {
+            match std::fs::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|t| Json::parse(&t))
+            {
+                Ok(doc) => Some((path, doc)),
+                Err(e) => {
+                    eprintln!("fuzz: cannot read {path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
+    };
 
     let net = |history: usize| ccac_model::NetConfig {
         horizon: 6,
@@ -164,6 +232,18 @@ fn main() -> ExitCode {
         ),
     ]);
     let _ = write_json("BENCH_fuzz.json", &json);
+
+    if let Some((path, doc)) = &committed {
+        let mut diffs = Vec::new();
+        drift("", &json, doc, &mut diffs);
+        for d in &diffs {
+            eprintln!("drift from {path}: {d}");
+        }
+        if !diffs.is_empty() {
+            eprintln!("{} deterministic fields differ from {path}", diffs.len());
+            ok = false;
+        }
+    }
 
     if ok {
         ExitCode::SUCCESS
