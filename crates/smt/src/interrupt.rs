@@ -4,10 +4,11 @@
 //! domains, so a wall-clock budget enforced only *between* solver calls is
 //! no budget at all. [`Interrupt`] carries a deadline and/or a shared
 //! cancellation flag down into the CDCL search loop, which polls it once
-//! per propagation fixpoint and gives up with an *Unknown* verdict (never a
-//! fake Sat/Unsat) when it fires. The cancellation flag is how the parallel
-//! CEGIS engine kills speculative verifier work the moment a sibling's
-//! result makes it moot.
+//! per propagation fixpoint, and into the simplex check, which polls it
+//! before every pivot (a single theory check can run thousands). Either
+//! gives up with an *Unknown* verdict (never a fake Sat/Unsat) when it
+//! fires. The cancellation flag is how the parallel CEGIS engine kills
+//! speculative verifier work the moment a sibling's result makes it moot.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -41,7 +42,8 @@ impl Interrupt {
 
     /// Whether the interrupt has fired. The flag is checked before the
     /// clock: a cancelled worker should stop even if its deadline is far
-    /// away.
+    /// away. Once fired it stays fired (flags are never lowered), so a
+    /// caller may re-poll to learn why a callee gave up.
     pub fn triggered(&self) -> bool {
         if let Some(flag) = &self.cancel {
             if flag.load(Ordering::Relaxed) {

@@ -34,6 +34,7 @@
 //! computed from those, so only the cost of computing them depends on how
 //! rows are stored.
 
+use crate::interrupt::Interrupt;
 use ccmatic_num::{BigInt, DeltaRat, Rat};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -585,6 +586,13 @@ impl Simplex {
 
     /// Pivot to feasibility or produce a conflict.
     pub fn check(&mut self) -> Result<(), TheoryConflict> {
+        self.check_until(&Interrupt::none()).expect("an unarmed check always decides")
+    }
+
+    /// [`Simplex::check`], giving up with `None` once `stop` fires. It is
+    /// polled before every pivot, so the tableau stays consistent and the
+    /// next check resumes from it.
+    pub fn check_until(&mut self, stop: &Interrupt) -> Option<Result<(), TheoryConflict>> {
         loop {
             // Bland's rule: lowest-index violating basic variable. The dirty
             // set is a superset of the violating basics (every bound
@@ -624,7 +632,7 @@ impl Simplex {
                 }
             }
             let Some((b, below)) = violating else {
-                return Ok(());
+                return Some(Ok(()));
             };
             let bi = b.0 as usize;
             let row = self.rows[bi].as_ref().expect("violating variable is basic");
@@ -689,7 +697,7 @@ impl Simplex {
                     for (tag, lam) in lams {
                         TheoryConflict::add_farkas(&mut farkas, tag, lam);
                     }
-                    return Err(TheoryConflict::from_farkas(farkas));
+                    return Some(Err(TheoryConflict::from_farkas(farkas)));
                 }
             }
             let Some(j) = pivot_col else {
@@ -726,8 +734,11 @@ impl Simplex {
                     let tag = blocking.expect("blocking bound must exist").tag;
                     TheoryConflict::add_farkas(&mut farkas, tag, lam);
                 }
-                return Err(TheoryConflict::from_farkas(farkas));
+                return Some(Err(TheoryConflict::from_farkas(farkas)));
             };
+            if stop.triggered() {
+                return None;
+            }
             let target = if below {
                 self.lower[bi].as_ref().unwrap().value.clone()
             } else {
@@ -877,6 +888,35 @@ mod tests {
         s.check().unwrap();
         let v = s.raw_value(x);
         assert!(*v >= dr(int(2)) && *v <= dr(int(5)));
+    }
+
+    #[test]
+    fn raised_cancel_flag_stops_check_before_its_first_pivot() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        // x + y ≤ 4, x − y ≤ 2, x ≥ 3: feasible, but only after a pivot.
+        let build = || {
+            let mut s = Simplex::new();
+            let x = s.new_var();
+            let y = s.new_var();
+            let s1 = s.define_slack(&[(x, int(1)), (y, int(1))]);
+            let s2 = s.define_slack(&[(x, int(1)), (y, int(-1))]);
+            s.assert_upper(s1, dr(int(4)), 0).unwrap();
+            s.assert_upper(s2, dr(int(2)), 1).unwrap();
+            s.assert_lower(x, dr(int(3)), 2).unwrap();
+            s
+        };
+        let mut whole = build();
+        whole.check().unwrap();
+        assert!(whole.pivots > 0);
+        let cancelled = Interrupt { deadline: None, cancel: Some(Arc::new(AtomicBool::new(true))) };
+        let mut s = build();
+        assert!(s.check_until(&cancelled).is_none());
+        assert_eq!(s.pivots, 0);
+        // The stopped tableau resumes to the uninterrupted result.
+        s.check().unwrap();
+        assert_eq!(s.pivots, whole.pivots);
+        assert_eq!(s.concrete_values(), whole.concrete_values());
     }
 
     #[test]

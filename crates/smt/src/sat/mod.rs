@@ -128,7 +128,8 @@ pub trait TheoryHook {
     /// Called with the solver's complete assignment. Return `Ok(())` to
     /// accept, or a conflict lemma — a clause that is *false* under the
     /// current assignment — to reject it. The clause is learned and search
-    /// continues.
+    /// continues. A hook that stops on the solve's interrupt returns
+    /// `Ok(())` undecided; the solve loop re-polls it and returns Unknown.
     fn final_check(&mut self, assignment: &dyn Fn(Var) -> bool) -> Result<(), TheoryLemma>;
 
     /// Called on *partial* assignments (after each propagation fixpoint).
@@ -1649,6 +1650,9 @@ impl SatSolver {
                     let assign = &self.assign;
                     let lookup = |v: Var| matches!(assign[v.0 as usize], LBool::True);
                     match theory.final_check(&lookup) {
+                        // A hook that gave up on the interrupt accepts
+                        // without deciding; re-poll before trusting it.
+                        Ok(()) if interruptible && self.interrupt.triggered() => return None,
                         Ok(()) => return Some(SolveResult::Sat),
                         Err(clause) => {
                             if !self.handle_theory_conflict(clause) {

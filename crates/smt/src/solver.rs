@@ -386,6 +386,8 @@ impl Solver {
 
         struct Bridge<'a> {
             simplex: &'a mut Simplex,
+            /// The solve's interrupt, polled before every simplex pivot.
+            interrupt: &'a Interrupt,
             /// (sat var, slack var, bound, strict) per atom.
             atoms: Vec<(Var, SimVar, Rat, bool)>,
             /// Trail-synchronized incremental mode (Dutertre–de Moura).
@@ -420,6 +422,13 @@ impl Solver {
             }
         }
         impl Bridge<'_> {
+            /// The simplex check under the solve's interrupt. A stop finds
+            /// no conflict; the SAT loop, polling the same interrupt at its
+            /// next fixpoint or final check, returns Unknown.
+            fn simplex_check(&mut self) -> Result<(), TheoryLemma> {
+                self.simplex.check_until(self.interrupt).unwrap_or(Ok(())).map_err(lemma)
+            }
+
             /// Assert atom `ai`'s bound for polarity `holds`. The conflict
             /// clause must falsify the asserted literal, so the tag is the
             /// *negation* of what is currently true.
@@ -458,10 +467,12 @@ impl Solver {
                 }
             }
 
-            /// Theory propagation: after a feasible check, scan the atoms
-            /// whose slacks the latest bound tightenings can decide and emit
-            /// implied literals with Farkas explanations. Best-effort — a
-            /// missed implication costs a decision, never soundness.
+            /// Theory propagation: after a check, scan the atoms whose
+            /// slacks the latest bound tightenings can decide and emit
+            /// implied literals with Farkas explanations. They follow from
+            /// the bounds alone, so they hold even after an interrupted
+            /// check. Best-effort — a missed implication costs a decision,
+            /// never soundness.
             fn scan_propagations(
                 &mut self,
                 assignment: &dyn Fn(Var) -> Option<bool>,
@@ -581,7 +592,7 @@ impl Solver {
                     // same fixpoint (no trail change in between), so every
                     // asserted atom bound is already in the simplex; just
                     // confirm feasibility.
-                    return self.simplex.check().map_err(lemma);
+                    return self.simplex_check();
                 }
                 self.partial_check(&|v| Some(assignment(v)))
             }
@@ -600,10 +611,7 @@ impl Solver {
                         return Err(lemma(conflict));
                     }
                 }
-                match self.simplex.check() {
-                    Ok(()) => Ok(()),
-                    Err(conflict) => Err(lemma(conflict)),
-                }
+                self.simplex_check()
             }
 
             fn supports_trail_sync(&self) -> bool {
@@ -644,9 +652,7 @@ impl Solver {
                         }
                     }
                 }
-                if let Err(conflict) = self.simplex.check() {
-                    return Err(lemma(conflict));
-                }
+                self.simplex_check()?;
                 if self.propagate {
                     self.scan_propagations(assignment, implied);
                 }
@@ -682,6 +688,7 @@ impl Solver {
         let stats_before = self.sat.stats;
         let mut bridge = Bridge {
             simplex: &mut self.simplex,
+            interrupt: &self.interrupt,
             atoms,
             sync: self.theory_sync,
             propagate: self.theory_propagation,
