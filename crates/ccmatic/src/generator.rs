@@ -48,36 +48,17 @@ use ccmatic_num::Rat;
 use ccmatic_proof::UnsatCertificate;
 use ccmatic_smt::{Context, Interrupt, LinExpr, RealVar, SatResult, SearchConfig, Solver, Term};
 use std::collections::VecDeque;
-use std::time::Instant;
 
-/// Baseline number of replay checks the dominance BFS of
-/// [`SmtGenerator::learn_refuted`] may spend per learned trace. Each check
-/// is a few hundred exact rational operations — microseconds against the
-/// milliseconds a solver conflict costs — but an unbounded walk over the
-/// Large domains could still visit thousands of candidates per trace.
-const REGION_BFS_CAP: usize = 128;
-/// Hard ceiling for the adaptive cap: even free-looking replays must not
-/// let one trace's BFS wander the whole Large-domain grid.
-const REGION_BFS_CAP_MAX: usize = 4096;
-/// Per-trace replay budget the adaptive cap grows into. Two milliseconds
-/// is well under the cost of the single solver conflict each successful
-/// block saves, so growth can only trade cheap work for expensive work.
-const REGION_BFS_BUDGET_NS: u64 = 2_000_000;
-
-/// Grow the BFS probe cap from `base` by doubling while the *doubled* cap,
-/// at the observed mean [`TraceReplay::refutes`] cost, still fits the
-/// budget — so the walk widens exactly when replay kills are cheap (small
-/// nets, hot caches) and stays at `base` when they are not. A zero mean
-/// (no samples yet, or sub-resolution replays) grows straight to the
-/// ceiling, which is fine: the first traces on a tiny net are exactly
-/// where wide blocking is cheapest.
-fn adaptive_cap(mean_replay_ns: u64, base: usize, budget_ns: u64) -> usize {
-    let mut cap = base;
-    while cap < REGION_BFS_CAP_MAX && mean_replay_ns.saturating_mul(2 * cap as u64) <= budget_ns {
-        cap *= 2;
-    }
-    cap.min(REGION_BFS_CAP_MAX)
-}
+/// Replay checks the dominance BFS of [`SmtGenerator::learn_refuted`] may
+/// spend per learned trace. Each check is a few hundred exact rational
+/// operations — microseconds against the milliseconds a solver conflict
+/// costs — but an unbounded walk over the Large domains could still visit
+/// thousands of candidates per trace. The cap counts calls, not time: a
+/// [`TraceReplay::refutes`] call walks a fixed number of trace steps per
+/// problem, so the cap is a fixed amount of work and the CEGIS trajectory
+/// depends only on the inputs. 512 is the cap the former wall-clock sizing
+/// chose for most traces on the Large cells.
+const REGION_BFS_CAP: usize = 512;
 
 /// How much of the candidate space each counterexample eliminates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,12 +114,6 @@ pub struct SmtGenerator {
     /// The certificate backing the most recent base-level exhaustion claim
     /// (`propose` → [`Proposal::Exhausted`]), when certifying.
     last_exhaustion_cert: Option<UnsatCertificate>,
-    /// Total nanoseconds spent in [`TraceReplay::refutes`] by the region
-    /// BFS, paired with `replay_samples` to yield the mean cost that
-    /// drives [`adaptive_cap`].
-    replay_ns: u64,
-    /// Number of timed `refutes` calls behind `replay_ns`.
-    replay_samples: u64,
     /// Counterexamples learned (kept for reporting).
     pub num_learned: u64,
     /// Blocking clauses asserted by the dominance/symmetry BFS of
@@ -252,8 +227,6 @@ impl SmtGenerator {
             shard_depth: 0,
             last_exhaustion_cert: None,
             region_pruning: true,
-            replay_ns: 0,
-            replay_samples: 0,
             num_learned: 0,
             regions_pruned: 0,
         }
@@ -691,7 +664,7 @@ impl SmtGenerator {
                 let mut swapped = refuted.clone();
                 swapped.beta.swap(i, j);
                 let flat = swapped.flat();
-                if !seen.contains(&flat) && self.timed_refutes(&swapped, cex) {
+                if !seen.contains(&flat) && self.replay.refutes(&swapped, cex) {
                     self.block(&swapped);
                     self.regions_pruned += 1;
                     seen.push(flat.clone());
@@ -699,11 +672,6 @@ impl SmtGenerator {
                 }
             }
         }
-        // Size the walk to the observed replay cost: when kills are cheap
-        // (the Large-cell lever in ROADMAP), one trace may block a much
-        // wider region for the same wall spend.
-        let mean_ns = self.replay_ns.checked_div(self.replay_samples).unwrap_or(0);
-        let cap = adaptive_cap(mean_ns, REGION_BFS_CAP, REGION_BFS_BUDGET_NS);
         let mut checked = 0usize;
         'bfs: while let Some(flat) = queue.pop_front() {
             for p in 0..flat.len() {
@@ -720,27 +688,17 @@ impl SmtGenerator {
                     seen.push(nf.clone());
                     checked += 1;
                     let spec = self.spec_from_flat(&nf);
-                    if self.timed_refutes(&spec, cex) {
+                    if self.replay.refutes(&spec, cex) {
                         self.block(&spec);
                         self.regions_pruned += 1;
                         queue.push_back(nf);
                     }
-                    if checked >= cap {
+                    if checked >= REGION_BFS_CAP {
                         break 'bfs;
                     }
                 }
             }
         }
-    }
-
-    /// [`TraceReplay::refutes`] with the wall cost folded into the running
-    /// mean that sizes the next trace's BFS cap.
-    fn timed_refutes(&mut self, spec: &CcaSpec, cex: &Trace) -> bool {
-        let t0 = Instant::now();
-        let refuted = self.replay.refutes(spec, cex);
-        self.replay_ns += t0.elapsed().as_nanos() as u64;
-        self.replay_samples += 1;
-        refuted
     }
 
     /// Rebuild a [`CcaSpec`] from its [`CcaSpec::flat`] coefficient vector.
@@ -855,7 +813,7 @@ mod tests {
             Thresholds::default(),
             FeasibilityMode::RangePruning,
         );
-        let past = Instant::now() - std::time::Duration::from_secs(1);
+        let past = std::time::Instant::now() - std::time::Duration::from_secs(1);
         assert_eq!(g.propose(&Interrupt::at(past)), Proposal::Interrupted);
         // The generator must remain usable afterwards.
         assert!(propose(&mut g).is_some());
@@ -934,20 +892,5 @@ mod tests {
             rp <= base,
             "range pruning ({rp}) must not keep more candidates than baseline ({base})"
         );
-    }
-
-    #[test]
-    fn adaptive_cap_grows_only_when_replays_are_cheap() {
-        // Expensive replays (1 ms each): doubling 128 → 256 would cost
-        // 512 ms against a 2 ms budget, so the cap stays at base.
-        assert_eq!(adaptive_cap(1_000_000, REGION_BFS_CAP, REGION_BFS_BUDGET_NS), REGION_BFS_CAP);
-        // 1 µs replays: doubling is allowed while 2·cap·mean ≤ 2 ms, i.e.
-        // through cap = 512 (2·512·1 µs ≈ 1 ms) and stops at 1024.
-        assert_eq!(adaptive_cap(1_000, REGION_BFS_CAP, REGION_BFS_BUDGET_NS), 1024);
-        // Free replays (sub-resolution timers) go straight to the ceiling,
-        // never past it.
-        assert_eq!(adaptive_cap(0, REGION_BFS_CAP, REGION_BFS_BUDGET_NS), REGION_BFS_CAP_MAX);
-        // A base already at the ceiling never moves.
-        assert_eq!(adaptive_cap(0, REGION_BFS_CAP_MAX, REGION_BFS_BUDGET_NS), REGION_BFS_CAP_MAX);
     }
 }

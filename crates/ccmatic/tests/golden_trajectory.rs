@@ -9,6 +9,8 @@
 //! * the Table-1 No-cwnd/Small cell at ci scale (81 candidates, horizon 6),
 //!   RP+WCE on one thread — solution, CEGIS iterations, solver probes,
 //!   regions pruned, counterexamples subsumed and simplex pivots;
+//! * the same record for the No-cwnd/Large cell at ci scale (6,561
+//!   candidates), whose region search runs into its fixed cap;
 //! * a certifying WCE verifier over the known-CCA set — per candidate the
 //!   verdict, a digest of the counterexample trace, the probe count, the
 //!   certificate bytes replayed by the independent checker and the pivots;
@@ -69,9 +71,15 @@ fn outcome(r: &SynthResult) -> String {
     }
 }
 
-fn synth_record() -> String {
+/// The Table-1 No-cwnd/Large cell at ci scale, RP+WCE on one thread.
+fn ci_large_cell() -> SynthOptions {
+    let small = ci_cell();
+    SynthOptions { shape: TemplateShape { domain: CoeffDomain::Large, ..small.shape }, ..small }
+}
+
+fn synth_record(opts: &SynthOptions) -> String {
     let p0 = pivots_total();
-    let r = synthesize(&ci_cell());
+    let r = synthesize(opts);
     format!(
         "{} · iterations {} · probes {} · regions pruned {} · cex subsumed {} · pivots {}",
         outcome(&r),
@@ -195,9 +203,14 @@ fn verifier_records() -> Vec<String> {
 #[test]
 fn search_trajectories_match_goldens() {
     assert_eq!(
-        synth_record(),
+        synth_record(&ci_cell()),
         "solution cwnd(t) = 1·ack(t−1) − 1·ack(t−3) + 1 · iterations 3 · probes 13 \
          · regions pruned 53 · cex subsumed 0 · pivots 1689"
+    );
+    assert_eq!(
+        synth_record(&ci_large_cell()),
+        "solution cwnd(t) = 1/2·ack(t−2) + 1/2 · iterations 11 · probes 61 \
+         · regions pruned 3989 · cex subsumed 0 · pivots 6653"
     );
     assert_eq!(
         verifier_records(),
