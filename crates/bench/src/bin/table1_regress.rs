@@ -1,21 +1,21 @@
 //! Compare a fresh `BENCH_table1.json` against a committed baseline and
-//! fail on wall-clock regressions of previously-solved cells.
+//! fail on search drift or cost regressions of previously-solved cells.
 //!
 //! ```sh
 //! cargo run --release -p ccmatic-bench --bin table1_regress -- baseline.json fresh.json
 //! ```
 //!
-//! A cell regresses when the baseline solved it and the fresh run either
-//! no longer solves it, takes more than 2× the baseline wall time (plus
-//! a 1 s noise floor, so sub-second cells don't flap on scheduler jitter),
-//! or spends more than 2× the baseline's simplex `pivots` or bignum
-//! `big_ops` (plus generous absolute floors) — the arithmetic-volume gates
-//! exist because wall alone can hide a kernel regression on a time-sliced
-//! runner. Cells are matched by the full identity tuple (params, domain,
-//! method, incremental, threads, certified, theory_sync); baseline cells
-//! missing from the fresh run count as regressions, fresh-only cells (e.g.
-//! the `(no-sync)` A/B legs on older baselines) are ignored. Exit status
-//! is nonzero iff any cell regressed.
+//! A cell regresses when the baseline solved it and the fresh run no
+//! longer solves it or, on one thread, reports other `iterations`,
+//! `solver_probes` or `regions_pruned` (a serial CEGIS run is a pure
+//! function of its inputs). Backstops, and the only gates for portfolio
+//! cells: more than 2× the baseline wall (plus a 1 s noise floor for
+//! scheduler jitter), `pivots` or `big_ops` (plus absolute floors), since
+//! wall alone can hide a kernel regression on a time-sliced runner. Cells
+//! are matched by the full identity tuple (params, domain, method,
+//! incremental, threads, certified, theory_sync); baseline cells missing
+//! from the fresh run count as regressions, fresh-only cells are ignored.
+//! Exit status is nonzero iff any cell regressed.
 
 use ccmatic_bench::Json;
 use std::process::ExitCode;
@@ -38,6 +38,9 @@ const FLOOR_BIG_OPS: f64 = 1_000_000.0;
 struct Cell {
     key: String,
     solved: bool,
+    /// Ran on one thread, so `counters` must repeat exactly.
+    serial: bool,
+    counters: [u64; 3],
     wall_s: f64,
     pivots: f64,
     big_ops: f64,
@@ -59,11 +62,12 @@ fn load(path: &str) -> Result<Vec<Cell>, String> {
             // the (then-only) synchronized-equivalent path: default true
             // so old baselines keep matching fresh default cells.
             let theory_sync = cell.get("theory_sync").and_then(Json::as_bool).unwrap_or(true);
+            let threads = get_num("threads") as u64;
             cells.push(Cell {
                 key: format!(
                     "{params} / {domain} / {method}{}{}{}{}",
                     if get_bool("incremental") { "" } else { " (scratch)" },
-                    match get_num("threads") as u64 {
+                    match threads {
                         0 | 1 => String::new(),
                         t => format!(" ({t}T)"),
                     },
@@ -71,6 +75,9 @@ fn load(path: &str) -> Result<Vec<Cell>, String> {
                     if theory_sync { "" } else { " (no-sync)" },
                 ),
                 solved: get_bool("solved"),
+                serial: threads <= 1,
+                counters: ["iterations", "solver_probes", "regions_pruned"]
+                    .map(|k| get_num(k) as u64),
                 wall_s: get_num("wall_s"),
                 pivots: get_num("pivots"),
                 big_ops: get_num("big_ops"),
@@ -109,6 +116,13 @@ fn main() -> ExitCode {
                 println!(
                     "REGRESSION  {}: solved in {:.2}s in baseline, DNF in fresh run",
                     base.key, base.wall_s
+                );
+            }
+            Some(f) if base.serial && f.counters != base.counters => {
+                regressions += 1;
+                println!(
+                    "REGRESSION  {}: counters drifted, iterations/probes/regions pruned {:?} → {:?}",
+                    base.key, base.counters, f.counters
                 );
             }
             Some(f) if f.wall_s > allowance => {
