@@ -31,6 +31,7 @@ use ccac_model::Thresholds;
 use ccmatic::known;
 use ccmatic::synth::{synthesize, synthesize_seeded, SynthOptions};
 use ccmatic::template::CcaSpec;
+use ccmatic_bench::drift::{read_committed, report_drift};
 use ccmatic_bench::{table1_rows, write_json, Json, Scale};
 use ccmatic_cegis::Budget;
 use ccmatic_fuzz::{run_fuzz, FuzzConfig, FuzzTarget};
@@ -43,43 +44,6 @@ fn nondeterministic(key: &str) -> bool {
     key == "budget_secs" || key.ends_with("_wall_s")
 }
 
-/// Append to `out` the path of every deterministic field where `fresh`
-/// and `committed` differ. Leaves compare by rendered text, so a float
-/// and the integer it prints as are equal.
-fn drift(path: &str, fresh: &Json, committed: &Json, out: &mut Vec<String>) {
-    match (fresh, committed) {
-        (Json::Obj(a), Json::Obj(b)) => {
-            for (key, x) in a.iter().filter(|(k, _)| !nondeterministic(k)) {
-                match committed.get(key) {
-                    Some(y) => drift(&format!("{path}.{key}"), x, y, out),
-                    None => out.push(format!("{path}.{key}: not in the committed file")),
-                }
-            }
-            for (key, _) in b.iter().filter(|(k, _)| !nondeterministic(k)) {
-                if fresh.get(key).is_none() {
-                    out.push(format!("{path}.{key}: not in the fresh run"));
-                }
-            }
-        }
-        (Json::Arr(a), Json::Arr(b)) if a.len() != b.len() => {
-            out.push(format!("{path}: {} items (committed {})", a.len(), b.len()));
-        }
-        (Json::Arr(a), Json::Arr(b)) => {
-            for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                let name =
-                    x.get("name").and_then(Json::as_str).map_or(i.to_string(), str::to_string);
-                drift(&format!("{path}[{name}]"), x, y, out);
-            }
-        }
-        _ => {
-            let (x, y) = (fresh.render(), committed.render());
-            if x != y {
-                out.push(format!("{path}: {} (committed {})", x.trim_end(), y.trim_end()));
-            }
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let flag = |key: &str| args.windows(2).find(|w| w[0] == key).map(|w| w[1].clone());
@@ -88,18 +52,13 @@ fn main() -> ExitCode {
     // Read before the run: the run rewrites `BENCH_fuzz.json`.
     let committed = match flag("--check") {
         None => None,
-        Some(path) => {
-            match std::fs::read_to_string(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|t| Json::parse(&t))
-            {
-                Ok(doc) => Some((path, doc)),
-                Err(e) => {
-                    eprintln!("fuzz: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+        Some(path) => match read_committed(&path) {
+            Ok(doc) => Some((path, doc)),
+            Err(e) => {
+                eprintln!("fuzz: cannot read {path}: {e}");
+                return ExitCode::FAILURE;
             }
-        }
+        },
     };
 
     let net = |history: usize| ccac_model::NetConfig {
@@ -234,15 +193,7 @@ fn main() -> ExitCode {
     let _ = write_json("BENCH_fuzz.json", &json);
 
     if let Some((path, doc)) = &committed {
-        let mut diffs = Vec::new();
-        drift("", &json, doc, &mut diffs);
-        for d in &diffs {
-            eprintln!("drift from {path}: {d}");
-        }
-        if !diffs.is_empty() {
-            eprintln!("{} deterministic fields differ from {path}", diffs.len());
-            ok = false;
-        }
+        ok &= report_drift(path, &json, doc, &nondeterministic);
     }
 
     if ok {

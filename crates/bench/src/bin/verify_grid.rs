@@ -10,18 +10,28 @@
 //! counters (`promotions`, `big_ops`) show that cost.
 //!
 //! ```sh
-//! cargo run --release -p ccmatic-bench --bin verify_grid -- [--seed N]
+//! cargo run --release -p ccmatic-bench --bin verify_grid -- [--seed N] \
+//!     [--check BENCH_verify_grid.json]
 //! ```
 //!
 //! Emits `BENCH_verify_grid.json` with one record per family.
+//!
+//! `--check FILE` reads FILE before the run and, after writing the fresh
+//! `BENCH_verify_grid.json`, compares every field except `wall_s` and
+//! `small_ops` with it — per family `passed`, `probes`, `pivots`,
+//! `promotions`, `big_ops` and `digest`, plus the seed and grid shape.
+//! Any difference is printed by path and fails the run, so a kernel change
+//! that moves the verifier's work or results cannot pass unnoticed.
 
 use ccac_model::Thresholds;
 use ccmatic::fingerprint::fnv1a64;
 use ccmatic::template::{CcaSpec, CoeffDomain};
 use ccmatic::verifier::{CcaVerifier, VerifyConfig};
+use ccmatic_bench::drift::{read_committed, report_drift};
 use ccmatic_bench::{table1_rows, write_json, Json, Scale};
 use ccmatic_num::{arith_snapshot, rat, Rat, SmallRng};
 use ccmatic_smt::lra::pivots_total;
+use std::process::ExitCode;
 use std::time::Instant;
 
 /// Candidates per family.
@@ -44,10 +54,27 @@ fn grid(seed: u64, count: usize, lookback: usize, use_cwnd: bool) -> Vec<CcaSpec
         .collect()
 }
 
-fn main() {
+/// Fields that vary from run to run (wall time) or only count the
+/// arithmetic fast path's bookkeeping, and are left out of `--check`.
+fn unchecked(key: &str) -> bool {
+    key == "wall_s" || key == "small_ops"
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let seed: u64 =
-        args.windows(2).find(|w| w[0] == "--seed").and_then(|w| w[1].parse().ok()).unwrap_or(0);
+    let flag = |key: &str| args.windows(2).find(|w| w[0] == key).map(|w| w[1].clone());
+    let seed: u64 = flag("--seed").and_then(|v| v.parse().ok()).unwrap_or(0);
+    // Read before the run: the run rewrites `BENCH_verify_grid.json`.
+    let committed = match flag("--check") {
+        None => None,
+        Some(path) => match read_committed(&path) {
+            Ok(doc) => Some((path, doc)),
+            Err(e) => {
+                eprintln!("verify_grid: cannot read {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
 
     let rows = table1_rows(Scale::Ci);
     let (lookback, net) = (rows[1].shape.lookback, rows[1].net.clone());
@@ -109,4 +136,8 @@ fn main() {
         ("families", Json::Arr(families)),
     ]);
     write_json("BENCH_verify_grid.json", &json).expect("write the grid report");
+    match &committed {
+        Some((path, doc)) if !report_drift(path, &json, doc, &unchecked) => ExitCode::FAILURE,
+        _ => ExitCode::SUCCESS,
+    }
 }

@@ -29,6 +29,7 @@ pub fn hardware_cores() -> u64 {
     std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1)
 }
 
+pub mod drift;
 pub mod micro;
 
 pub use ccmatic::json;

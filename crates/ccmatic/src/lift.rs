@@ -23,6 +23,15 @@
 //! above the arrival curve, which the model forbids, so every lifted trace
 //! must pass [`ccac_model::check_trace`] before being treated as a model
 //! behaviour — [`lift_checked`] bundles the two.
+//!
+//! [`lift_checked`] also stops at the first round whose lagged service
+//! floor exceeds the arrivals, without lifting the remaining rounds. That
+//! is sound: the link step never serves more than has arrived (`S ≤ A` at
+//! every round, since `A` only grows and `S` is capped by `max(A, S_prev)`),
+//! so at such a round `S ≤ A < floor`, and the floor `check_trace` applies
+//! at that row is the same exact value — it rejects every such trace. The
+//! stop only saves work on lifts the gate would reject; a lift that runs
+//! to the end still goes through `check_trace`, the only feasibility gate.
 
 use crate::template::CcaSpec;
 use ccac_model::{check_trace, NetConfig, Trace};
@@ -71,6 +80,28 @@ fn table_at(table: &[Rat], u: usize) -> Rat {
 /// callers must gate it through [`ccac_model::check_trace`] (partial waste
 /// can break the lagged service floor) — see [`lift_checked`].
 pub fn lift_schedule(spec: &CcaSpec, cfg: &LiftConfig) -> Trace {
+    lift(spec, cfg, false).expect("a lift that does not stop early always ends in a trace")
+}
+
+/// [`lift_schedule`] + the authoritative feasibility gate: `Err` means the
+/// schedule drove the link outside the model's feasibility band (possible
+/// whenever ω < 1) and the trace makes no claim about the model.
+///
+/// Returns `Err` as soon as a round's lagged service floor exceeds the
+/// arrivals, without lifting the rounds after it: there `S ≤ A < floor`,
+/// which [`check_trace`] always rejects (see the module docs). A lift that
+/// reaches the last round is returned only if it passes [`check_trace`],
+/// so `lift_checked(..).is_ok()` equals
+/// `check_trace(&lift_schedule(..)).is_ok()`.
+pub fn lift_checked(spec: &CcaSpec, cfg: &LiftConfig) -> Result<Trace, String> {
+    let trace = lift(spec, cfg, true)?;
+    check_trace(&trace, &cfg.net)?;
+    Ok(trace)
+}
+
+/// The lift itself; with `stop_early`, `Err` at the first round whose
+/// lagged service floor exceeds the arrivals.
+fn lift(spec: &CcaSpec, cfg: &LiftConfig, stop_early: bool) -> Result<Trace, String> {
     let h = cfg.net.history;
     let rounds = h + cfg.net.horizon;
     assert!(cfg.net.buffer.is_none(), "lifting is defined for the lossless scope only");
@@ -126,6 +157,11 @@ pub fn lift_schedule(spec: &CcaSpec, cfg: &LiftConfig) -> Trace {
         } else {
             Rat::zero()
         };
+        if stop_early && floor > arrivals {
+            return Err(format!(
+                "round {u}: service floor {floor} > A = {arrivals} ≥ S (S below the floor)"
+            ));
+        }
         let hi = tokens_now.clone().min(arrivals.clone()).max(s_prev.clone());
         let lo = floor.min(arrivals.clone()).max(s_prev.clone()).min(hi.clone());
         let lambda = table_at(&cfg.lambdas, u);
@@ -147,7 +183,7 @@ pub fn lift_schedule(spec: &CcaSpec, cfg: &LiftConfig) -> Trace {
     }
 
     let n = a.len();
-    Trace {
+    Ok(Trace {
         t_min: cfg.net.t_min(),
         t_max: cfg.net.t_max(),
         a,
@@ -155,16 +191,7 @@ pub fn lift_schedule(spec: &CcaSpec, cfg: &LiftConfig) -> Trace {
         w,
         l: vec![Rat::zero(); n],
         cwnd: cwnd_col,
-    }
-}
-
-/// [`lift_schedule`] + the authoritative feasibility gate: `Err` means the
-/// schedule drove the link outside the model's feasibility band (possible
-/// whenever ω < 1) and the trace makes no claim about the model.
-pub fn lift_checked(spec: &CcaSpec, cfg: &LiftConfig) -> Result<Trace, String> {
-    let trace = lift_schedule(spec, cfg);
-    check_trace(&trace, &cfg.net)?;
-    Ok(trace)
+    })
 }
 
 #[cfg(test)]
@@ -265,6 +292,63 @@ mod tests {
             "never-waste lift of a silent sender must violate the service floor"
         );
         assert!(lift_checked(&spec, &cfg).is_err());
+    }
+
+    /// The early stop changes no verdict and no trace: over seeded random
+    /// schedules (partial waste, backlogs up to 8), `lift_checked` accepts
+    /// exactly the lifts `check_trace` accepts, with the same trace, and
+    /// some rejections do stop before the last round.
+    #[test]
+    fn early_stop_agrees_with_the_full_lift_and_the_gate() {
+        use ccmatic_num::SmallRng;
+        let net = net(5);
+        let rounds = net.history + net.horizon;
+        let mut rng = SmallRng::seed_from_u64(3);
+        let fraction = |rng: &mut SmallRng| match rng.gen_range_usize(0, 4) {
+            0 => Rat::zero(),
+            1 => Rat::one(),
+            _ => rat(rng.gen_range_i64(0, 9), 8),
+        };
+        let (mut accepted, mut rejected, mut stopped_early) = (0, 0, 0);
+        for spec in [known::const_cwnd(Rat::zero()), known::rocc(), known::eq_iii()] {
+            for _ in 0..300 {
+                let cfg = LiftConfig {
+                    lambdas: (0..rng.gen_range_usize(0, rounds + 1))
+                        .map(|_| fraction(&mut rng))
+                        .collect(),
+                    omegas: (0..rng.gen_range_usize(0, rounds + 1))
+                        .map(|_| fraction(&mut rng))
+                        .collect(),
+                    initial_backlog: rat(rng.gen_range_i64(0, 17), 2),
+                    ..LiftConfig::ideal(net.clone())
+                };
+                let full = lift_schedule(&spec, &cfg);
+                let gate = check_trace(&full, &net);
+                match lift_checked(&spec, &cfg) {
+                    Ok(trace) => {
+                        assert!(gate.is_ok(), "{spec}: early stop accepted a gated lift");
+                        assert_eq!(trace, full, "{spec}: accepted trace differs");
+                        accepted += 1;
+                    }
+                    Err(_) => {
+                        assert!(gate.is_err(), "{spec}: early stop rejected a feasible lift");
+                        rejected += 1;
+                    }
+                }
+                if let Err(e) = lift(&spec, &cfg, true) {
+                    let round: usize = e
+                        .strip_prefix("round ")
+                        .and_then(|r| r.split(':').next())
+                        .and_then(|r| r.parse().ok())
+                        .expect("an early stop names its round");
+                    if round + 1 < rounds {
+                        stopped_early += 1;
+                    }
+                }
+            }
+        }
+        assert!(accepted > 100 && rejected > 100, "{accepted} accepted, {rejected} rejected");
+        assert!(stopped_early > 0, "no lift stopped before its last round");
     }
 
     /// The t_min row carries the configured initial conditions and the

@@ -16,7 +16,7 @@
 //! Fast-path coverage is counted through [`crate::stats`]; see
 //! [`crate::arith_snapshot`].
 
-use crate::stats;
+use crate::{gcd::gcd_u64, stats};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
@@ -394,12 +394,7 @@ impl BigInt {
     /// `gcd(0, x) = |x|`).
     pub fn gcd(&self, other: &BigInt) -> BigInt {
         if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
-            let (mut a, mut b) = (a.unsigned_abs(), b.unsigned_abs());
-            while b != 0 {
-                let r = a % b;
-                a = b;
-                b = r;
-            }
+            let a = gcd_u64(a.unsigned_abs(), b.unsigned_abs());
             // gcd(i64::MIN, i64::MIN) = 2^63 does not fit an i64.
             return if a <= i64::MAX as u64 {
                 stats::count_small();

@@ -24,12 +24,14 @@
 
 mod bigint;
 mod delta;
+mod gcd;
 mod rational;
 pub mod rng;
 mod stats;
 
 pub use bigint::BigInt;
 pub use delta::DeltaRat;
+pub use gcd::gcd_u64;
 pub use rational::Rat;
 pub use rng::SmallRng;
 pub use stats::{snapshot as arith_snapshot, ArithStats};

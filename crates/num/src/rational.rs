@@ -4,11 +4,15 @@
 //! and denominators fit `i64` (the common case throughout the simplex
 //! tableau), cross-products are computed in `i128` — which cannot overflow,
 //! since `|n|, d ≤ 2^63` bounds every product by `2^126` and every sum of
-//! two products by `2^127` — and the result is reduced with a `u128`
-//! Euclid gcd before being stored back as inline [`BigInt`]s. Only results
+//! two products by `2^127` — and the result is reduced with a binary gcd
+//! before being stored back as inline [`BigInt`]s. The gcd and the
+//! divisions run on `u64` whenever both magnitudes fit one (nearly always:
+//! tableau values are small, so their cross-products are too), and on
+//! `u128` otherwise. Only results
 //! whose reduced numerator or denominator leaves the `i64` range touch the
 //! heap-allocating bignum path.
 
+use crate::gcd::{gcd_u128, gcd_u64};
 use crate::{stats, BigInt};
 use std::cmp::Ordering;
 use std::fmt;
@@ -70,8 +74,20 @@ impl Rat {
             stats::count_small();
             return Rat::zero();
         }
-        let g = gcd_u128(n.unsigned_abs(), d as u128) as i128;
-        let (n, d) = (n / g, d / g);
+        let (n_abs, d) = (n.unsigned_abs(), d as u128);
+        let (n_abs, d) = match (u64::try_from(n_abs), u64::try_from(d)) {
+            (Ok(a), Ok(b)) => {
+                let g = gcd_u64(a, b);
+                ((a / g) as u128, (b / g) as u128)
+            }
+            _ => {
+                let g = gcd_u128(n_abs, d);
+                (n_abs / g, d / g)
+            }
+        };
+        // Both stay below 2^127 in magnitude, so the sign fits back on.
+        let n = if n < 0 { -(n_abs as i128) } else { n_abs as i128 };
+        let d = d as i128;
         match (i64::try_from(n), i64::try_from(d)) {
             (Ok(ns), Ok(ds)) => {
                 stats::count_small();
@@ -397,16 +413,6 @@ impl Div for &Rat {
         }
         Rat::new(&self.num * &other.den, &self.den * &other.num)
     }
-}
-
-/// Euclid gcd on `u128` (used only with at least one non-zero operand).
-fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
-    while b != 0 {
-        let r = a % b;
-        a = b;
-        b = r;
-    }
-    a
 }
 
 macro_rules! forward_binop_owned {

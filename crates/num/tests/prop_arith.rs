@@ -354,6 +354,65 @@ fn differential_rat_gcd_normalization() {
 }
 
 #[test]
+fn differential_rat_cross_products_at_word_boundaries() {
+    // Components around 2^31.5 (√i64::MAX), 2^32 (√u64::MAX) and 2^62..2^63
+    // put the i128 cross-products, before and after reduction, on every
+    // side of the i64 and u64 boundaries, where the normalizer switches
+    // between its u64 and u128 gcd and between inline and promoted results.
+    const SQRT_MAX: i64 = 3_037_000_499;
+    let parts: [i64; 14] = [
+        1,
+        6,
+        SQRT_MAX,
+        SQRT_MAX + 1,
+        (1 << 32) - 1,
+        1 << 32,
+        (1 << 32) + 1,
+        3 << 31,
+        1 << 62,
+        (1 << 62) + 2,
+        i64::MAX - 1,
+        i64::MAX,
+        -(1 << 32),
+        i64::MIN,
+    ];
+    let rats: Vec<Rat> = parts
+        .iter()
+        .flat_map(|&n| {
+            parts
+                .iter()
+                .filter(|&&d| d > 0)
+                .map(move |&d| Rat::new(BigInt::from(n), BigInt::from(d)))
+        })
+        .collect();
+    let mut bands = [false; 3];
+    for a in &rats {
+        for b in &rats {
+            if let (Some(an), Some(ad), Some(bn), Some(bd)) =
+                (a.numer().to_i64(), a.denom().to_i64(), b.numer().to_i64(), b.denom().to_i64())
+            {
+                let m = (an as i128 * bd as i128 + bn as i128 * ad as i128).unsigned_abs();
+                bands[if m <= i64::MAX as u128 {
+                    0
+                } else if m <= u64::MAX as u128 {
+                    1
+                } else {
+                    2
+                }] = true;
+            }
+            assert_eq!(a + b, a.ref_add(b), "add: {a:?} + {b:?}");
+            assert_eq!(a - b, a.ref_sub(b), "sub: {a:?} - {b:?}");
+            assert_eq!(a * b, a.ref_mul(b), "mul: {a:?} * {b:?}");
+            assert_eq!(a.cmp(b), a.ref_cmp(b), "cmp: {a:?} vs {b:?}");
+            if !b.is_zero() {
+                assert_eq!(a / b, a.ref_div(b), "div: {a:?} / {b:?}");
+            }
+        }
+    }
+    assert_eq!(bands, [true; 3], "cross-products must land in every word band");
+}
+
+#[test]
 fn differential_delta_rat_strict_bound_arithmetic() {
     // DeltaRat is componentwise Rat arithmetic; drive the strict-bound
     // constructors with boundary rationals and compare every component

@@ -21,9 +21,9 @@
 //! positive rational scale (see `Row`). Pivoting is therefore
 //! fraction-free: the hot substitution step (`Row::substitute`) is a
 //! linear merge of two sorted integer lists through a reusable scratch
-//! buffer — no per-entry rational normalization, no per-entry node
-//! allocation, no pointer chasing — followed by one content gcd that keeps
-//! the row primitive.
+//! buffer — on plain `i64` words unless a value overflows, no per-entry
+//! rational normalization, no per-entry node allocation, no pointer
+//! chasing — followed by one content gcd that keeps the row primitive.
 //!
 //! The representation cannot change any result. For a fixed basis the
 //! tableau is unique (each basic variable has exactly one expression in the
@@ -35,7 +35,7 @@
 //! rows are stored.
 
 use crate::interrupt::Interrupt;
-use ccmatic_num::{BigInt, DeltaRat, Rat};
+use ccmatic_num::{gcd_u64, BigInt, DeltaRat, Rat};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
@@ -144,7 +144,75 @@ impl Row {
     /// content division would only remove again.) The merge is built in
     /// `scratch`, which is swapped in; the buffers alternate across calls
     /// so neither is reallocated once warm.
+    ///
+    /// The merge runs on machine words ([`Row::merge_words`]) and falls
+    /// back to the `BigInt` merge ([`Row::merge_big`]) from the untouched
+    /// row at its first overflow, so both compute the same integers.
     fn substitute(&mut self, c: &BigInt, sub: &Row, scratch: &mut Vec<(SimVar, BigInt)>) {
+        scratch.clear();
+        scratch.reserve(self.entries.len() + sub.entries.len());
+        let q = match self.merge_words(c, sub, scratch) {
+            Some(q) => BigInt::from(q),
+            None => {
+                scratch.clear();
+                self.merge_big(c, sub, scratch)
+            }
+        };
+        std::mem::swap(&mut self.entries, scratch);
+        if self.entries.is_empty() {
+            self.scale = Rat::one();
+            return;
+        }
+        let g = self.take_content();
+        self.scale = &self.scale * &Rat::new(g, q);
+    }
+
+    /// The substitution merge on `i64` words, into `out`. Returns
+    /// `Q/gcd(Q, c)`, or `None` as soon as an input or an intermediate
+    /// leaves the `i64` range, leaving `entries` untouched. Counts no
+    /// arithmetic events: a merge that fits a word is one the `BigInt`
+    /// merge would also finish with neither a promotion nor a limb
+    /// operation.
+    fn merge_words(&self, c: &BigInt, sub: &Row, out: &mut Vec<(SimVar, BigInt)>) -> Option<i64> {
+        let (c, p, q) = (c.to_i64()?, sub.scale.numer().to_i64()?, sub.scale.denom().to_i64()?);
+        // q > 0, so 1 ≤ g ≤ q and neither division can overflow.
+        let g = gcd_u64(q.unsigned_abs(), c.unsigned_abs()) as i64;
+        let (c, q) = (c / g, q / g);
+        let k = c.checked_mul(p)?;
+        let own = |e: &BigInt| e.to_i64()?.checked_mul(q);
+        let mut a = self.entries.iter().peekable();
+        for (bv, bc) in &sub.entries {
+            let kf = k.checked_mul(bc.to_i64()?)?;
+            loop {
+                match a.peek() {
+                    Some((av, e)) if av < bv => {
+                        out.push((*av, BigInt::from(own(e)?)));
+                        a.next();
+                    }
+                    Some((av, e)) if av == bv => {
+                        let sum = own(e)?.checked_add(kf)?;
+                        if sum != 0 {
+                            out.push((*av, BigInt::from(sum)));
+                        }
+                        a.next();
+                        break;
+                    }
+                    _ => {
+                        out.push((*bv, BigInt::from(kf)));
+                        break;
+                    }
+                }
+            }
+        }
+        for (v, e) in a {
+            out.push((*v, BigInt::from(own(e)?)));
+        }
+        Some(q)
+    }
+
+    /// The substitution merge on `BigInt`s, into `scratch`; drains
+    /// `entries`. Returns `Q/gcd(Q, c)`.
+    fn merge_big(&mut self, c: &BigInt, sub: &Row, scratch: &mut Vec<(SimVar, BigInt)>) -> BigInt {
         let one = BigInt::one();
         let (p, q) = (sub.scale.numer(), sub.scale.denom());
         let g = q.gcd(c);
@@ -152,8 +220,6 @@ impl Row {
         let k = &c * p;
         let q_is_one = q == one;
         let own = |e: BigInt| if q_is_one { e } else { &q * &e };
-        scratch.clear();
-        scratch.reserve(self.entries.len() + sub.entries.len());
         let mut a = self.entries.drain(..).peekable();
         for (bv, bc) in &sub.entries {
             loop {
@@ -178,13 +244,7 @@ impl Row {
             }
         }
         scratch.extend(a.map(|(v, e)| (v, own(e))));
-        std::mem::swap(&mut self.entries, scratch);
-        if self.entries.is_empty() {
-            self.scale = Rat::one();
-            return;
-        }
-        let g = self.take_content();
-        self.scale = &self.scale * &Rat::new(g, q);
+        q
     }
 }
 
@@ -1289,6 +1349,153 @@ mod tests {
             }
         }
         assert!(total_pivots > 100, "only {total_pivots} pivots exercised");
+    }
+
+    /// `substitute` with the word merge skipped: the `BigInt` merge alone.
+    fn substitute_big(row: &mut Row, c: &BigInt, sub: &Row) {
+        let mut scratch = Vec::new();
+        let q = row.merge_big(c, sub, &mut scratch);
+        row.entries = scratch;
+        if row.entries.is_empty() {
+            row.scale = Rat::one();
+        } else {
+            let g = row.take_content();
+            row.scale = &row.scale * &Rat::new(g, q);
+        }
+    }
+
+    fn row(entries: &[(u32, i64)], scale: Rat) -> Row {
+        Row { entries: entries.iter().map(|&(v, e)| (SimVar(v), BigInt::from(e))).collect(), scale }
+    }
+
+    #[test]
+    fn word_merge_overflowing_partway_falls_back_from_the_untouched_row() {
+        // x1 = (3/5)·(x0 + x2) substituted into 1·x0 + 2·x1 + (2^62+1)·x2
+        // + x3: the merge writes x0's word (5 + 6 = 11), then 5·(2^62+1)
+        // overflows.
+        let big = (1i64 << 62) + 1;
+        let sub = row(&[(0, 1), (2, 1)], rat(3, 5));
+        let c = BigInt::from(2i64);
+        let mut r = row(&[(0, 1), (2, big), (3, 1)], Rat::one());
+        let mut partial = Vec::new();
+        assert_eq!(r.merge_words(&c, &sub, &mut partial), None);
+        assert_eq!(partial.len(), 1, "the overflow must come after a merged word");
+        let mut want = r.clone();
+        substitute_big(&mut want, &c, &sub);
+        r.substitute(&c, &sub, &mut partial);
+        assert_eq!((&r.entries, &r.scale), (&want.entries, &want.scale));
+        // And both are the rational substitution.
+        let six_fifths = rat(6, 5);
+        let expect = [
+            (0, &int(1) + &six_fifths),
+            (2, &Rat::from(BigInt::from(big)) + &six_fifths),
+            (3, int(1)),
+        ];
+        for (v, e) in expect {
+            assert_eq!(r.effective(SimVar(v)), Some(e), "x{v}");
+        }
+        assert!(r.entries.iter().any(|(_, e)| e.to_i64().is_none()), "the result promotes");
+    }
+
+    #[test]
+    fn word_merge_matches_the_bigint_merge_on_random_rows() {
+        use ccmatic_num::SmallRng;
+        fn entry(rng: &mut SmallRng) -> i64 {
+            let e = match rng.gen_range_usize(0, 32) {
+                0 => (1i64 << 62) + rng.gen_range_i64(-3, 4),
+                1 => -(1i64 << 62) + rng.gen_range_i64(-3, 4),
+                2..=5 => rng.gen_range_i64(-(1 << 20), 1 << 20),
+                _ => rng.gen_range_i64(-9, 10),
+            };
+            if e == 0 {
+                1
+            } else {
+                e
+            }
+        }
+        fn draw(rng: &mut SmallRng) -> Vec<(u32, i64)> {
+            let mut entries = Vec::new();
+            for v in 0..8 {
+                if rng.gen_bool(0.6) {
+                    entries.push((v, entry(rng)));
+                }
+            }
+            entries
+        }
+        let mut rng = SmallRng::seed_from_u64(12);
+        let (mut words, mut fallbacks) = (0, 0);
+        for _ in 0..4_000 {
+            let (own, other) = (draw(&mut rng), draw(&mut rng));
+            let scale =
+                |rng: &mut SmallRng| rat(rng.gen_range_i64(1, 40), rng.gen_range_i64(1, 40));
+            let sub = row(&other, scale(&mut rng));
+            let mut r = row(&own, scale(&mut rng));
+            let c = BigInt::from(entry(&mut rng));
+            match r.merge_words(&c, &sub, &mut Vec::new()) {
+                Some(_) => words += 1,
+                None => fallbacks += 1,
+            }
+            let mut want = r.clone();
+            substitute_big(&mut want, &c, &sub);
+            r.substitute(&c, &sub, &mut Vec::new());
+            assert_eq!(r.entries, want.entries);
+            assert_eq!(r.scale, want.scale);
+        }
+        assert!(words > 500 && fallbacks > 500, "{words} word merges, {fallbacks} fallbacks");
+    }
+
+    #[test]
+    fn pivots_with_entries_near_2_62_match_the_rational_oracle() {
+        // Sibling of the test above with coefficients near 2^62, so word
+        // merges overflow partway through rows and fall back mid-run.
+        use ccmatic_num::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(13);
+        let coeff = |rng: &mut SmallRng| -> Rat {
+            match rng.gen_range_usize(0, 3) {
+                0 => int((1i64 << 62) + rng.gen_range_i64(-2, 3)),
+                1 => rat(rng.gen_range_i64(-4, 5), rng.gen_range_i64(1, 6)),
+                _ => int(rng.gen_range_i64(-4, 5)),
+            }
+        };
+        let (mut total_pivots, mut promoted_rows) = (0, 0);
+        for _ in 0..30 {
+            let mut s = Simplex::new();
+            for _ in 0..rng.gen_range_usize(2, 6) {
+                s.new_var();
+            }
+            let mut defs = Vec::new();
+            for _ in 0..rng.gen_range_usize(2, 7) {
+                let pool = s.num_vars();
+                let expr: Vec<(SimVar, Rat)> = (0..rng.gen_range_usize(1, 5))
+                    .map(|_| (SimVar(rng.gen_range_usize(0, pool) as u32), coeff(&mut rng)))
+                    .collect();
+                let sl = s.define_slack(&expr);
+                defs.push((sl.0 as usize, expr));
+            }
+            for _ in 0..12 {
+                let basic: Vec<usize> = (0..s.num_vars())
+                    .filter(|&i| s.rows[i].as_ref().is_some_and(|r| !r.entries.is_empty()))
+                    .collect();
+                if basic.is_empty() {
+                    break;
+                }
+                let b = basic[rng.gen_range_usize(0, basic.len())];
+                let row = s.rows[b].as_ref().unwrap();
+                let j = row.entries[rng.gen_range_usize(0, row.entries.len())].0;
+                let target = s.value[b].clone();
+                s.pivot_and_update(SimVar(b as u32), j, target);
+                total_pivots += 1;
+                assert_canonical(&s, &defs);
+                promoted_rows += s
+                    .rows
+                    .iter()
+                    .flatten()
+                    .filter(|r| r.entries.iter().any(|(_, e)| e.to_i64().is_none()))
+                    .count();
+            }
+        }
+        assert!(total_pivots > 100, "only {total_pivots} pivots exercised");
+        assert!(promoted_rows > 0, "no merge left the word range");
     }
 
     #[test]
