@@ -22,12 +22,10 @@ fn main() {
         budget: Budget { max_iterations: 2000, max_wall: Duration::from_secs(300) },
         wce_precision: rat(1, 2),
         incremental: true,
-        threads: 1,
-        seed: 0,
-        dispatch_min: ccmatic::synth::DEFAULT_DISPATCH_MIN,
         certify: false,
         region_pruning: true,
         theory_sync: true,
+        ..Default::default()
     };
     bench_case("enumerate_lookback2_small", 1, 5, || {
         let r = enumerate_all(&opts);

@@ -21,8 +21,8 @@ fn cfg(worst_case: bool, incremental: bool) -> VerifyConfig {
         wce_precision: rat(1, 2),
         incremental,
         certify: false,
-        search: Default::default(),
         theory_sync: true,
+        ..Default::default()
     }
 }
 

@@ -33,8 +33,8 @@ fn certified_verify(spec: &CcaSpec, worst_case: bool) -> (bool, CcaVerifier) {
         wce_precision: rat(1, 2),
         incremental: true,
         certify: true,
-        search: Default::default(),
         theory_sync: true,
+        ..Default::default()
     });
     let pass = v.verify(spec).is_ok();
     (pass, v)

@@ -44,12 +44,10 @@ fn main() {
             },
             wce_precision: rat(1, 2),
             incremental: true,
-            threads: 1,
-            seed: 0,
-            dispatch_min: ccmatic::synth::DEFAULT_DISPATCH_MIN,
             certify: false,
             region_pruning: true,
             theory_sync: true,
+            ..Default::default()
         };
         println!(
             "\n## {} / {} — {} candidates",

@@ -133,31 +133,6 @@ fn main() {
             certified.wall.as_secs_f64() / plain_wall.as_secs_f64().max(1e-9),
         );
         cells.push(certified);
-        // Shard-stealing portfolio at 2 and 4 workers, same cell. Small
-        // spaces auto-fall back to the serial loop below the dispatch
-        // threshold; on a single hardware core the rest measure overhead,
-        // not speedup. The JSON records `hardware_cores` next to `threads`
-        // so readers can tell which is which.
-        for threads in [2usize, 4] {
-            eprintln!(
-                "running {} / {} / RP+WCE ({} workers) …",
-                row.params, row.domain_label, threads
-            );
-            let cell =
-                run_cell_with(&row, OptMode::RangePruningWce, budget, |o| o.threads = threads);
-            eprintln!(
-                "  → {} in {} ({} iterations, {} replay hits, {} wasted, {} shards stolen, {}/{} clauses shared)",
-                if cell.solved { "solved" } else { "DNF" },
-                fmt_duration(cell.wall, true),
-                cell.iterations,
-                cell.replay_hits,
-                cell.speculative_wasted,
-                cell.shards_stolen,
-                cell.shared_clauses_exported,
-                cell.shared_clauses_imported,
-            );
-            cells.push(cell);
-        }
         results.push((row, cells));
     }
 
@@ -166,9 +141,7 @@ fn main() {
     println!("\nDNF = no solution within the per-cell budget (the paper's analogue: one week).");
     println!("Each row's extra RP+WCE lines: (no-sync) = the legacy reset-and-reassert theory");
     println!("bridge (the trail-sync A/B pair), (scratch) = the non-incremental verifier,");
-    println!("(certified) = checker-replayed proofs on every verdict; the (2T)/(4T) lines run");
-    println!("the shard-stealing portfolio at that worker count (tiny spaces auto-fall back");
-    println!("to the serial loop below the dispatch threshold).");
+    println!("(certified) = checker-replayed proofs on every verdict.");
 
     let _ = write_json("BENCH_table1.json", &json);
 }

@@ -6,16 +6,16 @@
 //! ```
 //!
 //! A cell regresses when the baseline solved it and the fresh run no
-//! longer solves it or, on one thread, reports other `iterations`,
-//! `solver_probes` or `regions_pruned` (a serial CEGIS run is a pure
-//! function of its inputs). Backstops, and the only gates for portfolio
-//! cells: more than 2× the baseline wall (plus a 1 s noise floor for
-//! scheduler jitter), `pivots` or `big_ops` (plus absolute floors), since
-//! wall alone can hide a kernel regression on a time-sliced runner. Cells
-//! are matched by the full identity tuple (params, domain, method,
-//! incremental, threads, certified, theory_sync); baseline cells missing
-//! from the fresh run count as regressions, fresh-only cells are ignored.
-//! Exit status is nonzero iff any cell regressed.
+//! longer solves it, or reports other work counters: `iterations`,
+//! `solver_probes`, `regions_pruned`, `pivots`, `bounds_asserted` or
+//! `big_ops`. A CEGIS run is a pure function of its inputs, so each of
+//! these repeats exactly on every run of the same code. The one loose
+//! gate is a wall backstop: more than 2× the baseline wall, plus a 1 s
+//! noise floor for scheduler jitter. Cells are matched by the identity
+//! tuple (params, domain, method, incremental, certified, theory_sync);
+//! baseline cells missing from the fresh run count as regressions,
+//! fresh-only cells are ignored. Exit status is nonzero iff any cell
+//! regressed.
 
 use ccmatic_bench::Json;
 use std::process::ExitCode;
@@ -25,25 +25,16 @@ const MAX_SLOWDOWN: f64 = 2.0;
 /// Absolute seconds added to the allowance: sub-second cells vary more
 /// than 2× run-to-run on shared CI runners.
 const NOISE_FLOOR_S: f64 = 1.0;
-/// Factor over the baseline's per-cell `pivots` / `big_ops` beyond which
-/// the cell regressed, independent of wall.
-const MAX_OP_GROWTH: f64 = 2.0;
-/// Absolute pivot allowance: portfolio scheduling can shift a small cell's
-/// pivot count by thousands without anything being wrong.
-const FLOOR_PIVOTS: f64 = 10_000.0;
-/// Absolute big-op allowance, same reasoning at bignum-op granularity.
-const FLOOR_BIG_OPS: f64 = 1_000_000.0;
+/// The work counters a solved cell must repeat exactly.
+const EXACT_KEYS: [&str; 6] =
+    ["iterations", "solver_probes", "regions_pruned", "pivots", "bounds_asserted", "big_ops"];
 
 /// Identity + measurement of one cell, flattened from the nested JSON.
 struct Cell {
     key: String,
     solved: bool,
-    /// Ran on one thread, so `counters` must repeat exactly.
-    serial: bool,
-    counters: [u64; 3],
+    counters: [u64; EXACT_KEYS.len()],
     wall_s: f64,
-    pivots: f64,
-    big_ops: f64,
 }
 
 fn load(path: &str) -> Result<Vec<Cell>, String> {
@@ -62,25 +53,16 @@ fn load(path: &str) -> Result<Vec<Cell>, String> {
             // the (then-only) synchronized-equivalent path: default true
             // so old baselines keep matching fresh default cells.
             let theory_sync = cell.get("theory_sync").and_then(Json::as_bool).unwrap_or(true);
-            let threads = get_num("threads") as u64;
             cells.push(Cell {
                 key: format!(
-                    "{params} / {domain} / {method}{}{}{}{}",
+                    "{params} / {domain} / {method}{}{}{}",
                     if get_bool("incremental") { "" } else { " (scratch)" },
-                    match threads {
-                        0 | 1 => String::new(),
-                        t => format!(" ({t}T)"),
-                    },
                     if get_bool("certified") { " (certified)" } else { "" },
                     if theory_sync { "" } else { " (no-sync)" },
                 ),
                 solved: get_bool("solved"),
-                serial: threads <= 1,
-                counters: ["iterations", "solver_probes", "regions_pruned"]
-                    .map(|k| get_num(k) as u64),
+                counters: EXACT_KEYS.map(|k| get_num(k) as u64),
                 wall_s: get_num("wall_s"),
-                pivots: get_num("pivots"),
-                big_ops: get_num("big_ops"),
             });
         }
     }
@@ -118,11 +100,14 @@ fn main() -> ExitCode {
                     base.key, base.wall_s
                 );
             }
-            Some(f) if base.serial && f.counters != base.counters => {
+            Some(f) if f.counters != base.counters => {
                 regressions += 1;
                 println!(
-                    "REGRESSION  {}: counters drifted, iterations/probes/regions pruned {:?} → {:?}",
-                    base.key, base.counters, f.counters
+                    "REGRESSION  {}: counters drifted, {} {:?} → {:?}",
+                    base.key,
+                    EXACT_KEYS.join("/"),
+                    base.counters,
+                    f.counters
                 );
             }
             Some(f) if f.wall_s > allowance => {
@@ -130,26 +115,6 @@ fn main() -> ExitCode {
                 println!(
                     "REGRESSION  {}: {:.2}s → {:.2}s (allowed ≤ {:.2}s)",
                     base.key, base.wall_s, f.wall_s, allowance
-                );
-            }
-            Some(f) if f.pivots > base.pivots * MAX_OP_GROWTH + FLOOR_PIVOTS => {
-                regressions += 1;
-                println!(
-                    "REGRESSION  {}: pivots {:.0} → {:.0} (allowed ≤ {:.0})",
-                    base.key,
-                    base.pivots,
-                    f.pivots,
-                    base.pivots * MAX_OP_GROWTH + FLOOR_PIVOTS
-                );
-            }
-            Some(f) if f.big_ops > base.big_ops * MAX_OP_GROWTH + FLOOR_BIG_OPS => {
-                regressions += 1;
-                println!(
-                    "REGRESSION  {}: big_ops {:.0} → {:.0} (allowed ≤ {:.0})",
-                    base.key,
-                    base.big_ops,
-                    f.big_ops,
-                    base.big_ops * MAX_OP_GROWTH + FLOOR_BIG_OPS
                 );
             }
             Some(f) => {

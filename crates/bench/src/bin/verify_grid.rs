@@ -90,8 +90,8 @@ fn main() -> ExitCode {
             wce_precision: rat(1, 2),
             incremental: true,
             certify: false,
-            search: Default::default(),
             theory_sync: true,
+            ..Default::default()
         });
         let (arith0, pivots0) = (arith_snapshot(), pivots_total());
         let mut record = String::new();

@@ -15,19 +15,11 @@
 //! appear — is the reproduction target. See EXPERIMENTS.md.
 
 use ccac_model::{NetConfig, Thresholds};
-use ccmatic::synth::{synthesize, OptMode, SynthOptions, DEFAULT_DISPATCH_MIN};
+use ccmatic::synth::{synthesize, OptMode, SynthOptions};
 use ccmatic::template::{CoeffDomain, TemplateShape};
-use ccmatic_cegis::{Budget, Outcome, WorkerStats};
+use ccmatic_cegis::{Budget, Outcome};
 use ccmatic_num::{rat, Rat};
 use std::time::Duration;
-
-/// The machine's available parallelism, recorded in every cell so readers
-/// of `BENCH_*.json` can judge whether a multi-worker cell actually had
-/// cores to spread over (a 4-worker portfolio on a 1-core container
-/// measures scheduling overhead, not speedup).
-pub fn hardware_cores() -> u64 {
-    std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1)
-}
 
 pub mod drift;
 pub mod micro;
@@ -107,8 +99,6 @@ pub struct CellResult {
     pub method: &'static str,
     /// Whether the verifier's incremental (push/pop scope) path was used.
     pub incremental: bool,
-    /// Worker count (1 = serial loop, >1 = shard-stealing portfolio).
-    pub threads: usize,
     /// Iterations used (paper's `# Itr`).
     pub iterations: u64,
     /// Wall-clock (paper's `Time`).
@@ -119,20 +109,10 @@ pub struct CellResult {
     pub verifier_probes: u64,
     /// Candidates killed by the concrete replay prefilter, no SMT.
     pub replay_hits: u64,
-    /// Portfolio steps discarded after a lower shard found the solution.
-    pub speculative_wasted: u64,
-    /// Shards workers pulled from the queue beyond their first.
-    pub shards_stolen: u64,
-    /// Learned clauses published to the inter-worker exchange.
-    pub shared_clauses_exported: u64,
-    /// Sibling clauses admitted into workers' SAT cores.
-    pub shared_clauses_imported: u64,
     /// Candidates blocked by counterexample region generalization.
     pub regions_pruned: u64,
     /// Learned traces dropped because an asserted trace subsumes them.
     pub cex_subsumed: u64,
-    /// Per-worker portfolio counters (empty for serial cells).
-    pub workers: Vec<WorkerStats>,
     /// Simplex pivots performed during this cell (process-wide delta).
     pub pivots: u64,
     /// Arithmetic fast-path promotions during this cell (process-wide
@@ -170,7 +150,7 @@ pub struct CellResult {
 
 impl CellResult {
     /// This cell as a `BENCH_*.json` record (wall, iterations, solver
-    /// probes, thread count and speculation counters).
+    /// probes and the work counters).
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("method", Json::Str(self.method.into())),
@@ -179,16 +159,9 @@ impl CellResult {
             ("iterations", Json::UInt(self.iterations)),
             ("wall_s", Json::Num(self.wall.as_secs_f64())),
             ("solver_probes", Json::UInt(self.verifier_probes)),
-            ("threads", Json::UInt(self.threads as u64)),
-            ("hardware_cores", Json::UInt(hardware_cores())),
             ("replay_hits", Json::UInt(self.replay_hits)),
-            ("speculative_wasted", Json::UInt(self.speculative_wasted)),
-            ("shards_stolen", Json::UInt(self.shards_stolen)),
-            ("shared_clauses_exported", Json::UInt(self.shared_clauses_exported)),
-            ("shared_clauses_imported", Json::UInt(self.shared_clauses_imported)),
             ("regions_pruned", Json::UInt(self.regions_pruned)),
             ("cex_subsumed", Json::UInt(self.cex_subsumed)),
-            ("workers", Json::Arr(self.workers.iter().map(Self::worker_stats_json).collect())),
             ("pivots", Json::UInt(self.pivots)),
             ("promotions", Json::UInt(self.promotions)),
             ("small_ops", Json::UInt(self.small_ops)),
@@ -202,18 +175,6 @@ impl CellResult {
             ("cert_bytes", Json::UInt(self.cert_bytes)),
             ("steps_replayed", Json::UInt(self.steps_replayed)),
             ("check_ms", Json::Num(self.check_ms)),
-        ])
-    }
-
-    /// Per-worker counters as a `BENCH_*.json` record.
-    fn worker_stats_json(w: &WorkerStats) -> Json {
-        Json::obj(vec![
-            ("iterations", Json::UInt(w.iterations)),
-            ("verifier_calls", Json::UInt(w.verifier_calls)),
-            ("replay_hits", Json::UInt(w.replay_hits)),
-            ("shards_stolen", Json::UInt(w.shards_stolen)),
-            ("shared_clauses_exported", Json::UInt(w.shared_clauses_exported)),
-            ("shared_clauses_imported", Json::UInt(w.shared_clauses_imported)),
         ])
     }
 
@@ -231,8 +192,7 @@ impl CellResult {
 
 /// Run one cell: a search space × an optimization mode, under a wall-clock
 /// budget (the paper used "one week"; pass something smaller). Uses the
-/// incremental verifier, serially; see [`run_cell_with`] for the
-/// from-scratch path and the portfolio.
+/// incremental verifier; see [`run_cell_with`] for the other legs.
 pub fn run_cell(row: &Table1Row, mode: OptMode, max_wall: Duration) -> CellResult {
     run_cell_with(row, mode, max_wall, |_| {})
 }
@@ -240,10 +200,7 @@ pub fn run_cell(row: &Table1Row, mode: OptMode, max_wall: Duration) -> CellResul
 /// [`run_cell`] with `tweak` applied to the row's synthesis options, so
 /// callers name the fields they change: `incremental = false` re-encodes
 /// the network model on every verify call (the pre-scope behaviour, kept
-/// for before/after comparisons); `threads > 1` runs the shard-stealing
-/// portfolio at that width (seed 0, so cells are reproducible, with the
-/// serial auto-fallback below [`DEFAULT_DISPATCH_MIN`] candidates);
-/// `certify` makes every verifier verdict carry a checker-replayed proof
+/// for before/after comparisons); `certify` makes every verifier verdict carry a checker-replayed proof
 /// certificate (or exact model audit) and reports the overhead;
 /// `theory_sync = false` runs the legacy reset-and-reassert theory bridge
 /// (the same-build A/B leg).
@@ -261,12 +218,10 @@ pub fn run_cell_with(
         budget: Budget { max_iterations: 1_000_000, max_wall },
         wce_precision: rat(1, 2),
         incremental: true,
-        threads: 1,
-        seed: 0,
-        dispatch_min: DEFAULT_DISPATCH_MIN,
         certify: false,
         region_pruning: true,
         theory_sync: true,
+        ..Default::default()
     };
     tweak(&mut opts);
     // Kernel counters are process-wide, so bracket the run with snapshots.
@@ -279,19 +234,13 @@ pub fn run_cell_with(
     CellResult {
         method: mode.label(),
         incremental: opts.incremental,
-        threads: opts.threads,
         iterations: result.stats.iterations,
         wall: result.stats.wall,
         solved: matches!(result.outcome, Outcome::Solution(_)),
         verifier_probes: result.verifier_probes,
         replay_hits: result.stats.replay_hits,
-        speculative_wasted: result.stats.speculative_wasted,
-        shards_stolen: result.stats.shards_stolen,
-        shared_clauses_exported: result.stats.shared_clauses_exported,
-        shared_clauses_imported: result.stats.shared_clauses_imported,
         regions_pruned: result.stats.regions_pruned,
         cex_subsumed: result.stats.cex_subsumed,
-        workers: result.workers,
         pivots: ccmatic_smt::lra::pivots_total().saturating_sub(pivots_before),
         promotions: arith.promotions,
         small_ops: arith.small_ops,
@@ -379,10 +328,7 @@ pub fn render_table1_json(doc: &Json) -> Result<String, String> {
         let cells = field(row, "cells")?.as_arr().ok_or("`cells` is not an array")?;
         for cell in cells {
             let method = text(cell, "method")?;
-            let threads = count(cell, "threads")?;
-            let method = if threads > 1 {
-                format!("{method} ({threads}T)")
-            } else if !flag(cell, "incremental")? {
+            let method = if !flag(cell, "incremental")? {
                 format!("{method} (scratch)")
             } else if flag(cell, "certified")? {
                 format!("{method} (certified)")
@@ -459,14 +405,17 @@ mod tests {
         assert!(cell.solved, "CI-scale RP+WCE cell must solve quickly");
         assert!(cell.iterations >= 1);
 
-        // Rendered from the run's JSON: a solved row and a DNF portfolio row.
-        let dnf = CellResult { solved: false, threads: 4, ..cell.clone() };
+        // Rendered from the run's JSON: a solved row and a DNF certified row.
+        let dnf = CellResult { solved: false, certified: true, ..cell.clone() };
         let results = vec![(rows[0].clone(), vec![cell.clone(), dnf])];
         let table = render_table1_json(&table1_json(Scale::Ci, 180, &results)).unwrap();
         let lines: Vec<&str> = table.lines().collect();
         assert_eq!(lines.len(), 4);
         let itr = cell.iterations;
         assert!(lines[2].starts_with(&format!("| No cwnd | Small | 81 | RP+WCE | {itr} | ")));
-        assert_eq!(lines[3], format!("| No cwnd | Small | 81 | RP+WCE (4T) | {itr}+ | DNF |"));
+        assert_eq!(
+            lines[3],
+            format!("| No cwnd | Small | 81 | RP+WCE (certified) | {itr}+ | DNF |")
+        );
     }
 }

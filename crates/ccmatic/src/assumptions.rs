@@ -42,8 +42,8 @@ fn verifies(spec: &CcaSpec, net: &NetConfig, thresholds: &Thresholds) -> bool {
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
         incremental: true,
         certify: false,
-        search: ccmatic_smt::SearchConfig::default(),
         theory_sync: true,
+        ..Default::default()
     });
     v.verify(spec).is_ok()
 }

@@ -98,8 +98,8 @@ pub fn brute_force_first(
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
         incremental: true,
         certify: false,
-        search: ccmatic_smt::SearchConfig::default(),
         theory_sync: true,
+        ..Default::default()
     });
     let mut tried = 0;
     for spec in CandidateIter::new(shape.clone()) {
@@ -164,8 +164,8 @@ mod tests {
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
             incremental: true,
             certify: false,
-            search: ccmatic_smt::SearchConfig::default(),
             theory_sync: true,
+            ..Default::default()
         });
         assert!(v.verify(&sol).is_ok());
         assert!(r.tried >= 1);

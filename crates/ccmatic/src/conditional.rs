@@ -175,8 +175,8 @@ mod tests {
                     wce_precision: rat(1, 2),
                     incremental: true,
                     certify: false,
-                    search: ccmatic_smt::SearchConfig::default(),
                     theory_sync: true,
+                    ..Default::default()
                 });
                 v.verify(&spec).is_ok()
             };

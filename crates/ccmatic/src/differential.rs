@@ -113,8 +113,8 @@ pub fn separating_environment(
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
         incremental: true,
         certify: false,
-        search: ccmatic_smt::SearchConfig::default(),
         theory_sync: true,
+        ..Default::default()
     });
     // A must hold universally — the separator is only meaningful inside
     // A's proven envelope.

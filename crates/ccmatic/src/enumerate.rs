@@ -273,12 +273,10 @@ mod tests {
             },
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
             incremental: true,
-            threads: 1,
-            seed: 0,
-            dispatch_min: crate::synth::DEFAULT_DISPATCH_MIN,
             certify: false,
             region_pruning: true,
             theory_sync: true,
+            ..Default::default()
         };
         let result = enumerate_all(&opts);
         assert!(result.complete, "tiny space must be exhausted within budget");
@@ -290,8 +288,8 @@ mod tests {
             wce_precision: opts.wce_precision.clone(),
             incremental: true,
             certify: false,
-            search: ccmatic_smt::SearchConfig::default(),
             theory_sync: true,
+            ..Default::default()
         });
         for s in &result.solutions {
             assert!(v.verify(s).is_ok(), "enumerated non-solution {s}");

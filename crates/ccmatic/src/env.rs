@@ -1,13 +1,11 @@
-//! Environment-variable knobs shared by the sweep and synthesis thread
-//! pools: `CCMATIC_SWEEP_THREADS` / `CCMATIC_SYNTH_THREADS` (worker
-//! counts) and `CCMATIC_SEED` (the portfolio diversification seed,
-//! overridden by an explicit `--seed` flag).
+//! The environment-variable knob of the sweep thread pool:
+//! `CCMATIC_SWEEP_THREADS` (its worker count).
 //!
 //! A misspelt `CCMATIC_SWEEP_THREADS=fourty` used to be silently ignored,
 //! quietly running the sweep at a different width than the operator asked
-//! for. Unparsable values — including a set-but-empty `CCMATIC_SEED=`,
-//! which usually means a shell substitution came up blank — warn once
-//! (per variable, per process) on stderr and fall back to the default.
+//! for. Unparsable values — including a set-but-empty one, which usually
+//! means a shell substitution came up blank — warn once (per variable, per
+//! process) on stderr and fall back to the default.
 
 use std::sync::Mutex;
 
@@ -59,27 +57,6 @@ pub fn env_threads_or_cores(var: &'static str) -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
-/// Read a `u64` search seed from `var` (e.g. `CCMATIC_SEED`). Unset
-/// returns `None`; set but empty or unparsable warns once to stderr and
-/// returns `None`.
-pub fn env_seed(var: &'static str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    if raw.trim().is_empty() {
-        warn_once(var, &format!("warning: {var} is set but empty; using the default"));
-        return None;
-    }
-    match raw.trim().parse::<u64>() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            warn_once(
-                var,
-                &format!("warning: ignoring {var}={raw:?}: expected an unsigned integer seed"),
-            );
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,17 +77,6 @@ mod tests {
     }
 
     #[test]
-    fn seed_parses_and_rejects_garbage() {
-        assert_eq!(env_seed("CCMATIC_TEST_SEED_UNSET"), None);
-        std::env::set_var("CCMATIC_TEST_SEED_VALID", "42");
-        assert_eq!(env_seed("CCMATIC_TEST_SEED_VALID"), Some(42));
-        std::env::set_var("CCMATIC_TEST_SEED_ZERO", "0");
-        assert_eq!(env_seed("CCMATIC_TEST_SEED_ZERO"), Some(0));
-        std::env::set_var("CCMATIC_TEST_SEED_BAD", "-1");
-        assert_eq!(env_seed("CCMATIC_TEST_SEED_BAD"), None);
-    }
-
-    #[test]
     fn garbage_and_zero_fall_back() {
         std::env::set_var("CCMATIC_TEST_THREADS_BAD", "fourty");
         assert_eq!(env_threads("CCMATIC_TEST_THREADS_BAD"), None);
@@ -121,12 +87,12 @@ mod tests {
 
     #[test]
     fn empty_value_warns_like_malformed_ones() {
-        // `CCMATIC_SEED=` (set but empty) must not be treated as quietly
+        // A set-but-empty (or blank) value must not be treated as quietly
         // unset: it falls back AND registers a warning, same as garbage.
-        std::env::set_var("CCMATIC_TEST_SEED_EMPTY", "");
-        assert!(!has_warned("CCMATIC_TEST_SEED_EMPTY"));
-        assert_eq!(env_seed("CCMATIC_TEST_SEED_EMPTY"), None);
-        assert!(has_warned("CCMATIC_TEST_SEED_EMPTY"));
+        std::env::set_var("CCMATIC_TEST_THREADS_UNSET_BY_SHELL", "");
+        assert!(!has_warned("CCMATIC_TEST_THREADS_UNSET_BY_SHELL"));
+        assert_eq!(env_threads("CCMATIC_TEST_THREADS_UNSET_BY_SHELL"), None);
+        assert!(has_warned("CCMATIC_TEST_THREADS_UNSET_BY_SHELL"));
 
         std::env::set_var("CCMATIC_TEST_THREADS_EMPTY", "  ");
         assert!(!has_warned("CCMATIC_TEST_THREADS_EMPTY"));
@@ -135,7 +101,7 @@ mod tests {
         assert!(env_threads_or_cores("CCMATIC_TEST_THREADS_EMPTY") >= 1);
 
         // Genuinely unset variables stay silent.
-        assert_eq!(env_seed("CCMATIC_TEST_SEED_NEVER_SET"), None);
-        assert!(!has_warned("CCMATIC_TEST_SEED_NEVER_SET"));
+        assert_eq!(env_threads("CCMATIC_TEST_THREADS_NEVER_SET"), None);
+        assert!(!has_warned("CCMATIC_TEST_THREADS_NEVER_SET"));
     }
 }

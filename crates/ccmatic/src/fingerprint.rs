@@ -5,10 +5,10 @@
 //! network model, the objective thresholds, the optimization mode's
 //! semantics, and the engine version (an encoding change invalidates old
 //! entries wholesale). Everything that only affects *how fast* the answer
-//! is found — thread count, seed, budgets, incremental vs from-scratch
-//! verification, the portfolio dispatch floor, region pruning (pinned
-//! outcome-equal by the differential suite) — is deliberately excluded, so
-//! a cold CI run and a 16-thread server run share cache entries.
+//! is found — budgets, incremental vs from-scratch verification,
+//! certification, region pruning (pinned outcome-equal by the differential
+//! suite) — is deliberately excluded, so a budget-limited CI run and a
+//! long server run share cache entries.
 //!
 //! The canonical form is a human-readable string (exact rationals render
 //! via their canonical `n`/`n/d` display); the filename key is its FNV-1a
@@ -90,12 +90,9 @@ mod tests {
     fn perf_knobs_do_not_change_the_fingerprint() {
         let base = SynthOptions::default();
         let tweaked = SynthOptions {
-            threads: 8,
-            seed: 42,
             incremental: false,
             certify: true,
             region_pruning: false,
-            dispatch_min: 7,
             budget: ccmatic_cegis::Budget {
                 max_iterations: 3,
                 max_wall: std::time::Duration::from_millis(1),

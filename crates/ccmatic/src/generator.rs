@@ -46,7 +46,7 @@ use crate::template::{CcaSpec, TemplateShape};
 use ccac_model::{NetConfig, Thresholds, Trace};
 use ccmatic_num::Rat;
 use ccmatic_proof::UnsatCertificate;
-use ccmatic_smt::{Context, Interrupt, LinExpr, RealVar, SatResult, SearchConfig, Solver, Term};
+use ccmatic_smt::{Context, Interrupt, LinExpr, RealVar, SatResult, Solver, Term};
 use std::collections::VecDeque;
 
 /// Replay checks the dominance BFS of [`SmtGenerator::learn_refuted`] may
@@ -81,7 +81,7 @@ struct Coeff {
 pub enum Proposal {
     /// A coefficient assignment consistent with everything learned so far.
     Candidate(CcaSpec),
-    /// The (possibly shard-restricted) space holds no further candidate.
+    /// The space holds no further candidate.
     Exhausted,
     /// The interrupt fired before the solver could decide.
     Interrupted,
@@ -108,9 +108,6 @@ pub struct SmtGenerator {
     /// before the first assertion). Base-level exhaustion claims then carry
     /// a checkable UNSAT certificate.
     certify: bool,
-    /// Scope depth from [`SmtGenerator::enter_shard`]; an Unsat inside a
-    /// shard scope is not a whole-space exhaustion claim.
-    shard_depth: usize,
     /// The certificate backing the most recent base-level exhaustion claim
     /// (`propose` → [`Proposal::Exhausted`]), when certifying.
     last_exhaustion_cert: Option<UnsatCertificate>,
@@ -123,31 +120,17 @@ pub struct SmtGenerator {
 }
 
 impl SmtGenerator {
-    /// Create a generator over the given search space with the default
-    /// (deterministic, undiversified) SAT search.
+    /// Create a generator over the given search space.
     pub fn new(
         shape: TemplateShape,
         net: NetConfig,
         thresholds: Thresholds,
         mode: FeasibilityMode,
     ) -> Self {
-        Self::new_with_config(shape, net, thresholds, mode, SearchConfig::default())
+        Self::build(shape, net, thresholds, mode, false)
     }
 
-    /// Create a generator whose SAT core searches under `config` — the
-    /// portfolio hands each worker a different diversification profile so
-    /// workers explore the candidate space in different orders.
-    pub fn new_with_config(
-        shape: TemplateShape,
-        net: NetConfig,
-        thresholds: Thresholds,
-        mode: FeasibilityMode,
-        config: SearchConfig,
-    ) -> Self {
-        Self::build(shape, net, thresholds, mode, config, false)
-    }
-
-    /// [`SmtGenerator::new_with_config`] with proof logging enabled from
+    /// [`SmtGenerator::new`] with proof logging enabled from
     /// the first assertion, so base-level exhaustion claims (`propose` →
     /// [`Proposal::Exhausted`]) carry an [`UnsatCertificate`] retrievable via
     /// [`SmtGenerator::take_exhaustion_cert`]. The persistent result cache
@@ -157,9 +140,8 @@ impl SmtGenerator {
         net: NetConfig,
         thresholds: Thresholds,
         mode: FeasibilityMode,
-        config: SearchConfig,
     ) -> Self {
-        Self::build(shape, net, thresholds, mode, config, true)
+        Self::build(shape, net, thresholds, mode, true)
     }
 
     fn build(
@@ -167,7 +149,6 @@ impl SmtGenerator {
         net: NetConfig,
         thresholds: Thresholds,
         mode: FeasibilityMode,
-        config: SearchConfig,
         certify: bool,
     ) -> Self {
         assert!(
@@ -178,10 +159,8 @@ impl SmtGenerator {
         );
         let mut ctx = Context::new();
         let mut solver = Solver::new();
-        // Before any assertion: the seed and phase policy apply to
-        // variables as they are created, and proof logging (when certifying)
-        // must see every input clause.
-        solver.set_search_config(config);
+        // Before any assertion: proof logging (when certifying) must see
+        // every input clause.
         if certify {
             solver.enable_proofs();
         }
@@ -224,7 +203,6 @@ impl SmtGenerator {
             coeffs,
             replay,
             certify,
-            shard_depth: 0,
             last_exhaustion_cert: None,
             region_pruning: true,
             num_learned: 0,
@@ -238,15 +216,15 @@ impl SmtGenerator {
         self.last_exhaustion_cert.take()
     }
 
-    /// One solver check; when certifying, an Unsat outside any shard scope
-    /// is a whole-space exhaustion claim and its proof snapshot is retained
-    /// for [`SmtGenerator::take_exhaustion_cert`].
+    /// One solver check; when certifying, an Unsat is a whole-space
+    /// exhaustion claim and its proof snapshot is retained for
+    /// [`SmtGenerator::take_exhaustion_cert`].
     fn check_tracking_exhaustion(&mut self) -> SatResult {
         if !self.certify {
             return self.solver.check(&self.ctx);
         }
         let certified = self.solver.check_certified(&self.ctx);
-        if certified.result == SatResult::Unsat && self.shard_depth == 0 {
+        if certified.result == SatResult::Unsat {
             self.last_exhaustion_cert = certified.certificate;
         }
         certified.result
@@ -311,37 +289,6 @@ impl SmtGenerator {
         };
         self.solver.interrupt = Interrupt::none();
         result
-    }
-
-    /// Restrict the generator to one shard of the candidate space: push an
-    /// assertion scope and pin the first `prefix.len()` coefficients (in
-    /// [`CcaSpec::flat`] order — alphas, betas, gamma) to the given values.
-    ///
-    /// Everything asserted afterwards — shard-local counterexample
-    /// constraints included — lives in the pushed scope and vanishes at
-    /// [`SmtGenerator::exit_shard`], so a worker can move between shards
-    /// without polluting the base space.
-    pub fn enter_shard(&mut self, prefix: &[Rat]) {
-        debug_assert!(prefix.len() <= self.coeffs.len());
-        self.shard_depth += 1;
-        self.solver.push();
-        for (coeff, v) in self.coeffs.iter().zip(prefix) {
-            let sel = coeff
-                .selectors
-                .iter()
-                .find(|(a, _)| a == v)
-                .expect("shard value must be in the domain")
-                .1;
-            self.solver.assert(&self.ctx, sel);
-        }
-    }
-
-    /// Leave the current shard: pop the scope pushed by
-    /// [`SmtGenerator::enter_shard`], discarding the shard selectors and any
-    /// shard-local learning.
-    pub fn exit_shard(&mut self) {
-        self.shard_depth -= 1;
-        self.solver.pop();
     }
 
     /// Read the current satisfying model as a coefficient assignment.
@@ -830,8 +777,8 @@ mod tests {
             wce_precision: Rat::new(1i64.into(), 4i64.into()),
             incremental: true,
             certify: false,
-            search: SearchConfig::default(),
             theory_sync: true,
+            ..Default::default()
         });
         let mut g =
             SmtGenerator::new(shape, net, Thresholds::default(), FeasibilityMode::RangePruning);
@@ -868,8 +815,8 @@ mod tests {
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
             incremental: true,
             certify: false,
-            search: SearchConfig::default(),
             theory_sync: true,
+            ..Default::default()
         });
         let broken = CcaSpec { alpha: vec![], beta: vec![int(0), int(0)], gamma: int(0) };
         let cex = verifier.verify(&broken).expect_err("refuted");

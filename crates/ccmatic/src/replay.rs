@@ -11,12 +11,13 @@
 //! agreement tests below, which replay every verifier counterexample
 //! against the candidate it refuted.
 //!
-//! The payoff is the speculative engine's prefilter: a queued candidate
-//! that an already-learned trace refutes dies for a few hundred rational
-//! operations instead of a solver probe. On the serial path (where the
-//! generator has already digested every trace) a replay hit is impossible
-//! by construction, which makes the prefilter double as a cross-check of
-//! the generator encoding.
+//! The payoff is the CEGIS loop's prefilter: a candidate that a known
+//! trace refutes dies for a few hundred rational operations instead of a
+//! solver probe. For traces the generator has already learned a replay hit
+//! is impossible by construction, which makes the prefilter double as a
+//! cross-check of the generator encoding; it does real work on seeds
+//! carried from another problem instance (a sweep point, a fuzzer), which
+//! the generator has not learned.
 
 use crate::generator::FeasibilityMode;
 use crate::template::CcaSpec;
@@ -200,8 +201,8 @@ mod tests {
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
             incremental: true,
             certify: false,
-            search: ccmatic_smt::SearchConfig::default(),
             theory_sync: true,
+            ..Default::default()
         })
     }
 

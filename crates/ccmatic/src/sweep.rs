@@ -291,12 +291,10 @@ mod tests {
             },
             wce_precision: rat(1, 2),
             incremental: true,
-            threads: 1,
-            seed: 0,
-            dispatch_min: crate::synth::DEFAULT_DISPATCH_MIN,
             certify: false,
             region_pruning: true,
             theory_sync: true,
+            ..Default::default()
         }
     }
 

@@ -1,35 +1,21 @@
 //! End-to-end synthesis: wire the generator and verifier into the CEGIS
 //! engine (the paper's Table-1 experiment, "time to synthesize first
-//! solution").
-//!
-//! With `threads > 1` and a large enough search space, synthesis runs as a
-//! *portfolio*: each worker owns a diversified generator/verifier pair, the
-//! candidate space is partitioned into coefficient-prefix shards workers
-//! steal from a shared queue, counterexamples are broadcast into every
-//! worker's replay cache, and (on the incremental path) short learned
-//! clauses flow between the workers' SAT cores through a
-//! [`ClauseExchange`]. Tiny spaces skip all of that: below
-//! [`SynthOptions::dispatch_min`] candidates the serial loop wins on
-//! per-candidate overhead alone, so the dispatcher falls back to it.
+//! solution"). Synthesis is one serial loop on one core, as in the paper.
 
 use crate::generator::{FeasibilityMode, Proposal, SmtGenerator};
 use crate::replay::TraceReplay;
 use crate::template::{CcaSpec, TemplateShape};
 use crate::verifier::{CcaVerifier, CertAudit, VerifyConfig};
 use ccac_model::{NetConfig, Thresholds, Trace};
-use ccmatic_cegis::{
-    BatchProposal, Budget, Generator, Outcome, PortfolioWorker, Stats, StepOutcome, StepReport,
-    Verdict, Verifier, WorkerStats,
-};
+use ccmatic_cegis::{BatchProposal, Budget, Generator, Outcome, Stats, Verdict, Verifier};
 use ccmatic_num::Rat;
-use ccmatic_smt::{ClauseExchange, Interrupt, SearchConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use ccmatic_smt::Interrupt;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Search spaces smaller than this run serially even when `threads > 1`:
-/// spinning up worker solvers and barrier rounds costs more than a tiny
-/// space's whole enumeration.
+/// The default of [`SynthOptions::dispatch_min`], which nothing reads. Kept
+/// only for the `perfbench/` workloads that name it.
 pub const DEFAULT_DISPATCH_MIN: u128 = 1024;
 
 /// Which of the paper's §3.1.2 optimizations to enable — the three columns
@@ -83,19 +69,15 @@ pub struct SynthOptions {
     pub budget: Budget,
     /// WCE binary-search precision.
     pub wce_precision: Rat,
-    /// Use the verifier's incremental (push/pop scope) path. Also gates
-    /// clause sharing: only incremental workers share an identical base
-    /// encoding (and therefore SAT variable numbering).
+    /// Use the verifier's incremental (push/pop scope) path.
     pub incremental: bool,
-    /// Worker count: 1 runs the serial loop, >1 the shard-stealing
-    /// portfolio with this many diversified generator/verifier pairs.
+    /// Not read: synthesis always runs one serial loop. Kept only so the
+    /// `SynthOptions` literals in the `perfbench/` workloads compile.
     pub threads: usize,
-    /// Base RNG seed for search diversification. Worker `w` searches under
-    /// [`SearchConfig::diversified`]`(seed, w)`; fixed seeds make portfolio
-    /// runs reproducible.
+    /// Not read: the search consumes no randomness. Kept only for the
+    /// `perfbench/` workloads, like `threads`.
     pub seed: u64,
-    /// Below this many candidates the portfolio dispatcher falls back to
-    /// the serial loop regardless of `threads`.
+    /// Not read. Kept only for the `perfbench/` workloads, like `threads`.
     pub dispatch_min: u128,
     /// Certify every verifier verdict: UNSAT answers must carry a
     /// checker-accepted DRAT+Farkas certificate, SAT answers an
@@ -144,11 +126,9 @@ pub struct SynthResult {
     /// Underlying verifier probes (exceeds verifier calls when WCE
     /// binary-searches).
     pub verifier_probes: u64,
-    /// Aggregate certificate-audit totals across all worker verifiers
-    /// (all zero unless `opts.certify`).
+    /// Certificate-audit totals of the run's verifier (all zero unless
+    /// `opts.certify`).
     pub cert_audit: CertAudit,
-    /// Per-worker portfolio counters (empty for serial runs).
-    pub workers: Vec<WorkerStats>,
 }
 
 /// Adapter: [`SmtGenerator`] as a [`ccmatic_cegis::Generator`].
@@ -164,8 +144,7 @@ pub struct GenAdapter {
     /// The wrapped SMT generator.
     pub inner: SmtGenerator,
     /// Traces asserted into `inner` (the subsumption skip is sound only
-    /// against traces that really are asserted, so a portfolio worker
-    /// clears it whenever it enters or leaves a shard scope).
+    /// against traces that really are asserted).
     learned: Vec<Trace>,
     /// Subsumption oracle; must match `inner`'s configuration.
     replayer: TraceReplay,
@@ -230,21 +209,6 @@ impl GenAdapter {
         }
         stats.generator_time += g0.elapsed();
         replay_seeds
-    }
-
-    /// Restrict the generator to one shard scope; what it learns there
-    /// vanishes with the scope, so the learned set starts empty.
-    fn enter_shard(&mut self, prefix: &[Rat]) {
-        self.inner.enter_shard(prefix);
-        self.learned.clear();
-        self.refuted_log.clear();
-    }
-
-    /// Leave the current shard scope, forgetting what was learned in it.
-    fn exit_shard(&mut self) {
-        self.inner.exit_shard();
-        self.learned.clear();
-        self.refuted_log.clear();
     }
 }
 
@@ -326,34 +290,24 @@ impl Verifier for VerAdapter {
     }
 }
 
-/// The serial loop's search configuration: the run seed with the default
-/// (deterministic) policies, so single-threaded behaviour is unchanged
-/// from the pre-portfolio code.
-fn serial_search(opts: &SynthOptions) -> SearchConfig {
-    SearchConfig { seed: opts.seed, ..SearchConfig::default() }
-}
-
-/// The generator for `opts` searching under `search`: the serial loop's
-/// and every portfolio worker's.
-fn make_generator(opts: &SynthOptions, search: SearchConfig) -> GenAdapter {
+/// The generator for `opts`.
+fn make_generator(opts: &SynthOptions) -> GenAdapter {
     // Certify mode also certifies the *generator*: base-level exhaustion
     // claims then carry an UNSAT certificate (retained by the result
     // cache as the enumeration-completeness proof).
-    let build =
-        if opts.certify { SmtGenerator::new_certified } else { SmtGenerator::new_with_config };
+    let build = if opts.certify { SmtGenerator::new_certified } else { SmtGenerator::new };
     let mut inner = build(
         opts.shape.clone(),
         opts.net.clone(),
         opts.thresholds.clone(),
         opts.mode.feasibility(),
-        search,
     );
     inner.set_region_pruning(opts.region_pruning);
     inner.set_theory_sync(opts.theory_sync);
     GenAdapter::new(inner, make_replay(opts), opts.region_pruning)
 }
 
-fn verify_config(opts: &SynthOptions, search: SearchConfig) -> VerifyConfig {
+fn verify_config(opts: &SynthOptions) -> VerifyConfig {
     VerifyConfig {
         net: opts.net.clone(),
         thresholds: opts.thresholds.clone(),
@@ -361,8 +315,8 @@ fn verify_config(opts: &SynthOptions, search: SearchConfig) -> VerifyConfig {
         wce_precision: opts.wce_precision.clone(),
         incremental: opts.incremental,
         certify: opts.certify,
-        search,
         theory_sync: opts.theory_sync,
+        ..VerifyConfig::default()
     }
 }
 
@@ -373,229 +327,14 @@ pub fn make_replay(opts: &SynthOptions) -> TraceReplay {
 
 /// Build the generator/verifier pair for `opts`.
 pub fn build_loop(opts: &SynthOptions) -> (GenAdapter, VerAdapter) {
-    (
-        make_generator(opts, serial_search(opts)),
-        VerAdapter::new(CcaVerifier::new(verify_config(opts, serial_search(opts)))),
-    )
+    (make_generator(opts), VerAdapter::new(CcaVerifier::new(verify_config(opts))))
 }
 
-/// Partition the candidate space into shards for `workers` workers: each
-/// shard pins a prefix of the coefficient vector (in [`CcaSpec::flat`]
-/// order) to one combination of domain values. The prefix length is the
-/// smallest that yields at least one shard per worker, capped one short of
-/// the full coefficient count so a shard always leaves the generator a
-/// real sub-space to search.
-///
-/// Shards are ordered lexicographically by domain position; the portfolio
-/// resolves simultaneous solutions in favour of the lowest shard, so this
-/// order is part of the deterministic-outcome contract.
-pub fn shard_plan(shape: &TemplateShape, workers: usize) -> Vec<Vec<Rat>> {
-    let domain = shape.domain.values();
-    if domain.is_empty() {
-        return Vec::new();
-    }
-    let max_prefix = shape.num_coefficients().saturating_sub(1).max(1);
-    let mut prefix_len = 1usize;
-    let mut count = domain.len();
-    while count < workers && prefix_len < max_prefix {
-        prefix_len += 1;
-        count = count.saturating_mul(domain.len());
-    }
-    let mut prefixes: Vec<Vec<Rat>> = vec![Vec::new()];
-    for _ in 0..prefix_len {
-        let mut next = Vec::with_capacity(prefixes.len() * domain.len());
-        for p in &prefixes {
-            for v in &domain {
-                let mut q = p.clone();
-                q.push(v.clone());
-                next.push(q);
-            }
-        }
-        prefixes = next;
-    }
-    prefixes
-}
-
-/// One portfolio worker: a diversified generator/verifier pair plus the
-/// broadcast-counterexample replay cache.
-struct CcaWorker {
-    /// Learns exactly like the serial loop's generator, inside the current
-    /// shard scope.
-    generator: GenAdapter,
-    verifier: CcaVerifier,
-    shards: Arc<Vec<Vec<Rat>>>,
-    /// Every counterexample this worker knows (own + broadcast), fed to the
-    /// replay prefilter. Outlives shards. With region pruning on, kept
-    /// subsumption-reduced: only traces no other cached trace subsumes.
-    cached: Vec<Trace>,
-    /// Broadcast traces dropped from (or evicted out of) the replay cache
-    /// by subsumption.
-    cex_subsumed: u64,
-}
-
-impl PortfolioWorker for CcaWorker {
-    type Candidate = CcaSpec;
-    type Cex = Trace;
-
-    fn enter_shard(&mut self, shard: usize) {
-        self.generator.enter_shard(&self.shards[shard]);
-    }
-
-    fn exit_shard(&mut self) {
-        self.generator.exit_shard();
-    }
-
-    fn cache_cex(&mut self, cex: Trace) {
-        if self.cached.contains(&cex) {
-            return;
-        }
-        let replay = &self.generator.replayer;
-        if self.generator.subsume {
-            // Subsumption at the exchange boundary: an incoming trace a
-            // cached one subsumes is dropped; cached traces the incoming
-            // one subsumes are evicted. Either way every kill the dropped
-            // trace could score, a surviving trace scores too, so the
-            // prefilter loses no power while the scan stays short.
-            if self.cached.iter().any(|t| replay.subsumes(t, &cex)) {
-                self.cex_subsumed += 1;
-                return;
-            }
-            let before = self.cached.len();
-            self.cached.retain(|t| !replay.subsumes(&cex, t));
-            self.cex_subsumed += (before - self.cached.len()) as u64;
-        }
-        self.cached.push(cex);
-    }
-
-    fn exchange(&mut self, round: u64) -> (u64, u64) {
-        self.verifier.exchange_clauses(round)
-    }
-
-    fn step(
-        &mut self,
-        deadline: Option<Instant>,
-        cancel: &Arc<AtomicBool>,
-    ) -> StepReport<CcaSpec, Trace> {
-        if cancel.load(Ordering::Relaxed) || deadline.is_some_and(|d| Instant::now() >= d) {
-            return StepReport::bare(StepOutcome::Interrupted);
-        }
-        let interrupt = Interrupt { deadline, cancel: Some(cancel.clone()) };
-
-        let gen_start = Instant::now();
-        let proposal = self.generator.inner.propose(&interrupt);
-        let mut generator_time = gen_start.elapsed();
-        let spec = match proposal {
-            Proposal::Candidate(spec) => spec,
-            Proposal::Exhausted => {
-                return StepReport { generator_time, ..StepReport::bare(StepOutcome::Exhausted) }
-            }
-            Proposal::Interrupted => {
-                return StepReport { generator_time, ..StepReport::bare(StepOutcome::Interrupted) }
-            }
-        };
-
-        // Replay prefilter over the broadcast cache: a known trace that
-        // kills the candidate saves a verifier call. Learning it pins the
-        // kill into the generator for the rest of this shard.
-        let replay = &self.generator.replayer;
-        if let Some(trace) = self.cached.iter().find(|t| replay.refutes(&spec, t)) {
-            let learn_start = Instant::now();
-            self.generator.learn(&spec, trace);
-            generator_time += learn_start.elapsed();
-            return StepReport {
-                replay_hits: 1,
-                generator_time,
-                ..StepReport::bare(StepOutcome::Refuted)
-            };
-        }
-
-        let ver_start = Instant::now();
-        let verdict = self.verifier.verify_interruptible(&spec, &interrupt);
-        let verifier_time = ver_start.elapsed();
-        match verdict {
-            Verdict::Pass => StepReport {
-                verifier_calls: 1,
-                generator_time,
-                verifier_time,
-                ..StepReport::bare(StepOutcome::Solution(spec))
-            },
-            Verdict::Fail(trace) => {
-                let learn_start = Instant::now();
-                self.generator.learn(&spec, &trace);
-                self.cache_cex(trace.clone());
-                generator_time += learn_start.elapsed();
-                StepReport {
-                    new_cexs: vec![trace],
-                    verifier_calls: 1,
-                    generator_time,
-                    verifier_time,
-                    ..StepReport::bare(StepOutcome::Refuted)
-                }
-            }
-            Verdict::Timeout => StepReport {
-                verifier_calls: 1,
-                generator_time,
-                verifier_time,
-                ..StepReport::bare(StepOutcome::Interrupted)
-            },
-        }
-    }
-}
-
-fn synthesize_portfolio(opts: &SynthOptions) -> SynthResult {
-    let shards = Arc::new(shard_plan(&opts.shape, opts.threads));
-    // Clause sharing requires identical base encodings (and thus variable
-    // numbering) across workers — only the incremental path has one.
-    let exchange = opts.incremental.then(|| Arc::new(ClauseExchange::new(opts.threads)));
-    let mut workers: Vec<CcaWorker> = (0..opts.threads)
-        .map(|w| {
-            let search = SearchConfig::diversified(opts.seed, w);
-            let mut verifier = CcaVerifier::new(verify_config(opts, search.clone()));
-            if let Some(ex) = &exchange {
-                verifier.attach_exchange(ex.clone(), w);
-            }
-            CcaWorker {
-                generator: make_generator(opts, search),
-                verifier,
-                shards: shards.clone(),
-                cached: Vec::new(),
-                cex_subsumed: 0,
-            }
-        })
-        .collect();
-    let mut run = ccmatic_cegis::run_portfolio(&mut workers, shards.len(), &opts.budget);
-    run.stats.regions_pruned = workers.iter().map(|w| w.generator.inner.regions_pruned).sum();
-    run.stats.cex_subsumed =
-        workers.iter().map(|w| w.cex_subsumed + w.generator.cex_subsumed).sum();
-    let verifier_probes = workers.iter().map(|w| w.verifier.solver_probes).sum();
-    let mut cert_audit = CertAudit::default();
-    for w in &workers {
-        cert_audit.absorb(&w.verifier.cert_audit);
-    }
-    SynthResult {
-        outcome: run.outcome,
-        stats: run.stats,
-        verifier_probes,
-        cert_audit,
-        workers: run.workers,
-    }
-}
-
-/// Run CEGIS until the first solution (or exhaustion/budget).
-///
-/// `opts.threads == 1` — or a search space below `opts.dispatch_min` —
-/// runs the serial loop with the concrete replay prefilter (exactly
-/// [`synthesize_seeded`] with no seeds); otherwise the
-/// space is split into coefficient-prefix shards and `opts.threads`
-/// diversified workers race over them through
-/// [`ccmatic_cegis::run_portfolio`], sharing counterexamples (and, on the
-/// incremental path, learned clauses) as they go.
+/// Run CEGIS until the first solution (or exhaustion/budget): the serial
+/// loop with the concrete replay prefilter, exactly [`synthesize_seeded`]
+/// with no seeds.
 pub fn synthesize(opts: &SynthOptions) -> SynthResult {
-    if opts.threads <= 1 || opts.shape.search_space_size() < opts.dispatch_min {
-        synthesize_seeded(opts, &[])
-    } else {
-        synthesize_portfolio(opts)
-    }
+    synthesize_seeded(opts, &[])
 }
 
 /// Serial CEGIS warm-started from externally found counterexamples —
@@ -629,7 +368,6 @@ pub fn synthesize_seeded(opts: &SynthOptions, seeds: &[(CcaSpec, Trace)]) -> Syn
         stats: run.stats,
         verifier_probes: verifier.inner.solver_probes,
         cert_audit: verifier.inner.cert_audit,
-        workers: Vec::new(),
     }
 }
 
@@ -658,12 +396,10 @@ mod tests {
             budget: Budget { max_iterations: 400, max_wall: Duration::from_secs(240) },
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
             incremental: true,
-            threads: 1,
-            seed: 0,
-            dispatch_min: DEFAULT_DISPATCH_MIN,
             certify: false,
             region_pruning: true,
             theory_sync: true,
+            ..SynthOptions::default()
         }
     }
 
@@ -671,7 +407,7 @@ mod tests {
     fn dominated_serial_trace_is_subsumed_before_assertion() {
         use ccmatic_cegis::Generator as _;
         let opts = quick_opts(OptMode::RangePruningWce);
-        let mut gen = make_generator(&opts, serial_search(&opts));
+        let mut gen = make_generator(&opts);
         let cand = CcaSpec::zero(&opts.shape);
 
         // A hand-built counterexample to the zero CCA: nothing is ever
@@ -734,8 +470,8 @@ mod tests {
                     wce_precision: opts.wce_precision.clone(),
                     incremental: true,
                     certify: false,
-                    search: SearchConfig::default(),
                     theory_sync: true,
+                    ..Default::default()
                 });
                 assert!(v.verify(&spec).is_ok(), "synthesized CCA failed re-verification: {spec}");
             }
@@ -755,46 +491,5 @@ mod tests {
         let tap_sum = spec.beta.iter().fold(Rat::zero(), |acc, b| &acc + b);
         assert!(tap_sum.is_zero(), "rate taps should cancel (rate-proportional rule), got {spec}");
         assert!(spec.gamma > int(0), "needs a positive additive term, got {spec}");
-    }
-
-    #[test]
-    fn shard_plan_covers_the_space_and_scales_with_workers() {
-        let shape = TemplateShape { lookback: 3, use_cwnd: false, domain: CoeffDomain::Small };
-        // One worker: a single-coefficient prefix, 3 shards.
-        let small = shard_plan(&shape, 1);
-        assert_eq!(small.len(), 3);
-        assert!(small.iter().all(|p| p.len() == 1));
-        // Four workers: 3 < 4, so the prefix grows to 2 coefficients.
-        let wide = shard_plan(&shape, 4);
-        assert_eq!(wide.len(), 9);
-        assert!(wide.iter().all(|p| p.len() == 2));
-        // Every shard is distinct.
-        for i in 0..wide.len() {
-            for j in (i + 1)..wide.len() {
-                assert_ne!(wide[i], wide[j]);
-            }
-        }
-    }
-
-    #[test]
-    fn shard_plan_prefix_never_consumes_the_whole_template() {
-        // 2 coefficients total (β1, γ): even with absurd worker counts the
-        // prefix is capped at 1 coefficient, leaving the generator a real
-        // sub-space per shard.
-        let shape = TemplateShape { lookback: 1, use_cwnd: false, domain: CoeffDomain::Small };
-        let plan = shard_plan(&shape, 64);
-        assert_eq!(plan.len(), 3);
-        assert!(plan.iter().all(|p| p.len() == 1));
-    }
-
-    #[test]
-    fn tiny_spaces_dispatch_serially_even_with_many_threads() {
-        // 3⁴ = 81 < DEFAULT_DISPATCH_MIN: the dispatcher must fall back to
-        // the serial loop, so the result carries no per-worker stats.
-        let opts = SynthOptions { threads: 4, ..quick_opts(OptMode::RangePruningWce) };
-        assert!(opts.shape.search_space_size() < opts.dispatch_min);
-        let result = synthesize(&opts);
-        let Outcome::Solution(_) = result.outcome else { panic!("no solution") };
-        assert!(result.workers.is_empty(), "serial fallback must not spin up workers");
     }
 }

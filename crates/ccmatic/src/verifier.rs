@@ -30,10 +30,13 @@ use ccmatic_cegis::Verdict;
 use ccmatic_num::Rat;
 use ccmatic_proof::Replayer;
 use ccmatic_smt::{
-    maximize, maximize_scoped, ClauseExchange, Context, Interrupt, LinExpr, MaximizeOutcome,
-    MaximizeParams, RealVar, SatResult, SearchConfig, Solver, Term,
+    maximize, maximize_scoped, Context, Interrupt, LinExpr, MaximizeOutcome, MaximizeParams,
+    RealVar, SatResult, Solver, Term,
 };
-use std::sync::Arc;
+
+/// The type of [`VerifyConfig::search`]: empty, and read by nothing.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SearchConfig {}
 
 /// Verification parameters.
 #[derive(Clone, Debug)]
@@ -59,10 +62,9 @@ pub struct VerifyConfig {
     /// asserted term. A rejected certificate or failed model audit panics —
     /// it means the solver produced an unsound verdict.
     pub certify: bool,
-    /// SAT search diversification (seed, restart schedule, decision noise)
-    /// applied to the incremental solver and the from-scratch non-WCE
-    /// solver. The default is the solver's canonical behavior; portfolio
-    /// workers get [`SearchConfig::diversified`] profiles.
+    /// Not read: the SAT core has one fixed search strategy. Kept only so
+    /// the `VerifyConfig` literals in the `perfbench/` workloads compile;
+    /// delete it when those workloads stop naming it.
     pub search: SearchConfig,
     /// Trail-synchronized incremental theory solving with theory
     /// propagation (default). Off = the legacy reset-and-reassert bridge;
@@ -171,12 +173,6 @@ pub struct CcaVerifier {
     last_pass_cert: Option<ccmatic_proof::UnsatCertificate>,
     /// Lazily-built incremental state (`cfg.incremental` only).
     inc: Option<IncState>,
-    /// Portfolio clause exchange plus this verifier's worker index, when
-    /// attached.
-    exchange: Option<(Arc<ClauseExchange>, usize)>,
-    /// Admitted-import total already reported through
-    /// [`CcaVerifier::exchange_clauses`].
-    imports_reported: u64,
 }
 
 impl CcaVerifier {
@@ -190,8 +186,6 @@ impl CcaVerifier {
             replayer: Replayer::new(),
             last_pass_cert: None,
             inc: None,
-            exchange: None,
-            imports_reported: 0,
         }
     }
 
@@ -205,41 +199,6 @@ impl CcaVerifier {
     pub fn reset(&mut self) {
         self.inc = None;
         self.replayer = Replayer::new();
-    }
-
-    /// Join a portfolio clause exchange as worker `worker`. Must be called
-    /// before the first query so the incremental solver is built with
-    /// sharing enabled; every participant must build an *identical* base
-    /// encoding (same `net`, `thresholds`, `worst_case`), which is what
-    /// makes exported clause variable numberings line up — the SAT core
-    /// additionally guards every import against base-vocabulary mismatch.
-    pub fn attach_exchange(&mut self, exchange: Arc<ClauseExchange>, worker: usize) {
-        debug_assert!(self.inc.is_none(), "attach_exchange must precede the first query");
-        self.exchange = Some((exchange, worker));
-    }
-
-    /// Run one clause-exchange round: publish this solver's eligible
-    /// epoch-0 learned clauses and queue the siblings' publications for
-    /// import (admitted inside the next solve, behind the certificate
-    /// gate). Returns `(exported, newly_admitted_imports)`. A no-op
-    /// without an attached exchange or outside incremental mode.
-    pub fn exchange_clauses(&mut self, round: u64) -> (u64, u64) {
-        let Some((exchange, worker)) = self.exchange.clone() else {
-            return (0, 0);
-        };
-        if !self.cfg.incremental {
-            return (0, 0);
-        }
-        self.ensure_inc();
-        let st = self.inc.as_mut().expect("just built");
-        let exports = st.solver.take_shared_exports();
-        let exported = exports.len() as u64;
-        exchange.publish(worker, round, exports);
-        st.solver.queue_shared_imports(exchange.collect(worker, round));
-        let admitted = st.solver.stats().shared_imported;
-        let newly = admitted - self.imports_reported;
-        self.imports_reported = admitted;
-        (exported, newly)
     }
 
     /// Encode the template rule with *concrete* coefficients over the trace
@@ -373,7 +332,6 @@ impl CcaVerifier {
             if self.cfg.certify {
                 solver.enable_proofs();
             }
-            solver.set_search_config(self.cfg.search.clone());
             solver.assert(&ctx, query);
             let res = if self.cfg.certify {
                 let out = solver.check_certified(&ctx);
@@ -421,10 +379,6 @@ impl CcaVerifier {
                 // clauses (and later atom definitions) reach the proof log.
                 solver.enable_proofs();
             }
-            // Diversification must also precede the assertions: the seed
-            // and phase policy apply to variables as they are created.
-            solver.set_search_config(self.cfg.search.clone());
-            solver.set_sharing(self.exchange.is_some());
             solver.assert(&ctx, net);
             solver.assert(&ctx, snd);
             solver.assert(&ctx, bad);
@@ -548,8 +502,8 @@ mod tests {
             wce_precision: Rat::new(1i64.into(), 4i64.into()),
             incremental: true,
             certify: false,
-            search: SearchConfig::default(),
             theory_sync: true,
+            ..Default::default()
         }
     }
 

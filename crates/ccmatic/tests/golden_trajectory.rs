@@ -20,18 +20,14 @@
 //!   counters;
 //! * the warm one-thread delay sweep through `sweep_with_config` — per
 //!   point the solution set, iterations, probes, warm seeded/rejected/
-//!   confirmed counts, regions pruned and counterexamples subsumed;
-//! * a 2-worker fixed-seed portfolio run on the same cell — outcome and
-//!   the aggregate and per-worker counters.
+//!   confirmed counts, regions pruned and counterexamples subsumed.
 
 use ccac_model::{NetConfig, Thresholds};
 use ccmatic::enumerate::enumerate_all_with;
 use ccmatic::fingerprint::fnv1a64;
 use ccmatic::known;
 use ccmatic::sweep::{sweep_with_config, SweepConfig};
-use ccmatic::synth::{
-    synthesize, synthesize_seeded, OptMode, SynthOptions, SynthResult, DEFAULT_DISPATCH_MIN,
-};
+use ccmatic::synth::{synthesize, synthesize_seeded, OptMode, SynthOptions, SynthResult};
 use ccmatic::template::{CoeffDomain, TemplateShape};
 use ccmatic::verifier::{CcaVerifier, VerifyConfig};
 use ccmatic_cegis::{Budget, Outcome};
@@ -55,12 +51,10 @@ fn ci_cell() -> SynthOptions {
         budget: Budget { max_iterations: 1_000_000, max_wall: Duration::from_secs(600) },
         wce_precision: rat(1, 2),
         incremental: true,
-        threads: 1,
-        seed: 0,
-        dispatch_min: DEFAULT_DISPATCH_MIN,
         certify: false,
         region_pruning: true,
         theory_sync: true,
+        ..Default::default()
     }
 }
 
@@ -146,24 +140,6 @@ fn sweep_records() -> Vec<String> {
         .collect()
 }
 
-fn portfolio_record() -> String {
-    let opts = SynthOptions { threads: 2, seed: 7, dispatch_min: 0, ..ci_cell() };
-    let r = synthesize(&opts);
-    format!(
-        "{} · iterations {} · verifier calls {} · probes {} · replay hits {} · wasted {} · \
-         regions pruned {} · cex subsumed {} · workers {:?}",
-        outcome(&r),
-        r.stats.iterations,
-        r.stats.verifier_calls,
-        r.verifier_probes,
-        r.stats.replay_hits,
-        r.stats.speculative_wasted,
-        r.stats.regions_pruned,
-        r.stats.cex_subsumed,
-        r.workers
-    )
-}
-
 fn verifier_records() -> Vec<String> {
     let mut v = CcaVerifier::new(VerifyConfig {
         net: ci_net(5),
@@ -172,8 +148,8 @@ fn verifier_records() -> Vec<String> {
         wce_precision: rat(1, 2),
         incremental: true,
         certify: true,
-        search: Default::default(),
         theory_sync: true,
+        ..Default::default()
     });
     let set = [
         ("rocc", known::rocc()),
@@ -241,14 +217,5 @@ fn search_trajectories_match_goldens() {
             "delay 3: 3 solutions 1ecfdc70515fafbd · iterations 1 · probes 3 · warm seeded 11 \
              · warm rejected 0 · warm confirmed 3 · regions pruned 170 · cex subsumed 0",
         ]
-    );
-    assert_eq!(
-        portfolio_record(),
-        "solution cwnd(t) = 1·ack(t−2) − 1·ack(t−3) + 1 · iterations 11 · verifier calls 7 \
-         · probes 37 · replay hits 3 · wasted 0 · regions pruned 145 · cex subsumed 0 \
-         · workers [WorkerStats { iterations: 6, verifier_calls: 5, replay_hits: 0, \
-         shards_stolen: 0, shared_clauses_exported: 10, shared_clauses_imported: 2 }, \
-         WorkerStats { iterations: 5, verifier_calls: 2, replay_hits: 3, shards_stolen: 0, \
-         shared_clauses_exported: 2, shared_clauses_imported: 0 }]"
     );
 }

@@ -50,8 +50,8 @@ fn verify_config() -> VerifyConfig {
         wce_precision: rat(1, 2),
         incremental: true,
         certify: true,
-        search: Default::default(),
         theory_sync: true,
+        ..Default::default()
     }
 }
 

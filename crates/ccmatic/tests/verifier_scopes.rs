@@ -19,8 +19,8 @@ fn cfg(worst_case: bool, incremental: bool) -> VerifyConfig {
         wce_precision: rat(1, 4),
         incremental,
         certify: false,
-        search: Default::default(),
         theory_sync: true,
+        ..Default::default()
     }
 }
 

@@ -26,12 +26,10 @@ fn tiny_base() -> SynthOptions {
         budget: ccmatic_cegis::Budget { max_iterations: 600, max_wall: Duration::from_secs(240) },
         wce_precision: rat(1, 2),
         incremental: true,
-        threads: 1,
-        seed: 0,
-        dispatch_min: ccmatic::synth::DEFAULT_DISPATCH_MIN,
         certify: false,
         region_pruning: true,
         theory_sync: true,
+        ..Default::default()
     }
 }
 

@@ -16,12 +16,6 @@
 //! loop drives CCA synthesis (the `ccmatic` crate), ABR
 //! verification tuning, and the unit-test toy domains below.
 
-pub mod portfolio;
-
-pub use portfolio::{
-    run_portfolio, PortfolioResult, PortfolioWorker, StepOutcome, StepReport, WorkerStats,
-};
-
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -63,6 +57,10 @@ pub trait Generator {
     /// candidate [`Generator::propose`] yields; generators that can stop
     /// mid-search override it to honor the deadline. Only an empty,
     /// uninterrupted proposal claims the space is exhausted.
+    ///
+    /// The serial loop always asks for `k = 1` and no generator here reads
+    /// `k`; the parameter stays only because the `perfbench/` workloads
+    /// implement this signature.
     fn propose_batch(
         &mut self,
         k: usize,
@@ -100,6 +98,9 @@ pub trait Verifier {
     /// once `deadline` passes or `cancel` is raised. The default ignores
     /// both and blocks until `verify` finishes — correct, but unable to
     /// honor a wall budget mid-query.
+    ///
+    /// The serial loop always passes `cancel = None`; the parameter stays
+    /// only because the `perfbench/` workloads implement this signature.
     fn verify_interruptible(
         &mut self,
         candidate: &Self::Candidate,
@@ -147,15 +148,6 @@ pub struct Stats {
     /// refuted by re-running an already-learned trace against the
     /// candidate's rule directly, without an SMT call.
     pub replay_hits: u64,
-    /// Portfolio step reports discarded without being merged (work on a
-    /// shard overtaken by a solution in a lower shard).
-    pub speculative_wasted: u64,
-    /// Shards pulled from the portfolio queue beyond each worker's first.
-    pub shards_stolen: u64,
-    /// Learned clauses published to the portfolio clause exchange.
-    pub shared_clauses_exported: u64,
-    /// Sibling clauses imported from the portfolio clause exchange.
-    pub shared_clauses_imported: u64,
     /// Candidates blocked by counterexample *region* generalization —
     /// replay-verified neighbors and symmetry images of a refuted candidate
     /// excluded beyond the refuted point itself.
@@ -241,9 +233,9 @@ where
 ///
 /// With an exact generator (one whose learned constraints exclude every
 /// replay-refutable candidate, like the SMT generator) the prefilter never
-/// fires on the serial path — it is a cross-check there, and pays off in
-/// the portfolio engine where siblings propose candidates before each
-/// other's counterexamples arrive. A consecutive-kill cap forces an SMT call every
+/// fires on learned traces — it is a cross-check there — and it pays off
+/// for inexact generators and for seeds carried from another problem
+/// instance. A consecutive-kill cap forces an SMT call every
 /// `REPLAY_KILL_CAP` kills so inexact generators still make progress.
 pub fn run_with_replay<G, V, R>(
     generator: &mut G,
@@ -552,8 +544,8 @@ mod tests {
     #[test]
     fn replay_never_fires_with_exact_generator() {
         // Range pruning learns exactly what replay checks, so the prefilter
-        // must never fire — the serial-path cross-check the portfolio engine
-        // relies on.
+        // must never fire: a hit would mean the generator's learned
+        // constraints and the replay semantics disagree.
         let mut g = EnumGen { remaining: (0..=100).collect(), range_pruning: true };
         let mut v = ThresholdVerifier { hidden: 37, calls: 0, worst_case: true };
         let r = run_with_replay(&mut g, &mut v, |c, x| c <= x, &Budget::default());

@@ -291,8 +291,8 @@ fn verify_target(cfg: &FuzzConfig, spec: &CcaSpec) -> bool {
         wce_precision: rat(1, 2),
         incremental: true,
         certify: false,
-        search: Default::default(),
         theory_sync: true,
+        ..Default::default()
     });
     verifier.verify(spec).is_ok()
 }

@@ -7,8 +7,7 @@
 //! per propagation fixpoint, and into the simplex check, which polls it
 //! before every pivot (a single theory check can run thousands). Either
 //! gives up with an *Unknown* verdict (never a fake Sat/Unsat) when it
-//! fires. The cancellation flag is how the parallel CEGIS engine kills
-//! speculative verifier work the moment a sibling's result makes it moot.
+//! fires. The cancellation flag lets another thread stop a query early.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -54,15 +54,12 @@ pub mod linexpr;
 pub mod lra;
 pub mod opt;
 pub mod sat;
-pub mod share;
 pub mod solver;
 pub mod term;
 
 pub use interrupt::Interrupt;
 pub use linexpr::LinExpr;
 pub use opt::{maximize, maximize_scoped, MaximizeOutcome, MaximizeParams};
-pub use sat::{PhaseInit, RestartSchedule, SearchConfig};
-pub use share::{ClauseExchange, SharedClause};
 pub use solver::{
     theory_counters, Certified, Model, SatResult, Solver, SolverStats, TheoryCounters,
 };

@@ -33,8 +33,6 @@ mod heap;
 
 pub use heap::ActivityHeap;
 
-use crate::share::SharedClause;
-use ccmatic_num::SmallRng;
 use std::fmt;
 
 /// A propositional variable.
@@ -233,121 +231,11 @@ pub struct SatStats {
     pub theory_conflicts: u64,
     /// Literals implied into the trail by theory propagation.
     pub theory_props: u64,
-    /// Clauses handed out through `take_shared_exports`.
-    pub shared_exported: u64,
-    /// Shared clauses admitted into this solver's clause database.
-    pub shared_imported: u64,
-    /// Shared clauses rejected on import (base mismatch or failed RUP test).
-    pub shared_rejected: u64,
 }
 
-/// Restart policy for the CDCL search.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RestartSchedule {
-    /// `base * luby(i)` conflicts before restart `i` (the classic default).
-    Luby {
-        /// Multiplier applied to the Luby sequence.
-        base: u64,
-    },
-    /// Limit grows by `factor_percent`/100 after every restart.
-    Geometric {
-        /// Conflicts before the first restart.
-        base: u64,
-        /// Growth factor in percent (e.g. 150 = ×1.5); clamped to ≥ 101.
-        factor_percent: u64,
-    },
-    /// The same conflict count between every restart.
-    Fixed {
-        /// Conflicts between restarts; clamped to ≥ 1.
-        interval: u64,
-    },
-}
-
-/// Initial polarity assigned to fresh variables (phase saving overwrites it
-/// as soon as the variable is first assigned).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PhaseInit {
-    /// Branch negative first (MiniSat default; today's baseline).
-    False,
-    /// Branch positive first.
-    True,
-    /// Seeded coin flip per variable.
-    Random,
-}
-
-/// Search-strategy knobs that diversify portfolio workers without touching
-/// soundness: every configuration explores the same clause set and proves
-/// the same theorems, just in a different order.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SearchConfig {
-    /// Seed for all randomized tie-breaking in this solver.
-    pub seed: u64,
-    /// Per-decision probability (in ‰) of branching on a random heap entry
-    /// instead of the activity maximum. 0 disables the RNG entirely.
-    pub random_decision_permille: u32,
-    /// Add a tiny seeded perturbation to fresh variables' activities so
-    /// equal-activity ties break differently per worker.
-    pub activity_noise: bool,
-    /// Restart schedule.
-    pub restart: RestartSchedule,
-    /// Initial phase policy for fresh variables.
-    pub phase_init: PhaseInit,
-}
-
-impl Default for SearchConfig {
-    /// The exact pre-portfolio behavior: deterministic VSIDS, Luby(100)
-    /// restarts, negative initial phases, no randomness consumed.
-    fn default() -> Self {
-        SearchConfig {
-            seed: 0,
-            random_decision_permille: 0,
-            activity_noise: false,
-            restart: RestartSchedule::Luby { base: 100 },
-            phase_init: PhaseInit::False,
-        }
-    }
-}
-
-impl SearchConfig {
-    /// The standard diversification ladder for portfolio worker `worker`.
-    /// Worker 0 keeps the default strategy so a 1-worker portfolio matches
-    /// the serial solver; higher workers cycle through progressively more
-    /// randomized profiles.
-    pub fn diversified(seed: u64, worker: usize) -> SearchConfig {
-        let seed = seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        match worker % 4 {
-            0 => SearchConfig { seed, ..SearchConfig::default() },
-            1 => SearchConfig {
-                seed,
-                random_decision_permille: 20,
-                activity_noise: true,
-                restart: RestartSchedule::Geometric { base: 100, factor_percent: 150 },
-                phase_init: PhaseInit::Random,
-            },
-            2 => SearchConfig {
-                seed,
-                random_decision_permille: 50,
-                activity_noise: true,
-                restart: RestartSchedule::Luby { base: 50 },
-                phase_init: PhaseInit::True,
-            },
-            _ => SearchConfig {
-                seed,
-                random_decision_permille: 10,
-                activity_noise: true,
-                restart: RestartSchedule::Fixed { interval: 700 },
-                phase_init: PhaseInit::Random,
-            },
-        }
-    }
-}
-
-/// Only clauses this short are worth broadcasting.
-const SHARE_MAX_LEN: usize = 8;
-/// LBD ceiling for exported resolution clauses.
-const SHARE_MAX_LBD: u32 = 4;
-/// Cap on clauses buffered for export between `take_shared_exports` calls.
-const SHARE_BUF_CAP: usize = 4096;
+/// Conflicts allowed before the first restart; restart `i` waits
+/// `LUBY_BASE * luby(i)` conflicts.
+const LUBY_BASE: u64 = 100;
 
 /// The CDCL solver.
 pub struct SatSolver {
@@ -384,18 +272,6 @@ pub struct SatSolver {
     level0_epoch: Vec<u32>,
     /// Open assertion scopes.
     frames: Vec<ScopeFrame>,
-    /// Search-strategy knobs (restart schedule, randomization, phases).
-    config: SearchConfig,
-    /// Seeded RNG backing the randomized knobs; untouched when every knob
-    /// is at its deterministic default.
-    rng: SmallRng,
-    /// When true, exportable learned clauses are buffered in `export_buf`.
-    sharing: bool,
-    /// Epoch-0 clauses waiting for `take_shared_exports`.
-    export_buf: Vec<SharedClause>,
-    /// Clauses from sibling workers waiting to be admitted at the next
-    /// level-0 propagation fixpoint inside `solve`.
-    import_queue: Vec<SharedClause>,
     /// Statistics.
     pub stats: SatStats,
     /// Optional conflict budget; `solve` gives up (`None` result) past it.
@@ -452,11 +328,6 @@ impl SatSolver {
             var_epoch: Vec::new(),
             level0_epoch: Vec::new(),
             frames: Vec::new(),
-            config: SearchConfig::default(),
-            rng: SmallRng::seed_from_u64(0),
-            sharing: false,
-            export_buf: Vec::new(),
-            import_queue: Vec::new(),
             stats: SatStats::default(),
             conflict_budget: None,
             interrupt: crate::interrupt::Interrupt::none(),
@@ -474,79 +345,17 @@ impl SatSolver {
         let v = Var(self.num_vars);
         self.num_vars += 1;
         self.assign.push(LBool::Undef);
-        let phase = match self.config.phase_init {
-            PhaseInit::False => false,
-            PhaseInit::True => true,
-            PhaseInit::Random => self.rng.gen_bool(0.5),
-        };
-        self.phase.push(phase);
+        // Negative first: phase saving overwrites it on first assignment.
+        self.phase.push(false);
         self.level.push(0);
         self.reason.push(None);
-        // Optional sub-VSIDS noise: breaks equal-activity ties differently
-        // per seed without ever outweighing a real activity bump.
-        let noise = if self.config.activity_noise { self.rng.next_f64() * 1e-6 } else { 0.0 };
-        self.activity.push(noise);
+        self.activity.push(0.0);
         self.var_epoch.push(self.depth());
         self.level0_epoch.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.insert(v.0 as usize, noise);
+        self.order.insert(v.0 as usize, 0.0);
         v
-    }
-
-    /// Install search-strategy knobs and reseed the RNG. Phase-init and
-    /// activity-noise policies apply to variables created from here on, so
-    /// portfolio workers call this before encoding their formula.
-    pub fn set_search_config(&mut self, config: SearchConfig) {
-        self.rng = SmallRng::seed_from_u64(config.seed);
-        self.config = config;
-    }
-
-    /// The active search configuration.
-    pub fn search_config(&self) -> &SearchConfig {
-        &self.config
-    }
-
-    /// Enable (or disable) buffering of shareable learned clauses for
-    /// [`SatSolver::take_shared_exports`]. Off by default: serial solving
-    /// pays nothing for the portfolio machinery.
-    pub fn set_sharing(&mut self, enabled: bool) {
-        self.sharing = enabled;
-        if !enabled {
-            self.export_buf.clear();
-        }
-    }
-
-    /// Drain the buffered epoch-0 learned clauses for broadcast to sibling
-    /// workers.
-    pub fn take_shared_exports(&mut self) -> Vec<SharedClause> {
-        let out = std::mem::take(&mut self.export_buf);
-        self.stats.shared_exported += out.len() as u64;
-        out
-    }
-
-    /// Queue clauses from sibling workers. They are admitted at the next
-    /// level-0 propagation fixpoint inside [`SatSolver::solve`], where each
-    /// clause must (a) match this solver's base variable numbering and
-    /// (b) with proof logging on, either carry a Farkas witness or pass an
-    /// importer-side RUP test — otherwise it is dropped, never trusted.
-    ///
-    /// **Contract:** callers must only feed clauses exported by a solver
-    /// whose base-scope encoding is identical to this one's (the portfolio
-    /// engine builds every worker's verifier from the same spec, which
-    /// guarantees it). Without proof logging there is no checked gate.
-    pub fn queue_shared_imports(&mut self, clauses: Vec<SharedClause>) {
-        self.import_queue.extend(clauses);
-        if self.import_queue.len() > SHARE_BUF_CAP {
-            let excess = self.import_queue.len() - SHARE_BUF_CAP;
-            self.import_queue.drain(..excess);
-        }
-    }
-
-    /// Variable count of the base (depth-0) scope — the shared vocabulary
-    /// for clause exchange.
-    pub fn base_var_count(&self) -> u32 {
-        self.frames.first().map_or(self.num_vars, |f| f.num_vars)
     }
 
     /// Current scope depth (number of open pushes).
@@ -1121,22 +930,6 @@ impl SatSolver {
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
-        // Portfolio diversification: occasionally branch on a random heap
-        // entry instead of the activity maximum. Assigned entries are
-        // discarded exactly as `pop_max` would.
-        if self.config.random_decision_permille > 0 && !self.order.is_empty() {
-            let roll = self.rng.gen_range_usize(0, 1000) as u32;
-            if roll < self.config.random_decision_permille {
-                while !self.order.is_empty() {
-                    let at = self.rng.gen_range_usize(0, self.order.len());
-                    let idx = self.order.remove_index(at);
-                    if self.assign[idx] == LBool::Undef {
-                        return Some(Var(idx as u32));
-                    }
-                }
-                return None;
-            }
-        }
         while let Some(idx) = self.order.pop_max() {
             if self.assign[idx] == LBool::Undef {
                 return Some(Var(idx as u32));
@@ -1145,62 +938,9 @@ impl SatSolver {
         None
     }
 
-    /// Conflicts allowed before restart number `restarts`, per the active
-    /// schedule.
-    fn restart_limit(&self, restarts: u64) -> u64 {
-        match self.config.restart {
-            RestartSchedule::Luby { base } => base.max(1).saturating_mul(Self::luby(restarts)),
-            RestartSchedule::Geometric { base, factor_percent } => {
-                let factor = factor_percent.max(101);
-                let mut limit = base.max(1);
-                for _ in 0..restarts {
-                    limit = limit.saturating_mul(factor) / 100;
-                    if limit > 1 << 40 {
-                        break;
-                    }
-                }
-                limit
-            }
-            RestartSchedule::Fixed { interval } => interval.max(1),
-        }
-    }
-
-    /// Buffer a freshly learned epoch-0 clause for export when it clears
-    /// the size/LBD filter. `lbd` of `None` means "compute from the current
-    /// levels" (callers pass `Some(1)` for units whose level data is stale).
-    fn maybe_export(
-        &mut self,
-        lits: &[Lit],
-        epoch: u32,
-        lbd: Option<u32>,
-        farkas: &[(Lit, ccmatic_num::Rat)],
-    ) {
-        if !self.sharing
-            || epoch != 0
-            || lits.is_empty()
-            || lits.len() > SHARE_MAX_LEN
-            || self.export_buf.len() >= SHARE_BUF_CAP
-        {
-            return;
-        }
-        let lbd = lbd.unwrap_or_else(|| {
-            let mut levels: Vec<u32> =
-                lits.iter().map(|l| self.level[l.var().0 as usize]).collect();
-            levels.sort_unstable();
-            levels.dedup();
-            levels.len() as u32
-        });
-        if lbd > SHARE_MAX_LBD {
-            return;
-        }
-        let mut canonical = lits.to_vec();
-        canonical.sort_unstable();
-        self.export_buf.push(SharedClause {
-            lits: canonical,
-            lbd,
-            base_vars: self.base_var_count(),
-            farkas: farkas.to_vec(),
-        });
+    /// Conflicts allowed before restart number `restarts` (Luby sequence).
+    fn restart_limit(restarts: u64) -> u64 {
+        LUBY_BASE.saturating_mul(Self::luby(restarts))
     }
 
     /// Learn a clause produced by conflict analysis or the theory hook and
@@ -1213,11 +953,6 @@ impl SatSolver {
             self.set_unsat(epoch);
             return false;
         }
-        // Export before backtracking while the literals' levels (needed for
-        // LBD) are still live. Units reach here with stale level data, so
-        // their LBD is pinned.
-        let lbd_hint = if learned.len() == 1 { Some(1) } else { None };
-        self.maybe_export(&learned, epoch, lbd_hint, &[]);
         self.backtrack_to(backjump);
         // First-UIP clauses (and unit theory lemmas re-entering through
         // here) are derivable by reverse unit propagation from their live
@@ -1260,135 +995,6 @@ impl SatSolver {
             // Tail-recurse on the position within the previous block.
             i -= (1 << (k - 1)) - 1;
         }
-    }
-
-    /// Propagation-based redundancy check: is `lits` derivable by reverse
-    /// unit propagation from the current clause database plus level-0
-    /// facts? Used to admit shared clauses into a proof-logged solver. A
-    /// clause from a sibling worker may resolve on premises this solver
-    /// never learned; the check then fails and the import is rejected,
-    /// which is always safe.
-    ///
-    /// Precondition: decision level 0, propagation at fixpoint.
-    fn rup_check(&mut self, lits: &[Lit]) -> bool {
-        debug_assert!(self.trail_lim.is_empty());
-        debug_assert_eq!(self.prop_head, self.trail.len());
-        self.trail_lim.push(self.trail.len());
-        for &l in lits {
-            match self.lit_value(l) {
-                LBool::False => {}
-                LBool::Undef => self.enqueue_with_epoch(l.negated(), None, 0),
-                LBool::True => {
-                    // Satisfied at level 0: trivially redundant. (Callers
-                    // filter these, but stay correct regardless.)
-                    self.backtrack_to(0);
-                    self.prop_head = self.trail.len();
-                    return true;
-                }
-            }
-        }
-        let conflict = self.propagate().is_some();
-        self.backtrack_to(0);
-        // The level-0 prefix was at fixpoint before the probe and is
-        // unchanged; skip re-propagating it.
-        self.prop_head = self.trail.len();
-        conflict
-    }
-
-    /// Admit queued shared clauses at a level-0 propagation fixpoint.
-    /// Returns `false` if this proves unsat. See
-    /// [`SatSolver::queue_shared_imports`] for the admission contract.
-    fn integrate_imports(&mut self) -> bool {
-        debug_assert!(self.trail_lim.is_empty());
-        let imports = std::mem::take(&mut self.import_queue);
-        let base = self.base_var_count();
-        for sc in imports {
-            // Keep level-0 propagation at fixpoint between admissions: the
-            // RUP probe needs it, and later imports should see the units
-            // earlier ones produced.
-            if let Some(ci) = self.propagate() {
-                let e = self.level0_conflict_epoch(ci);
-                self.set_unsat(e);
-                return false;
-            }
-            let mut lits = sc.lits;
-            lits.sort_unstable();
-            lits.dedup();
-            let malformed = lits.is_empty()
-                || sc.base_vars != base
-                || lits.iter().any(|l| l.var().0 >= base)
-                || lits.windows(2).any(|w| w[0].var() == w[1].var());
-            if malformed {
-                self.stats.shared_rejected += 1;
-                continue;
-            }
-            // Already satisfied at level 0 (e.g. our own broadcast coming
-            // back): nothing to add.
-            if lits.iter().any(|&l| self.lit_value(l) == LBool::True) {
-                continue;
-            }
-            // Certificate gate: with proofs on, a theory lemma re-enters
-            // the log with its Farkas witness (the checker re-validates it
-            // against our own atom definitions); a resolution clause must
-            // pass the RUP probe to earn a checked step.
-            let proof_id = if self.proofs_enabled() {
-                if !sc.farkas.is_empty() {
-                    self.plog_theory(&lits, &sc.farkas)
-                } else if self.rup_check(&lits) {
-                    self.plog_rup(&lits)
-                } else {
-                    self.stats.shared_rejected += 1;
-                    continue;
-                }
-            } else {
-                0
-            };
-            self.stats.shared_imported += 1;
-            // Imported clauses are epoch 0 by contract: consequences of the
-            // shared base encoding alone, so they survive every pop.
-            let mut ordered: Vec<Lit> = Vec::with_capacity(lits.len());
-            let mut falses: Vec<Lit> = Vec::new();
-            for &l in &lits {
-                if self.lit_value(l) == LBool::False {
-                    falses.push(l);
-                } else {
-                    ordered.push(l);
-                }
-            }
-            let num_open = ordered.len();
-            ordered.append(&mut falses);
-            match num_open {
-                0 => {
-                    // Conflicts with live level-0 facts: unsat, at the join
-                    // of the falsifying facts' epochs.
-                    self.plog_record_extra(0, proof_id);
-                    let e = ordered
-                        .iter()
-                        .fold(0u32, |e, l| e.max(self.level0_epoch[l.var().0 as usize]));
-                    self.set_unsat(e);
-                    return false;
-                }
-                1 if ordered.len() == 1 => {
-                    self.plog_record_extra(0, proof_id);
-                    self.enqueue_with_epoch(ordered[0], None, 0);
-                }
-                _ => {
-                    let idx = self.clauses.len();
-                    self.watches[ordered[0].index()].push(idx);
-                    self.watches[ordered[1].index()].push(idx);
-                    let first = ordered[0];
-                    let unit = num_open == 1;
-                    self.clauses.push(Clause { lits: ordered, epoch: 0, proof_id });
-                    if unit {
-                        // Exactly one open literal: propagate it now with
-                        // the clause as reason (epoch joins the falsifying
-                        // facts via `enqueue`).
-                        self.enqueue(first, Some(idx));
-                    }
-                }
-            }
-        }
-        true
     }
 
     /// Integrate theory-implied literals from a `trail_check` scan. Each
@@ -1471,10 +1077,6 @@ impl SatSolver {
             .map(|l| self.var_epoch[l.var().0 as usize])
             .max()
             .unwrap_or_else(|| self.depth());
-        // Base-scope theory lemmas are the best shares: the Farkas witness
-        // travels with them, so importers re-certify them theory-side
-        // instead of needing a RUP derivation.
-        self.maybe_export(&clause, epoch, None, &farkas);
         if clause.is_empty() {
             self.plog_record_extra(epoch, theory_id);
             self.set_unsat(epoch);
@@ -1537,7 +1139,7 @@ impl SatSolver {
         }
         let mut conflicts_at_start = self.stats.conflicts;
         let mut restart_count = 0u64;
-        let mut restart_limit = self.restart_limit(restart_count);
+        let mut restart_limit = Self::restart_limit(restart_count);
         let interruptible = self.interrupt.is_armed();
         loop {
             // One poll per propagation fixpoint: propagate + the theory's
@@ -1563,18 +1165,9 @@ impl SatSolver {
                 if self.stats.conflicts - conflicts_at_start >= restart_limit {
                     self.stats.restarts += 1;
                     restart_count += 1;
-                    restart_limit = self.restart_limit(restart_count);
+                    restart_limit = Self::restart_limit(restart_count);
                     conflicts_at_start = self.stats.conflicts;
                     self.backtrack_to(0);
-                }
-                continue;
-            }
-            // At a level-0 propagation fixpoint, admit any shared clauses
-            // queued by the portfolio engine (they may enqueue units, so
-            // loop back to propagate before anything else).
-            if !self.import_queue.is_empty() && self.trail_lim.is_empty() {
-                if !self.integrate_imports() {
-                    return Some(SolveResult::Unsat);
                 }
                 continue;
             }
@@ -1832,193 +1425,11 @@ mod tests {
         }
     }
 
-    /// 4 pigeons into 3 holes: unsat with a conflict-rich refutation, so
-    /// plenty of epoch-0 learned clauses to exchange.
-    fn pigeonhole_4_into_3(s: &mut SatSolver) {
-        let mut p = [[Var(0); 3]; 4];
-        for row in p.iter_mut() {
-            for slot in row.iter_mut() {
-                *slot = s.new_var();
-            }
-        }
-        for row in &p {
-            s.add_clause(row.iter().map(|&v| Lit::pos(v)).collect());
-        }
-        for (i1, row1) in p.iter().enumerate() {
-            for row2 in &p[i1 + 1..] {
-                for (&a, &b) in row1.iter().zip(row2) {
-                    s.add_clause(vec![Lit::neg(a), Lit::neg(b)]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn diversified_configs_agree_with_brute_force() {
-        // Every diversification profile must stay sound and complete; only
-        // the trajectory may differ.
-        use ccmatic_num::SmallRng;
-        for worker in 0..4 {
-            let config = SearchConfig::diversified(123, worker);
-            let mut rng = SmallRng::seed_from_u64(17);
-            for _ in 0..25 {
-                let n = 8usize;
-                let m = rng.gen_range_usize(10, 40);
-                let clauses: Vec<Vec<(usize, bool)>> = (0..m)
-                    .map(|_| {
-                        (0..3).map(|_| (rng.gen_range_usize(0, n), rng.gen_bool(0.5))).collect()
-                    })
-                    .collect();
-                let mut brute_sat = false;
-                'outer: for mask in 0..(1u32 << n) {
-                    for cl in &clauses {
-                        if !cl.iter().any(|&(v, pos)| ((mask >> v) & 1 == 1) == pos) {
-                            continue 'outer;
-                        }
-                    }
-                    brute_sat = true;
-                    break;
-                }
-                let mut s = SatSolver::new();
-                s.set_search_config(config.clone());
-                let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
-                for cl in &clauses {
-                    s.add_clause(cl.iter().map(|&(v, pos)| Lit::with_sign(vars[v], pos)).collect());
-                }
-                assert_eq!(
-                    s.solve(&mut NoTheory) == Some(SolveResult::Sat),
-                    brute_sat,
-                    "worker {worker} profile disagrees with brute force"
-                );
-            }
-        }
-    }
-
     #[test]
     fn restart_schedules_produce_expected_limits() {
-        let mut s = SatSolver::new();
-        s.set_search_config(SearchConfig {
-            restart: RestartSchedule::Luby { base: 100 },
-            ..SearchConfig::default()
-        });
-        assert_eq!(s.restart_limit(0), 100);
-        assert_eq!(s.restart_limit(2), 200);
-        assert_eq!(s.restart_limit(6), 400);
-        s.set_search_config(SearchConfig {
-            restart: RestartSchedule::Geometric { base: 100, factor_percent: 150 },
-            ..SearchConfig::default()
-        });
-        assert_eq!(s.restart_limit(0), 100);
-        assert_eq!(s.restart_limit(1), 150);
-        assert_eq!(s.restart_limit(2), 225);
-        s.set_search_config(SearchConfig {
-            restart: RestartSchedule::Fixed { interval: 42 },
-            ..SearchConfig::default()
-        });
-        assert_eq!(s.restart_limit(0), 42);
-        assert_eq!(s.restart_limit(9), 42);
-    }
-
-    #[test]
-    fn fixed_seed_runs_are_bit_reproducible() {
-        // Two solvers with the same randomized profile and seed must take
-        // identical trajectories (same stats), and a different seed is
-        // allowed to differ.
-        let run = |seed: u64| {
-            let mut s = SatSolver::new();
-            s.set_search_config(SearchConfig {
-                seed,
-                random_decision_permille: 300,
-                activity_noise: true,
-                restart: RestartSchedule::Fixed { interval: 5 },
-                phase_init: PhaseInit::Random,
-            });
-            pigeonhole_4_into_3(&mut s);
-            assert_eq!(s.solve(&mut NoTheory), Some(SolveResult::Unsat));
-            (s.stats.decisions, s.stats.conflicts, s.stats.propagations)
-        };
-        assert_eq!(run(5), run(5));
-    }
-
-    #[test]
-    fn shared_clauses_transfer_between_identical_bases() {
-        let mut a = SatSolver::new();
-        a.set_sharing(true);
-        pigeonhole_4_into_3(&mut a);
-        assert_eq!(a.solve(&mut NoTheory), Some(SolveResult::Unsat));
-        let exports = a.take_shared_exports();
-        assert!(!exports.is_empty(), "refutation should learn shareable clauses");
-        assert!(a.stats.shared_exported > 0);
-        assert!(exports.iter().all(|c| c.lits.len() <= SHARE_MAX_LEN));
-
-        let mut b = SatSolver::new();
-        pigeonhole_4_into_3(&mut b);
-        b.queue_shared_imports(exports);
-        assert_eq!(b.solve(&mut NoTheory), Some(SolveResult::Unsat));
-        assert!(b.stats.shared_imported > 0, "imports should be admitted");
-        assert_eq!(b.stats.shared_rejected, 0);
-    }
-
-    #[test]
-    fn imports_with_mismatched_base_are_rejected() {
-        let mut a = SatSolver::new();
-        a.set_sharing(true);
-        pigeonhole_4_into_3(&mut a);
-        assert_eq!(a.solve(&mut NoTheory), Some(SolveResult::Unsat));
-        let exports = a.take_shared_exports();
-
-        // B has one extra base variable: different vocabulary, reject all.
-        let mut b = SatSolver::new();
-        pigeonhole_4_into_3(&mut b);
-        let extra = b.new_var();
-        b.add_clause(vec![Lit::pos(extra), Lit::neg(extra)]);
-        let n = exports.len() as u64;
-        b.queue_shared_imports(exports);
-        assert_eq!(b.solve(&mut NoTheory), Some(SolveResult::Unsat));
-        assert_eq!(b.stats.shared_imported, 0);
-        assert_eq!(b.stats.shared_rejected, n);
-    }
-
-    #[cfg(feature = "proofs")]
-    #[test]
-    fn imported_clauses_keep_certificates_checkable() {
-        let mut a = SatSolver::new();
-        a.set_sharing(true);
-        pigeonhole_4_into_3(&mut a);
-        assert_eq!(a.solve(&mut NoTheory), Some(SolveResult::Unsat));
-        let exports = a.take_shared_exports();
-        assert!(!exports.is_empty());
-
-        let mut b = SatSolver::new();
-        b.set_proof_sink(Box::new(ccmatic_proof::MemorySink::new()));
-        pigeonhole_4_into_3(&mut b);
-        b.queue_shared_imports(exports);
-        assert_eq!(b.solve(&mut NoTheory), Some(SolveResult::Unsat));
-        assert!(b.stats.shared_imported > 0, "RUP gate should admit sibling clauses");
-        let cert = b.proof_snapshot().expect("proof snapshot");
-        ccmatic_proof::check(&cert).expect("certificate with imported clauses must check");
-    }
-
-    #[cfg(feature = "proofs")]
-    #[test]
-    fn underivable_import_is_rejected_under_proofs() {
-        // A clause over base vars that unit propagation cannot derive must
-        // fail the RUP gate instead of entering the proof unchecked.
-        let mut s = SatSolver::new();
-        s.set_proof_sink(Box::new(ccmatic_proof::MemorySink::new()));
-        let a = s.new_var();
-        let b = s.new_var();
-        s.add_clause(vec![Lit::pos(a), Lit::pos(b)]);
-        let bogus = SharedClause {
-            lits: vec![Lit::pos(a)],
-            lbd: 1,
-            base_vars: s.base_var_count(),
-            farkas: Vec::new(),
-        };
-        s.queue_shared_imports(vec![bogus]);
-        assert_eq!(s.solve(&mut NoTheory), Some(SolveResult::Sat));
-        assert_eq!(s.stats.shared_imported, 0);
-        assert_eq!(s.stats.shared_rejected, 1);
+        assert_eq!(SatSolver::restart_limit(0), 100);
+        assert_eq!(SatSolver::restart_limit(2), 200);
+        assert_eq!(SatSolver::restart_limit(6), 400);
     }
 
     #[test]

@@ -133,10 +133,6 @@ pub struct SolverStats {
     pub proof_clauses: u64,
     /// Bytes of the proof log's text rendering (0 when logging is off).
     pub proof_bytes: u64,
-    /// Learned clauses exported to sibling portfolio workers.
-    pub shared_exported: u64,
-    /// Shared clauses admitted from sibling portfolio workers.
-    pub shared_imported: u64,
     /// Literals implied into the SAT trail by theory propagation.
     pub theory_props: u64,
     /// Atom bounds asserted into the simplex at theory fixpoints.
@@ -260,35 +256,6 @@ impl Solver {
     /// feature).
     pub fn proofs_enabled(&self) -> bool {
         self.sat.proofs_enabled()
-    }
-
-    /// Install SAT search-strategy knobs (restart schedule, randomized
-    /// branching, phase policy). Portfolio workers call this before
-    /// asserting anything so phase/noise policies cover every variable;
-    /// soundness is unaffected either way.
-    pub fn set_search_config(&mut self, config: crate::sat::SearchConfig) {
-        self.sat.set_search_config(config);
-    }
-
-    /// Enable buffering of shareable learned clauses for
-    /// [`Solver::take_shared_exports`].
-    pub fn set_sharing(&mut self, enabled: bool) {
-        self.sat.set_sharing(enabled);
-    }
-
-    /// Drain base-scope learned clauses for broadcast to sibling portfolio
-    /// workers (empty unless [`Solver::set_sharing`] is on).
-    pub fn take_shared_exports(&mut self) -> Vec<crate::share::SharedClause> {
-        self.sat.take_shared_exports()
-    }
-
-    /// Queue clauses exported by a sibling worker whose *base encoding is
-    /// identical to this solver's* (same assertions before the first push,
-    /// in the same order). They are admitted inside the next `check`, where
-    /// each must match the base variable numbering and — with proof logging
-    /// on — re-certify via its Farkas witness or an importer-side RUP test.
-    pub fn queue_shared_imports(&mut self, clauses: Vec<crate::share::SharedClause>) {
-        self.sat.queue_shared_imports(clauses);
     }
 
     /// Open an assertion scope across the whole stack (SAT core, CNF memo
@@ -792,8 +759,6 @@ impl Solver {
             promotions: ccmatic_num::arith_snapshot().promotions,
             proof_clauses,
             proof_bytes,
-            shared_exported: self.sat.stats.shared_exported,
-            shared_imported: self.sat.stats.shared_imported,
             theory_props: self.sat.stats.theory_props,
             bounds_asserted: self.bounds_asserted,
             bounds_reused: self.bounds_reused,

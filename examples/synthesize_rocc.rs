@@ -37,8 +37,8 @@ fn main() {
         wce_precision: opts.wce_precision.clone(),
         incremental: true,
         certify: false,
-        search: Default::default(),
         theory_sync: true,
+        ..Default::default()
     });
     let rocc = known::rocc();
     match verifier.verify(&rocc) {

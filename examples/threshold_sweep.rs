@@ -26,12 +26,10 @@ fn main() {
         budget: Budget { max_iterations: 3000, max_wall: Duration::from_secs(600) },
         wce_precision: rat(1, 2),
         incremental: true,
-        threads: 1,
-        seed: 0,
-        dispatch_min: ccmatic::synth::DEFAULT_DISPATCH_MIN,
         certify: false,
         region_pruning: true,
         theory_sync: true,
+        ..Default::default()
     };
 
     println!("## Delay sweep (util ≥ 1/2 fixed)\n");

@@ -4,12 +4,10 @@
 //! ```text
 //! ccmatic synth   [--space no-cwnd-small|no-cwnd-large|cwnd-small|cwnd-large]
 //!                 [--mode baseline|rp|rp-wce] [--util F] [--delay F]
-//!                 [--budget-secs N] [--horizon N] [--lookback N]
-//!                 [--threads N]   (default: CCMATIC_SYNTH_THREADS, else all cores)
-//!                 [--seed N]      (portfolio seed; default: CCMATIC_SEED, else 0)
-//!                 [--dispatch-min N]  (serial below N candidates; 0 forces the portfolio)
+//!                 [--budget-secs N] [--horizon N] [--lookback N] [--jitter N]
 //!                 [--stats]       (kernel counters: pivots, promotions, coverage)
 //!                 [--certify]     (checker-replayed proof certificates on every verdict)
+//!                 [--no-region-pruning] [--no-theory-sync]  (A/B escape hatches)
 //! ccmatic verify  --cca "b1,b2,b3,b4,g"   (β taps then γ; rationals like 3/2)
 //!                 [--certify]
 //! ccmatic enumerate [same space/threshold flags]
@@ -28,7 +26,10 @@
 //! ```
 //!
 //! Flags use simple `--key value` parsing (no external argument-parser
-//! dependency, per the workspace dependency policy).
+//! dependency, per the workspace dependency policy). A `--flag` the tool
+//! does not read prints the usage text and exits with code 2, as does a
+//! missing or unknown subcommand; exit code 1 means a run failed (DNF,
+//! REFUTED, an unmet `--expect-failure`).
 
 use ccac_model::{NetConfig, Thresholds};
 use ccmatic::assumptions::describe;
@@ -44,9 +45,62 @@ use ccmatic_num::{rat, Rat};
 use std::process::ExitCode;
 use std::time::Duration;
 
+/// Flags that take a value.
+const VALUE_FLAGS: &[&str] = &[
+    "--space",
+    "--mode",
+    "--util",
+    "--delay",
+    "--budget-secs",
+    "--horizon",
+    "--lookback",
+    "--jitter",
+    "--cca",
+    "--cca-b",
+    "--cache-dir",
+    "--axis",
+    "--values",
+    "--sweep-budget-secs",
+    "--target",
+    "--fuzz-seed",
+    "--generations",
+    "--population",
+    "--initial-cwnd",
+    "--out",
+];
+
+/// Flags that stand alone.
+const SWITCHES: &[&str] = &[
+    "--stats",
+    "--certify",
+    "--no-region-pruning",
+    "--no-theory-sync",
+    "--no-warm-start",
+    "--fail-on-gap",
+    "--expect-failure",
+    "--seed-cegis",
+];
+
+/// Usage errors (an unknown flag or subcommand) exit with this code, apart
+/// from exit 1 (a failed run) and a panic (101).
+const EXIT_USAGE: u8 = 2;
+
 struct Args(Vec<String>);
 
 impl Args {
+    /// The first `--flag` after the subcommand that the tool does not read.
+    fn unknown_flag(&self) -> Option<&str> {
+        let mut rest = self.0.iter().skip(1);
+        while let Some(arg) = rest.next() {
+            if VALUE_FLAGS.contains(&arg.as_str()) {
+                rest.next();
+            } else if arg.starts_with("--") && !SWITCHES.contains(&arg.as_str()) {
+                return Some(arg);
+            }
+        }
+        None
+    }
+
     fn get(&self, key: &str) -> Option<&str> {
         self.0.windows(2).find(|w| w[0] == key).map(|w| w[1].as_str())
     }
@@ -107,15 +161,13 @@ impl KernelSnapshot {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ccmatic <synth|verify|enumerate|sweep|assume|diff> [flags]\n\
+        "usage: ccmatic <synth|verify|enumerate|sweep|assume|diff|fuzz> [flags]\n\
          flags: --space no-cwnd-small|no-cwnd-large|cwnd-small|cwnd-large\n\
          \x20      --mode baseline|rp|rp-wce   --util F --delay F\n\
          \x20      --budget-secs N --horizon N --lookback N --jitter N\n\
-         \x20      --threads N  (portfolio width; default $CCMATIC_SYNTH_THREADS, else cores)\n\
-         \x20      --seed N  (search diversification seed; default $CCMATIC_SEED, else 0)\n\
-         \x20      --dispatch-min N  (run serially below N candidates; 0 forces the portfolio)\n\
          \x20      --stats  (print kernel counters: pivots, promotions, fast-path coverage,\n\
          \x20                theory props, bounds asserted/reused)\n\
+         \x20      --no-region-pruning  (no region-form σ, dominance BFS or subsumption; A/B)\n\
          \x20      --no-theory-sync  (legacy reset-and-reassert theory bridge; A/B timing)\n\
          \x20      --certify  (synth/verify: re-check every UNSAT verdict against a\n\
          \x20                  DRAT+Farkas certificate with the independent checker)\n\
@@ -128,7 +180,7 @@ fn usage() -> ExitCode {
          \x20      --fuzz-seed N --generations N --population N --initial-cwnd F\n\
          \x20      --out FILE.json --fail-on-gap --expect-failure --seed-cegis  (fuzz)"
     );
-    ExitCode::FAILURE
+    ExitCode::from(EXIT_USAGE)
 }
 
 fn parse_spec(s: &str) -> Option<CcaSpec> {
@@ -183,6 +235,10 @@ fn main() -> ExitCode {
         return usage();
     };
     let args = Args(argv);
+    if let Some(flag) = args.unknown_flag() {
+        eprintln!("unknown flag `{flag}`");
+        return usage();
+    }
     let shape = shape_from(&args);
     let net = net_from(&args, shape.lookback);
     let th = thresholds_from(&args);
@@ -192,15 +248,6 @@ fn main() -> ExitCode {
         "rp" => OptMode::RangePruning,
         _ => OptMode::RangePruningWce,
     };
-    let threads = args
-        .get("--threads")
-        .and_then(|v| v.parse::<usize>().ok().filter(|&n| n > 0))
-        .unwrap_or_else(|| ccmatic::env::env_threads_or_cores("CCMATIC_SYNTH_THREADS"));
-    let seed = args
-        .get("--seed")
-        .and_then(|v| v.parse::<u64>().ok())
-        .or_else(|| ccmatic::env::env_seed("CCMATIC_SEED"))
-        .unwrap_or(0);
     let certify = args.has("--certify");
     let opts = SynthOptions {
         shape: shape.clone(),
@@ -210,28 +257,21 @@ fn main() -> ExitCode {
         budget: Budget { max_iterations: 1_000_000, max_wall: Duration::from_secs(budget_secs) },
         wce_precision: rat(1, 2),
         incremental: true,
-        threads,
-        seed,
-        dispatch_min: args
-            .get("--dispatch-min")
-            .and_then(|v| v.parse::<u128>().ok())
-            .unwrap_or(ccmatic::synth::DEFAULT_DISPATCH_MIN),
         certify,
         region_pruning: !args.has("--no-region-pruning"),
         theory_sync: !args.has("--no-theory-sync"),
+        ..SynthOptions::default()
     };
 
     let kernel = args.has("--stats").then(KernelSnapshot::take);
     let code = match cmd.as_str() {
         "synth" => {
             eprintln!(
-                "synthesizing over {} candidates ({} mode, util ≥ {}, delay ≤ {}, {} thread{})…",
+                "synthesizing over {} candidates ({} mode, util ≥ {}, delay ≤ {})…",
                 shape.search_space_size(),
                 mode.label(),
                 th.util,
-                th.delay,
-                threads,
-                if threads == 1 { "" } else { "s" }
+                th.delay
             );
             let r = synthesize(&opts);
             if kernel.is_some() {
@@ -257,14 +297,10 @@ fn main() -> ExitCode {
                 Outcome::Solution(spec) => {
                     println!("SOLUTION  {spec}");
                     println!(
-                        "iterations {} · verifier probes {} · replay hits {} · wasted steps {} · shards stolen {} · clauses shared {}/{} · {:.1}s",
+                        "iterations {} · verifier probes {} · replay hits {} · {:.1}s",
                         r.stats.iterations,
                         r.verifier_probes,
                         r.stats.replay_hits,
-                        r.stats.speculative_wasted,
-                        r.stats.shards_stolen,
-                        r.stats.shared_clauses_exported,
-                        r.stats.shared_clauses_imported,
                         r.stats.wall.as_secs_f64()
                     );
                     ExitCode::SUCCESS
@@ -292,8 +328,8 @@ fn main() -> ExitCode {
                 wce_precision: rat(1, 2),
                 incremental: true,
                 certify,
-                search: Default::default(),
                 theory_sync: !args.has("--no-theory-sync"),
+                ..Default::default()
             });
             let result = v.verify(&spec);
             if certify {

@@ -21,12 +21,10 @@ fn synthesize_then_simulate() {
         budget: Budget { max_iterations: 500, max_wall: Duration::from_secs(300) },
         wce_precision: rat(1, 2),
         incremental: true,
-        threads: 1,
-        seed: 0,
-        dispatch_min: ccmatic::synth::DEFAULT_DISPATCH_MIN,
         certify: false,
         region_pruning: true,
         theory_sync: true,
+        ..Default::default()
     };
     let result = synthesize(&opts);
     let Outcome::Solution(spec) = result.outcome else {

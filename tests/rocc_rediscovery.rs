@@ -16,8 +16,8 @@ fn paper_verifier() -> CcaVerifier {
         wce_precision: rat(1, 2),
         incremental: true,
         certify: false,
-        search: Default::default(),
         theory_sync: true,
+        ..Default::default()
     })
 }
 

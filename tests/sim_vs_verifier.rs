@@ -21,8 +21,8 @@ fn verifier() -> CcaVerifier {
         wce_precision: rat(1, 2),
         incremental: true,
         certify: false,
-        search: Default::default(),
         theory_sync: true,
+        ..Default::default()
     })
 }
 

@@ -33,12 +33,10 @@ fn base_opts() -> SynthOptions {
         budget: Budget { max_iterations: 3000, max_wall: Duration::from_secs(420) },
         wce_precision: rat(1, 2),
         incremental: true,
-        threads: 1,
-        seed: 0,
-        dispatch_min: ccmatic::synth::DEFAULT_DISPATCH_MIN,
         certify: false,
         region_pruning: true,
         theory_sync: true,
+        ..Default::default()
     }
 }
 
@@ -58,8 +56,8 @@ fn enumeration_sound_complete_and_rocc_like() {
         wce_precision: rat(1, 2),
         incremental: true,
         certify: false,
-        search: Default::default(),
         theory_sync: true,
+        ..Default::default()
     });
     for s in &result.solutions {
         assert!(v.verify(s).is_ok(), "enumerated non-solution {s}");
