@@ -4,7 +4,8 @@
 //! ```sh
 //! cargo run --release -p ccmatic-bench --bin threshold_sweep -- \
 //!     [--scale ci|paper] [--budget-secs N] [--sweep-budget-secs N] \
-//!     [--no-warm-start] [--cache-dir DIR] [--require-cached] [--out FILE]
+//!     [--no-warm-start] [--cache-dir DIR] [--require-cached] [--out FILE] \
+//!     [--check FILE]
 //! ```
 //!
 //! By default each axis runs warm-started: points execute sequentially
@@ -23,16 +24,34 @@
 //!
 //! Emits `BENCH_threshold_sweep.json` (or `--out FILE`) with the
 //! machine-readable numbers.
+//!
+//! `--check FILE` reads FILE before the run and, after writing the fresh
+//! JSON, compares its per-point counts with it: solutions, completeness,
+//! iterations, solver probes, the warm-start counters and cache hits, the
+//! per-axis cache hits/misses/rejections/stores and `budget_exceeded`.
+//! Wall times, certificate-check milliseconds, the thread count and the
+//! budgets are ignored. Any difference is printed by path and fails the
+//! run. Every point of the ci sweep is exhaustive, so these counts do not
+//! depend on the machine.
 
 use ccac_model::Thresholds;
 use ccmatic::cache::ResultCache;
 use ccmatic::sweep::{render_table, sweep_threads, sweep_with_config, SweepConfig, SweepReport};
 use ccmatic::synth::{OptMode, SynthOptions};
+use ccmatic_bench::drift::{read_committed, report_drift};
 use ccmatic_bench::{table1_rows, write_json, Json, Scale};
 use ccmatic_cegis::Budget;
 use ccmatic_num::{int, rat, Rat};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+
+/// Fields that vary from run to run or machine to machine, left out of
+/// `--check`.
+fn unchecked(key: &str) -> bool {
+    matches!(key, "threads" | "budget_secs" | "sweep_budget_secs")
+        || key.ends_with("wall_s")
+        || key.ends_with("cert_ms")
+}
 
 fn sweep_json(report: &SweepReport, values: &[Rat], wall_s: f64) -> Json {
     let cs = &report.cache_stats;
@@ -106,6 +125,17 @@ fn main() -> ExitCode {
     let warm_start = !flag("--no-warm-start");
     let cache_dir = opt("--cache-dir");
     let out = opt("--out").unwrap_or_else(|| "BENCH_threshold_sweep.json".into());
+    // Read before the run: `--out` may name the file being checked.
+    let committed = match opt("--check") {
+        None => None,
+        Some(path) => match read_committed(&path) {
+            Ok(doc) => Some((path, doc)),
+            Err(e) => {
+                eprintln!("threshold_sweep: cannot read {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
 
     // The paper sweeps the No-cwnd/Large space; at ci scale we sweep the
     // Small row so the full sweep fits in minutes.
@@ -183,13 +213,20 @@ fn main() -> ExitCode {
     ]);
     let _ = write_json(&out, &json);
 
+    let mut ok = true;
     if flag("--require-cached") {
-        let ok = require_cached("delay", &delay_report, &delay_values)
+        ok = require_cached("delay", &delay_report, &delay_values)
             & require_cached("util", &util_report, &util_values);
-        if !ok {
-            return ExitCode::FAILURE;
+        if ok {
+            println!("require-cached: every point answered by certificate re-check");
         }
-        println!("require-cached: every point answered by certificate re-check");
     }
-    ExitCode::SUCCESS
+    if let Some((path, doc)) = &committed {
+        ok &= report_drift(path, &json, doc, &unchecked);
+    }
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

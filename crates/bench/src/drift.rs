@@ -12,7 +12,8 @@ pub fn read_committed(path: &str) -> Result<Json, String> {
 /// Append to `out` the path of every field where `fresh` and `committed`
 /// differ, skipping object keys for which `ignored` holds. Leaves compare
 /// by rendered text, so a float and the integer it prints as are equal.
-/// Array items are named by their `name` or `family` field, else by index.
+/// Array items are named by their `name`, `family` or `threshold` field,
+/// else by index.
 pub fn drift(
     path: &str,
     fresh: &Json,
@@ -39,7 +40,7 @@ pub fn drift(
         }
         (Json::Arr(a), Json::Arr(b)) => {
             for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                let name = ["name", "family"]
+                let name = ["name", "family", "threshold"]
                     .iter()
                     .find_map(|k| x.get(k).and_then(Json::as_str))
                     .map_or(i.to_string(), str::to_string);

@@ -70,6 +70,32 @@ impl LiftConfig {
     }
 }
 
+/// Why [`lift_checked`] made no claim about the model.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LiftError {
+    /// The lift stopped at simulator round `round`: its lagged service
+    /// floor exceeds the arrivals, so `S < floor` there.
+    FloorAboveArrivals {
+        /// The 0-based simulator round the lift stopped at.
+        round: usize,
+    },
+    /// The finished trace failed [`check_trace`], with its message.
+    Infeasible(String),
+}
+
+impl std::fmt::Display for LiftError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LiftError::FloorAboveArrivals { round } => {
+                write!(f, "round {round}: service floor > A ≥ S (S below the floor)")
+            }
+            LiftError::Infeasible(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for LiftError {}
+
 fn table_at(table: &[Rat], u: usize) -> Rat {
     let v = table.get(u).or_else(|| table.last()).cloned().unwrap_or_else(Rat::one);
     v.max(Rat::zero()).min(Rat::one())
@@ -87,21 +113,21 @@ pub fn lift_schedule(spec: &CcaSpec, cfg: &LiftConfig) -> Trace {
 /// schedule drove the link outside the model's feasibility band (possible
 /// whenever ω < 1) and the trace makes no claim about the model.
 ///
-/// Returns `Err` as soon as a round's lagged service floor exceeds the
-/// arrivals, without lifting the rounds after it: there `S ≤ A < floor`,
-/// which [`check_trace`] always rejects (see the module docs). A lift that
-/// reaches the last round is returned only if it passes [`check_trace`],
-/// so `lift_checked(..).is_ok()` equals
+/// Returns [`LiftError::FloorAboveArrivals`] as soon as a round's lagged
+/// service floor exceeds the arrivals, without lifting the rounds after
+/// it: there `S ≤ A < floor`, which [`check_trace`] always rejects (see
+/// the module docs). A lift that reaches the last round is returned only
+/// if it passes [`check_trace`], so `lift_checked(..).is_ok()` equals
 /// `check_trace(&lift_schedule(..)).is_ok()`.
-pub fn lift_checked(spec: &CcaSpec, cfg: &LiftConfig) -> Result<Trace, String> {
+pub fn lift_checked(spec: &CcaSpec, cfg: &LiftConfig) -> Result<Trace, LiftError> {
     let trace = lift(spec, cfg, true)?;
-    check_trace(&trace, &cfg.net)?;
+    check_trace(&trace, &cfg.net).map_err(LiftError::Infeasible)?;
     Ok(trace)
 }
 
 /// The lift itself; with `stop_early`, `Err` at the first round whose
 /// lagged service floor exceeds the arrivals.
-fn lift(spec: &CcaSpec, cfg: &LiftConfig, stop_early: bool) -> Result<Trace, String> {
+fn lift(spec: &CcaSpec, cfg: &LiftConfig, stop_early: bool) -> Result<Trace, LiftError> {
     let h = cfg.net.history;
     let rounds = h + cfg.net.horizon;
     assert!(cfg.net.buffer.is_none(), "lifting is defined for the lossless scope only");
@@ -158,9 +184,7 @@ fn lift(spec: &CcaSpec, cfg: &LiftConfig, stop_early: bool) -> Result<Trace, Str
             Rat::zero()
         };
         if stop_early && floor > arrivals {
-            return Err(format!(
-                "round {u}: service floor {floor} > A = {arrivals} ≥ S (S below the floor)"
-            ));
+            return Err(LiftError::FloorAboveArrivals { round: u });
         }
         let hi = tokens_now.clone().min(arrivals.clone()).max(s_prev.clone());
         let lo = floor.min(arrivals.clone()).max(s_prev.clone()).min(hi.clone());
@@ -335,12 +359,7 @@ mod tests {
                         rejected += 1;
                     }
                 }
-                if let Err(e) = lift(&spec, &cfg, true) {
-                    let round: usize = e
-                        .strip_prefix("round ")
-                        .and_then(|r| r.split(':').next())
-                        .and_then(|r| r.parse().ok())
-                        .expect("an early stop names its round");
+                if let Err(LiftError::FloorAboveArrivals { round }) = lift(&spec, &cfg, true) {
                     if round + 1 < rounds {
                         stopped_early += 1;
                     }

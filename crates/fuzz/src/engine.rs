@@ -26,7 +26,7 @@
 //! pair maps to exactly one report, bit for bit ([`FuzzReport::digest`]).
 
 use crate::corpus::{genome_json, trace_json, Corpus, CorpusEntry};
-use crate::fitness::{evaluate, Fitness, FitnessConfig, ModelCca};
+use crate::fitness::{Fitness, FitnessConfig, ModelCca, Screen};
 use crate::genome::{ScheduleGenome, BACKLOG_MAX, GENE_STEPS};
 use crate::shrink::shrink;
 use ccac_model::{NetConfig, Thresholds, Trace};
@@ -54,14 +54,6 @@ pub enum FuzzTarget {
 }
 
 impl FuzzTarget {
-    fn make_cca(&self) -> Box<dyn Cca> {
-        match self {
-            FuzzTarget::Spec(spec) => Box::new(ModelCca::new(spec)),
-            FuzzTarget::Aimd => Box::new(AimdCca::standard()),
-            FuzzTarget::ConstSim(c) => Box::new(ConstCwnd(*c)),
-        }
-    }
-
     /// Diagnostic name.
     pub fn name(&self) -> String {
         match self {
@@ -297,6 +289,36 @@ fn verify_target(cfg: &FuzzConfig, spec: &CcaSpec) -> bool {
     verifier.verify(spec).is_ok()
 }
 
+/// The screen's CCA for one run, built once. `ModelCca` and `ConstCwnd`
+/// are stateless; AIMD carries its window, so it restarts per genome.
+enum ScreenCca {
+    Model(ModelCca),
+    Aimd(AimdCca),
+    Const(ConstCwnd),
+}
+
+impl ScreenCca {
+    fn new(target: &FuzzTarget) -> Self {
+        match target {
+            FuzzTarget::Spec(spec) => ScreenCca::Model(ModelCca::new(spec)),
+            FuzzTarget::Aimd => ScreenCca::Aimd(AimdCca::standard()),
+            FuzzTarget::ConstSim(c) => ScreenCca::Const(ConstCwnd(*c)),
+        }
+    }
+
+    /// The CCA in its start state, for the next genome.
+    fn fresh(&mut self) -> &mut dyn Cca {
+        match self {
+            ScreenCca::Model(cca) => cca,
+            ScreenCca::Aimd(cca) => {
+                *cca = AimdCca::standard();
+                cca
+            }
+            ScreenCca::Const(cca) => cca,
+        }
+    }
+}
+
 /// Structured first generation: the benign baseline, classic adversaries,
 /// and random fill — so the search starts from the known attack archetypes
 /// instead of pure noise.
@@ -354,18 +376,23 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     // elites re-screened every generation aren't re-lifted every time.
     let mut confirmed: HashSet<u64> = HashSet::new();
 
+    let mut screen = Screen::new(&fitness_cfg);
+    let mut cca = ScreenCca::new(&cfg.target);
     let mut population = initial_population(&mut rng, rounds, cfg.population);
+    // Breeding writes each generation into the previous one's genomes, and
+    // the score and rank buffers are reused, so after the first generation
+    // a generation's screen and breeding allocate nothing.
+    let mut next = population.clone();
+    let mut scored: Vec<Fitness> = Vec::with_capacity(cfg.population);
+    let mut order: Vec<usize> = Vec::with_capacity(cfg.population);
     for _gen in 0..cfg.generations {
         // Screen.
-        let scored: Vec<Fitness> = population
-            .iter()
-            .map(|g| {
-                let mut cca = cfg.target.make_cca();
-                let mut table = g.table();
-                counters.genomes_evaluated += 1;
-                evaluate(cca.as_mut(), &mut table, g.backlog_f64(), &fitness_cfg)
-            })
-            .collect();
+        scored.clear();
+        for g in population.iter_mut() {
+            counters.genomes_evaluated += 1;
+            let backlog = g.backlog_f64();
+            scored.push(screen.evaluate(cca.fresh(), g, backlog));
+        }
         best_fitness.push(scored.iter().map(|f| f.score).fold(f64::NEG_INFINITY, f64::max));
 
         // Confirm flagged genomes.
@@ -399,12 +426,15 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
             }
         }
 
-        // Select & breed (elitism + tournament), deterministically.
-        let mut order: Vec<usize> = (0..scored.len()).collect();
-        order.sort_by(|&a, &b| scored[b].score.total_cmp(&scored[a].score).then(a.cmp(&b)));
+        // Select & breed (elitism + tournament), deterministically. The
+        // index tie-break makes the order total, so an unstable sort
+        // ranks exactly as a stable one would.
+        let by_score =
+            |&a: &usize, &b: &usize| scored[b].score.total_cmp(&scored[a].score).then(a.cmp(&b));
+        order.clear();
+        order.extend(0..scored.len());
+        order.sort_unstable_by(by_score);
         let elites = 2.min(scored.len());
-        let mut next: Vec<ScheduleGenome> =
-            order[..elites].iter().map(|&i| population[i].clone()).collect();
         let tournament = |rng: &mut SmallRng| -> usize {
             let mut best = rng.gen_range_usize(0, scored.len());
             for _ in 0..2 {
@@ -415,21 +445,24 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
             }
             best
         };
-        while next.len() < cfg.population {
+        for (k, child) in next.iter_mut().enumerate() {
+            if k < elites {
+                child.clone_from(&population[order[k]]);
+                continue;
+            }
             let a = tournament(&mut rng);
-            let mut child = if rng.gen_bool(0.7) {
+            if rng.gen_bool(0.7) {
                 let b = tournament(&mut rng);
-                population[a].crossover(&population[b], &mut rng)
+                population[a].crossover_into(&population[b], &mut rng, child);
             } else {
-                population[a].clone()
-            };
+                child.clone_from(&population[a]);
+            }
             child.mutate(&mut rng);
             if rng.gen_bool(0.3) {
                 child.mutate(&mut rng);
             }
-            next.push(child);
         }
-        population = next;
+        std::mem::swap(&mut population, &mut next);
     }
 
     FuzzReport { counters, best_fitness, verifier_passed, gaps, corpus }
@@ -483,14 +516,20 @@ fn confirm_exact(
         // The verifier said no such trace exists. Minimize and report.
         counters.model_gaps += 1;
         if gaps.len() < MAX_GAP_REPORTS {
+            // `shrink` keeps every edit the predicate accepts, so the last
+            // trace accepted here is the shrunk genome's own lift.
+            let mut small_trace = trace;
             let mut still_fails = |g: &ScheduleGenome| {
-                lift_checked(spec, &g.lift_config(&cfg.net, &cfg.initial_cwnd))
-                    .map(|t| replay.refutes(spec, &t))
-                    .unwrap_or(false)
+                let lift_cfg = g.lift_config(&cfg.net, &cfg.initial_cwnd);
+                match lift_checked(spec, &lift_cfg) {
+                    Ok(t) if replay.refutes(spec, &t) => {
+                        small_trace = t;
+                        true
+                    }
+                    _ => false,
+                }
             };
             let small = shrink(genome, &mut still_fails);
-            let small_trace = lift_checked(spec, &small.lift_config(&cfg.net, &cfg.initial_cwnd))
-                .expect("shrink preserves feasibility");
             gaps.push(ModelGapReport {
                 spec: spec.clone(),
                 genome: small,
@@ -577,6 +616,109 @@ mod tests {
         assert_eq!(report.verifier_passed, None, "sim-only targets make no verifier claim");
         assert_eq!(report.counters.model_gaps, 0);
         assert!(report.corpus.entries().iter().all(|e| e.trace.is_none()));
+    }
+
+    /// The run's reused screen (one `Screen`, one `ScreenCca`) scores
+    /// every genome bit for bit as a fresh one-shot `evaluate` on a fresh
+    /// CCA and the genome's `TableSchedule` does, genome after genome, so
+    /// no simulator or CCA state leaks from one genome into the next.
+    #[test]
+    fn reused_screen_matches_one_shot_evaluate() {
+        let cfg = quick(FuzzTarget::Aimd, 0);
+        let fitness_cfg = FitnessConfig {
+            net: cfg.net.clone(),
+            thresholds: cfg.thresholds.clone(),
+            initial_cwnd: 1.0,
+        };
+        let rounds = cfg.net.history + cfg.net.horizon;
+        let targets = [
+            FuzzTarget::Spec(known::eq_iii()),
+            FuzzTarget::Spec(known::const_cwnd(int(6))),
+            FuzzTarget::Aimd,
+            FuzzTarget::ConstSim(0.5),
+        ];
+        let mut rng = SmallRng::seed_from_u64(29);
+        let (mut flagged, mut clean) = (0, 0);
+        for target in &targets {
+            let mut screen = Screen::new(&fitness_cfg);
+            let mut cca = ScreenCca::new(target);
+            let mut scores = HashSet::new();
+            for i in 0..400 {
+                let mut genome = ScheduleGenome::random(&mut rng, rounds);
+                let backlog = genome.backlog_f64();
+                let reused = screen.evaluate(cca.fresh(), &mut genome, backlog);
+                let mut fresh_cca: Box<dyn Cca> = match target {
+                    FuzzTarget::Spec(spec) => Box::new(ModelCca::new(spec)),
+                    FuzzTarget::Aimd => Box::new(AimdCca::standard()),
+                    FuzzTarget::ConstSim(c) => Box::new(ConstCwnd(*c)),
+                };
+                let mut table = genome.table();
+                let fresh =
+                    crate::fitness::evaluate(fresh_cca.as_mut(), &mut table, backlog, &fitness_cfg);
+                assert_eq!(
+                    (reused.score.to_bits(), reused.violated),
+                    (fresh.score.to_bits(), fresh.violated),
+                    "{}: genome {i} scored differently on the reused screen",
+                    target.name()
+                );
+                scores.insert(fresh.score.to_bits());
+                if fresh.violated.is_some() {
+                    flagged += 1;
+                } else {
+                    clean += 1;
+                }
+            }
+            assert!(scores.len() > 10, "{}: only {} distinct scores", target.name(), scores.len());
+        }
+        assert!(flagged > 0 && clean > 0, "{flagged} flagged, {clean} clean");
+    }
+
+    /// A gap report carries the shrunk genome's own trace: the last trace
+    /// the shrink predicate accepted, equal to lifting the shrunk genome
+    /// again. The verdict is forced (`Some(true)` on a broken window) to
+    /// reach the gap path.
+    #[test]
+    fn gap_report_trace_is_the_shrunk_genomes_lift() {
+        let spec = known::const_cwnd(int(6));
+        let cfg = quick(FuzzTarget::Spec(spec.clone()), 0);
+        let replay = TraceReplay::new(
+            cfg.net.clone(),
+            cfg.thresholds.clone(),
+            FeasibilityMode::RangePruning,
+        );
+        let rounds = cfg.net.history + cfg.net.horizon;
+        // The first seeded noisy genome the window fails on; eager waste
+        // keeps its lift feasible.
+        let mut rng = SmallRng::seed_from_u64(4);
+        let genome = std::iter::repeat_with(|| {
+            let mut g = ScheduleGenome::random(&mut rng, rounds);
+            g.omegas.fill(GENE_STEPS);
+            g
+        })
+        .find(|g| {
+            let trace = lift_checked(&spec, &g.lift_config(&cfg.net, &cfg.initial_cwnd));
+            trace.is_ok_and(|t| replay.refutes(&spec, &t))
+        })
+        .unwrap();
+        let (mut counters, mut corpus, mut gaps) = (FuzzCounters::default(), Corpus::new(), vec![]);
+        confirm_exact(
+            &cfg,
+            &spec,
+            &replay,
+            &genome,
+            1.0,
+            Some(true),
+            &mut counters,
+            &mut corpus,
+            &mut gaps,
+        );
+        assert_eq!(counters.model_gaps, 1, "{counters:?}");
+        let gap = &gaps[0];
+        assert_ne!(gap.genome, genome, "nothing was shrunk");
+        let relift = lift_checked(&spec, &gap.genome.lift_config(&cfg.net, &cfg.initial_cwnd))
+            .expect("the shrunk genome lifts feasibly");
+        assert_eq!(gap.trace, relift);
+        assert!(replay.refutes(&spec, &gap.trace));
     }
 
     #[test]

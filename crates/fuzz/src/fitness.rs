@@ -15,7 +15,7 @@
 use ccac_model::{NetConfig, Thresholds};
 use ccmatic::template::CcaSpec;
 use ccmatic_simnet::{
-    run_simulation_with_hook, Cca, LinkConfig, Observation, SimConfig, StepRecord, WastePolicy,
+    Cca, LinkConfig, LinkSchedule, Observation, SimConfig, Simulator, WastePolicy,
 };
 
 /// A [`CcaSpec`] evaluated under the *model's* observation convention:
@@ -112,71 +112,99 @@ impl FitnessConfig {
     }
 }
 
-/// Run one genome's schedule against `cca` and score the trajectory
-/// against the desired property on the model window.
-///
-/// Simulator round `u` is model time `t = u + 1 − h`, so the enforced
-/// window `t ∈ [0, T]` is rounds `[h−1, h+T−1]`; `t = 0` state comes from
-/// round `h−1` and `t = T` from the last round. Queue is `A − S` (the
-/// lossless scope). The fold runs in the per-step hook, so the screen
-/// never re-scans the finished trajectory.
+/// The screen's state for a run: one [`Simulator`], reset per genome,
+/// and the configuration lowered to `f64` once. After the first genome
+/// has sized the simulator's waste history, screening a genome allocates
+/// nothing.
+pub struct Screen {
+    sim: Simulator,
+    sim_cfg: SimConfig,
+    history: usize,
+    /// Required service over the window, `util · C · T`.
+    target: f64,
+    delay: f64,
+}
+
+impl Screen {
+    /// A screen for `cfg`'s network and thresholds.
+    pub fn new(cfg: &FitnessConfig) -> Self {
+        let rate = cfg.net.link_rate.to_f64();
+        Screen {
+            sim: Simulator::new(),
+            sim_cfg: cfg.sim_config(0.0),
+            history: cfg.net.history,
+            target: cfg.thresholds.util.to_f64() * rate * cfg.net.horizon as f64,
+            delay: cfg.thresholds.delay.to_f64(),
+        }
+    }
+
+    /// Run one genome's schedule against `cca` and score the trajectory
+    /// against the desired property on the model window.
+    ///
+    /// Simulator round `u` is model time `t = u + 1 − h`, so the enforced
+    /// window `t ∈ [0, T]` is rounds `[h−1, h+T−1]`; `t = 0` state comes
+    /// from round `h−1` and `t = T` from the last round. Queue is `A − S`
+    /// (the lossless scope). The fold runs as the rounds are produced, so
+    /// the screen keeps no trajectory.
+    pub fn evaluate(
+        &mut self,
+        cca: &mut dyn Cca,
+        schedule: &mut dyn LinkSchedule,
+        initial_backlog: f64,
+    ) -> Fitness {
+        self.sim_cfg.initial_backlog = initial_backlog;
+        let first = self.history - 1; // round holding model t = 0
+
+        let mut s0 = 0.0;
+        let mut s_t = 0.0;
+        let mut cwnd0 = 0.0;
+        let mut cwnd_t = 0.0;
+        let mut q0 = 0.0;
+        let mut q_t = 0.0;
+        let mut max_q = f64::NEG_INFINITY;
+        self.sim.run(cca, schedule, &self.sim_cfg, |r| {
+            if r.t < first {
+                return;
+            }
+            if r.t == first {
+                s0 = r.served;
+                cwnd0 = r.cwnd;
+                q0 = r.queue;
+            }
+            max_q = max_q.max(r.queue);
+            s_t = r.served;
+            cwnd_t = r.cwnd;
+            q_t = r.queue;
+        });
+
+        // Clause 1 (¬util_ok ∧ ¬cwnd_up): margins must *all* be met, so the
+        // binding one — the minimum — is the score.
+        let score_a = (self.target - (s_t - s0)).min(cwnd0 - cwnd_t);
+        let violated_a = self.target - (s_t - s0) > 0.0 && cwnd0 - cwnd_t >= 0.0;
+
+        // Clause 2 (¬queue_ok ∧ ¬queue_down ∧ ¬cwnd_down).
+        let score_b = (max_q - self.delay).min(q_t - q0).min(cwnd_t - cwnd0);
+        let violated_b = max_q - self.delay > 0.0 && q_t - q0 >= 0.0 && cwnd_t - cwnd0 >= 0.0;
+
+        let (score, violated) = if violated_a && (!violated_b || score_a >= score_b) {
+            (score_a + VIOLATION_BONUS, Some(Violation::Starvation))
+        } else if violated_b {
+            (score_b + VIOLATION_BONUS, Some(Violation::DelayOvershoot))
+        } else {
+            (score_a.max(score_b), None)
+        };
+        Fitness { score, violated }
+    }
+}
+
+/// One-shot [`Screen::evaluate`]: a fresh screen for `cfg`, one genome.
 pub fn evaluate(
     cca: &mut dyn Cca,
-    schedule: &mut dyn ccmatic_simnet::LinkSchedule,
+    schedule: &mut dyn LinkSchedule,
     initial_backlog: f64,
     cfg: &FitnessConfig,
 ) -> Fitness {
-    let h = cfg.net.history;
-    let t_end = cfg.net.horizon;
-    let sim = cfg.sim_config(initial_backlog);
-    let first = h - 1; // round holding model t = 0
-    let last = h + t_end - 1; // round holding t = T
-
-    let mut s0 = 0.0;
-    let mut s_t = 0.0;
-    let mut cwnd0 = 0.0;
-    let mut cwnd_t = 0.0;
-    let mut q0 = 0.0;
-    let mut q_t = 0.0;
-    let mut max_q = f64::NEG_INFINITY;
-    run_simulation_with_hook(cca, schedule, &sim, &mut |r: &StepRecord| {
-        if r.t < first {
-            return;
-        }
-        if r.t == first {
-            s0 = r.served;
-            cwnd0 = r.cwnd;
-            q0 = r.queue;
-        }
-        max_q = max_q.max(r.queue);
-        s_t = r.served;
-        cwnd_t = r.cwnd;
-        q_t = r.queue;
-    });
-    debug_assert!(last >= first);
-
-    let th_util = cfg.thresholds.util.to_f64();
-    let th_delay = cfg.thresholds.delay.to_f64();
-    let rate = cfg.net.link_rate.to_f64();
-    let target = th_util * rate * t_end as f64;
-
-    // Clause 1 (¬util_ok ∧ ¬cwnd_up): margins must *all* be met, so the
-    // binding one — the minimum — is the score.
-    let score_a = (target - (s_t - s0)).min(cwnd0 - cwnd_t);
-    let violated_a = target - (s_t - s0) > 0.0 && cwnd0 - cwnd_t >= 0.0;
-
-    // Clause 2 (¬queue_ok ∧ ¬queue_down ∧ ¬cwnd_down).
-    let score_b = (max_q - th_delay).min(q_t - q0).min(cwnd_t - cwnd0);
-    let violated_b = max_q - th_delay > 0.0 && q_t - q0 >= 0.0 && cwnd_t - cwnd0 >= 0.0;
-
-    let (score, violated) = if violated_a && (!violated_b || score_a >= score_b) {
-        (score_a + VIOLATION_BONUS, Some(Violation::Starvation))
-    } else if violated_b {
-        (score_b + VIOLATION_BONUS, Some(Violation::DelayOvershoot))
-    } else {
-        (score_a.max(score_b), None)
-    };
-    Fitness { score, violated }
+    Screen::new(cfg).evaluate(cca, schedule, initial_backlog)
 }
 
 #[cfg(test)]

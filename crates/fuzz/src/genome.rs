@@ -13,7 +13,7 @@
 use ccac_model::NetConfig;
 use ccmatic::lift::LiftConfig;
 use ccmatic_num::{rat, Rat, SmallRng};
-use ccmatic_simnet::TableSchedule;
+use ccmatic_simnet::{LinkSchedule, TableSchedule};
 
 /// λ/ω quantization denominator.
 pub const GENE_STEPS: u8 = 16;
@@ -24,7 +24,7 @@ pub const BACKLOG_STEPS: u8 = 4;
 pub const BACKLOG_MAX: u8 = 32;
 
 /// One adversarial link schedule, quantized.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ScheduleGenome {
     /// Band position per simulator round: `lambdas[u] / 16 ∈ [0, 1]`.
     pub lambdas: Vec<u8>,
@@ -32,6 +32,24 @@ pub struct ScheduleGenome {
     pub omegas: Vec<u8>,
     /// Initial standing queue: `backlog_q / 4` BDP.
     pub backlog_q: u8,
+}
+
+impl Clone for ScheduleGenome {
+    fn clone(&self) -> Self {
+        ScheduleGenome {
+            lambdas: self.lambdas.clone(),
+            omegas: self.omegas.clone(),
+            backlog_q: self.backlog_q,
+        }
+    }
+
+    /// Copy `source` into this genome's gene buffers (the breeding loop
+    /// overwrites old genomes instead of allocating new ones).
+    fn clone_from(&mut self, source: &Self) {
+        self.lambdas.clone_from(&source.lambdas);
+        self.omegas.clone_from(&source.omegas);
+        self.backlog_q = source.backlog_q;
+    }
 }
 
 impl ScheduleGenome {
@@ -118,27 +136,28 @@ impl ScheduleGenome {
         }
     }
 
-    /// One-point crossover: a prefix of `self` spliced onto a suffix of
-    /// `other` (both gene tracks cut at the same point), backlog inherited
-    /// from either parent.
-    pub fn crossover(&self, other: &Self, rng: &mut SmallRng) -> Self {
+    /// One-point crossover into `child`'s buffers: a prefix of `self`
+    /// spliced onto a suffix of `other` (both gene tracks cut at the same
+    /// point), backlog inherited from either parent.
+    pub fn crossover_into(&self, other: &Self, rng: &mut SmallRng, child: &mut Self) {
         let n = self.lambdas.len().min(other.lambdas.len());
         if n == 0 {
-            return self.clone();
+            child.clone_from(self);
+            return;
         }
         let cut = rng.gen_range_usize(0, n + 1);
-        let splice = |a: &[u8], b: &[u8]| -> Vec<u8> {
-            a[..cut].iter().chain(&b[cut..n]).copied().collect()
+        let splice = |out: &mut Vec<u8>, a: &[u8], b: &[u8]| {
+            out.clear();
+            out.extend_from_slice(&a[..cut]);
+            out.extend_from_slice(&b[cut..n]);
         };
-        ScheduleGenome {
-            lambdas: splice(&self.lambdas, &other.lambdas),
-            omegas: splice(&self.omegas, &other.omegas),
-            backlog_q: if rng.gen_bool(0.5) { self.backlog_q } else { other.backlog_q },
-        }
+        splice(&mut child.lambdas, &self.lambdas, &other.lambdas);
+        splice(&mut child.omegas, &self.omegas, &other.omegas);
+        child.backlog_q = if rng.gen_bool(0.5) { self.backlog_q } else { other.backlog_q };
     }
 
-    /// The `f64` schedule for the simulator screen (exact: every gene is a
-    /// dyadic rational).
+    /// The genome as a [`TableSchedule`] (the screen runs the genome
+    /// itself as its [`LinkSchedule`]; both read the same `f64` values).
     pub fn table(&self) -> TableSchedule {
         TableSchedule {
             lambdas: self.lambdas.iter().map(|&k| k as f64 / GENE_STEPS as f64).collect(),
@@ -182,6 +201,29 @@ impl ScheduleGenome {
     }
 }
 
+/// Gene `t − 1` as `k/16` (steps are 1-based); the last gene holds
+/// beyond the track and an empty track reads 1, as in [`TableSchedule`].
+fn gene_at(genes: &[u8], t: usize) -> f64 {
+    let i = t.saturating_sub(1);
+    genes.get(i).or(genes.last()).map_or(1.0, |&k| k as f64 / GENE_STEPS as f64)
+}
+
+/// The screen's schedule: exact in `f64`, since every gene is a dyadic
+/// rational.
+impl LinkSchedule for ScheduleGenome {
+    fn lambda(&mut self, t: usize) -> f64 {
+        gene_at(&self.lambdas, t)
+    }
+
+    fn waste_fraction(&mut self, t: usize) -> f64 {
+        gene_at(&self.omegas, t)
+    }
+
+    fn name(&self) -> String {
+        format!("genome({} steps)", self.lambdas.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,9 +234,11 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut g = ScheduleGenome::random(&mut rng, 12);
             let other = ScheduleGenome::random(&mut rng, 12);
+            let mut child = ScheduleGenome::ideal(12);
             for _ in 0..20 {
                 g.mutate(&mut rng);
-                g = g.crossover(&other, &mut rng);
+                g.crossover_into(&other, &mut rng, &mut child);
+                std::mem::swap(&mut g, &mut child);
             }
             g
         };
@@ -226,6 +270,13 @@ mod tests {
         }
         for (f, r) in table.omegas.iter().zip(&lift.omegas) {
             assert_eq!(*f, r.to_f64());
+        }
+        // The genome as a schedule reads the table's values, holding the
+        // last gene past the end like the table does.
+        let (mut genome, mut table) = (g.clone(), table);
+        for t in 1..=12 {
+            assert_eq!(genome.lambda(t).to_bits(), table.lambda(t).to_bits(), "λ at step {t}");
+            assert_eq!(genome.waste_fraction(t).to_bits(), table.waste_fraction(t).to_bits());
         }
         assert_eq!(g.backlog_f64(), lift.initial_backlog.to_f64());
     }

@@ -20,6 +20,6 @@ pub mod shrink;
 
 pub use corpus::{Corpus, CorpusEntry};
 pub use engine::{run_fuzz, FuzzConfig, FuzzCounters, FuzzReport, FuzzTarget, ModelGapReport};
-pub use fitness::{evaluate, Fitness, FitnessConfig, ModelCca, Violation};
+pub use fitness::{evaluate, Fitness, FitnessConfig, ModelCca, Screen, Violation};
 pub use genome::ScheduleGenome;
 pub use shrink::shrink;

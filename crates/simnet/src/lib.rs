@@ -32,4 +32,4 @@ pub use link::{
     WastePolicy,
 };
 pub use multiflow::{run_shared_link, FlowResult, MultiFlowConfig, MultiFlowResult};
-pub use runner::{run_simulation, run_simulation_with_hook, SimConfig, SimResult, StepRecord};
+pub use runner::{run_simulation, SimConfig, SimResult, Simulator, StepRecord};

@@ -173,6 +173,14 @@ impl LinkState {
         LinkState { served: 0.0, wasted: 0.0, waste_history: vec![0.0] }
     }
 
+    /// Back to trace start, keeping the waste history's allocation.
+    pub fn reset(&mut self) {
+        self.served = 0.0;
+        self.wasted = 0.0;
+        self.waste_history.clear();
+        self.waste_history.push(0.0);
+    }
+
     /// Advance one step: given the step index `t` (1-based internally),
     /// cumulative arrivals `a`, the config and schedule, compute `S(t)` and
     /// update waste. Returns the new cumulative service.

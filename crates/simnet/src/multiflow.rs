@@ -10,6 +10,7 @@
 
 use crate::cca::{Cca, Observation};
 use crate::link::{LinkConfig, LinkSchedule, LinkState};
+use crate::runner::HISTORY_WINDOW;
 
 /// Per-flow output of a shared-link run.
 #[derive(Clone, Debug)]
@@ -77,7 +78,7 @@ pub fn run_shared_link(
                 arrivals[i] = target;
             }
             cwnd_hist[i].insert(0, cwnd);
-            if cwnd_hist[i].len() > 16 {
+            if cwnd_hist[i].len() > HISTORY_WINDOW {
                 cwnd_hist[i].pop();
             }
         }
@@ -98,7 +99,7 @@ pub fn run_shared_link(
         // Feedback and metrics.
         for i in 0..n {
             ack_hist[i].insert(0, served_prev[i]);
-            if ack_hist[i].len() > 16 {
+            if ack_hist[i].len() > HISTORY_WINDOW {
                 ack_hist[i].pop();
             }
             served_prev[i] = served[i];

@@ -61,60 +61,89 @@ pub struct SimResult {
     pub avg_queue: f64,
 }
 
-/// Execute `cca` against the link for `cfg.rounds` rounds.
+/// Newest-first ack and cwnd samples the runner keeps for the CCA: a
+/// lookback deeper than this reads the oldest kept sample.
+pub(crate) const HISTORY_WINDOW: usize = 16;
+
+/// The single-flow round loop and its state, reusable across runs: the
+/// link's waste history is cleared between runs, not reallocated, and the
+/// CCA's ack/cwnd windows are fixed arrays shifted in place, so a run
+/// allocates nothing once the waste history has grown to `cfg.rounds`.
+/// No trajectory is kept; callers fold over the [`StepRecord`]s as they
+/// are produced ([`run_simulation`] collects them).
+#[derive(Clone, Debug, Default)]
+pub struct Simulator {
+    link: LinkState,
+    /// `acks[i]` is `ack(t−i−1)`; the first `len` entries are live.
+    acks: [f64; HISTORY_WINDOW],
+    /// `cwnds[i]` is `cwnd(t−i−1)`.
+    cwnds: [f64; HISTORY_WINDOW],
+    len: usize,
+}
+
+impl Simulator {
+    /// A simulator at trace start.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Execute `cca` against the link for `cfg.rounds` rounds from the
+    /// initial conditions, handing each round's record to `on_step` before
+    /// the next round runs.
+    pub fn run(
+        &mut self,
+        cca: &mut dyn Cca,
+        schedule: &mut dyn LinkSchedule,
+        cfg: &SimConfig,
+        mut on_step: impl FnMut(&StepRecord),
+    ) {
+        self.link.reset();
+        self.len = 0;
+        let mut arrivals = cfg.initial_backlog;
+        let mut served_prev = 0.0;
+        for t in 0..cfg.rounds {
+            // ACK feedback is one propagation unit old.
+            let obs = Observation::new(t, &self.acks[..self.len], &self.cwnds[..self.len]);
+            let cwnd =
+                if t == 0 { cfg.initial_cwnd.max(cca.on_round(&obs)) } else { cca.on_round(&obs) };
+            // Aggressive cwnd-limited sender.
+            let window_target = served_prev + cwnd;
+            arrivals = arrivals.max(window_target);
+            // Link serves within its band (simulator steps are 1-based).
+            let served = self.link.step(t + 1, arrivals, &cfg.link, schedule);
+            on_step(&StepRecord {
+                t,
+                cwnd,
+                arrivals,
+                served,
+                queue: arrivals - served,
+                wasted: self.link.wasted,
+            });
+            self.push_history(served_prev, cwnd);
+            served_prev = served;
+        }
+    }
+
+    /// Shift both windows one slot older and store the newest samples.
+    fn push_history(&mut self, ack: f64, cwnd: f64) {
+        let kept = self.len.min(HISTORY_WINDOW - 1);
+        self.acks.copy_within(..kept, 1);
+        self.cwnds.copy_within(..kept, 1);
+        self.acks[0] = ack;
+        self.cwnds[0] = cwnd;
+        self.len = kept + 1;
+    }
+}
+
+/// Execute `cca` against the link for `cfg.rounds` rounds and collect the
+/// trajectory and its steady-state metrics.
 pub fn run_simulation(
     cca: &mut dyn Cca,
     schedule: &mut dyn LinkSchedule,
     cfg: &SimConfig,
 ) -> SimResult {
-    run_simulation_with_hook(cca, schedule, cfg, &mut |_| {})
-}
-
-/// [`run_simulation`] with a per-step observer: `hook` sees every
-/// [`StepRecord`] as it is produced, before the next round runs — letting
-/// callers (fitness functions, live plotters) fold over the trajectory
-/// without waiting for, or re-scanning, the finished result.
-pub fn run_simulation_with_hook(
-    cca: &mut dyn Cca,
-    schedule: &mut dyn LinkSchedule,
-    cfg: &SimConfig,
-    hook: &mut dyn FnMut(&StepRecord),
-) -> SimResult {
-    let mut link = LinkState::new();
-    let mut arrivals = cfg.initial_backlog;
-    let mut ack_history: Vec<f64> = Vec::new(); // newest first
-    let mut cwnd_history: Vec<f64> = Vec::new();
     let mut steps = Vec::with_capacity(cfg.rounds);
-    let mut served_prev = 0.0;
-
-    for t in 0..cfg.rounds {
-        // ACK feedback is one propagation unit old.
-        let obs = Observation::new(t, &ack_history, &cwnd_history);
-        let cwnd = if t == 0 && cwnd_history.is_empty() {
-            cfg.initial_cwnd.max(cca.on_round(&obs))
-        } else {
-            cca.on_round(&obs)
-        };
-        // Aggressive cwnd-limited sender.
-        let window_target = served_prev + cwnd;
-        arrivals = arrivals.max(window_target);
-        // Link serves within its band (simulator steps are 1-based).
-        let served = link.step(t + 1, arrivals, &cfg.link, schedule);
-        let record =
-            StepRecord { t, cwnd, arrivals, served, queue: arrivals - served, wasted: link.wasted };
-        hook(&record);
-        steps.push(record);
-        // Shift histories (newest first).
-        ack_history.insert(0, served_prev);
-        cwnd_history.insert(0, cwnd);
-        if ack_history.len() > 16 {
-            ack_history.pop();
-        }
-        if cwnd_history.len() > 16 {
-            cwnd_history.pop();
-        }
-        served_prev = served;
-    }
+    Simulator::new().run(cca, schedule, cfg, |r| steps.push(*r));
 
     let w0 = cfg.warmup.min(cfg.rounds.saturating_sub(1));
     let window = (cfg.rounds - w0).max(1) as f64;
@@ -200,6 +229,23 @@ mod tests {
             run_simulation(&mut cca, &mut sched, &cfg).utilization
         };
         assert_eq!(run(9), run(9));
+    }
+
+    #[test]
+    fn reused_simulator_repeats_fresh_runs() {
+        // A long AIMD run fills the windows and the waste history; the
+        // RoCC run after it must not see any of that state.
+        let cfg = SimConfig::default();
+        let mut sim = Simulator::new();
+        sim.run(&mut AimdCca::standard(), &mut RandomJitter::new(5), &cfg, |_| {});
+        let mut reused = Vec::new();
+        sim.run(&mut LinearCca::rocc(), &mut RandomJitter::new(3), &cfg, |r| reused.push(*r));
+        let fresh = run_simulation(&mut LinearCca::rocc(), &mut RandomJitter::new(3), &cfg);
+        let bits = |r: &StepRecord| [r.cwnd, r.arrivals, r.served, r.wasted].map(f64::to_bits);
+        assert_eq!(reused.len(), fresh.steps.len());
+        for (a, b) in reused.iter().zip(&fresh.steps) {
+            assert_eq!(bits(a), bits(b), "round {}", a.t);
+        }
     }
 
     #[test]

@@ -173,7 +173,6 @@ fn adversarially_lifted_traces_are_ccac_feasible() {
 fn f64_screen_and_exact_lift_agree_on_dyadic_schedules() {
     use ccmatic::lift::lift_schedule;
     use ccmatic_fuzz::{FitnessConfig, ModelCca};
-    use ccmatic_simnet::{run_simulation_with_hook, StepRecord};
 
     let net = NetConfig { horizon: 6, history: 5, link_rate: Rat::one(), jitter: 1, buffer: None };
     let spec = known::const_cwnd(ccmatic_num::int(6));
@@ -189,7 +188,6 @@ fn f64_screen_and_exact_lift_agree_on_dyadic_schedules() {
     let trace = lift_schedule(&spec, &genome.lift_config(&net, &Rat::one()));
     let fitness_cfg =
         FitnessConfig { net: net.clone(), thresholds: Thresholds::default(), initial_cwnd: 1.0 };
-    let mut served = Vec::new();
     let mut cca = ModelCca::new(&spec);
     let mut table = genome.table();
     ccmatic_fuzz::evaluate(&mut cca, &mut table, genome.backlog_f64(), &fitness_cfg);
@@ -206,14 +204,12 @@ fn f64_screen_and_exact_lift_agree_on_dyadic_schedules() {
     };
     let mut cca = ModelCca::new(&spec);
     let mut table = genome.table();
-    run_simulation_with_hook(&mut cca, &mut table, &sim, &mut |r: &StepRecord| {
-        served.push(r.served);
-    });
+    let res = run_simulation(&mut cca, &mut table, &sim);
 
     // Simulator round u lands at trace row u + 1 (row 0 is the t_min
     // anchor); every served value must match the exact rational.
-    for (u, s) in served.iter().enumerate() {
+    for (u, s) in res.steps.iter().map(|r| r.served).enumerate() {
         let exact = trace.s[u + 1].to_f64();
-        assert_eq!(*s, exact, "service diverged at round {u}: sim {s} vs exact {exact}");
+        assert_eq!(s, exact, "service diverged at round {u}: sim {s} vs exact {exact}");
     }
 }
