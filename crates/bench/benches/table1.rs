@@ -17,12 +17,6 @@ fn main() {
         let cell = run_cell(&row, OptMode::RangePruningWce, Duration::from_secs(120));
         assert!(cell.solved);
     });
-    bench_case("table1/no_cwnd_small/rp_wce_scratch", 1, 5, || {
-        let cell = run_cell_with(&row, OptMode::RangePruningWce, Duration::from_secs(120), |o| {
-            o.incremental = false
-        });
-        assert!(cell.solved);
-    });
     bench_case("table1/no_cwnd_small/rp_wce_certified", 1, 5, || {
         let cell = run_cell_with(&row, OptMode::RangePruningWce, Duration::from_secs(120), |o| {
             o.certify = true

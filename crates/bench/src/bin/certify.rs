@@ -31,9 +31,7 @@ fn certified_verify(spec: &CcaSpec, worst_case: bool) -> (bool, CcaVerifier) {
         thresholds: Thresholds::default(),
         worst_case,
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: true,
-        theory_sync: true,
         ..Default::default()
     });
     let pass = v.verify(spec).is_ok();

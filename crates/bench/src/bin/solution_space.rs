@@ -43,10 +43,8 @@ fn main() {
                 max_wall: Duration::from_secs(budget_secs),
             },
             wce_precision: rat(1, 2),
-            incremental: true,
             certify: false,
             region_pruning: true,
-            theory_sync: true,
             ..Default::default()
         };
         println!(

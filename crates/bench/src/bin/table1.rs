@@ -87,36 +87,6 @@ fn main() {
             }
             cells.push(cell);
         }
-        // The same-build A/B pair for the trail-sync speedup claim: re-run
-        // the RP+WCE cell with the legacy reset-and-reassert theory bridge.
-        eprintln!("running {} / {} / RP+WCE (no-sync) …", row.params, row.domain_label);
-        let nosync =
-            run_cell_with(&row, OptMode::RangePruningWce, budget, |o| o.theory_sync = false);
-        let sync_wall = cells[2].wall;
-        eprintln!(
-            "  → {} in {} ({} iterations, {:.2}x the trail-synced cell)",
-            if nosync.solved { "solved" } else { "DNF" },
-            fmt_duration(nosync.wall, true),
-            nosync.iterations,
-            nosync.wall.as_secs_f64() / sync_wall.as_secs_f64().max(1e-9),
-        );
-        cells.push(nosync);
-        // The before/after pair for the incremental-verifier speedup claim:
-        // re-run the RP+WCE cell with the pre-scope from-scratch verifier.
-        eprintln!(
-            "running {} / {} / RP+WCE (from-scratch verifier) …",
-            row.params, row.domain_label
-        );
-        let scratch =
-            run_cell_with(&row, OptMode::RangePruningWce, budget, |o| o.incremental = false);
-        eprintln!(
-            "  → {} in {} ({} iterations, {} verifier probes)",
-            if scratch.solved { "solved" } else { "DNF" },
-            fmt_duration(scratch.wall, true),
-            scratch.iterations,
-            scratch.verifier_probes,
-        );
-        cells.push(scratch);
         // Certified RP+WCE: every verdict carries a checker-replayed proof
         // certificate. Reported next to the uncertified cell so the
         // overhead factor is visible per row.
@@ -139,9 +109,7 @@ fn main() {
     let json = table1_json(scale, budget_secs, &results);
     println!("{}", render_table1_json(&json).expect("a run renders from its own JSON"));
     println!("\nDNF = no solution within the per-cell budget (the paper's analogue: one week).");
-    println!("Each row's extra RP+WCE lines: (no-sync) = the legacy reset-and-reassert theory");
-    println!("bridge (the trail-sync A/B pair), (scratch) = the non-incremental verifier,");
-    println!("(certified) = checker-replayed proofs on every verdict.");
+    println!("Each row's extra RP+WCE (certified) line: checker-replayed proofs on every verdict.");
 
     let _ = write_json("BENCH_table1.json", &json);
 }

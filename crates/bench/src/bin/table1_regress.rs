@@ -12,7 +12,7 @@
 //! these repeats exactly on every run of the same code. The one loose
 //! gate is a wall backstop: more than 2× the baseline wall, plus a 1 s
 //! noise floor for scheduler jitter. Cells are matched by the identity
-//! tuple (params, domain, method, incremental, certified, theory_sync);
+//! tuple (params, domain, method, certified);
 //! baseline cells missing from the fresh run count as regressions,
 //! fresh-only cells are ignored. Exit status is nonzero iff any cell
 //! regressed.
@@ -49,16 +49,10 @@ fn load(path: &str) -> Result<Vec<Cell>, String> {
             let get_bool = |k: &str| cell.get(k).and_then(Json::as_bool).unwrap_or(false);
             let get_num = |k: &str| cell.get(k).and_then(Json::as_f64).unwrap_or(0.0);
             let method = cell.get("method").and_then(Json::as_str).unwrap_or("?");
-            // Missing on pre-trail-sync baselines, where every cell ran
-            // the (then-only) synchronized-equivalent path: default true
-            // so old baselines keep matching fresh default cells.
-            let theory_sync = cell.get("theory_sync").and_then(Json::as_bool).unwrap_or(true);
             cells.push(Cell {
                 key: format!(
-                    "{params} / {domain} / {method}{}{}{}",
-                    if get_bool("incremental") { "" } else { " (scratch)" },
+                    "{params} / {domain} / {method}{}",
                     if get_bool("certified") { " (certified)" } else { "" },
-                    if theory_sync { "" } else { " (no-sync)" },
                 ),
                 solved: get_bool("solved"),
                 counters: EXACT_KEYS.map(|k| get_num(k) as u64),

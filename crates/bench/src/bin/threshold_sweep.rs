@@ -151,10 +151,8 @@ fn main() -> ExitCode {
         mode: OptMode::RangePruningWce,
         budget: Budget { max_iterations: 1_000_000, max_wall: Duration::from_secs(budget_secs) },
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: false,
         region_pruning: true,
-        theory_sync: true,
         ..Default::default()
     };
 

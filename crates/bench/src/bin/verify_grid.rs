@@ -88,9 +88,7 @@ fn main() -> ExitCode {
             thresholds: Thresholds::default(),
             worst_case: true,
             wce_precision: rat(1, 2),
-            incremental: true,
             certify: false,
-            theory_sync: true,
             ..Default::default()
         });
         let (arith0, pivots0) = (arith_snapshot(), pivots_total());

@@ -97,8 +97,6 @@ pub fn table1_rows(scale: Scale) -> Vec<Table1Row> {
 pub struct CellResult {
     /// Method column label.
     pub method: &'static str,
-    /// Whether the verifier's incremental (push/pop scope) path was used.
-    pub incremental: bool,
     /// Iterations used (paper's `# Itr`).
     pub iterations: u64,
     /// Wall-clock (paper's `Time`).
@@ -124,9 +122,6 @@ pub struct CellResult {
     /// Arithmetic ops on already-promoted bignum operands during this cell
     /// (process-wide delta).
     pub big_ops: u64,
-    /// Whether trail-synchronized theory solving was on (the default; off
-    /// = the reset-and-reassert A/B leg).
-    pub theory_sync: bool,
     /// Literals implied into SAT trails by theory propagation during this
     /// cell (process-wide delta).
     pub theory_props: u64,
@@ -154,7 +149,6 @@ impl CellResult {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("method", Json::Str(self.method.into())),
-            ("incremental", Json::Bool(self.incremental)),
             ("solved", Json::Bool(self.solved)),
             ("iterations", Json::UInt(self.iterations)),
             ("wall_s", Json::Num(self.wall.as_secs_f64())),
@@ -166,7 +160,6 @@ impl CellResult {
             ("promotions", Json::UInt(self.promotions)),
             ("small_ops", Json::UInt(self.small_ops)),
             ("big_ops", Json::UInt(self.big_ops)),
-            ("theory_sync", Json::Bool(self.theory_sync)),
             ("theory_props", Json::UInt(self.theory_props)),
             ("bounds_asserted", Json::UInt(self.bounds_asserted)),
             ("bounds_reused", Json::UInt(self.bounds_reused)),
@@ -191,19 +184,16 @@ impl CellResult {
 }
 
 /// Run one cell: a search space × an optimization mode, under a wall-clock
-/// budget (the paper used "one week"; pass something smaller). Uses the
-/// incremental verifier; see [`run_cell_with`] for the other legs.
+/// budget (the paper used "one week"; pass something smaller). See
+/// [`run_cell_with`] for the certified leg.
 pub fn run_cell(row: &Table1Row, mode: OptMode, max_wall: Duration) -> CellResult {
     run_cell_with(row, mode, max_wall, |_| {})
 }
 
 /// [`run_cell`] with `tweak` applied to the row's synthesis options, so
-/// callers name the fields they change: `incremental = false` re-encodes
-/// the network model on every verify call (the pre-scope behaviour, kept
-/// for before/after comparisons); `certify` makes every verifier verdict carry a checker-replayed proof
-/// certificate (or exact model audit) and reports the overhead;
-/// `theory_sync = false` runs the legacy reset-and-reassert theory bridge
-/// (the same-build A/B leg).
+/// callers name the fields they change: `certify` makes every verifier
+/// verdict carry a checker-replayed proof certificate (or exact model
+/// audit) and reports the overhead.
 pub fn run_cell_with(
     row: &Table1Row,
     mode: OptMode,
@@ -217,10 +207,8 @@ pub fn run_cell_with(
         mode,
         budget: Budget { max_iterations: 1_000_000, max_wall },
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: false,
         region_pruning: true,
-        theory_sync: true,
         ..Default::default()
     };
     tweak(&mut opts);
@@ -233,7 +221,6 @@ pub fn run_cell_with(
     let theory = ccmatic_smt::theory_counters();
     CellResult {
         method: mode.label(),
-        incremental: opts.incremental,
         iterations: result.stats.iterations,
         wall: result.stats.wall,
         solved: matches!(result.outcome, Outcome::Solution(_)),
@@ -245,7 +232,6 @@ pub fn run_cell_with(
         promotions: arith.promotions,
         small_ops: arith.small_ops,
         big_ops: arith.big_ops,
-        theory_sync: opts.theory_sync,
         theory_props: theory.theory_props.saturating_sub(theory_before.theory_props),
         bounds_asserted: theory.bounds_asserted.saturating_sub(theory_before.bounds_asserted),
         bounds_reused: theory.bounds_reused.saturating_sub(theory_before.bounds_reused),
@@ -328,12 +314,8 @@ pub fn render_table1_json(doc: &Json) -> Result<String, String> {
         let cells = field(row, "cells")?.as_arr().ok_or("`cells` is not an array")?;
         for cell in cells {
             let method = text(cell, "method")?;
-            let method = if !flag(cell, "incremental")? {
-                format!("{method} (scratch)")
-            } else if flag(cell, "certified")? {
+            let method = if flag(cell, "certified")? {
                 format!("{method} (certified)")
-            } else if !flag(cell, "theory_sync")? {
-                format!("{method} (no-sync)")
             } else {
                 method.to_string()
             };

@@ -40,9 +40,7 @@ fn verifies(spec: &CcaSpec, net: &NetConfig, thresholds: &Thresholds) -> bool {
         thresholds: thresholds.clone(),
         worst_case: false,
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
-        incremental: true,
         certify: false,
-        theory_sync: true,
         ..Default::default()
     });
     v.verify(spec).is_ok()

@@ -96,9 +96,7 @@ pub fn brute_force_first(
         thresholds: thresholds.clone(),
         worst_case: false,
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
-        incremental: true,
         certify: false,
-        theory_sync: true,
         ..Default::default()
     });
     let mut tried = 0;
@@ -162,9 +160,7 @@ mod tests {
             thresholds: Thresholds::default(),
             worst_case: false,
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
-            incremental: true,
             certify: false,
-            theory_sync: true,
             ..Default::default()
         });
         assert!(v.verify(&sol).is_ok());

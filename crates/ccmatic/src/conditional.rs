@@ -173,9 +173,7 @@ mod tests {
                     thresholds: Thresholds::default(),
                     worst_case: false,
                     wce_precision: rat(1, 2),
-                    incremental: true,
                     certify: false,
-                    theory_sync: true,
                     ..Default::default()
                 });
                 v.verify(&spec).is_ok()

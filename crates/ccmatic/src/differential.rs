@@ -111,9 +111,7 @@ pub fn separating_environment(
         thresholds: th.clone(),
         worst_case: false,
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
-        incremental: true,
         certify: false,
-        theory_sync: true,
         ..Default::default()
     });
     // A must hold universally — the separator is only meaningful inside

@@ -272,10 +272,8 @@ mod tests {
                 max_wall: Duration::from_secs(240),
             },
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
-            incremental: true,
             certify: false,
             region_pruning: true,
-            theory_sync: true,
             ..Default::default()
         };
         let result = enumerate_all(&opts);
@@ -286,9 +284,7 @@ mod tests {
             thresholds: opts.thresholds.clone(),
             worst_case: false,
             wce_precision: opts.wce_precision.clone(),
-            incremental: true,
             certify: false,
-            theory_sync: true,
             ..Default::default()
         });
         for s in &result.solutions {

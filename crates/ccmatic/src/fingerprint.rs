@@ -5,10 +5,9 @@
 //! network model, the objective thresholds, the optimization mode's
 //! semantics, and the engine version (an encoding change invalidates old
 //! entries wholesale). Everything that only affects *how fast* the answer
-//! is found — budgets, incremental vs from-scratch verification,
-//! certification, region pruning (pinned outcome-equal by the differential
-//! suite) — is deliberately excluded, so a budget-limited CI run and a
-//! long server run share cache entries.
+//! is found — budgets, certification, region pruning (pinned outcome-equal
+//! by the differential suite) — is deliberately excluded, so a
+//! budget-limited CI run and a long server run share cache entries.
 //!
 //! The canonical form is a human-readable string (exact rationals render
 //! via their canonical `n`/`n/d` display); the filename key is its FNV-1a
@@ -90,7 +89,6 @@ mod tests {
     fn perf_knobs_do_not_change_the_fingerprint() {
         let base = SynthOptions::default();
         let tweaked = SynthOptions {
-            incremental: false,
             certify: true,
             region_pruning: false,
             budget: ccmatic_cegis::Budget {

@@ -237,12 +237,6 @@ impl SmtGenerator {
         self.region_pruning = on;
     }
 
-    /// Enable or disable trail-synchronized theory solving in the
-    /// generator's solver (the `--no-theory-sync` escape hatch).
-    pub fn set_theory_sync(&mut self, on: bool) {
-        self.solver.set_theory_sync(on);
-    }
-
     fn coeff_names(shape: &TemplateShape) -> Vec<String> {
         let mut names = Vec::new();
         if shape.use_cwnd {
@@ -775,9 +769,7 @@ mod tests {
             thresholds: Thresholds::default(),
             worst_case: false,
             wce_precision: Rat::new(1i64.into(), 4i64.into()),
-            incremental: true,
             certify: false,
-            theory_sync: true,
             ..Default::default()
         });
         let mut g =
@@ -813,9 +805,7 @@ mod tests {
             thresholds: Thresholds::default(),
             worst_case: true,
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
-            incremental: true,
             certify: false,
-            theory_sync: true,
             ..Default::default()
         });
         let broken = CcaSpec { alpha: vec![], beta: vec![int(0), int(0)], gamma: int(0) };

@@ -199,9 +199,7 @@ mod tests {
             thresholds: Thresholds::default(),
             worst_case,
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
-            incremental: true,
             certify: false,
-            theory_sync: true,
             ..Default::default()
         })
     }

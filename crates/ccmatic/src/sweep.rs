@@ -290,10 +290,8 @@ mod tests {
                 max_wall: Duration::from_secs(300),
             },
             wce_precision: rat(1, 2),
-            incremental: true,
             certify: false,
             region_pruning: true,
-            theory_sync: true,
             ..Default::default()
         }
     }

@@ -69,7 +69,8 @@ pub struct SynthOptions {
     pub budget: Budget,
     /// WCE binary-search precision.
     pub wce_precision: Rat,
-    /// Use the verifier's incremental (push/pop scope) path.
+    /// Not read: the verifier always reuses one solver through push/pop
+    /// scopes. Kept only for the `perfbench/` workloads, like `threads`.
     pub incremental: bool,
     /// Not read: synthesis always runs one serial loop. Kept only so the
     /// `SynthOptions` literals in the `perfbench/` workloads compile.
@@ -88,10 +89,9 @@ pub struct SynthOptions {
     /// subsumption. On by default; the differential suite turns it off to
     /// pin pruned == unpruned outcomes.
     pub region_pruning: bool,
-    /// Trail-synchronized incremental theory solving in every solver this
-    /// run builds (verifier, generator, WCE probes). On by default; the
-    /// `--no-theory-sync` escape hatch exists for same-build A/B timing
-    /// and the trail-sync differential suite.
+    /// Not read: every solver a run builds (verifier, generator, WCE
+    /// probes) runs trail-synchronized theory solving. Kept only for the
+    /// `perfbench/` workloads, like `threads`.
     pub theory_sync: bool,
 }
 
@@ -303,7 +303,6 @@ fn make_generator(opts: &SynthOptions) -> GenAdapter {
         opts.mode.feasibility(),
     );
     inner.set_region_pruning(opts.region_pruning);
-    inner.set_theory_sync(opts.theory_sync);
     GenAdapter::new(inner, make_replay(opts), opts.region_pruning)
 }
 
@@ -313,9 +312,7 @@ fn verify_config(opts: &SynthOptions) -> VerifyConfig {
         thresholds: opts.thresholds.clone(),
         worst_case: opts.mode.worst_case(),
         wce_precision: opts.wce_precision.clone(),
-        incremental: opts.incremental,
         certify: opts.certify,
-        theory_sync: opts.theory_sync,
         ..VerifyConfig::default()
     }
 }
@@ -395,10 +392,8 @@ mod tests {
             mode,
             budget: Budget { max_iterations: 400, max_wall: Duration::from_secs(240) },
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
-            incremental: true,
             certify: false,
             region_pruning: true,
-            theory_sync: true,
             ..SynthOptions::default()
         }
     }
@@ -468,9 +463,7 @@ mod tests {
                     thresholds: opts.thresholds.clone(),
                     worst_case: false,
                     wce_precision: opts.wce_precision.clone(),
-                    incremental: true,
                     certify: false,
-                    theory_sync: true,
                     ..Default::default()
                 });
                 assert!(v.verify(&spec).is_ok(), "synthesized CCA failed re-verification: {spec}");

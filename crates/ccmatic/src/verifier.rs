@@ -9,17 +9,16 @@
 //! each such trace prunes the largest possible range of candidate CCAs in
 //! the generator.
 //!
-//! # Incremental mode
+//! # Incremental verification
 //!
 //! The network model (link behaviour, sender bookkeeping, ¬desired, and the
 //! WCE band bounds) is identical for every candidate; only the template
-//! equalities change. With [`VerifyConfig::incremental`] (the default) the
-//! verifier encodes the network model *once* into a long-lived solver's base
-//! scope. Each `verify` call then pushes an assertion scope, asserts the
-//! candidate's template constraints, checks, and pops — and the WCE binary
-//! search runs as scoped re-checks on the same solver instead of building a
-//! fresh solver per probe. Theory lemmas over base atoms survive the pops,
-//! so successive candidates (and successive WCE probes) start warm.
+//! equalities change. The verifier encodes the network model *once* into a
+//! long-lived solver's base scope. Each `verify` call then pushes an
+//! assertion scope, asserts the candidate's template constraints, checks,
+//! and pops — and the WCE binary search runs as scoped re-checks on the same
+//! solver. Theory lemmas over base atoms survive the pops, so successive
+//! candidates (and successive WCE probes) start warm.
 
 use crate::template::CcaSpec;
 use ccac_model::{
@@ -30,8 +29,8 @@ use ccmatic_cegis::Verdict;
 use ccmatic_num::Rat;
 use ccmatic_proof::Replayer;
 use ccmatic_smt::{
-    maximize, maximize_scoped, Context, Interrupt, LinExpr, MaximizeOutcome, MaximizeParams,
-    RealVar, SatResult, Solver, Term,
+    maximize_scoped, Context, Interrupt, LinExpr, MaximizeOutcome, MaximizeParams, RealVar,
+    SatResult, Solver, Term,
 };
 
 /// The type of [`VerifyConfig::search`]: empty, and read by nothing.
@@ -49,11 +48,10 @@ pub struct VerifyConfig {
     pub worst_case: bool,
     /// Bracket precision for the WCE binary search.
     pub wce_precision: Rat,
-    /// Reuse one solver across candidates via push/pop assertion scopes
-    /// instead of re-encoding the network model from scratch every call.
-    /// Both paths are semantically identical (see `tests/verifier_scopes.rs`
-    /// differentials); the from-scratch path is kept for exactly that
-    /// comparison.
+    /// Not read: every verifier reuses one solver across candidates via
+    /// push/pop assertion scopes. Kept only so the `VerifyConfig` literals
+    /// in the `perfbench/` workloads compile; delete it when those
+    /// workloads stop naming it.
     pub incremental: bool,
     /// Certify every verdict: UNSAT answers (including every WCE
     /// binary-search infeasibility probe) must carry a DRAT+Farkas
@@ -66,9 +64,10 @@ pub struct VerifyConfig {
     /// the `VerifyConfig` literals in the `perfbench/` workloads compile;
     /// delete it when those workloads stop naming it.
     pub search: SearchConfig,
-    /// Trail-synchronized incremental theory solving with theory
-    /// propagation (default). Off = the legacy reset-and-reassert bridge;
-    /// kept as a same-build A/B escape hatch (`--no-theory-sync`).
+    /// Not read: every solver runs trail-synchronized theory solving with
+    /// theory propagation. Kept only so the `VerifyConfig` literals in the
+    /// `perfbench/` workloads compile; delete it when those workloads stop
+    /// naming it.
     pub theory_sync: bool,
 }
 
@@ -137,8 +136,8 @@ impl CertAudit {
     }
 }
 
-/// The persistent encoding used by incremental mode: the network model sits
-/// in the solver's base scope; candidates come and go in pushed scopes.
+/// The persistent encoding: the network model sits in the solver's base
+/// scope; candidates come and go in pushed scopes.
 struct IncState {
     ctx: Context,
     nv: NetVars,
@@ -171,7 +170,7 @@ pub struct CcaVerifier {
     /// call). The persistent result cache persists these so a cache hit
     /// can re-establish each solution's verdict without a solver.
     last_pass_cert: Option<ccmatic_proof::UnsatCertificate>,
-    /// Lazily-built incremental state (`cfg.incremental` only).
+    /// Lazily-built incremental state.
     inc: Option<IncState>,
 }
 
@@ -220,19 +219,6 @@ impl CcaVerifier {
         ctx.and(cs)
     }
 
-    /// Build the violation query `feasible ∧ ¬desired` and return it with
-    /// the trace variables (from-scratch path).
-    fn violation_query(&self, ctx: &mut Context, spec: &CcaSpec) -> (NetVars, Term) {
-        let nv = alloc_net_vars(ctx, &self.cfg.net);
-        let net = network_constraints(ctx, &nv);
-        let snd = sender_constraints(ctx, &nv);
-        let tmpl = Self::template_constraints(ctx, &nv, spec);
-        let parts = desired_property(ctx, &nv, &self.cfg.thresholds);
-        let bad = ctx.not(parts.desired);
-        let q = ctx.and(vec![net, snd, tmpl, bad]);
-        (nv, q)
-    }
-
     /// The WCE bracket parameters for this network shape.
     fn wce_params(&self, interrupt: &Interrupt) -> MaximizeParams {
         let hi = Rat::from((self.cfg.net.t_max() + self.cfg.net.history as i64).max(1));
@@ -240,10 +226,8 @@ impl CcaVerifier {
             lo: Rat::zero(),
             hi,
             precision: self.cfg.wce_precision.clone(),
-            conflict_budget: None,
             interrupt: interrupt.clone(),
             certify: self.cfg.certify,
-            theory_sync: self.cfg.theory_sync,
         }
     }
 
@@ -277,90 +261,7 @@ impl CcaVerifier {
             self.cfg.net.history,
             spec.beta.len()
         );
-        if self.cfg.incremental {
-            self.verify_incremental(spec, interrupt)
-        } else {
-            self.verify_from_scratch(spec, interrupt)
-        }
-    }
-
-    fn verify_from_scratch(&mut self, spec: &CcaSpec, interrupt: &Interrupt) -> Verdict<Trace> {
-        let mut ctx = Context::new();
-        let (nv, query) = self.violation_query(&mut ctx, spec);
-        if self.cfg.worst_case {
-            // Maximize the minimum band width minₜ (tokens(t) − S(t)) over
-            // the enforced window, so the returned trace pins down the
-            // widest possible range of CCA behaviours.
-            let m = ctx.real_var("band");
-            let mut cs = vec![query];
-            for t in 0..=self.cfg.net.t_max() {
-                let band = nv.tokens(t) - LinExpr::var(nv.s(t));
-                cs.push(ctx.le(LinExpr::var(m), band));
-            }
-            let base = ctx.and(cs);
-            let params = self.wce_params(interrupt);
-            match maximize(&mut ctx, base, &LinExpr::var(m), &params) {
-                MaximizeOutcome::Infeasible { certificate } => {
-                    self.solver_probes += 1;
-                    if self.cfg.certify {
-                        let cert = certificate.expect("certify mode must produce a certificate");
-                        self.cert_audit.replay(&mut self.replayer, &cert, "WCE infeasibility");
-                        self.last_pass_cert = Some(*cert);
-                    }
-                    Verdict::Pass
-                }
-                MaximizeOutcome::Feasible { model, probes, certificates, .. } => {
-                    self.solver_probes += probes as u64;
-                    // Every bracket-tightening infeasibility probe of the
-                    // binary search carries its own certificate; the final
-                    // model was already exact-audited inside `maximize`.
-                    for cert in &certificates {
-                        self.cert_audit.replay(&mut self.replayer, cert, "WCE bracket probe");
-                    }
-                    Verdict::Fail(Trace::from_model(&model, &nv))
-                }
-                MaximizeOutcome::Aborted => {
-                    self.solver_probes += 1;
-                    Verdict::Timeout
-                }
-            }
-        } else {
-            self.solver_probes += 1;
-            let mut solver = Solver::new();
-            solver.set_theory_sync(self.cfg.theory_sync);
-            solver.interrupt = interrupt.clone();
-            if self.cfg.certify {
-                solver.enable_proofs();
-            }
-            solver.assert(&ctx, query);
-            let res = if self.cfg.certify {
-                let out = solver.check_certified(&ctx);
-                match out.result {
-                    SatResult::Unsat => {
-                        let cert =
-                            out.certificate.expect("certify mode must produce a certificate");
-                        self.cert_audit.replay(&mut self.replayer, &cert, "verifier UNSAT verdict");
-                        self.last_pass_cert = Some(cert);
-                    }
-                    SatResult::Sat => {
-                        assert_eq!(
-                            out.model_ok,
-                            Some(true),
-                            "counterexample model failed the exact audit"
-                        );
-                    }
-                    SatResult::Unknown => {}
-                }
-                out.result
-            } else {
-                solver.check(&ctx)
-            };
-            match res {
-                SatResult::Unsat => Verdict::Pass,
-                SatResult::Sat => Verdict::Fail(Trace::from_model(solver.model().unwrap(), &nv)),
-                SatResult::Unknown => Verdict::Timeout,
-            }
-        }
+        self.verify_incremental(spec, interrupt)
     }
 
     /// Build the long-lived incremental encoding if it does not exist yet.
@@ -373,7 +274,6 @@ impl CcaVerifier {
             let parts = desired_property(&mut ctx, &nv, &self.cfg.thresholds);
             let bad = ctx.not(parts.desired);
             let mut solver = Solver::new();
-            solver.set_theory_sync(self.cfg.theory_sync);
             if self.cfg.certify {
                 // Must be enabled before the base assertions so input
                 // clauses (and later atom definitions) reach the proof log.
@@ -500,9 +400,7 @@ mod tests {
             thresholds: Thresholds::default(),
             worst_case: false,
             wce_precision: Rat::new(1i64.into(), 4i64.into()),
-            incremental: true,
             certify: false,
-            theory_sync: true,
             ..Default::default()
         }
     }
@@ -569,40 +467,35 @@ mod tests {
         assert!(v.cert_audit.checked >= 1, "the UNSAT verdict must be certified");
         assert!(v.cert_audit.bytes > 0);
         // A refuted candidate: the final model is exact-audited inside
-        // `maximize`, and any infeasible probes are certified.
+        // `maximize_scoped`, and any infeasible probes are certified.
         assert!(v.verify(&known::const_cwnd(Rat::zero())).is_err());
-        // From-scratch, non-WCE path.
-        let mut v2 =
-            CcaVerifier::new(VerifyConfig { incremental: false, certify: true, ..small_cfg() });
+        // Non-WCE path across multiple candidates on one verifier: one
+        // certificate per Pass verdict.
+        let mut v2 = CcaVerifier::new(VerifyConfig { certify: true, ..small_cfg() });
         assert!(v2.verify(&known::rocc()).is_ok());
         assert_eq!(v2.cert_audit.checked, 1);
-        // Incremental, non-WCE path across multiple candidates.
-        let mut v3 = CcaVerifier::new(VerifyConfig { certify: true, ..small_cfg() });
-        assert!(v3.verify(&known::rocc()).is_ok());
-        assert!(v3.verify(&known::const_cwnd(int(20))).is_err());
-        assert!(v3.verify(&known::rocc()).is_ok());
-        assert_eq!(v3.cert_audit.checked, 2, "both Pass verdicts certified");
+        assert!(v2.verify(&known::const_cwnd(int(20))).is_err());
+        assert!(v2.verify(&known::rocc()).is_ok());
+        assert_eq!(v2.cert_audit.checked, 2, "both Pass verdicts certified");
     }
 
     #[test]
     fn repeated_candidates_reuse_one_encoding() {
-        // Several verify calls on one incremental verifier must agree with
-        // fresh from-scratch verifiers, candidate by candidate.
+        // Several verify calls on one verifier must agree with a fresh
+        // verifier per candidate, and with each candidate's known verdict.
         let specs = [
-            known::rocc(),
-            known::const_cwnd(Rat::zero()),
-            known::const_cwnd(int(20)),
-            known::copy_cwnd(),
+            (known::rocc(), true),
+            (known::const_cwnd(Rat::zero()), false),
+            (known::const_cwnd(int(20)), false),
+            (known::copy_cwnd(), false),
         ];
-        let mut inc = CcaVerifier::new(small_cfg());
-        for spec in &specs {
-            let mut scratch = CcaVerifier::new(VerifyConfig { incremental: false, ..small_cfg() });
-            assert_eq!(
-                inc.verify(spec).is_ok(),
-                scratch.verify(spec).is_ok(),
-                "incremental and from-scratch verdicts diverged on {spec}"
-            );
+        let mut reused = CcaVerifier::new(small_cfg());
+        for (spec, passes) in &specs {
+            let verdict = reused.verify(spec).is_ok();
+            let fresh = CcaVerifier::new(small_cfg()).verify(spec).is_ok();
+            assert_eq!(verdict, fresh, "reused and fresh verdicts diverged on {spec}");
+            assert_eq!(verdict, *passes, "wrong verdict on {spec}");
         }
-        assert_eq!(inc.calls, specs.len() as u64);
+        assert_eq!(reused.calls, specs.len() as u64);
     }
 }

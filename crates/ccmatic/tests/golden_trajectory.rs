@@ -50,10 +50,8 @@ fn ci_cell() -> SynthOptions {
         mode: OptMode::RangePruningWce,
         budget: Budget { max_iterations: 1_000_000, max_wall: Duration::from_secs(600) },
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: false,
         region_pruning: true,
-        theory_sync: true,
         ..Default::default()
     }
 }
@@ -146,9 +144,7 @@ fn verifier_records() -> Vec<String> {
         thresholds: Thresholds::default(),
         worst_case: true,
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: true,
-        theory_sync: true,
         ..Default::default()
     });
     let set = [

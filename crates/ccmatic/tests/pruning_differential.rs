@@ -27,10 +27,8 @@ fn base_opts(shape: TemplateShape, net: NetConfig, region_pruning: bool) -> Synt
         mode: OptMode::RangePruningWce,
         budget: Budget { max_iterations: 500, max_wall: Duration::from_secs(240) },
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
-        incremental: true,
         certify: false,
         region_pruning,
-        theory_sync: true,
         ..Default::default()
     }
 }
@@ -57,9 +55,7 @@ fn reverify(opts: &SynthOptions, spec: &CcaSpec, tag: &str) {
         thresholds: opts.thresholds.clone(),
         worst_case: false,
         wce_precision: opts.wce_precision.clone(),
-        incremental: true,
         certify: false,
-        theory_sync: true,
         ..Default::default()
     });
     assert!(v.verify(spec).is_ok(), "solution from {tag} run failed re-verification: {spec}");

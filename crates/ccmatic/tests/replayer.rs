@@ -48,9 +48,7 @@ fn verify_config() -> VerifyConfig {
         thresholds: Thresholds::default(),
         worst_case: true,
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: true,
-        theory_sync: true,
         ..Default::default()
     }
 }

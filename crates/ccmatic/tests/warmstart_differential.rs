@@ -25,10 +25,8 @@ fn tiny_base() -> SynthOptions {
         mode: OptMode::RangePruningWce,
         budget: ccmatic_cegis::Budget { max_iterations: 600, max_wall: Duration::from_secs(240) },
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: false,
         region_pruning: true,
-        theory_sync: true,
         ..Default::default()
     }
 }

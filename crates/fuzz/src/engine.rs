@@ -281,9 +281,7 @@ fn verify_target(cfg: &FuzzConfig, spec: &CcaSpec) -> bool {
         thresholds: cfg.thresholds.clone(),
         worst_case: false,
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: false,
-        theory_sync: true,
         ..Default::default()
     });
     verifier.verify(spec).is_ok()

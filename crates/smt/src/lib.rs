@@ -59,7 +59,7 @@ pub mod term;
 
 pub use interrupt::Interrupt;
 pub use linexpr::LinExpr;
-pub use opt::{maximize, maximize_scoped, MaximizeOutcome, MaximizeParams};
+pub use opt::{maximize_scoped, MaximizeOutcome, MaximizeParams};
 pub use solver::{
     theory_counters, Certified, Model, SatResult, Solver, SolverStats, TheoryCounters,
 };

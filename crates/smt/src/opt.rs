@@ -4,16 +4,17 @@
 //! trace *maximizing* `minₜ(uₜ − lₜ)` and does so "using binary search ...
 //! calling the verifier multiple times in a single CEGIS iteration" (§3.1.2).
 //! This module implements exactly that loop: probe `φ ∧ obj ≥ mid`,
-//! tighten the bracket, keep the best model.
+//! tighten the bracket, keep the best model. Every probe is a scoped
+//! re-check on one solver that already holds `φ`.
 
 use crate::interrupt::Interrupt;
 use crate::linexpr::LinExpr;
 use crate::solver::{Model, SatResult, Solver};
-use crate::term::{Context, Term};
+use crate::term::Context;
 use ccmatic_num::Rat;
 use ccmatic_proof::UnsatCertificate;
 
-/// Parameters for [`maximize`].
+/// Parameters for [`maximize_scoped`].
 #[derive(Clone, Debug)]
 pub struct MaximizeParams {
     /// Lower end of the search bracket; the objective is first tested for
@@ -25,23 +26,15 @@ pub struct MaximizeParams {
     pub hi: Rat,
     /// Stop when the bracket is narrower than this.
     pub precision: Rat,
-    /// Optional per-probe conflict budget.
-    pub conflict_budget: Option<u64>,
     /// Optional deadline/cancellation polled inside every probe. When it
     /// fires before the first probe decides, the search reports
     /// [`MaximizeOutcome::Aborted`]; when it fires later, the best model
     /// found so far is returned (sound, possibly sub-maximal).
     pub interrupt: Interrupt,
-    /// Collect an UNSAT certificate from every infeasible probe. In
-    /// [`maximize`] this also enables proof logging on the per-probe
-    /// solvers; in [`maximize_scoped`] the caller must have called
-    /// [`Solver::enable_proofs`] before asserting the base (snapshots are
-    /// taken here, logging happens there).
+    /// Collect an UNSAT certificate from every infeasible probe. The
+    /// caller must have called [`Solver::enable_proofs`] before asserting
+    /// the base (snapshots are taken here, logging happens there).
     pub certify: bool,
-    /// Trail-synchronized incremental theory solving on the per-probe
-    /// solvers built by [`maximize`] (the escape-hatch A/B switch;
-    /// [`maximize_scoped`] inherits whatever the caller's solver uses).
-    pub theory_sync: bool,
 }
 
 impl Default for MaximizeParams {
@@ -50,28 +43,28 @@ impl Default for MaximizeParams {
             lo: Rat::zero(),
             hi: Rat::from(1_000_000i64),
             precision: Rat::new(1i64.into(), 64i64.into()),
-            conflict_budget: None,
             interrupt: Interrupt::none(),
             certify: false,
-            theory_sync: true,
         }
     }
 }
 
-/// Result of [`maximize`].
+/// Result of [`maximize_scoped`].
 ///
 /// Discarding the outcome silently conflates `Infeasible` with `Aborted`
 /// (and loses the witness), so it is `#[must_use]`:
 ///
 /// ```compile_fail
 /// #![deny(unused_must_use)]
-/// use ccmatic_smt::{maximize, Context, LinExpr, MaximizeParams};
+/// use ccmatic_smt::{maximize_scoped, Context, LinExpr, MaximizeParams, Solver};
 /// use ccmatic_num::int;
 /// let mut ctx = Context::new();
 /// let x = ctx.real_var("x");
 /// let base = ctx.le(ctx.var(x), ctx.constant(int(1)));
+/// let mut solver = Solver::new();
+/// solver.assert(&ctx, base);
 /// // error: unused `MaximizeOutcome` that must be used
-/// maximize(&mut ctx, base, &LinExpr::var(x), &MaximizeParams::default());
+/// maximize_scoped(&mut ctx, &mut solver, &LinExpr::var(x), &MaximizeParams::default());
 /// ```
 #[derive(Debug)]
 #[must_use = "an Infeasible/Aborted outcome must not be conflated with Feasible"]
@@ -97,101 +90,34 @@ pub enum MaximizeOutcome {
         /// justify that the search stopped near the true supremum.
         certificates: Vec<UnsatCertificate>,
     },
-    /// The interrupt (or conflict budget) fired before the first probe
+    /// The interrupt fired before the first probe
     /// decided feasibility: no claim is made either way. Reporting this
     /// separately from `Infeasible` is what keeps deadline-limited runs
     /// sound — an aborted probe must never masquerade as a certificate.
     Aborted,
 }
 
-/// Maximize `objective` subject to `base`, by binary search on solver calls.
-///
-/// Soundness: the returned model always satisfies `base`; the returned value
-/// is exactly `objective` evaluated in that model. Completeness: the true
-/// supremum is less than `value + precision` (or above `hi`, which the
-/// caller promises not to be possible).
-pub fn maximize(
-    ctx: &mut Context,
-    base: Term,
-    objective: &LinExpr,
-    params: &MaximizeParams,
-) -> MaximizeOutcome {
-    let mut probes = 0u32;
-    let mut probe = |ctx: &mut Context, threshold: &Rat| -> Probe {
-        probes += 1;
-        let mut solver = Solver::new();
-        solver.set_theory_sync(params.theory_sync);
-        if params.certify {
-            solver.enable_proofs();
-        }
-        solver.conflict_budget = params.conflict_budget;
-        solver.interrupt = params.interrupt.clone();
-        solver.assert(ctx, base);
-        let obj_ge = ctx.ge(objective.clone(), LinExpr::constant(threshold.clone()));
-        solver.assert(ctx, obj_ge);
-        if params.certify {
-            let out = solver.check_certified(ctx);
-            match out.result {
-                SatResult::Sat => {
-                    assert_eq!(out.model_ok, Some(true), "probe model failed the exact audit");
-                    Probe::Sat(solver.model().cloned().expect("sat has a model"))
-                }
-                SatResult::Unsat => Probe::Unsat(out.certificate.map(Box::new)),
-                SatResult::Unknown => Probe::Unknown,
-            }
-        } else {
-            match solver.check(ctx) {
-                SatResult::Sat => Probe::Sat(solver.model().cloned().expect("sat has a model")),
-                SatResult::Unsat => Probe::Unsat(None),
-                SatResult::Unknown => Probe::Unknown,
-            }
-        }
-    };
-
-    let first = match probe(ctx, &params.lo) {
-        Probe::Sat(m) => m,
-        Probe::Unsat(certificate) => return MaximizeOutcome::Infeasible { certificate },
-        Probe::Unknown => return MaximizeOutcome::Aborted,
-    };
-    let mut best_value = first.eval(objective);
-    let mut best_model = first;
-    let mut certificates = Vec::new();
-    let mut hi = params.hi.clone();
-    while &hi - &best_value > params.precision {
-        let mid = Rat::midpoint(&best_value, &hi);
-        match probe(ctx, &mid) {
-            Probe::Sat(m) => {
-                best_value = m.eval(objective);
-                best_model = m;
-            }
-            Probe::Unsat(cert) => {
-                hi = mid;
-                certificates.extend(cert.map(|c| *c));
-            }
-            // Past the first probe a feasible witness is in hand; returning
-            // it early is sound (the trace is a real counterexample), it is
-            // merely not guaranteed worst-case.
-            Probe::Unknown => break,
-        }
-    }
-    MaximizeOutcome::Feasible { value: best_value, model: best_model, probes, certificates }
-}
-
-/// Per-probe verdict shared by the two search loops.
+/// Per-probe verdict.
 enum Probe {
     Sat(Model),
     Unsat(Option<Box<UnsatCertificate>>),
     Unknown,
 }
 
-/// Like [`maximize`], but over a solver whose base constraints are already
-/// asserted: each binary-search probe opens a scope and asserts `obj ≥ mid`,
-/// so the network model is encoded once and lemmas learned in one probe
-/// speed up the next. Satisfiable probes *keep* their scope — the bound they
-/// assert is implied by every later threshold (the search only moves up),
-/// so leaving it in place is sound and preserves everything learned while
-/// finding the model; only unsatisfiable probes retract. The solver is
-/// returned at its original scope depth.
+/// Maximize `objective` over a solver whose base constraints `φ` are
+/// already asserted, by binary search on scoped solver calls: each probe
+/// opens a scope and asserts `obj ≥ mid`, so the network model is encoded
+/// once and lemmas learned in one probe speed up the next. Satisfiable
+/// probes *keep* their scope — the bound they assert is implied by every
+/// later threshold (the search only moves up), so leaving it in place is
+/// sound and preserves everything learned while finding the model; only
+/// unsatisfiable probes retract. The solver is returned at its original
+/// scope depth.
+///
+/// Soundness: the returned model always satisfies `φ`; the returned value
+/// is exactly `objective` evaluated in that model. Completeness: the true
+/// supremum is less than `value + precision` (or above `hi`, which the
+/// caller promises not to be possible).
 pub fn maximize_scoped(
     ctx: &mut Context,
     solver: &mut Solver,
@@ -200,13 +126,10 @@ pub fn maximize_scoped(
 ) -> MaximizeOutcome {
     let mut probes = 0u32;
     let mut kept = 0u32;
-    let saved_budget = solver.conflict_budget;
-    let saved_interrupt = solver.interrupt.clone();
+    let saved_interrupt = std::mem::replace(&mut solver.interrupt, params.interrupt.clone());
     let mut probe = |ctx: &mut Context, solver: &mut Solver, threshold: &Rat| -> Probe {
         probes += 1;
         solver.push();
-        solver.conflict_budget = params.conflict_budget;
-        solver.interrupt = params.interrupt.clone();
         let obj_ge = ctx.ge(objective.clone(), LinExpr::constant(threshold.clone()));
         solver.assert(ctx, obj_ge);
         if params.certify {
@@ -266,8 +189,10 @@ pub fn maximize_scoped(
                         hi = mid;
                         certificates.extend(cert.map(|c| *c));
                     }
-                    // A witness is already in hand; stop refining (see
-                    // `maximize`).
+                    // Past the first probe a feasible witness is in hand;
+                    // returning it early is sound (the trace is a real
+                    // counterexample), it is merely not guaranteed
+                    // worst-case.
                     Probe::Unknown => break,
                 }
             }
@@ -277,7 +202,6 @@ pub fn maximize_scoped(
     for _ in 0..kept {
         solver.pop();
     }
-    solver.conflict_budget = saved_budget;
     solver.interrupt = saved_interrupt;
     outcome
 }
@@ -285,7 +209,25 @@ pub fn maximize_scoped(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::term::Term;
     use ccmatic_num::{int, rat};
+
+    /// `maximize_scoped` on a fresh solver holding only `base`.
+    fn maximize_fresh(
+        ctx: &mut Context,
+        base: Term,
+        objective: &LinExpr,
+        params: &MaximizeParams,
+    ) -> MaximizeOutcome {
+        let mut solver = Solver::new();
+        if params.certify {
+            solver.enable_proofs();
+        }
+        solver.assert(ctx, base);
+        let out = maximize_scoped(ctx, &mut solver, objective, params);
+        assert_eq!(solver.depth(), 0, "search must return the solver at its original depth");
+        out
+    }
 
     #[test]
     fn maximize_simple_lp() {
@@ -300,16 +242,15 @@ mod tests {
             lo: int(-100),
             hi: int(100),
             precision: rat(1, 100),
-            conflict_budget: None,
             interrupt: Interrupt::none(),
             certify: false,
-            theory_sync: true,
         };
-        match maximize(&mut ctx, base, &LinExpr::var(x), &params) {
-            MaximizeOutcome::Feasible { value, model, .. } => {
+        match maximize_fresh(&mut ctx, base, &LinExpr::var(x), &params) {
+            MaximizeOutcome::Feasible { value, model, probes, .. } => {
                 assert!(value > rat(599, 100), "value {value} too small");
                 assert!(value <= int(6));
                 assert!(&model.real(x) + &model.real(y) <= int(10));
+                assert!(probes > 1, "binary search should take multiple probes");
             }
             MaximizeOutcome::Infeasible { .. } => panic!("feasible LP reported infeasible"),
             MaximizeOutcome::Aborted => unreachable!("no interrupt armed"),
@@ -325,7 +266,7 @@ mod tests {
         let base = ctx.and(vec![c1, c2]);
         let params = MaximizeParams::default();
         assert!(matches!(
-            maximize(&mut ctx, base, &LinExpr::var(x), &params),
+            maximize_fresh(&mut ctx, base, &LinExpr::var(x), &params),
             MaximizeOutcome::Infeasible { .. }
         ));
     }
@@ -342,12 +283,10 @@ mod tests {
             lo: int(0),
             hi: int(100),
             precision: rat(1, 10),
-            conflict_budget: None,
             interrupt: Interrupt::none(),
             certify: false,
-            theory_sync: true,
         };
-        match maximize(&mut ctx, base, &LinExpr::var(x), &params) {
+        match maximize_fresh(&mut ctx, base, &LinExpr::var(x), &params) {
             MaximizeOutcome::Feasible { value, .. } => {
                 assert!(value > rat(69, 10) && value <= int(7), "got {value}");
             }
@@ -358,8 +297,10 @@ mod tests {
 
     #[test]
     fn scoped_maximize_matches_fresh() {
-        // Same LP as `maximize_simple_lp`, probed through push/pop scopes on
-        // one long-lived solver; also checks the solver comes back usable.
+        // Same LP as `maximize_simple_lp`, searched twice on one long-lived
+        // solver: the second search (warm, with the first one's lemmas)
+        // must reach the same value as a fresh solver, and the solver must
+        // come back usable.
         let mut ctx = Context::new();
         let x = ctx.real_var("x");
         let y = ctx.real_var("y");
@@ -370,26 +311,24 @@ mod tests {
             lo: int(-100),
             hi: int(100),
             precision: rat(1, 100),
-            conflict_budget: None,
             interrupt: Interrupt::none(),
             certify: false,
-            theory_sync: true,
         };
+        let value_of = |out: MaximizeOutcome| match out {
+            MaximizeOutcome::Feasible { value, .. } => value,
+            other => panic!("feasible LP reported {other:?}"),
+        };
+        let fresh = value_of(maximize_fresh(&mut ctx, base, &LinExpr::var(x), &params));
         let mut solver = Solver::new();
         solver.assert(&ctx, base);
-        match maximize_scoped(&mut ctx, &mut solver, &LinExpr::var(x), &params) {
-            MaximizeOutcome::Feasible { value, model, probes, .. } => {
-                assert!(value > rat(599, 100) && value <= int(6), "value {value}");
-                assert!(&model.real(x) + &model.real(y) <= int(10));
-                assert!(probes > 1, "binary search should take multiple probes");
-            }
-            MaximizeOutcome::Infeasible { .. } => panic!("feasible LP reported infeasible"),
-            MaximizeOutcome::Aborted => unreachable!("no interrupt armed"),
+        for round in 0..2 {
+            let value = value_of(maximize_scoped(&mut ctx, &mut solver, &LinExpr::var(x), &params));
+            assert_eq!(value, fresh, "round {round}: reused solver diverged from a fresh one");
+            assert_eq!(solver.depth(), 0);
+            assert_eq!(solver.check(&ctx), SatResult::Sat);
         }
-        assert_eq!(solver.depth(), 0);
-        assert_eq!(solver.check(&ctx), SatResult::Sat);
 
-        // Infeasible base through the scoped path too.
+        // Infeasible base through the same solver too.
         let kill = ctx.gt(ctx.var(x) + ctx.var(y), ctx.constant(int(50)));
         solver.assert(&ctx, kill);
         assert!(matches!(
@@ -409,17 +348,14 @@ mod tests {
             interrupt: Interrupt::at(std::time::Instant::now() - std::time::Duration::from_secs(1)),
             ..MaximizeParams::default()
         };
-        assert!(matches!(
-            maximize(&mut ctx, base, &LinExpr::var(x), &params),
-            MaximizeOutcome::Aborted
-        ));
         let mut solver = Solver::new();
         solver.assert(&ctx, base);
         assert!(matches!(
             maximize_scoped(&mut ctx, &mut solver, &LinExpr::var(x), &params),
             MaximizeOutcome::Aborted
         ));
-        // The solver must come back at its original depth and usable.
+        // The solver must come back at its original depth, with its own
+        // (unarmed) interrupt, and usable.
         assert_eq!(solver.depth(), 0);
         assert_eq!(solver.check(&ctx), SatResult::Sat);
     }
@@ -434,12 +370,10 @@ mod tests {
             lo: int(5),
             hi: int(10),
             precision: rat(1, 10),
-            conflict_budget: None,
             interrupt: Interrupt::none(),
             certify: false,
-            theory_sync: true,
         };
-        match maximize(&mut ctx, base, &LinExpr::var(x), &params) {
+        match maximize_fresh(&mut ctx, base, &LinExpr::var(x), &params) {
             MaximizeOutcome::Feasible { value, .. } => assert_eq!(value, int(5)),
             MaximizeOutcome::Infeasible { .. } => panic!(),
             MaximizeOutcome::Aborted => unreachable!("no interrupt armed"),
@@ -451,7 +385,7 @@ mod tests {
     fn certified_search_carries_checkable_certificates() {
         // max x subject to x + y <= 10, y >= 4, with certification: every
         // bracket-tightening infeasible probe must carry a certificate the
-        // independent checker accepts — through fresh solvers and scopes.
+        // independent checker accepts.
         let mut ctx = Context::new();
         let x = ctx.real_var("x");
         let y = ctx.real_var("y");
@@ -465,36 +399,21 @@ mod tests {
             certify: true,
             ..MaximizeParams::default()
         };
-        match maximize(&mut ctx, base, &LinExpr::var(x), &params) {
+        match maximize_fresh(&mut ctx, base, &LinExpr::var(x), &params) {
             MaximizeOutcome::Feasible { value, certificates, .. } => {
                 assert!(value > rat(599, 100) && value <= int(6));
                 assert!(!certificates.is_empty(), "search must tighten the bracket");
-                for cert in &certificates {
-                    ccmatic_proof::check(cert).expect("fresh-probe certificate replays");
-                }
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
-
-        let mut solver = Solver::new();
-        solver.enable_proofs();
-        solver.assert(&ctx, base);
-        match maximize_scoped(&mut ctx, &mut solver, &LinExpr::var(x), &params) {
-            MaximizeOutcome::Feasible { value, certificates, .. } => {
-                assert!(value > rat(599, 100) && value <= int(6));
-                assert!(!certificates.is_empty());
                 for cert in &certificates {
                     ccmatic_proof::check(cert).expect("scoped-probe certificate replays");
                 }
             }
             other => panic!("unexpected outcome {other:?}"),
         }
-        assert_eq!(solver.depth(), 0);
 
         // A bracket starting above the supremum is infeasible at the first
         // probe and must report a certificate on the spot.
         let params = MaximizeParams { lo: int(50), ..params };
-        match maximize(&mut ctx, base, &LinExpr::var(x), &params) {
+        match maximize_fresh(&mut ctx, base, &LinExpr::var(x), &params) {
             MaximizeOutcome::Infeasible { certificate } => {
                 let cert = certificate.expect("certified infeasibility carries a proof");
                 ccmatic_proof::check(&cert).expect("infeasible-base certificate replays");

@@ -130,20 +130,10 @@ pub trait TheoryHook {
     /// `Ok(())` undecided; the solve loop re-polls it and returns Unknown.
     fn final_check(&mut self, assignment: &dyn Fn(Var) -> bool) -> Result<(), TheoryLemma>;
 
-    /// Called on *partial* assignments (after each propagation fixpoint).
-    /// `assignment(v)` is `None` for unassigned variables. Returning a
-    /// conflict lemma here prunes the subtree early; the clause must be
-    /// false under the current partial assignment. The default accepts
-    /// everything (pure lazy solving).
-    fn partial_check(
-        &mut self,
-        _assignment: &dyn Fn(Var) -> Option<bool>,
-    ) -> Result<(), TheoryLemma> {
-        Ok(())
-    }
-
-    /// Trail-synchronized replacement for [`TheoryHook::partial_check`],
-    /// used instead of it when [`TheoryHook::supports_trail_sync`] is true.
+    /// Called at each propagation fixpoint with the trail so far (CDCL(T)
+    /// eager pruning). Returning a conflict lemma prunes the subtree early;
+    /// the clause must be false under the current partial assignment. The
+    /// default accepts everything (pure lazy solving).
     ///
     /// `trail` is the solver's full assignment trail; `low` is the length of
     /// its longest prefix guaranteed unchanged since the previous call this
@@ -167,11 +157,6 @@ pub trait TheoryHook {
         _implied: &mut Vec<TheoryLemma>,
     ) -> Result<(), TheoryLemma> {
         Ok(())
-    }
-
-    /// Whether this hook implements [`TheoryHook::trail_check`].
-    fn supports_trail_sync(&self) -> bool {
-        false
     }
 }
 
@@ -252,7 +237,7 @@ pub struct SatSolver {
     trail_lim: Vec<usize>,
     prop_head: usize,
     /// Length of the longest trail prefix guaranteed unchanged since the
-    /// last `trail_check` handed to a trail-synchronized theory hook.
+    /// last `trail_check` handed to the theory hook.
     /// Clamped on every backtrack, zeroed on `pop` (which filters the
     /// level-0 trail non-prefix-wise) and at the start of each `solve`.
     theory_low: usize,
@@ -274,8 +259,6 @@ pub struct SatSolver {
     frames: Vec<ScopeFrame>,
     /// Statistics.
     pub stats: SatStats,
-    /// Optional conflict budget; `solve` gives up (`None` result) past it.
-    pub conflict_budget: Option<u64>,
     /// Optional deadline/cancellation; `solve` polls it once per
     /// propagation fixpoint and gives up (`None` result) when it fires.
     pub interrupt: crate::interrupt::Interrupt,
@@ -329,7 +312,6 @@ impl SatSolver {
             level0_epoch: Vec::new(),
             frames: Vec::new(),
             stats: SatStats::default(),
-            conflict_budget: None,
             interrupt: crate::interrupt::Interrupt::none(),
             #[cfg(feature = "proofs")]
             sink: None,
@@ -557,7 +539,7 @@ impl SatSolver {
         let new_depth = self.frames.len() as u32;
         self.backtrack_to(0);
         // The level-0 trail is filtered (not truncated) below, so no prefix
-        // is guaranteed stable for a synchronized theory hook.
+        // is guaranteed stable for the theory hook.
         self.theory_low = 0;
         // Filter the level-0 trail: keep facts about surviving variables
         // whose derivations survive.
@@ -1110,14 +1092,13 @@ impl SatSolver {
     }
 
     /// Solve the current clause set, consulting `theory` on partial and
-    /// complete assignments. Returns `None` if the conflict budget was
-    /// exhausted.
+    /// complete assignments. Returns `None` if the interrupt fired.
     pub fn solve(&mut self, theory: &mut dyn TheoryHook) -> Option<SolveResult> {
         if self.is_unsat() {
             return Some(SolveResult::Unsat);
         }
         self.backtrack_to(0);
-        // A synchronized theory hook starts each solve with empty bound
+        // The theory hook starts each solve with empty bound
         // state, so nothing of the trail has been processed yet.
         self.theory_low = 0;
         // Flush pending level-0 units.
@@ -1157,11 +1138,6 @@ impl SatSolver {
                 if !self.learn(learned, backjump, epoch) {
                     return Some(SolveResult::Unsat);
                 }
-                if let Some(budget) = self.conflict_budget {
-                    if self.stats.conflicts.saturating_sub(0) > budget {
-                        return None;
-                    }
-                }
                 if self.stats.conflicts - conflicts_at_start >= restart_limit {
                     self.stats.restarts += 1;
                     restart_count += 1;
@@ -1172,60 +1148,35 @@ impl SatSolver {
                 continue;
             }
             // Propagation fixpoint reached: give the theory an early look at
-            // the partial assignment (CDCL(T) eager pruning).
-            {
-                self.stats.theory_checks += 1;
-                let verdict = if theory.supports_trail_sync() {
-                    // Hand over only the trail suffix assigned since the
-                    // last check; advance the watermark *before* integrating
-                    // implications (backtracks clamp it back down, and the
-                    // hook's own cursor is authoritative on conflict exits).
-                    let low = self.theory_low;
-                    self.theory_low = self.trail.len();
-                    let mut implied = Vec::new();
-                    let assign = &self.assign;
-                    let lookup = |v: Var| match assign[v.0 as usize] {
-                        LBool::True => Some(true),
-                        LBool::False => Some(false),
-                        LBool::Undef => None,
-                    };
-                    let r = theory.trail_check(&self.trail, low, &lookup, &mut implied);
-                    match r {
-                        Ok(()) if !implied.is_empty() => {
-                            let (progressed, consistent) =
-                                self.integrate_theory_implications(implied);
-                            if !consistent {
-                                return Some(SolveResult::Unsat);
-                            }
-                            if let Some(budget) = self.conflict_budget {
-                                if self.stats.conflicts > budget {
-                                    return None;
-                                }
-                            }
-                            if progressed {
-                                continue;
-                            }
-                            Ok(())
-                        }
-                        other => other,
-                    }
-                } else {
-                    let assign = &self.assign;
-                    let lookup = |v: Var| match assign[v.0 as usize] {
-                        LBool::True => Some(true),
-                        LBool::False => Some(false),
-                        LBool::Undef => None,
-                    };
-                    theory.partial_check(&lookup)
-                };
-                if let Err(clause) = verdict {
-                    if !self.handle_theory_conflict(clause) {
+            // the partial assignment (CDCL(T) eager pruning). Hand over only
+            // the trail suffix assigned since the last check; advance the
+            // watermark *before* integrating implications (backtracks clamp
+            // it back down, and the hook's own cursor is authoritative on
+            // conflict exits).
+            self.stats.theory_checks += 1;
+            let low = self.theory_low;
+            self.theory_low = self.trail.len();
+            let mut implied = Vec::new();
+            let assign = &self.assign;
+            let lookup = |v: Var| match assign[v.0 as usize] {
+                LBool::True => Some(true),
+                LBool::False => Some(false),
+                LBool::Undef => None,
+            };
+            match theory.trail_check(&self.trail, low, &lookup, &mut implied) {
+                Ok(()) if !implied.is_empty() => {
+                    let (progressed, consistent) = self.integrate_theory_implications(implied);
+                    if !consistent {
                         return Some(SolveResult::Unsat);
                     }
-                    if let Some(budget) = self.conflict_budget {
-                        if self.stats.conflicts > budget {
-                            return None;
-                        }
+                    if progressed {
+                        continue;
+                    }
+                }
+                Ok(()) => {}
+                Err(clause) => {
+                    if !self.handle_theory_conflict(clause) {
+                        return Some(SolveResult::Unsat);
                     }
                     continue;
                 }
@@ -1250,11 +1201,6 @@ impl SatSolver {
                         Err(clause) => {
                             if !self.handle_theory_conflict(clause) {
                                 return Some(SolveResult::Unsat);
-                            }
-                            if let Some(budget) = self.conflict_budget {
-                                if self.stats.conflicts > budget {
-                                    return None;
-                                }
                             }
                         }
                     }
@@ -1349,7 +1295,7 @@ mod tests {
                     s.add_clause(block);
                 }
                 Some(SolveResult::Unsat) => break,
-                None => panic!("no budget set"),
+                None => panic!("no interrupt armed"),
             }
         }
         assert_eq!(count, 8);

@@ -45,7 +45,7 @@ pub enum SatResult {
     Sat,
     /// Unsatisfiable.
     Unsat,
-    /// The configured conflict budget was exhausted.
+    /// The interrupt fired before a verdict was reached.
     Unknown,
 }
 
@@ -137,8 +137,9 @@ pub struct SolverStats {
     pub theory_props: u64,
     /// Atom bounds asserted into the simplex at theory fixpoints.
     pub bounds_asserted: u64,
-    /// Atom bounds retained across theory fixpoints instead of re-asserted
-    /// (only nonzero on the trail-synchronized path).
+    /// Atom bounds retained across theory fixpoints instead of re-asserted:
+    /// the trail prefix that stayed in the simplex from one fixpoint to the
+    /// next.
     pub bounds_reused: u64,
 }
 
@@ -169,18 +170,10 @@ pub struct Solver {
     model: Option<Model>,
     /// `check` invocations over the solver's lifetime.
     checks: u64,
-    /// Trail-synchronized incremental theory solving (default on); when
-    /// off, every theory fixpoint resets and re-asserts all atom bounds.
-    theory_sync: bool,
-    /// Theory propagation on top of trail sync (default on; no effect
-    /// when `theory_sync` is off).
-    theory_propagation: bool,
     /// Lifetime atom bounds asserted at theory fixpoints.
     bounds_asserted: u64,
     /// Lifetime atom bounds retained across theory fixpoints.
     bounds_reused: u64,
-    /// Optional conflict budget for `check` (None = unlimited).
-    pub conflict_budget: Option<u64>,
     /// Optional deadline/cancellation for `check`; fires as
     /// [`SatResult::Unknown`], never a fake verdict.
     pub interrupt: Interrupt,
@@ -207,26 +200,10 @@ impl Solver {
             asserted_marks: Vec::new(),
             model: None,
             checks: 0,
-            theory_sync: true,
-            theory_propagation: true,
             bounds_asserted: 0,
             bounds_reused: 0,
-            conflict_budget: None,
             interrupt: Interrupt::none(),
         }
-    }
-
-    /// Enable or disable trail-synchronized incremental theory solving
-    /// (default on). Off restores the historical reset-and-reassert bridge —
-    /// the reference behavior the differential suite pins against.
-    pub fn set_theory_sync(&mut self, enabled: bool) {
-        self.theory_sync = enabled;
-    }
-
-    /// Enable or disable theory propagation (default on). Only meaningful
-    /// while trail sync is on.
-    pub fn set_theory_propagation(&mut self, enabled: bool) {
-        self.theory_propagation = enabled;
     }
 
     /// Assert a term.
@@ -348,7 +325,6 @@ impl Solver {
         self.checks += 1;
         self.model = None;
         self.register_new_atoms(ctx);
-        self.sat.conflict_budget = self.conflict_budget;
         self.sat.interrupt = self.interrupt.clone();
 
         struct Bridge<'a> {
@@ -357,11 +333,7 @@ impl Solver {
             interrupt: &'a Interrupt,
             /// (sat var, slack var, bound, strict) per atom.
             atoms: Vec<(Var, SimVar, Rat, bool)>,
-            /// Trail-synchronized incremental mode (Dutertre–de Moura).
-            sync: bool,
-            /// Theory propagation on top of sync.
-            propagate: bool,
-            /// SAT variable → atom index (sync mode only).
+            /// SAT variable → atom index.
             var_to_atom: HashMap<u32, usize>,
             /// Slack variable → indices of the atoms bounding it.
             slack_atoms: HashMap<u32, Vec<usize>>,
@@ -553,36 +525,15 @@ impl Solver {
             }
         }
         impl TheoryHook for Bridge<'_> {
-            fn final_check(&mut self, assignment: &dyn Fn(Var) -> bool) -> Result<(), TheoryLemma> {
-                if self.sync {
-                    // The solve loop guarantees a `trail_check` ran at this
-                    // same fixpoint (no trail change in between), so every
-                    // asserted atom bound is already in the simplex; just
-                    // confirm feasibility.
-                    return self.simplex_check();
-                }
-                self.partial_check(&|v| Some(assignment(v)))
-            }
-
-            fn partial_check(
+            fn final_check(
                 &mut self,
-                assignment: &dyn Fn(Var) -> Option<bool>,
+                _assignment: &dyn Fn(Var) -> bool,
             ) -> Result<(), TheoryLemma> {
-                self.simplex.reset_bounds();
-                for ai in 0..self.atoms.len() {
-                    let Some(holds) = assignment(self.atoms[ai].0) else {
-                        continue;
-                    };
-                    self.bounds_asserted += 1;
-                    if let Err(conflict) = self.assert_atom(ai, holds) {
-                        return Err(lemma(conflict));
-                    }
-                }
+                // The solve loop guarantees a `trail_check` ran at this same
+                // fixpoint (no trail change in between), so every asserted
+                // atom bound is already in the simplex; just confirm
+                // feasibility.
                 self.simplex_check()
-            }
-
-            fn supports_trail_sync(&self) -> bool {
-                self.sync
             }
 
             fn trail_check(
@@ -620,9 +571,7 @@ impl Solver {
                     }
                 }
                 self.simplex_check()?;
-                if self.propagate {
-                    self.scan_propagations(assignment, implied);
-                }
+                self.scan_propagations(assignment, implied);
                 Ok(())
             }
         }
@@ -639,26 +588,21 @@ impl Solver {
             .collect();
         let mut var_to_atom = HashMap::new();
         let mut slack_atoms: HashMap<u32, Vec<usize>> = HashMap::new();
-        let mut slack_order: Vec<u32> = Vec::new();
-        if self.theory_sync {
-            // Bounds from a previous check's trail must not leak into this
-            // one: the trail persists across solves, but the bridge's sync
-            // cursor starts empty, so start the simplex empty too.
-            self.simplex.reset_bounds();
-            for (ai, (sat_var, slack, _, _)) in atoms.iter().enumerate() {
-                var_to_atom.insert(sat_var.0, ai);
-                slack_atoms.entry(slack.0).or_default().push(ai);
-            }
-            slack_order.extend(slack_atoms.keys().copied());
-            slack_order.sort_unstable();
+        for (ai, (sat_var, slack, _, _)) in atoms.iter().enumerate() {
+            var_to_atom.insert(sat_var.0, ai);
+            slack_atoms.entry(slack.0).or_default().push(ai);
         }
+        let mut slack_order: Vec<u32> = slack_atoms.keys().copied().collect();
+        slack_order.sort_unstable();
+        // Bounds from a previous check's trail must not leak into this one:
+        // the trail persists across solves, but the bridge's sync cursor
+        // starts empty, so start the simplex empty too.
+        self.simplex.reset_bounds();
         let stats_before = self.sat.stats;
         let mut bridge = Bridge {
             simplex: &mut self.simplex,
             interrupt: &self.interrupt,
             atoms,
-            sync: self.theory_sync,
-            propagate: self.theory_propagation,
             var_to_atom,
             slack_atoms,
             slack_order,

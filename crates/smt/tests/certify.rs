@@ -82,7 +82,7 @@ fn certified_verdict(ctx: &Context, parts: &[Term]) -> SatResult {
         SatResult::Sat => {
             assert_eq!(out.model_ok, Some(true), "model failed the exact-rational audit");
         }
-        SatResult::Unknown => panic!("unbudgeted check returned Unknown"),
+        SatResult::Unknown => panic!("check without an interrupt returned Unknown"),
     }
     out.result
 }
@@ -143,7 +143,7 @@ fn scoped_probes_yield_accepted_certificates() {
                     });
                 }
                 SatResult::Sat => assert_eq!(out.model_ok, Some(true)),
-                SatResult::Unknown => panic!("unbudgeted check returned Unknown"),
+                SatResult::Unknown => panic!("check without an interrupt returned Unknown"),
             }
             s.pop();
         }

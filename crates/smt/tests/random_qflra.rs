@@ -119,7 +119,7 @@ fn random_formulas_vs_grid_oracle() {
                     "round {round}: solver said Unsat but the grid has a witness for {f:?}"
                 );
             }
-            SatResult::Unknown => panic!("round {round}: unexpected Unknown (no budget set)"),
+            SatResult::Unknown => panic!("round {round}: unexpected Unknown (no interrupt armed)"),
         }
     }
     // The generator should produce a healthy mix; guard against a degenerate

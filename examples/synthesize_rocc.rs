@@ -35,9 +35,7 @@ fn main() {
         thresholds: opts.thresholds.clone(),
         worst_case: false,
         wce_precision: opts.wce_precision.clone(),
-        incremental: true,
         certify: false,
-        theory_sync: true,
         ..Default::default()
     });
     let rocc = known::rocc();

@@ -25,10 +25,8 @@ fn main() {
         mode: OptMode::RangePruningWce,
         budget: Budget { max_iterations: 3000, max_wall: Duration::from_secs(600) },
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: false,
         region_pruning: true,
-        theory_sync: true,
         ..Default::default()
     };
 

@@ -7,7 +7,7 @@
 //!                 [--budget-secs N] [--horizon N] [--lookback N] [--jitter N]
 //!                 [--stats]       (kernel counters: pivots, promotions, coverage)
 //!                 [--certify]     (checker-replayed proof certificates on every verdict)
-//!                 [--no-region-pruning] [--no-theory-sync]  (A/B escape hatches)
+//!                 [--no-region-pruning]  (A/B escape hatch)
 //! ccmatic verify  --cca "b1,b2,b3,b4,g"   (β taps then γ; rationals like 3/2)
 //!                 [--certify]
 //! ccmatic enumerate [same space/threshold flags]
@@ -74,7 +74,6 @@ const SWITCHES: &[&str] = &[
     "--stats",
     "--certify",
     "--no-region-pruning",
-    "--no-theory-sync",
     "--no-warm-start",
     "--fail-on-gap",
     "--expect-failure",
@@ -148,9 +147,9 @@ impl KernelSnapshot {
             arith.big_ops
         );
         // Trail-sync effectiveness: `reused` counts the atom bounds each
-        // fixpoint kept without re-assertion (the legacy bridge re-asserted
-        // every one of them), `props` the literals the theory decided for
-        // the SAT core.
+        // fixpoint kept without re-assertion (a reset-and-reassert bridge
+        // would re-assert every one of them), `props` the literals the
+        // theory decided for the SAT core.
         let total = asserted + reused;
         let pct = if total == 0 { 0.0 } else { reused as f64 / total as f64 * 100.0 };
         eprintln!(
@@ -168,7 +167,6 @@ fn usage() -> ExitCode {
          \x20      --stats  (print kernel counters: pivots, promotions, fast-path coverage,\n\
          \x20                theory props, bounds asserted/reused)\n\
          \x20      --no-region-pruning  (no region-form σ, dominance BFS or subsumption; A/B)\n\
-         \x20      --no-theory-sync  (legacy reset-and-reassert theory bridge; A/B timing)\n\
          \x20      --certify  (synth/verify: re-check every UNSAT verdict against a\n\
          \x20                  DRAT+Farkas certificate with the independent checker)\n\
          \x20      --cache-dir DIR  (enumerate/sweep: certificate-backed result cache)\n\
@@ -256,10 +254,8 @@ fn main() -> ExitCode {
         mode,
         budget: Budget { max_iterations: 1_000_000, max_wall: Duration::from_secs(budget_secs) },
         wce_precision: rat(1, 2),
-        incremental: true,
         certify,
         region_pruning: !args.has("--no-region-pruning"),
-        theory_sync: !args.has("--no-theory-sync"),
         ..SynthOptions::default()
     };
 
@@ -326,9 +322,7 @@ fn main() -> ExitCode {
                 thresholds: th,
                 worst_case: false,
                 wce_precision: rat(1, 2),
-                incremental: true,
                 certify,
-                theory_sync: !args.has("--no-theory-sync"),
                 ..Default::default()
             });
             let result = v.verify(&spec);

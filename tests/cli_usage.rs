@@ -19,6 +19,7 @@ fn usage_errors_exit_2_with_the_usage_text() {
         &["synth", "--no-such-flag"][..],
         &["synth", "--threads", "2"][..],
         &["verify", "--cca", "1,-1,0,0,1", "--seed", "3"][..],
+        &["verify", "--cca", "1,-1,0,0,1", "--no-theory-sync"][..],
         &[][..],
         &["no-such-subcommand"][..],
     ] {
@@ -32,7 +33,7 @@ fn usage_errors_exit_2_with_the_usage_text() {
 fn known_flags_still_run() {
     // A value that looks like a flag is consumed by its flag, and every
     // switch the usage text lists is accepted.
-    let (code, _) = run(&["verify", "--cca", "1,-1,0,0,1", "--no-theory-sync", "--stats"]);
+    let (code, _) = run(&["verify", "--cca", "1,-1,0,0,1", "--certify", "--stats"]);
     assert_eq!(code, Some(0), "RoCC verifies");
     let (code, _) = run(&["verify", "--cca", "0,0,0,0,1"]);
     assert_eq!(code, Some(1), "a refuted candidate exits 1, not 2");

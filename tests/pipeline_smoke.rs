@@ -20,10 +20,8 @@ fn synthesize_then_simulate() {
         mode: OptMode::RangePruningWce,
         budget: Budget { max_iterations: 500, max_wall: Duration::from_secs(300) },
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: false,
         region_pruning: true,
-        theory_sync: true,
         ..Default::default()
     };
     let result = synthesize(&opts);

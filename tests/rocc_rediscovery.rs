@@ -14,9 +14,7 @@ fn paper_verifier() -> CcaVerifier {
         thresholds: Thresholds::default(), // util ≥ 1/2, delay ≤ 4
         worst_case: false,
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: false,
-        theory_sync: true,
         ..Default::default()
     })
 }

@@ -19,9 +19,7 @@ fn verifier() -> CcaVerifier {
         thresholds: Thresholds::default(),
         worst_case: false,
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: false,
-        theory_sync: true,
         ..Default::default()
     })
 }

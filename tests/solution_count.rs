@@ -32,10 +32,8 @@ fn base_opts() -> SynthOptions {
         mode: OptMode::RangePruningWce,
         budget: Budget { max_iterations: 3000, max_wall: Duration::from_secs(420) },
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: false,
         region_pruning: true,
-        theory_sync: true,
         ..Default::default()
     }
 }
@@ -54,9 +52,7 @@ fn enumeration_sound_complete_and_rocc_like() {
         thresholds: opts.thresholds.clone(),
         worst_case: false,
         wce_precision: rat(1, 2),
-        incremental: true,
         certify: false,
-        theory_sync: true,
         ..Default::default()
     });
     for s in &result.solutions {
