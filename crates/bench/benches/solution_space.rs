@@ -22,7 +22,6 @@ fn main() {
         budget: Budget { max_iterations: 2000, max_wall: Duration::from_secs(300) },
         wce_precision: rat(1, 2),
         certify: false,
-        region_pruning: true,
         ..Default::default()
     };
     bench_case("enumerate_lookback2_small", 1, 5, || {

@@ -149,10 +149,8 @@ fn main() -> ExitCode {
     let seeded = synthesize_seeded(&opts, &seeds);
     let (ci, si) = (cold.stats.iterations, seeded.stats.iterations);
     println!(
-        "A/B: cold {ci} iterations vs seeded {si} ({} traces seeded, {} rejected, {} subsumed)",
-        seeded.stats.warm_traces_seeded,
-        seeded.stats.warm_traces_rejected,
-        seeded.stats.cex_subsumed
+        "A/B: cold {ci} iterations vs seeded {si} ({} traces seeded, {} rejected)",
+        seeded.stats.warm_traces_seeded, seeded.stats.warm_traces_rejected,
     );
     // Seeding may legitimately change *which* solution the generator
     // reaches first; the invariant is kind-level agreement (solution /
@@ -183,7 +181,6 @@ fn main() -> ExitCode {
                 ("seeded_iterations", Json::UInt(si)),
                 ("traces_seeded", Json::UInt(seeded.stats.warm_traces_seeded)),
                 ("traces_rejected", Json::UInt(seeded.stats.warm_traces_rejected)),
-                ("cex_subsumed", Json::UInt(seeded.stats.cex_subsumed)),
                 ("outcomes_agree", Json::Bool(outcomes_agree)),
                 ("cold_wall_s", Json::Num(cold.stats.wall.as_secs_f64())),
                 ("seeded_wall_s", Json::Num(seeded.stats.wall.as_secs_f64())),

@@ -72,13 +72,12 @@ fn main() {
             );
             if show_stats {
                 eprintln!(
-                    "  stats: {:.2} probes/iteration · {} pivots · {} promotions · fast-path {:.2}% · {} regions pruned · {} cexs subsumed",
+                    "  stats: {:.2} probes/iteration · {} pivots · {} promotions · fast-path {:.2}% · {} regions pruned",
                     cell.verifier_probes as f64 / cell.iterations.max(1) as f64,
                     cell.pivots,
                     cell.promotions,
                     cell.fast_fraction() * 100.0,
                     cell.regions_pruned,
-                    cell.cex_subsumed,
                 );
                 eprintln!(
                     "  theory: {} props · {} bounds asserted · {} reused",

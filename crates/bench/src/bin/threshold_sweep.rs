@@ -152,7 +152,6 @@ fn main() -> ExitCode {
         budget: Budget { max_iterations: 1_000_000, max_wall: Duration::from_secs(budget_secs) },
         wce_precision: rat(1, 2),
         certify: false,
-        region_pruning: true,
         ..Default::default()
     };
 

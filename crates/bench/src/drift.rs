@@ -66,7 +66,13 @@ pub fn report_drift(
 ) -> bool {
     let mut diffs = Vec::new();
     drift("", fresh, committed, ignored, &mut diffs);
-    for d in &diffs {
+    report(path, &diffs)
+}
+
+/// Print `diffs`, the drifts from the committed record at `path`, to
+/// standard error; returns `true` if there was none.
+pub fn report(path: &str, diffs: &[String]) -> bool {
+    for d in diffs {
         eprintln!("drift from {path}: {d}");
     }
     if !diffs.is_empty() {

@@ -109,8 +109,6 @@ pub struct CellResult {
     pub replay_hits: u64,
     /// Candidates blocked by counterexample region generalization.
     pub regions_pruned: u64,
-    /// Learned traces dropped because an asserted trace subsumes them.
-    pub cex_subsumed: u64,
     /// Simplex pivots performed during this cell (process-wide delta).
     pub pivots: u64,
     /// Arithmetic fast-path promotions during this cell (process-wide
@@ -155,7 +153,6 @@ impl CellResult {
             ("solver_probes", Json::UInt(self.verifier_probes)),
             ("replay_hits", Json::UInt(self.replay_hits)),
             ("regions_pruned", Json::UInt(self.regions_pruned)),
-            ("cex_subsumed", Json::UInt(self.cex_subsumed)),
             ("pivots", Json::UInt(self.pivots)),
             ("promotions", Json::UInt(self.promotions)),
             ("small_ops", Json::UInt(self.small_ops)),
@@ -208,7 +205,6 @@ pub fn run_cell_with(
         budget: Budget { max_iterations: 1_000_000, max_wall },
         wce_precision: rat(1, 2),
         certify: false,
-        region_pruning: true,
         ..Default::default()
     };
     tweak(&mut opts);
@@ -227,7 +223,6 @@ pub fn run_cell_with(
         verifier_probes: result.verifier_probes,
         replay_hits: result.stats.replay_hits,
         regions_pruned: result.stats.regions_pruned,
-        cex_subsumed: result.stats.cex_subsumed,
         pivots: ccmatic_smt::lra::pivots_total().saturating_sub(pivots_before),
         promotions: arith.promotions,
         small_ops: arith.small_ops,

@@ -230,7 +230,6 @@ pub fn enumerate_all_with(
     }
 
     stats.regions_pruned = generator.inner.regions_pruned;
-    stats.cex_subsumed = generator.cex_subsumed;
     stats.wall = t0.elapsed();
     let solver_probes = verifier.inner.solver_probes;
     WarmEnumeration {
@@ -273,7 +272,6 @@ mod tests {
             },
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
             certify: false,
-            region_pruning: true,
             ..Default::default()
         };
         let result = enumerate_all(&opts);

@@ -5,8 +5,7 @@
 //! network model, the objective thresholds, the optimization mode's
 //! semantics, and the engine version (an encoding change invalidates old
 //! entries wholesale). Everything that only affects *how fast* the answer
-//! is found — budgets, certification, region pruning (pinned outcome-equal
-//! by the differential suite) — is deliberately excluded, so a
+//! is found — budgets and certification — is deliberately excluded, so a
 //! budget-limited CI run and a long server run share cache entries.
 //!
 //! The canonical form is a human-readable string (exact rationals render
@@ -90,7 +89,6 @@ mod tests {
         let base = SynthOptions::default();
         let tweaked = SynthOptions {
             certify: true,
-            region_pruning: false,
             budget: ccmatic_cegis::Budget {
                 max_iterations: 3,
                 max_wall: std::time::Duration::from_millis(1),

@@ -24,7 +24,7 @@
 //!   manipulation of the CCAC constraints).
 //!
 //! On top of the feasibility encoding sits *region pruning* (DESIGN.md
-//! §11, on by default, toggled by [`SmtGenerator::set_region_pruning`]):
+//! §11; always on, there is no unpruned path):
 //!
 //! * For no-cwnd shapes under range pruning, `learn` asserts σ in
 //!   *region form* — the sender max-recursion is unrolled into per-step
@@ -32,7 +32,8 @@
 //!   so a trace adds **zero** fresh real variables instead of `2·(T+1)`
 //!   response variables plus tightness disjunctions. The encoding is
 //!   logically equivalent (response variables are functionally determined
-//!   by the coefficients), pinned by an enumeration-equality test.
+//!   by the coefficients); the differential suite pins the enumerated
+//!   solution set to a brute-force verifier sweep.
 //! * [`SmtGenerator::learn_refuted`] additionally walks the refuted
 //!   candidate's coefficient neighbourhood (grid steps + symmetric tap
 //!   swaps), asserting a propositional blocking clause for every
@@ -97,13 +98,10 @@ pub struct SmtGenerator {
     mode: FeasibilityMode,
     /// alphas (if any) then betas then gamma.
     coeffs: Vec<Coeff>,
-    /// Concrete replayer gating every dominance/symmetry block (must match
-    /// this generator's net/thresholds/mode so `refutes` mirrors `learn`).
-    replay: TraceReplay,
-    /// Region pruning (region-form σ + the dominance BFS). On by default;
-    /// the differential suite toggles it off to compare against the
-    /// response-variable path.
-    region_pruning: bool,
+    /// Concrete replayer gating every dominance/symmetry block and every
+    /// warm-start seed (must match this generator's net/thresholds/mode so
+    /// `refutes` mirrors `learn`).
+    pub(crate) replay: TraceReplay,
     /// Proof logging on (set at construction — proofs must be enabled
     /// before the first assertion). Base-level exhaustion claims then carry
     /// a checkable UNSAT certificate.
@@ -204,7 +202,6 @@ impl SmtGenerator {
             replay,
             certify,
             last_exhaustion_cert: None,
-            region_pruning: true,
             num_learned: 0,
             regions_pruned: 0,
         }
@@ -228,13 +225,6 @@ impl SmtGenerator {
             self.last_exhaustion_cert = certified.certificate;
         }
         certified.result
-    }
-
-    /// Enable or disable region pruning (region-form σ and the dominance
-    /// BFS). Used by the differential suite to compare against the plain
-    /// response-variable encoding; production paths leave it on.
-    pub fn set_region_pruning(&mut self, on: bool) {
-        self.region_pruning = on;
     }
 
     fn coeff_names(shape: &TemplateShape) -> Vec<String> {
@@ -329,13 +319,12 @@ impl SmtGenerator {
 
     /// Learn a counterexample trace: assert `σ = feasible(A, τ) ⟹
     /// desired(A, τ)`. No-cwnd shapes under range pruning use the
-    /// region-form encoding when region pruning is on (directly over the
-    /// coefficient variables, no per-trace response variables); everything
-    /// else takes the response-variable path below.
+    /// region-form encoding (directly over the coefficient variables, no
+    /// per-trace response variables); everything else takes the
+    /// response-variable path below.
     pub fn learn(&mut self, cex: &Trace) {
         self.num_learned += 1;
-        if self.region_pruning && !self.shape.use_cwnd && self.mode == FeasibilityMode::RangePruning
-        {
+        if !self.shape.use_cwnd && self.mode == FeasibilityMode::RangePruning {
             self.learn_region_form(cex);
             return;
         }
@@ -488,8 +477,8 @@ impl SmtGenerator {
     /// `Σᵢ βᵢ·(S_τ(T−i−2) − S_τ(−i−2)) > 0` (γ cancels). The encoding is
     /// logically equivalent to the response-variable path — response
     /// variables are functionally determined by the coefficients — so the
-    /// excluded candidate set is identical (pinned by the
-    /// enumeration-equality differential test) while the solver keeps
+    /// excluded candidate set is identical (the differential suite pins the
+    /// enumerated solution set to brute force) while the solver keeps
     /// working over the same handful of real variables no matter how many
     /// traces are learned.
     fn learn_region_form(&mut self, cex: &Trace) {
@@ -577,9 +566,6 @@ impl SmtGenerator {
     /// of rediscovering each kill through LRA conflicts.
     pub fn learn_refuted(&mut self, refuted: &CcaSpec, cex: &Trace) {
         self.learn(cex);
-        if !self.region_pruning {
-            return;
-        }
         let domain = self.shape.domain.values();
         if domain.len() < 2 {
             return;

@@ -17,7 +17,8 @@
 //! is impossible by construction, which makes the prefilter double as a
 //! cross-check of the generator encoding; it does real work on seeds
 //! carried from another problem instance (a sweep point, a fuzzer), which
-//! the generator has not learned.
+//! the generator has not learned. Inside the generator the same check
+//! gates every region-BFS block and every warm-start seed.
 
 use crate::generator::FeasibilityMode;
 use crate::template::CcaSpec;
@@ -38,13 +39,6 @@ impl TraceReplay {
     /// encoding or the prefilter would disagree with `learn`.
     pub fn new(net: NetConfig, thresholds: Thresholds, mode: FeasibilityMode) -> Self {
         TraceReplay { net, thresholds, mode }
-    }
-
-    /// Rewrite `trace`'s waste schedule to the minimal one its service
-    /// schedule admits under this network configuration (see
-    /// [`Trace::canonicalize_waste`] for the construction and its limits).
-    pub fn canonicalize(&self, trace: &mut Trace) {
-        trace.canonicalize_waste(&self.net.link_rate, self.net.jitter);
     }
 
     /// `true` iff `cex` concretely refutes `spec`: the candidate's
@@ -133,52 +127,6 @@ impl TraceReplay {
         let queue_down = q_end < q_start;
         let desired = (util_ok || cwnd_up) && (queue_ok || queue_down || cwnd_down);
         !desired
-    }
-
-    /// `true` iff `stronger` *subsumes* `weaker`: every candidate `weaker`
-    /// refutes, `stronger` refutes too — so once `σ(·, stronger)` is
-    /// asserted, asserting `σ(·, weaker)` adds nothing and the trace can be
-    /// dropped from assertion sets and replay caches.
-    ///
-    /// This is a sound *sufficient* condition, not a complete one. Both
-    /// traces must share the service schedule and the pre-history (`A`,
-    /// `cwnd` at `t < 0`), which pins the candidate's response (`cwnd`
-    /// recursion and sender max-rule) to be identical on both traces; the
-    /// desired property and the lower feasibility bound `S_τ(t) ≤ A(t)`
-    /// then coincide as well. What remains is the upper feasibility bound:
-    ///
-    /// * Range pruning: each waste point of `stronger` must be a waste
-    ///   point of `weaker` with at least as much cumulative waste
-    ///   (`W_weaker(t) ≥ W_stronger(t)` makes `weaker`'s token ceiling
-    ///   `C·(t+h) − W` the tighter one, so feasibility on `weaker` implies
-    ///   feasibility on `stronger`).
-    /// * Baseline: exact-trace feasibility also pins `A` at `t ≥ 0`, so
-    ///   the `A` schedules must match outright.
-    ///
-    /// Pinned by the property test below: whenever `subsumes(a, b)`, every
-    /// enumerated candidate refuted by `b` is refuted by `a`.
-    pub fn subsumes(&self, stronger: &Trace, weaker: &Trace) -> bool {
-        if stronger.t_min != weaker.t_min || stronger.t_max != weaker.t_max {
-            return false;
-        }
-        let (lo, hi) = (stronger.t_min, stronger.t_max);
-        for t in lo..=hi {
-            if stronger.s_at(t) != weaker.s_at(t) {
-                return false;
-            }
-        }
-        for t in lo..0 {
-            if stronger.a_at(t) != weaker.a_at(t) || stronger.cwnd_at(t) != weaker.cwnd_at(t) {
-                return false;
-            }
-        }
-        match self.mode {
-            FeasibilityMode::Baseline => (0..=hi).all(|t| stronger.a_at(t) == weaker.a_at(t)),
-            FeasibilityMode::RangePruning => (0..=hi).all(|t| {
-                !stronger.waste_increased(t)
-                    || (weaker.waste_increased(t) && weaker.w_at(t) >= stronger.w_at(t))
-            }),
-        }
     }
 }
 
@@ -325,76 +273,6 @@ mod tests {
             fast_replay.refutes(&spec, &waste_at_end),
             "slack ceiling at t=t_end must keep the refutation"
         );
-    }
-
-    /// The `subsumes` contract, pinned as a property: whenever
-    /// `subsumes(a, b)`, every candidate in an enumerated grid that `b`
-    /// refutes, `a` refutes too — in both feasibility modes.
-    ///
-    /// Positive (non-reflexive) pairs are manufactured from genuine
-    /// verifier counterexamples: doubling cumulative waste keeps every
-    /// waste point a waste point with at least as much waste, and bumping
-    /// the waste tail by one adds a fresh waste point without weakening
-    /// the old ones — both dominated by the original in RangePruning and
-    /// `A`-identical for Baseline.
-    #[test]
-    fn subsumption_implies_refutation_containment() {
-        let broken =
-            [known::const_cwnd(Rat::zero()), known::const_cwnd(int(20)), known::copy_cwnd()];
-        let mut traces: Vec<Trace> = Vec::new();
-        for worst_case in [false, true] {
-            let mut v = verifier(worst_case);
-            for spec in &broken {
-                let cex = v.verify(spec).expect_err("known-broken candidate");
-                let mut doubled = cex.clone();
-                doubled.w = doubled.w.iter().map(|w| w * &int(2)).collect();
-                let mut tail = cex.clone();
-                let mid = tail.w.len() / 2;
-                for w in &mut tail.w[mid..] {
-                    *w = &*w + &Rat::one();
-                }
-                traces.extend([cex, doubled, tail]);
-            }
-        }
-        // Candidate grid: lookback-1 templates over a small coefficient
-        // box (deepest sample S(t−2) is well within t_min = −5).
-        let mut grid = Vec::new();
-        for a in [-1i64, 0, 1] {
-            for b in [-1i64, 0, 1] {
-                for g in [0i64, 1, 10] {
-                    grid.push(CcaSpec { alpha: vec![int(a)], beta: vec![int(b)], gamma: int(g) });
-                }
-            }
-        }
-        for mode in [FeasibilityMode::Baseline, FeasibilityMode::RangePruning] {
-            let replay = TraceReplay::new(net(), Thresholds::default(), mode);
-            let mut positive_pairs = 0usize;
-            let mut exercised = 0usize;
-            for stronger in &traces {
-                for weaker in &traces {
-                    if !replay.subsumes(stronger, weaker) {
-                        continue;
-                    }
-                    positive_pairs += 1;
-                    for spec in &grid {
-                        if replay.refutes(spec, weaker) {
-                            exercised += 1;
-                            assert!(
-                                replay.refutes(spec, stronger),
-                                "subsumption unsound ({mode:?}): {spec} refuted by the \
-                                 subsumed trace but not by its subsumer"
-                            );
-                        }
-                    }
-                }
-            }
-            // Reflexive pairs alone would make the property vacuous.
-            assert!(
-                positive_pairs > traces.len(),
-                "vacuous ({mode:?}): only reflexive pairs subsumed"
-            );
-            assert!(exercised > 0, "vacuous ({mode:?}): no candidate refuted via a subsumed trace");
-        }
     }
 
     /// The replayed cwnd recursion matches the trace's own cwnd when the

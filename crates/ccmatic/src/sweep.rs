@@ -291,7 +291,6 @@ mod tests {
             },
             wce_precision: rat(1, 2),
             certify: false,
-            region_pruning: true,
             ..Default::default()
         }
     }

@@ -1,6 +1,8 @@
 //! End-to-end synthesis: wire the generator and verifier into the CEGIS
 //! engine (the paper's Table-1 experiment, "time to synthesize first
-//! solution"). Synthesis is one serial loop on one core, as in the paper.
+//! solution"). Synthesis is one serial loop on one core, as in the paper,
+//! and the generator has one configuration: region-form σ and the
+//! replay-gated region BFS are always on (DESIGN.md §11).
 
 use crate::generator::{FeasibilityMode, Proposal, SmtGenerator};
 use crate::replay::TraceReplay;
@@ -84,10 +86,9 @@ pub struct SynthOptions {
     /// checker-accepted DRAT+Farkas certificate, SAT answers an
     /// exact-audited model (see [`VerifyConfig::certify`]).
     pub certify: bool,
-    /// Region pruning (DESIGN.md §11): region-form σ encoding, the
-    /// replay-verified dominance BFS, and counterexample-trace
-    /// subsumption. On by default; the differential suite turns it off to
-    /// pin pruned == unpruned outcomes.
+    /// Not read: the generator always runs region pruning (region-form σ
+    /// and the replay-gated region BFS, DESIGN.md §11). Kept only for the
+    /// `perfbench/` workloads, like `threads`.
     pub region_pruning: bool,
     /// Not read: every solver a run builds (verifier, generator, WCE
     /// probes) runs trail-synchronized theory solving. Kept only for the
@@ -133,48 +134,31 @@ pub struct SynthResult {
 
 /// Adapter: [`SmtGenerator`] as a [`ccmatic_cegis::Generator`].
 ///
-/// Deduplicates learned traces (the engine re-submits a counterexample it
+/// Deduplicates learned traces: the engine re-submits a counterexample it
 /// already holds whenever the replay prefilter kills a candidate with it,
-/// and asserting the same trace constraint twice only bloats the solver)
-/// and — with region pruning on — *subsumes* them: a new trace whose kill
-/// set is contained in an already-asserted trace's
-/// ([`TraceReplay::subsumes`]) is dropped before assertion, keeping the
-/// per-propose assertion set to the strongest traces only.
+/// and asserting the same trace constraint twice only bloats the solver.
 pub struct GenAdapter {
     /// The wrapped SMT generator.
     pub inner: SmtGenerator,
-    /// Traces asserted into `inner` (the subsumption skip is sound only
-    /// against traces that really are asserted).
-    learned: Vec<Trace>,
-    /// Subsumption oracle; must match `inner`'s configuration.
-    replayer: TraceReplay,
-    /// Whether subsumption filtering is enabled (mirrors
-    /// [`SynthOptions::region_pruning`]).
-    subsume: bool,
-    /// Traces dropped because an already-asserted trace subsumed them.
+    /// Always zero: no learned trace is dropped except an exact duplicate.
+    /// Kept only for the `perfbench/` workloads that read it.
     pub cex_subsumed: u64,
     /// Every (refuted candidate, trace) pair actually asserted, in order —
-    /// the warm-start carry for the next sweep point, which re-validates
-    /// each pair against *its* thresholds before re-asserting.
+    /// the duplicate filter of `learn` and the warm-start carry for the
+    /// next sweep point, which re-validates each pair against *its*
+    /// thresholds before re-asserting.
     refuted_log: Vec<(CcaSpec, Trace)>,
 }
 
 impl GenAdapter {
-    /// Wrap `inner` with an empty learned-trace set. `replayer` must be
-    /// built from the same net/thresholds/mode as `inner`.
-    pub fn new(inner: SmtGenerator, replayer: TraceReplay, subsume: bool) -> Self {
-        GenAdapter {
-            inner,
-            learned: Vec::new(),
-            replayer,
-            subsume,
-            cex_subsumed: 0,
-            refuted_log: Vec::new(),
-        }
+    /// Wrap `inner` with an empty refuted log.
+    pub fn new(inner: SmtGenerator) -> Self {
+        GenAdapter { inner, cex_subsumed: 0, refuted_log: Vec::new() }
     }
 
     /// The (refuted candidate, trace) pairs asserted during this run, for
-    /// warm-starting a neighboring problem instance.
+    /// warm-starting a neighboring problem instance. Call it after the run:
+    /// `learn` filters duplicates against the log.
     pub fn take_refuted_log(&mut self) -> Vec<(CcaSpec, Trace)> {
         std::mem::take(&mut self.refuted_log)
     }
@@ -195,7 +179,7 @@ impl GenAdapter {
         let g0 = Instant::now();
         let mut replay_seeds = Vec::new();
         for (refuted, trace) in pairs {
-            if !self.replayer.refutes(refuted, trace) {
+            if !self.inner.replay.refutes(refuted, trace) {
                 stats.warm_traces_rejected += 1;
                 replay_seeds.push(trace.clone());
                 continue;
@@ -221,27 +205,10 @@ impl Generator for GenAdapter {
     }
 
     fn learn(&mut self, candidate: &CcaSpec, cex: &Trace) {
-        // Canonicalize the waste schedule so equal-service traces from
-        // distinct probes become comparable (subsumption requires waste
-        // domination, and solver models carry arbitrary waste slack). Keep
-        // the original when minimal waste no longer refutes the candidate
-        // — canonicalization can move waste points, and the learned
-        // constraint must exclude `candidate` for CEGIS to progress (see
-        // `Trace::canonicalize_waste`).
-        let mut canon = cex.clone();
-        self.replayer.canonicalize(&mut canon);
-        let cex = if self.replayer.refutes(candidate, &canon) { &canon } else { cex };
-        if self.learned.iter().any(|t| t == cex) {
-            return;
-        }
-        if self.subsume && self.learned.iter().any(|t| self.replayer.subsumes(t, cex)) {
-            // An asserted trace already excludes everything this one
-            // would (the refuted candidate included) — skip the assertion.
-            self.cex_subsumed += 1;
+        if self.refuted_log.iter().any(|(_, t)| t == cex) {
             return;
         }
         self.inner.learn_refuted(candidate, cex);
-        self.learned.push(cex.clone());
         self.refuted_log.push((candidate.clone(), cex.clone()));
     }
 
@@ -296,14 +263,13 @@ fn make_generator(opts: &SynthOptions) -> GenAdapter {
     // claims then carry an UNSAT certificate (retained by the result
     // cache as the enumeration-completeness proof).
     let build = if opts.certify { SmtGenerator::new_certified } else { SmtGenerator::new };
-    let mut inner = build(
+    let inner = build(
         opts.shape.clone(),
         opts.net.clone(),
         opts.thresholds.clone(),
         opts.mode.feasibility(),
     );
-    inner.set_region_pruning(opts.region_pruning);
-    GenAdapter::new(inner, make_replay(opts), opts.region_pruning)
+    GenAdapter::new(inner)
 }
 
 fn verify_config(opts: &SynthOptions) -> VerifyConfig {
@@ -359,7 +325,6 @@ pub fn synthesize_seeded(opts: &SynthOptions, seeds: &[(CcaSpec, Trace)]) -> Syn
     run.stats.warm_traces_seeded = warm.warm_traces_seeded;
     run.stats.warm_traces_rejected = warm.warm_traces_rejected;
     run.stats.regions_pruned = generator.inner.regions_pruned;
-    run.stats.cex_subsumed = generator.cex_subsumed;
     SynthResult {
         outcome: run.outcome,
         stats: run.stats,
@@ -393,50 +358,8 @@ mod tests {
             budget: Budget { max_iterations: 400, max_wall: Duration::from_secs(240) },
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
             certify: false,
-            region_pruning: true,
             ..SynthOptions::default()
         }
-    }
-
-    #[test]
-    fn dominated_serial_trace_is_subsumed_before_assertion() {
-        use ccmatic_cegis::Generator as _;
-        let opts = quick_opts(OptMode::RangePruningWce);
-        let mut gen = make_generator(&opts);
-        let cand = CcaSpec::zero(&opts.shape);
-
-        // A hand-built counterexample to the zero CCA: nothing is ever
-        // sent or served, so the floors force the link to waste the whole
-        // token line (W(t) = C·(t+h)) and utilization is zero.
-        let (t_min, t_max) = (opts.net.t_min(), opts.net.t_max());
-        let h = opts.net.history as i64;
-        let len = (t_max - t_min + 1) as usize;
-        let zeros = vec![Rat::zero(); len];
-        let cex = Trace {
-            t_min,
-            t_max,
-            a: zeros.clone(),
-            s: zeros.clone(),
-            w: (t_min..=t_max).map(|t| int(t + h)).collect(),
-            l: zeros.clone(),
-            cwnd: zeros,
-        };
-        gen.learn(&cand, &cex);
-        assert_eq!(gen.cex_subsumed, 0);
-
-        // A second probe's trace: same service schedule and pre-history,
-        // different replayed arrivals, and a differently-slacked waste
-        // schedule — exactly how equal-service counterexamples from
-        // distinct candidates used to differ before canonicalization.
-        let mut other = cex.clone();
-        other.a[len - 1] = int(1);
-        let ceiling = int(t_max + h);
-        for i in (h as usize)..len {
-            other.w[i] = ceiling.clone();
-        }
-        assert_ne!(other, cex);
-        gen.learn(&cand, &other);
-        assert_eq!(gen.cex_subsumed, 1, "dominated serial trace must be dropped, not asserted");
     }
 
     #[test]

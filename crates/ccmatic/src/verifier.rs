@@ -125,15 +125,6 @@ impl CertAudit {
         self.steps_replayed += replayer.steps_replayed() - replayed0;
         self.check_ns += t0.elapsed().as_nanos() as u64;
     }
-
-    /// Adds `other`'s totals to these.
-    pub fn absorb(&mut self, other: &CertAudit) {
-        self.checked += other.checked;
-        self.clauses += other.clauses;
-        self.bytes += other.bytes;
-        self.steps_replayed += other.steps_replayed;
-        self.check_ns += other.check_ns;
-    }
 }
 
 /// The persistent encoding: the network model sits in the solver's base

@@ -51,7 +51,6 @@ fn ci_cell() -> SynthOptions {
         budget: Budget { max_iterations: 1_000_000, max_wall: Duration::from_secs(600) },
         wce_precision: rat(1, 2),
         certify: false,
-        region_pruning: true,
         ..Default::default()
     }
 }
@@ -197,7 +196,7 @@ fn search_trajectories_match_goldens() {
     );
     assert_eq!(
         seeded_record(),
-        "carry 7 pairs ef3fc39291cd6d73 · solution cwnd(t) = 1 · iterations 2 · probes 1 \
+        "carry 7 pairs 99b5e3994c390064 · solution cwnd(t) = 1 · iterations 2 · probes 1 \
          · warm seeded 6 · warm rejected 1 · replay hits 1 · regions pruned 84 \
          · cex subsumed 0 · pivots 289"
     );

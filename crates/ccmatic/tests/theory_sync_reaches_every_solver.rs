@@ -24,7 +24,6 @@ fn synthesis_runs_the_trail_sync_bridge() {
         budget: Budget { max_iterations: 500, max_wall: Duration::from_secs(240) },
         wce_precision: rat(1, 2),
         certify: false,
-        region_pruning: true,
         ..Default::default()
     };
     let before = theory_counters();

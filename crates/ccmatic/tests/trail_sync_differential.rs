@@ -62,7 +62,6 @@ fn opts() -> SynthOptions {
         budget: Budget { max_iterations: 500, max_wall: Duration::from_secs(240) },
         wce_precision: Rat::new(1i64.into(), 2i64.into()),
         certify: false,
-        region_pruning: true,
         ..Default::default()
     }
 }

@@ -26,7 +26,6 @@ fn tiny_base() -> SynthOptions {
         budget: ccmatic_cegis::Budget { max_iterations: 600, max_wall: Duration::from_secs(240) },
         wce_precision: rat(1, 2),
         certify: false,
-        region_pruning: true,
         ..Default::default()
     }
 }

@@ -152,9 +152,8 @@ pub struct Stats {
     /// replay-verified neighbors and symmetry images of a refuted candidate
     /// excluded beyond the refuted point itself.
     pub regions_pruned: u64,
-    /// Learned counterexample traces dropped (or evicted) because another
-    /// asserted trace subsumes them — every candidate they refute, the
-    /// subsuming trace refutes too.
+    /// Always zero: no engine drops a learned trace for being subsumed by
+    /// another. Kept only for the `perfbench/` workloads that read it.
     pub cex_subsumed: u64,
     /// Warm-start: carried counterexample traces that still refute their
     /// original candidate at the new thresholds and were re-asserted.

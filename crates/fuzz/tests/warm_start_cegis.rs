@@ -1,14 +1,11 @@
-//! Fuzz corpus → CEGIS learn sites: the serial subsumption guard must
-//! fire on redundant fuzz-found traces, and `synthesize_seeded` must
-//! accept a fuzz corpus as warm-start counterexamples, off-grid ones too.
+//! Fuzz corpus → CEGIS: `synthesize_seeded` must accept a fuzz corpus as
+//! warm-start counterexamples, off-grid ones too.
 
 use ccac_model::{NetConfig, Thresholds};
-use ccmatic::generator::FeasibilityMode;
 use ccmatic::lift::lift_checked;
-use ccmatic::replay::TraceReplay;
-use ccmatic::synth::{build_loop, synthesize_seeded, SynthOptions};
+use ccmatic::synth::{synthesize_seeded, SynthOptions};
 use ccmatic::template::{CcaSpec, CoeffDomain, TemplateShape};
-use ccmatic_cegis::{Budget, Generator, Outcome};
+use ccmatic_cegis::{Budget, Outcome};
 use ccmatic_fuzz::ScheduleGenome;
 use ccmatic_num::{int, Rat};
 use std::time::Duration;
@@ -29,43 +26,6 @@ fn opts() -> SynthOptions {
         budget: Budget { max_iterations: 200, max_wall: Duration::from_secs(120) },
         ..SynthOptions::default()
     }
-}
-
-/// Two broken constant-window candidates attacked by the *same* benign
-/// fuzz genome lift to traces with identical service and waste schedules
-/// (they differ only in the sender/cwnd rows the replayer recomputes
-/// anyway). Learning the second through the serial `GenAdapter` after the
-/// first must trip the subsumption guard instead of asserting a redundant
-/// counterexample.
-#[test]
-fn subsumption_guard_fires_on_a_fuzz_corpus() {
-    let o = opts();
-    let c1 = CcaSpec { alpha: vec![], beta: vec![int(0)], gamma: int(6) };
-    let c2 = CcaSpec { alpha: vec![], beta: vec![int(0)], gamma: int(7) };
-
-    // The benign genome: ideal band position, eager waste, no backlog —
-    // the standing queue is entirely the candidate's own oversized window.
-    let genome = ScheduleGenome::ideal(o.net.history + o.net.horizon);
-    let lift = |spec: &CcaSpec| {
-        lift_checked(spec, &genome.lift_config(&o.net, &int(7))).expect("eager lifts are feasible")
-    };
-    let (t1, t2) = (lift(&c1), lift(&c2));
-    assert_ne!(t1, t2, "different windows must give different sender rows");
-    assert_eq!(t1.s, t2.s, "service is schedule-driven, not candidate-driven");
-
-    let replay =
-        TraceReplay::new(o.net.clone(), o.thresholds.clone(), FeasibilityMode::RangePruning);
-    assert!(replay.refutes(&c1, &t1), "queue 5 > delay 4 must refute γ=6");
-    assert!(replay.refutes(&c2, &t2), "queue 6 > delay 4 must refute γ=7");
-
-    let (mut gen, _ver) = build_loop(&o);
-    gen.learn(&c1, &t1);
-    assert_eq!(gen.cex_subsumed, 0, "first trace must be asserted");
-    gen.learn(&c2, &t2);
-    assert_eq!(
-        gen.cex_subsumed, 1,
-        "second trace carries no new service/waste content; the guard must drop it"
-    );
 }
 
 /// A fuzz corpus warm-starts CEGIS: seeds that replay as refutations are

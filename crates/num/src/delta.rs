@@ -52,11 +52,6 @@ impl DeltaRat {
         DeltaRat { real: r, delta: Rat::one() }
     }
 
-    /// True iff the delta component is zero (the value is a plain rational).
-    pub fn is_exact(&self) -> bool {
-        self.delta.is_zero()
-    }
-
     /// Concretize with a specific positive value for δ.
     pub fn eval(&self, delta_value: &Rat) -> Rat {
         &self.real + &(&self.delta * delta_value)

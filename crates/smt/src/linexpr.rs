@@ -88,11 +88,6 @@ impl LinExpr {
         }
     }
 
-    /// Add a constant in place.
-    pub fn add_constant(&mut self, k: &Rat) {
-        self.constant += k;
-    }
-
     /// The variable part of the expression (constant dropped).
     pub fn var_part(&self) -> LinExpr {
         LinExpr { coeffs: self.coeffs.clone(), constant: Rat::zero() }

@@ -74,12 +74,6 @@ impl Model {
         e.eval(|v| self.real(v))
     }
 
-    /// Insert a real value (used by tooling that builds models by hand,
-    /// e.g. counterexample replay in tests).
-    pub fn set_real(&mut self, v: RealVar, value: Rat) {
-        self.reals.insert(v, value);
-    }
-
     /// Iterate over the assigned real variables.
     pub fn reals(&self) -> impl Iterator<Item = (RealVar, &Rat)> + '_ {
         self.reals.iter().map(|(v, r)| (*v, r))

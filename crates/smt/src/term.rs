@@ -76,16 +76,6 @@ impl Context {
         self.intern(TermData::BoolVar(id))
     }
 
-    /// Number of real variables allocated so far.
-    pub fn num_real_vars(&self) -> usize {
-        self.real_names.len()
-    }
-
-    /// Diagnostic name of a real variable.
-    pub fn real_var_name(&self, v: RealVar) -> &str {
-        &self.real_names[v.0 as usize]
-    }
-
     /// The term data behind a handle.
     pub fn data(&self, t: Term) -> &TermData {
         &self.terms[t.0 as usize]

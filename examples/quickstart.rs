@@ -25,7 +25,6 @@ fn main() {
         budget: Budget { max_iterations: 500, max_wall: Duration::from_secs(300) },
         wce_precision: rat(1, 2),
         certify: false,
-        region_pruning: true,
         ..Default::default()
     };
     println!(

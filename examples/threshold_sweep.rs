@@ -26,7 +26,6 @@ fn main() {
         budget: Budget { max_iterations: 3000, max_wall: Duration::from_secs(600) },
         wce_precision: rat(1, 2),
         certify: false,
-        region_pruning: true,
         ..Default::default()
     };
 

@@ -7,7 +7,6 @@
 //!                 [--budget-secs N] [--horizon N] [--lookback N] [--jitter N]
 //!                 [--stats]       (kernel counters: pivots, promotions, coverage)
 //!                 [--certify]     (checker-replayed proof certificates on every verdict)
-//!                 [--no-region-pruning]  (A/B escape hatch)
 //! ccmatic verify  --cca "b1,b2,b3,b4,g"   (β taps then γ; rationals like 3/2)
 //!                 [--certify]
 //! ccmatic enumerate [same space/threshold flags]
@@ -73,7 +72,6 @@ const VALUE_FLAGS: &[&str] = &[
 const SWITCHES: &[&str] = &[
     "--stats",
     "--certify",
-    "--no-region-pruning",
     "--no-warm-start",
     "--fail-on-gap",
     "--expect-failure",
@@ -166,7 +164,6 @@ fn usage() -> ExitCode {
          \x20      --budget-secs N --horizon N --lookback N --jitter N\n\
          \x20      --stats  (print kernel counters: pivots, promotions, fast-path coverage,\n\
          \x20                theory props, bounds asserted/reused)\n\
-         \x20      --no-region-pruning  (no region-form σ, dominance BFS or subsumption; A/B)\n\
          \x20      --certify  (synth/verify: re-check every UNSAT verdict against a\n\
          \x20                  DRAT+Farkas certificate with the independent checker)\n\
          \x20      --cache-dir DIR  (enumerate/sweep: certificate-backed result cache)\n\
@@ -255,7 +252,6 @@ fn main() -> ExitCode {
         budget: Budget { max_iterations: 1_000_000, max_wall: Duration::from_secs(budget_secs) },
         wce_precision: rat(1, 2),
         certify,
-        region_pruning: !args.has("--no-region-pruning"),
         ..SynthOptions::default()
     };
 
@@ -271,10 +267,7 @@ fn main() -> ExitCode {
             );
             let r = synthesize(&opts);
             if kernel.is_some() {
-                eprintln!(
-                    "pruning: regions pruned {} · cexs subsumed {}",
-                    r.stats.regions_pruned, r.stats.cex_subsumed
-                );
+                eprintln!("pruning: regions pruned {}", r.stats.regions_pruned);
             }
             if certify {
                 // Reaching this line means every certificate was accepted —

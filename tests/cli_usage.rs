@@ -20,6 +20,7 @@ fn usage_errors_exit_2_with_the_usage_text() {
         &["synth", "--threads", "2"][..],
         &["verify", "--cca", "1,-1,0,0,1", "--seed", "3"][..],
         &["verify", "--cca", "1,-1,0,0,1", "--no-theory-sync"][..],
+        &["synth", "--no-region-pruning"][..],
         &[][..],
         &["no-such-subcommand"][..],
     ] {

@@ -21,7 +21,6 @@ fn synthesize_then_simulate() {
         budget: Budget { max_iterations: 500, max_wall: Duration::from_secs(300) },
         wce_precision: rat(1, 2),
         certify: false,
-        region_pruning: true,
         ..Default::default()
     };
     let result = synthesize(&opts);

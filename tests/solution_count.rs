@@ -33,7 +33,6 @@ fn base_opts() -> SynthOptions {
         budget: Budget { max_iterations: 3000, max_wall: Duration::from_secs(420) },
         wce_precision: rat(1, 2),
         certify: false,
-        region_pruning: true,
         ..Default::default()
     }
 }
