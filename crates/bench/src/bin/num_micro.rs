@@ -1,20 +1,33 @@
 //! Microbenchmarks of the arithmetic kernel under the simplex: `Rat`
-//! add/mul/cmp on the small-value fast path, `BigInt` gcd, and a simplex
-//! pivot kernel driven through the public `Simplex` API. These back the
+//! add/mul/cmp on the small-value fast path, `BigInt` gcd, a simplex
+//! pivot kernel driven through the public `Simplex` API, and one verifier
+//! call whose tableau is the densest the verifier builds. These back the
 //! DESIGN.md §8 claim that the hot loop runs allocation-free on
 //! machine-word operands.
 //!
 //! ```sh
-//! cargo run --release -p ccmatic-bench --bin num_micro
+//! cargo run --release -p ccmatic-bench --bin num_micro -- [--check BENCH_num_micro.json]
 //! ```
 //!
 //! Emits `BENCH_num_micro.json` with per-case mean/min timings plus the
-//! arithmetic fast-path counters accumulated across the whole run.
+//! pivot, row-spill and arithmetic counters accumulated across the whole
+//! run.
+//!
+//! `--check FILE` reads FILE before the run and, after writing the fresh
+//! `BENCH_num_micro.json`, compares every field except the timings,
+//! `small_ops` and `fast_fraction` with it: the case list, `pivots`,
+//! `promotions`, `big_ops` and `row_spills`. Any difference is printed by
+//! path and fails the run.
 
+use ccac_model::{NetConfig, Thresholds};
+use ccmatic::known;
+use ccmatic::verifier::{CcaVerifier, VerifyConfig};
+use ccmatic_bench::drift::{read_committed, report_drift};
 use ccmatic_bench::{bench_case, write_json, Json, MicroResult};
 use ccmatic_num::{rat, BigInt, DeltaRat, Rat, SmallRng};
 use ccmatic_smt::lra::Simplex;
 use std::hint::black_box;
+use std::process::ExitCode;
 
 /// Pre-generate small rational operands of the kind the LRA tableau holds:
 /// single-digit numerators over denominators up to 16.
@@ -101,6 +114,30 @@ fn simplex_pivot_case(n: usize) -> MicroResult {
     })
 }
 
+/// One Eq. (iii) verifier call (no WCE) at horizon 6, history 5, on a
+/// fresh verifier: 1,932 pivots on a tableau of about 150 rows, the
+/// densest measured, where the chain above pivots two-entry rows. The
+/// call refutes Eq. (iii) at this horizon; only its cost is measured.
+fn verifier_eq_iii_case() -> MicroResult {
+    let cfg = VerifyConfig {
+        net: NetConfig { horizon: 6, history: 5, link_rate: Rat::one(), jitter: 1, buffer: None },
+        thresholds: Thresholds::default(),
+        worst_case: false,
+        wce_precision: rat(1, 4),
+        certify: false,
+        ..Default::default()
+    };
+    bench_case("verifier_eq_iii", 1, 5, || {
+        black_box(CcaVerifier::new(cfg.clone()).verify(&known::eq_iii()).is_err());
+    })
+}
+
+/// Fields that vary from run to run (timings) or only count the
+/// arithmetic fast path's bookkeeping, and are left out of `--check`.
+fn unchecked(key: &str) -> bool {
+    matches!(key, "mean_us" | "min_us" | "small_ops" | "fast_fraction")
+}
+
 fn case_json(r: &MicroResult) -> Json {
     Json::obj(vec![
         ("name", Json::Str(r.name.clone())),
@@ -110,22 +147,38 @@ fn case_json(r: &MicroResult) -> Json {
     ])
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().collect();
+    // Read before the run: the run rewrites `BENCH_num_micro.json`.
+    let committed = match args.windows(2).find(|w| w[0] == "--check") {
+        None => None,
+        Some(w) => match read_committed(&w[1]) {
+            Ok(doc) => Some((w[1].clone(), doc)),
+            Err(e) => {
+                eprintln!("num_micro: cannot read {}: {e}", w[1]);
+                return ExitCode::FAILURE;
+            }
+        },
+    };
     let operands = small_rats(4_000, 42);
     let before = ccmatic_num::arith_snapshot();
     let pivots_before = ccmatic_smt::lra::pivots_total();
+    let spills_before = ccmatic_smt::lra::row_spills_total();
     let results = [
         rat_add_case(&operands),
         rat_mul_case(&operands),
         rat_cmp_case(&operands),
         gcd_case(),
         simplex_pivot_case(40),
+        verifier_eq_iii_case(),
     ];
     let arith = ccmatic_num::arith_snapshot().since(&before);
     let pivots = ccmatic_smt::lra::pivots_total().saturating_sub(pivots_before);
+    let spills = ccmatic_smt::lra::row_spills_total().saturating_sub(spills_before);
     eprintln!(
-        "kernel: pivots {} · promotions {} · fast-path {:.2}% ({} small / {} big ops)",
+        "kernel: pivots {} · row spills {} · promotions {} · fast-path {:.2}% ({} small / {} big ops)",
         pivots,
+        spills,
         arith.promotions,
         arith.fast_fraction() * 100.0,
         arith.small_ops,
@@ -139,7 +192,12 @@ fn main() {
         ("promotions", Json::UInt(arith.promotions)),
         ("small_ops", Json::UInt(arith.small_ops)),
         ("big_ops", Json::UInt(arith.big_ops)),
+        ("row_spills", Json::UInt(spills)),
         ("fast_fraction", Json::Num(arith.fast_fraction())),
     ]);
-    let _ = write_json("BENCH_num_micro.json", &json);
+    write_json("BENCH_num_micro.json", &json).expect("write the microbench report");
+    match &committed {
+        Some((path, doc)) if !report_drift(path, &json, doc, &unchecked) => ExitCode::FAILURE,
+        _ => ExitCode::SUCCESS,
+    }
 }

@@ -19,7 +19,8 @@
 //! `--check FILE` reads FILE before the run and, after writing the fresh
 //! `BENCH_verify_grid.json`, compares every field except `wall_s` and
 //! `small_ops` with it — per family `passed`, `probes`, `pivots`,
-//! `promotions`, `big_ops` and `digest`, plus the seed and grid shape.
+//! `promotions`, `big_ops`, `row_spills` and `digest`, plus the seed and
+//! grid shape.
 //! Any difference is printed by path and fails the run, so a kernel change
 //! that moves the verifier's work or results cannot pass unnoticed.
 
@@ -30,7 +31,7 @@ use ccmatic::verifier::{CcaVerifier, VerifyConfig};
 use ccmatic_bench::drift::{read_committed, report_drift};
 use ccmatic_bench::{table1_rows, write_json, Json, Scale};
 use ccmatic_num::{arith_snapshot, rat, Rat, SmallRng};
-use ccmatic_smt::lra::pivots_total;
+use ccmatic_smt::lra::{pivots_total, row_spills_total};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -91,7 +92,7 @@ fn main() -> ExitCode {
             certify: false,
             ..Default::default()
         });
-        let (arith0, pivots0) = (arith_snapshot(), pivots_total());
+        let (arith0, pivots0, spills0) = (arith_snapshot(), pivots_total(), row_spills_total());
         let mut record = String::new();
         let mut passed = 0u64;
         let t0 = Instant::now();
@@ -107,10 +108,11 @@ fn main() -> ExitCode {
         let wall = t0.elapsed().as_secs_f64();
         let arith = arith_snapshot().since(&arith0);
         let pivots = pivots_total() - pivots0;
+        let spills = row_spills_total() - spills0;
         let digest = format!("{:016x}", fnv1a64(&record));
         println!(
             "{family}: {COUNT} candidates ({passed} pass) in {wall:.3} s · probes {} · pivots {pivots} \
-             · small_ops {} · promotions {} · big_ops {} · digest {digest}",
+             · small_ops {} · promotions {} · big_ops {} · row_spills {spills} · digest {digest}",
             verifier.solver_probes, arith.small_ops, arith.promotions, arith.big_ops,
         );
         families.push(Json::obj(vec![
@@ -123,6 +125,7 @@ fn main() -> ExitCode {
             ("small_ops", Json::UInt(arith.small_ops)),
             ("promotions", Json::UInt(arith.promotions)),
             ("big_ops", Json::UInt(arith.big_ops)),
+            ("row_spills", Json::UInt(spills)),
             ("digest", Json::Str(digest)),
         ]));
     }

@@ -67,7 +67,7 @@ impl Rat {
     /// Build a normalized rational from `n / d` with `d > 0`, both already
     /// reduced into `i128` range (cross-products of `i64` components).
     /// Counts one fast-path op, or a promotion if the reduced value still
-    /// leaves the `i64` range.
+    /// leaves the `i64` range. An integer (`d = 1`) needs no gcd.
     fn from_i128_frac(n: i128, d: i128) -> Rat {
         debug_assert!(d > 0);
         if n == 0 {
@@ -76,6 +76,7 @@ impl Rat {
         }
         let (n_abs, d) = (n.unsigned_abs(), d as u128);
         let (n_abs, d) = match (u64::try_from(n_abs), u64::try_from(d)) {
+            _ if d == 1 => (n_abs, d),
             (Ok(a), Ok(b)) => {
                 let g = gcd_u64(a, b);
                 ((a / g) as u128, (b / g) as u128)

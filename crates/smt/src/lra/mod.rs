@@ -21,9 +21,18 @@
 //! positive rational scale (see `Row`). Pivoting is therefore
 //! fraction-free: the hot substitution step (`Row::substitute`) is a
 //! linear merge of two sorted integer lists through a reusable scratch
-//! buffer — on plain `i64` words unless a value overflows, no per-entry
-//! rational normalization, no per-entry node allocation, no pointer
-//! chasing — followed by one content gcd that keeps the row primitive.
+//! buffer, followed by one content gcd that keeps the row primitive.
+//!
+//! Rows are word-native. A row holds `(SimVar, i64)` entries, 16 bytes
+//! each with no drop glue, for as long as every entry fits an `i64`. A row
+//! operation that would leave that range *spills* the whole row to
+//! `BigInt` entries and redoes the operation there; a spilled row returns
+//! to words as soon as its primitive entries fit again. So a row is in
+//! word form exactly when every entry fits an `i64`, the same canonical
+//! rule `BigInt` keeps for one integer. The hot loops (the violated-row
+//! scan, bound-propagation extremes, the substitution merge and the pivot
+//! row rewrite) run on the entry slice of either form through one generic
+//! body, dispatched once per row operation.
 //!
 //! The representation cannot change any result. For a fixed basis the
 //! tableau is unique (each basic variable has exactly one expression in the
@@ -32,7 +41,11 @@
 //! are the same rationals any exact tableau would hold. Every sign test,
 //! Bland choice, bound-propagation sum, Farkas multiplier and model value is
 //! computed from those, so only the cost of computing them depends on how
-//! rows are stored.
+//! rows are stored. The arithmetic counters keep their meaning as well:
+//! word arithmetic counts nothing, and the spill path redoes the overflowing
+//! operation with the counted `BigInt` arithmetic, so promotions and
+//! limb-path operations are counted exactly as an all-`BigInt` tableau
+//! would count them; only fast-path operations go uncounted.
 
 use crate::interrupt::Interrupt;
 use ccmatic_num::{gcd_u64, BigInt, DeltaRat, Rat};
@@ -45,57 +58,169 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 /// arithmetic ops.
 static PIVOTS_TOTAL: AtomicU64 = AtomicU64::new(0);
 
+/// Process-wide count of row spills: word-form rows moved to `BigInt`
+/// entries because a row operation left the `i64` range.
+static ROW_SPILLS_TOTAL: AtomicU64 = AtomicU64::new(0);
+
 /// Read the process-wide pivot counter.
 pub fn pivots_total() -> u64 {
     PIVOTS_TOTAL.load(AtomicOrdering::Relaxed)
+}
+
+/// Read the process-wide row-spill counter.
+pub fn row_spills_total() -> u64 {
+    ROW_SPILLS_TOTAL.load(AtomicOrdering::Relaxed)
 }
 
 /// A simplex variable (problem variable or slack).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct SimVar(pub u32);
 
+/// A tableau entry's integer coefficient: an `i64` word in a word-form
+/// row, a `BigInt` in a spilled one.
+trait Coeff {
+    fn is_positive(&self) -> bool;
+    /// `k · self`, counted like any `BigInt` product.
+    fn times(&self, k: &BigInt) -> BigInt;
+    /// The effective coefficient `scale · self`.
+    fn eff(&self, scale: &Rat) -> Rat;
+}
+
+impl Coeff for i64 {
+    fn is_positive(&self) -> bool {
+        *self > 0
+    }
+
+    fn times(&self, k: &BigInt) -> BigInt {
+        k * &BigInt::from(*self)
+    }
+
+    /// With an integer scale this is one checked word product; an overflow
+    /// takes the `Rat` product, which counts the promotion.
+    fn eff(&self, scale: &Rat) -> Rat {
+        if scale.is_integer() {
+            if let Some(n) = scale.numer().to_i64().and_then(|n| n.checked_mul(*self)) {
+                return Rat::from(n);
+            }
+        }
+        scale * &Rat::from(*self)
+    }
+}
+
+impl Coeff for BigInt {
+    fn is_positive(&self) -> bool {
+        BigInt::is_positive(self)
+    }
+
+    fn times(&self, k: &BigInt) -> BigInt {
+        k * self
+    }
+
+    fn eff(&self, scale: &Rat) -> Rat {
+        match self.to_i64() {
+            Some(w) => w.eff(scale),
+            None => scale * &Rat::from(self.clone()),
+        }
+    }
+}
+
+/// A row's entries, sorted by variable: words while every entry fits an
+/// `i64`, the whole row spilled to `BigInt`s otherwise.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Entries {
+    Words(Vec<(SimVar, i64)>),
+    Big(Vec<(SimVar, BigInt)>),
+}
+
+/// Evaluate `$body` with `$es` bound to a row's entry slice, whichever
+/// form it is in: one generic body, one dispatch per row operation.
+macro_rules! with_entries {
+    ($row:expr, $es:ident => $body:expr) => {
+        match &$row.entries {
+            Entries::Words($es) => $body,
+            Entries::Big($es) => $body,
+        }
+    };
+}
+
 /// A sparse tableau row in primitive form: a basic variable `v` with this
 /// row satisfies `v = scale · Σ entry·nonbasic`, where the entries are
 /// nonzero integers sorted by variable with gcd 1, and `scale > 0`.
 ///
 /// Every rational factor a pivot introduces lives in the one `scale`
-/// scalar, so entries stay small integers on the machine-word fast path
-/// even where the rational tableau's coefficients would share huge factors.
-/// The *effective* coefficient of a variable is `scale · entry`; since
+/// scalar, so entries stay small integers in word form even where the
+/// rational tableau's coefficients would share huge factors. The
+/// *effective* coefficient of a variable is `scale · entry`; since
 /// `scale > 0`, entry signs alone drive pivot selection.
 #[derive(Clone, Debug)]
 struct Row {
-    entries: Vec<(SimVar, BigInt)>,
+    entries: Entries,
     scale: Rat,
 }
 
 impl Row {
-    /// Coefficient of `v`, if present.
-    fn get(&self, v: SimVar) -> Option<&BigInt> {
-        self.entries.binary_search_by_key(&v, |e| e.0).ok().map(|i| &self.entries[i].1)
+    /// Whether the row mentions `v`.
+    fn mentions(&self, v: SimVar) -> bool {
+        with_entries!(self, es => es.binary_search_by_key(&v, |e| e.0).is_ok())
     }
 
     /// Remove and return the coefficient of `v`.
     fn remove(&mut self, v: SimVar) -> Option<BigInt> {
-        match self.entries.binary_search_by_key(&v, |e| e.0) {
-            Ok(i) => Some(self.entries.remove(i).1),
-            Err(_) => None,
+        match &mut self.entries {
+            Entries::Words(es) => {
+                let i = es.binary_search_by_key(&v, |e| e.0).ok()?;
+                Some(BigInt::from(es.remove(i).1))
+            }
+            Entries::Big(es) => {
+                let i = es.binary_search_by_key(&v, |e| e.0).ok()?;
+                Some(es.remove(i).1)
+            }
         }
     }
 
-    /// Iterate entries in variable order.
-    fn iter(&self) -> impl Iterator<Item = (SimVar, &BigInt)> {
-        self.entries.iter().map(|(v, c)| (*v, c))
-    }
-
-    /// The effective (rational) coefficient of an entry of this row.
-    fn eff(&self, c: &BigInt) -> Rat {
-        &self.scale * &Rat::from(c.clone())
+    /// Iterate entries in variable order as `BigInt`s (off the hot paths).
+    fn iter(&self) -> impl Iterator<Item = (SimVar, BigInt)> + '_ {
+        let (words, big) = match &self.entries {
+            Entries::Words(es) => (es.as_slice(), &[][..]),
+            Entries::Big(es) => (&[][..], es.as_slice()),
+        };
+        let words = words.iter().map(|&(v, e)| (v, BigInt::from(e)));
+        words.chain(big.iter().map(|(v, e)| (*v, e.clone())))
     }
 
     /// Effective coefficient of `v`, if present.
     fn effective(&self, v: SimVar) -> Option<Rat> {
-        self.get(v).map(|c| self.eff(c))
+        with_entries!(self, es => {
+            let i = es.binary_search_by_key(&v, |e| e.0).ok()?;
+            Some(es[i].1.eff(&self.scale))
+        })
+    }
+
+    /// Move a word-form row to `BigInt` entries, counting the spill.
+    fn spill(&mut self) {
+        if let Entries::Words(es) = &self.entries {
+            ROW_SPILLS_TOTAL.fetch_add(1, AtomicOrdering::Relaxed);
+            self.entries = Entries::Big(es.iter().map(|&(v, e)| (v, BigInt::from(e))).collect());
+        }
+    }
+
+    /// Return a spilled row to word form if every entry fits an `i64`.
+    fn settle(&mut self) {
+        if let Entries::Big(es) = &self.entries {
+            let words: Option<Vec<(SimVar, i64)>> =
+                es.iter().map(|(v, e)| Some((*v, e.to_i64()?))).collect();
+            if let Some(words) = words {
+                self.entries = Entries::Words(words);
+            }
+        }
+    }
+
+    /// The spilled entries; panics on a word-form row.
+    fn big_mut(&mut self) -> &mut Vec<(SimVar, BigInt)> {
+        match &mut self.entries {
+            Entries::Big(es) => es,
+            Entries::Words(_) => unreachable!("row is in word form"),
+        }
     }
 
     /// The primitive row equal to `Σ coeff·var` over rational
@@ -105,7 +230,7 @@ impl Row {
     fn from_rational(terms: impl IntoIterator<Item = (SimVar, Rat)>) -> Row {
         let terms: Vec<(SimVar, Rat)> = terms.into_iter().filter(|(_, c)| !c.is_zero()).collect();
         if terms.is_empty() {
-            return Row { entries: Vec::new(), scale: Rat::one() };
+            return Row { entries: Entries::Words(Vec::new()), scale: Rat::one() };
         }
         let mut gn = BigInt::zero();
         let mut ld = BigInt::one();
@@ -115,137 +240,282 @@ impl Row {
         }
         let entries =
             terms.into_iter().map(|(v, c)| (v, &(c.numer() / &gn) * &(&ld / c.denom()))).collect();
-        Row { entries, scale: Rat::new(gn, ld) }
-    }
-
-    /// Restore primitive form after a nonempty `entries` changed: divide
-    /// out their integer content `g` (stopping at the first gcd of 1, the
-    /// common case) and return it for the caller to fold into the scale.
-    fn take_content(&mut self) -> BigInt {
-        let one = BigInt::one();
-        let mut g = BigInt::zero();
-        for (_, c) in &self.entries {
-            g = g.gcd(c);
-            if g == one {
-                return g;
-            }
-        }
-        for (_, c) in self.entries.iter_mut() {
-            *c = &*c / &g;
-        }
-        g
+        let mut row = Row { entries: Entries::Big(entries), scale: Rat::new(gn, ld) };
+        row.settle();
+        row
     }
 
     /// Substitute `x_j = (P/Q) · Σ f·x` (row `sub`) for this row's
-    /// coefficient `c` on `x_j` (already removed from `entries`):
+    /// coefficient `c` on `x_j` (already removed from the entries):
     /// `entries ← Q·entries + c·P·f` as a linear merge of the two sorted
     /// lists, `scale ← scale/Q`, then the content is divided back out.
     /// (`c/Q` is reduced first, so intermediates carry no factor the
-    /// content division would only remove again.) The merge is built in
-    /// `scratch`, which is swapped in; the buffers alternate across calls
-    /// so neither is reallocated once warm.
+    /// content division would only remove again.)
     ///
-    /// The merge runs on machine words ([`Row::merge_words`]) and falls
-    /// back to the `BigInt` merge ([`Row::merge_big`]) from the untouched
-    /// row at its first overflow, so both compute the same integers.
-    fn substitute(&mut self, c: &BigInt, sub: &Row, scratch: &mut Vec<(SimVar, BigInt)>) {
-        scratch.clear();
-        scratch.reserve(self.entries.len() + sub.entries.len());
-        let q = match self.merge_words(c, sub, scratch) {
-            Some(q) => BigInt::from(q),
-            None => {
-                scratch.clear();
-                self.merge_big(c, sub, scratch)
+    /// Two word-form rows merge on words ([`merge_words`]) through
+    /// `scratch`, which is swapped in, so neither buffer is reallocated
+    /// once warm. Any other pair, or a word merge that overflows, spills
+    /// this row and runs [`merge_big`] from the untouched entries, so both
+    /// compute the same integers.
+    fn substitute(&mut self, c: &BigInt, sub: &Row, scratch: &mut Vec<(SimVar, i64)>) {
+        if let (Entries::Words(own), Entries::Words(subs)) = (&mut self.entries, &sub.entries) {
+            if let Some(q) = merge_words(own, c, subs, &sub.scale, scratch) {
+                std::mem::swap(own, scratch);
+                if own.is_empty() {
+                    self.scale = Rat::one();
+                    return;
+                }
+                // The content is at most 2^63, which only a row of
+                // `i64::MIN` entries reaches; that row takes the
+                // `BigInt` content below.
+                if let Some(g) = word_content(own) {
+                    if g > 1 {
+                        own.iter_mut().for_each(|e| e.1 /= g);
+                    }
+                    // Multiplying a word scale by g/q = 1 changes nothing.
+                    if g != q || !self.scale.is_small() {
+                        self.scale = &self.scale * &Rat::new(g.into(), q.into());
+                    }
+                    return;
+                }
+                self.spill();
+                self.finish_big(BigInt::from(q));
+                return;
             }
-        };
-        std::mem::swap(&mut self.entries, scratch);
-        if self.entries.is_empty() {
+        }
+        self.substitute_big(c, sub);
+    }
+
+    /// [`Row::substitute`] on `BigInt`s: spill this row, merge, and
+    /// restore primitive (and, where it fits, word) form.
+    fn substitute_big(&mut self, c: &BigInt, sub: &Row) {
+        self.spill();
+        let own = std::mem::take(self.big_mut());
+        let (merged, q) = with_entries!(sub, subs => merge_big(own, c, subs, &sub.scale));
+        *self.big_mut() = merged;
+        self.finish_big(q);
+    }
+
+    /// Restore primitive form after a spilled row's entries changed under
+    /// the substitution denominator `q`: divide out the content and fold
+    /// `content/q` into the scale, then return to words if they fit.
+    fn finish_big(&mut self, q: BigInt) {
+        let es = self.big_mut();
+        if es.is_empty() {
             self.scale = Rat::one();
-            return;
+        } else {
+            let g = take_content_big(es);
+            self.scale = &self.scale * &Rat::new(g, q);
         }
-        let g = self.take_content();
-        self.scale = &self.scale * &Rat::new(g, q);
+        self.settle();
     }
 
-    /// The substitution merge on `i64` words, into `out`. Returns
-    /// `Q/gcd(Q, c)`, or `None` as soon as an input or an intermediate
-    /// leaves the `i64` range, leaving `entries` untouched. Counts no
-    /// arithmetic events: a merge that fits a word is one the `BigInt`
-    /// merge would also finish with neither a promotion nor a limb
-    /// operation.
-    fn merge_words(&self, c: &BigInt, sub: &Row, out: &mut Vec<(SimVar, BigInt)>) -> Option<i64> {
-        let (c, p, q) = (c.to_i64()?, sub.scale.numer().to_i64()?, sub.scale.denom().to_i64()?);
-        // q > 0, so 1 ≤ g ≤ q and neither division can overflow.
-        let g = gcd_u64(q.unsigned_abs(), c.unsigned_abs()) as i64;
-        let (c, q) = (c / g, q / g);
-        let k = c.checked_mul(p)?;
-        let own = |e: &BigInt| e.to_i64()?.checked_mul(q);
-        let mut a = self.entries.iter().peekable();
-        for (bv, bc) in &sub.entries {
-            let kf = k.checked_mul(bc.to_i64()?)?;
-            loop {
-                match a.peek() {
-                    Some((av, e)) if av < bv => {
-                        out.push((*av, BigInt::from(own(e)?)));
-                        a.next();
-                    }
-                    Some((av, e)) if av == bv => {
-                        let sum = own(e)?.checked_add(kf)?;
-                        if sum != 0 {
-                            out.push((*av, BigInt::from(sum)));
-                        }
-                        a.next();
-                        break;
-                    }
-                    _ => {
-                        out.push((*bv, BigInt::from(kf)));
-                        break;
-                    }
-                }
+    /// Turn basic `b`'s row (its pivot entry `a` on the entering variable
+    /// `x_j` already removed, its old scale `s = p/q` taken out) into the
+    /// row of `x_j`. From `b = (p/q)·Σ e_k x_k`, with `σ = sign(a)`,
+    ///   `x_j = (1/(p·|a|))·( σq·b − σp·Σ_{k≠j} e_k·x_k )`.
+    /// The surviving entries had gcd `g'` with `a`, so the new row's
+    /// content is `gcd(q, g')` (`p` is coprime to `q`); it moves into the
+    /// scale, which keeps every rational factor. `b`, having been basic,
+    /// cannot already appear in its own row.
+    fn solve_for(&mut self, b: SimVar, s: &Rat, a: &BigInt, scratch: &mut Vec<(SimVar, i64)>) {
+        let (p, q) = (s.numer(), s.denom());
+        if let (Entries::Words(es), Some(pw), Some(qw), Some(aw)) =
+            (&mut self.entries, p.to_i64(), q.to_i64(), a.to_i64())
+        {
+            if let Some(g) = solve_for_words(es, b, pw, qw, aw, scratch) {
+                std::mem::swap(es, scratch);
+                self.scale = Rat::new(g.into(), p * &a.abs());
+                return;
             }
         }
-        for (v, e) in a {
-            out.push((*v, BigInt::from(own(e)?)));
-        }
-        Some(q)
-    }
-
-    /// The substitution merge on `BigInt`s, into `scratch`; drains
-    /// `entries`. Returns `Q/gcd(Q, c)`.
-    fn merge_big(&mut self, c: &BigInt, sub: &Row, scratch: &mut Vec<(SimVar, BigInt)>) -> BigInt {
+        self.spill();
+        let es = self.big_mut();
         let one = BigInt::one();
-        let (p, q) = (sub.scale.numer(), sub.scale.denom());
-        let g = q.gcd(c);
-        let (c, q) = if g == one { (c.clone(), q.clone()) } else { (c / &g, q / &g) };
-        let k = &c * p;
-        let q_is_one = q == one;
-        let own = |e: BigInt| if q_is_one { e } else { &q * &e };
-        let mut a = self.entries.drain(..).peekable();
-        for (bv, bc) in &sub.entries {
-            loop {
-                match a.peek() {
-                    Some((av, _)) if av < bv => {
-                        let (v, e) = a.next().expect("peeked entry exists");
-                        scratch.push((v, own(e)));
+        let mut g = q.clone();
+        for (_, e) in es.iter() {
+            if g == one {
+                break;
+            }
+            g = g.gcd(e);
+        }
+        let positive = a.is_positive();
+        let m = if positive { -p } else { p.clone() };
+        for (_, e) in es.iter_mut() {
+            if g != one {
+                *e = &*e / &g;
+            }
+            *e = &*e * &m;
+        }
+        let qg = if g == one { q.clone() } else { q / &g };
+        let b_entry = if positive { qg } else { -qg };
+        let at = es.binary_search_by_key(&b, |e| e.0).expect_err("b is not in its row");
+        es.insert(at, (b, b_entry));
+        self.scale = Rat::new(g, p * &a.abs());
+        self.settle();
+    }
+}
+
+/// Content of nonempty word entries, stopping at the first gcd of 1 (the
+/// common case); `None` if it is 2^63.
+fn word_content(es: &[(SimVar, i64)]) -> Option<i64> {
+    let mut g = 0;
+    for (_, e) in es {
+        g = gcd_u64(g, e.unsigned_abs());
+        if g == 1 {
+            return Some(1);
+        }
+    }
+    i64::try_from(g).ok()
+}
+
+/// Restore primitive form after nonempty `BigInt` entries changed: divide
+/// out their integer content `g` (stopping at the first gcd of 1, the
+/// common case) and return it for the caller to fold into the scale.
+fn take_content_big(es: &mut [(SimVar, BigInt)]) -> BigInt {
+    let one = BigInt::one();
+    let mut g = BigInt::zero();
+    for (_, c) in es.iter() {
+        g = g.gcd(c);
+        if g == one {
+            return g;
+        }
+    }
+    for (_, c) in es.iter_mut() {
+        *c = &*c / &g;
+    }
+    g
+}
+
+/// The substitution merge of [`Row::substitute`] on `i64` words, into
+/// `out`. Returns `Q/gcd(Q, c)`, or `None` as soon as an input or an
+/// intermediate leaves the `i64` range. Counts no arithmetic events: a
+/// merge that fits a word is one the `BigInt` merge would also finish
+/// with neither a promotion nor a limb operation.
+fn merge_words(
+    own: &[(SimVar, i64)],
+    c: &BigInt,
+    sub: &[(SimVar, i64)],
+    sub_scale: &Rat,
+    out: &mut Vec<(SimVar, i64)>,
+) -> Option<i64> {
+    out.clear();
+    out.reserve(own.len() + sub.len());
+    let (c, p, q) = (c.to_i64()?, sub_scale.numer().to_i64()?, sub_scale.denom().to_i64()?);
+    // q > 0, so 1 ≤ g ≤ q and neither division can overflow.
+    let g = gcd_u64(q.unsigned_abs(), c.unsigned_abs()) as i64;
+    let (c, q) = (c / g, q / g);
+    let k = c.checked_mul(p)?;
+    let mut a = own.iter().peekable();
+    for &(bv, bc) in sub {
+        let kf = k.checked_mul(bc)?;
+        loop {
+            match a.peek() {
+                Some(&&(av, e)) if av < bv => {
+                    out.push((av, e.checked_mul(q)?));
+                    a.next();
+                }
+                Some(&&(av, e)) if av == bv => {
+                    let sum = e.checked_mul(q)?.checked_add(kf)?;
+                    if sum != 0 {
+                        out.push((av, sum));
                     }
-                    Some((av, _)) if av == bv => {
-                        let (v, e) = a.next().expect("peeked entry exists");
-                        let sum = &own(e) + &(&k * bc);
-                        if !sum.is_zero() {
-                            scratch.push((v, sum));
-                        }
-                        break;
-                    }
-                    _ => {
-                        scratch.push((*bv, &k * bc));
-                        break;
-                    }
+                    a.next();
+                    break;
+                }
+                _ => {
+                    out.push((bv, kf));
+                    break;
                 }
             }
         }
-        scratch.extend(a.map(|(v, e)| (v, own(e))));
-        q
     }
+    for &(v, e) in a {
+        out.push((v, e.checked_mul(q)?));
+    }
+    Some(q)
+}
+
+/// The substitution merge of [`Row::substitute`] on `BigInt`s, consuming
+/// the spilled `own` entries; `sub` may be in either form. Returns the
+/// merged entries and `Q/gcd(Q, c)`.
+fn merge_big<C: Coeff>(
+    own: Vec<(SimVar, BigInt)>,
+    c: &BigInt,
+    sub: &[(SimVar, C)],
+    sub_scale: &Rat,
+) -> (Vec<(SimVar, BigInt)>, BigInt) {
+    let one = BigInt::one();
+    let (p, q) = (sub_scale.numer(), sub_scale.denom());
+    let g = q.gcd(c);
+    let (c, q) = if g == one { (c.clone(), q.clone()) } else { (c / &g, q / &g) };
+    let k = &c * p;
+    let q_is_one = q == one;
+    let own_len = own.len();
+    let scale_own = |e: BigInt| if q_is_one { e } else { &q * &e };
+    let mut out = Vec::with_capacity(own_len + sub.len());
+    let mut a = own.into_iter().peekable();
+    for (bv, bc) in sub {
+        loop {
+            match a.peek() {
+                Some((av, _)) if av < bv => {
+                    let (v, e) = a.next().expect("peeked entry exists");
+                    out.push((v, scale_own(e)));
+                }
+                Some((av, _)) if av == bv => {
+                    let (v, e) = a.next().expect("peeked entry exists");
+                    let sum = &scale_own(e) + &bc.times(&k);
+                    if !sum.is_zero() {
+                        out.push((v, sum));
+                    }
+                    break;
+                }
+                _ => {
+                    out.push((*bv, bc.times(&k)));
+                    break;
+                }
+            }
+        }
+    }
+    out.extend(a.map(|(v, e)| (v, scale_own(e))));
+    (out, q)
+}
+
+/// The rewrite of [`Row::solve_for`] on `i64` words, into `out`, with `b`'s
+/// entry `±q/g` merged in at its sorted place. Returns the content `g`, or
+/// `None` if an entry overflows (leaving `es` untouched).
+fn solve_for_words(
+    es: &[(SimVar, i64)],
+    b: SimVar,
+    p: i64,
+    q: i64,
+    a: i64,
+    out: &mut Vec<(SimVar, i64)>,
+) -> Option<i64> {
+    // q > 0, so the content divides it and stays a word.
+    let mut g = q as u64;
+    for (_, e) in es {
+        if g == 1 {
+            break;
+        }
+        g = gcd_u64(g, e.unsigned_abs());
+    }
+    let g = g as i64;
+    // p > 0 (the scale is positive), so −p cannot overflow.
+    let m = if a > 0 { -p } else { p };
+    let b_entry = if a > 0 { q / g } else { -(q / g) };
+    let entry = |e: i64| if g == 1 { e } else { e / g }.checked_mul(m);
+    let at = es.partition_point(|e| e.0 < b);
+    out.clear();
+    out.reserve(es.len() + 1);
+    for &(v, e) in &es[..at] {
+        out.push((v, entry(e)?));
+    }
+    out.push((b, b_entry));
+    for &(v, e) in &es[at..] {
+        out.push((v, entry(e)?));
+    }
+    Some(g)
 }
 
 /// Opaque tag identifying the asserted bound that produced a conflict; the
@@ -313,8 +583,8 @@ pub struct Simplex {
     frames: Vec<SimplexFrame>,
     /// Statistics: total pivots performed.
     pub pivots: u64,
-    /// Reusable merge buffer for [`Row::substitute`].
-    scratch: Vec<(SimVar, BigInt)>,
+    /// Reusable word buffer for [`Row::substitute`] and [`Row::solve_for`].
+    scratch: Vec<(SimVar, i64)>,
     /// Undo log for incremental bound retraction: every *actual* tightening
     /// (the no-op weaker-bound early returns record nothing) pushes the
     /// overwritten slot as `(var, is_upper, previous)`. [`Simplex::bound_mark`]
@@ -427,7 +697,7 @@ impl Simplex {
             match &self.rows[v.0 as usize] {
                 Some(sub) => {
                     for (x, e) in sub.iter() {
-                        add(x, c * &sub.eff(e));
+                        add(x, c * &e.eff(&sub.scale));
                     }
                 }
                 None => add(*v, c.clone()),
@@ -438,7 +708,7 @@ impl Simplex {
         // Initial value = row evaluated at current assignment.
         let mut val = DeltaRat::zero();
         for (v, c) in row.iter() {
-            val = &val + &self.value[v.0 as usize].scale(&Rat::from(c.clone()));
+            val = &val + &self.value[v.0 as usize].scale(&Rat::from(c));
         }
         val = val.scale(&row.scale);
         self.value[s.0 as usize] = val;
@@ -535,7 +805,7 @@ impl Simplex {
     /// Whether basic `b`'s row mentions `v` (false if `b` is nonbasic).
     pub fn row_mentions(&self, b: SimVar, v: SimVar) -> bool {
         match &self.rows[b.0 as usize] {
-            Some(row) => row.get(v).is_some(),
+            Some(row) => row.mentions(v),
             None => false,
         }
     }
@@ -548,17 +818,66 @@ impl Simplex {
     /// nonbasic or the row is unbounded in that direction.
     pub fn row_extreme(&self, v: SimVar, toward_upper: bool) -> Option<RowExtreme> {
         let row = self.rows[v.0 as usize].as_ref()?;
+        with_entries!(row, es => {
+            let bounded = es.iter().all(|(j, c)| self.limit(*j, toward_upper == c.is_positive()).is_some());
+            bounded.then(|| self.extreme_sum(es, &row.scale, toward_upper))
+        })
+    }
+
+    /// The bound limiting `v` toward its upper (`upper`) or lower side.
+    fn limit(&self, v: SimVar, upper: bool) -> Option<&BoundVal> {
+        let i = v.0 as usize;
+        if upper {
+            self.upper[i].as_ref()
+        } else {
+            self.lower[i].as_ref()
+        }
+    }
+
+    /// The extreme `Σ scale·c·limit` of a row whose every term is bounded
+    /// toward `toward_upper` (increasing the row wants positive-coefficient
+    /// terms at their upper bounds, and vice versa), with the
+    /// `(tag, |scale·c|)` Farkas premise of each limiting bound. Callers
+    /// check boundedness first, without arithmetic, so no sum is built
+    /// only to be thrown away at an unbounded term.
+    fn extreme_sum<C: Coeff>(
+        &self,
+        entries: &[(SimVar, C)],
+        scale: &Rat,
+        toward_upper: bool,
+    ) -> RowExtreme {
         let mut acc = DeltaRat::zero();
-        let mut lams = Vec::with_capacity(row.entries.len());
-        for (j, c) in row.iter() {
-            let ji = j.0 as usize;
-            let wants_upper = toward_upper == c.is_positive();
-            let bv = if wants_upper { self.upper[ji].as_ref() } else { self.lower[ji].as_ref() }?;
-            let eff = row.eff(c);
+        let mut lams = Vec::with_capacity(entries.len());
+        for (j, c) in entries {
+            let bv = self.limit(*j, toward_upper == c.is_positive()).expect("row is bounded");
+            let eff = c.eff(scale);
             acc = &acc + &bv.value.scale(&eff);
             lams.push((bv.tag, eff.abs()));
         }
-        Some((acc, lams))
+        (acc, lams)
+    }
+
+    /// Bland's pivot column for a violated row (the lowest-index nonbasic
+    /// that can move `b` toward its violated bound: up if `below`) and
+    /// whether every term is bounded in that helpful direction. No
+    /// arithmetic: only signs and bound comparisons.
+    fn pivot_scan<C: Coeff>(&self, entries: &[(SimVar, C)], below: bool) -> (Option<SimVar>, bool) {
+        let mut pivot_col = None;
+        let mut bounded = true;
+        for (j, c) in entries {
+            let ji = j.0 as usize;
+            // Increasing b moves positive-coefficient terms up.
+            let up = below == c.is_positive();
+            if pivot_col.is_none() && if up { self.can_increase(ji) } else { self.can_decrease(ji) }
+            {
+                pivot_col = Some(*j);
+            }
+            bounded = bounded && self.limit(*j, up).is_some();
+            if pivot_col.is_some() && !bounded {
+                break;
+            }
+        }
+        (pivot_col, bounded)
     }
 
     /// Assert `v ≤ bound`. Returns a conflict if it contradicts the current
@@ -696,54 +1015,25 @@ impl Simplex {
             };
             let bi = b.0 as usize;
             let row = self.rows[bi].as_ref().expect("violating variable is basic");
-            // One pass over the row: find a pivot column (lowest index —
-            // Bland's rule prevents cycling) and, in the same scan,
-            // propagate bounds — accumulate the extreme value the row can
-            // reach given the nonbasic bounds in the helpful direction.
-            // If every term is bounded and the extreme still misses `b`'s
-            // bound, the system is infeasible *now*: emit the Farkas
-            // conflict immediately instead of pivoting toward it (the
-            // fully-blocked dead end below is the special case where every
-            // nonbasic already sits at its limiting bound).
-            let mut pivot_col: Option<SimVar> = None;
-            let mut extreme: Option<(DeltaRat, Vec<(Tag, Rat)>)> =
-                Some((DeltaRat::zero(), Vec::new()));
-            for (j, c) in row.iter() {
-                let ji = j.0 as usize;
-                let can_fix = if below {
-                    // Need to increase b.
-                    (c.is_positive() && self.can_increase(ji))
-                        || (c.is_negative() && self.can_decrease(ji))
-                } else {
-                    // Need to decrease b.
-                    (c.is_positive() && self.can_decrease(ji))
-                        || (c.is_negative() && self.can_increase(ji))
-                };
-                if can_fix && pivot_col.is_none() {
-                    pivot_col = Some(j);
-                }
-                if let Some((acc, lams)) = &mut extreme {
-                    // The bound limiting this term in the helpful
-                    // direction: increasing b wants positive-coefficient
-                    // vars at their upper bounds (and vice versa).
-                    let wants_upper = below == c.is_positive();
-                    let lim = if wants_upper { &self.upper[ji] } else { &self.lower[ji] };
-                    match lim {
-                        Some(bv) => {
-                            let eff = row.eff(c);
-                            *acc = &*acc + &bv.value.scale(&eff);
-                            lams.push((bv.tag, eff.abs()));
-                        }
-                        // Unbounded in the helpful direction: the row can
-                        // reach any value, no conclusion.
-                        None => extreme = None,
-                    }
-                }
-                if pivot_col.is_some() && extreme.is_none() {
-                    break;
-                }
-            }
-            if let Some((reach, lams)) = extreme {
+            // Find a pivot column (lowest index — Bland's rule prevents
+            // cycling) and whether every term is bounded in the helpful
+            // direction. If it is, propagate bounds: the extreme value the
+            // row can reach given the nonbasic bounds. If that extreme
+            // still misses `b`'s bound, the system is infeasible *now*:
+            // emit the Farkas conflict immediately instead of pivoting
+            // toward it. With no pivot column every nonbasic is pinned at
+            // its blocking bound, so the row is bounded and the same
+            // combination is the conflict. (With bound propagation that
+            // dead end is only reachable when a blocked bound equals the
+            // reachable extreme exactly.) The Farkas combination uses
+            // multiplier 1 for the violated bound on `b` and |scale·c| for
+            // each limiting bound: since `b = scale·Σ c·x` holds
+            // identically, the variable parts cancel and the constants sum
+            // to a negative value.
+            let (pivot_col, bounded) = with_entries!(row, es => self.pivot_scan(es, below));
+            if bounded {
+                let (reach, lams) =
+                    with_entries!(row, es => self.extreme_sum(es, &row.scale, below));
                 let (own, missed) = if below {
                     let l = self.lower[bi].as_ref().unwrap();
                     (l.tag, reach < l.value)
@@ -751,7 +1041,7 @@ impl Simplex {
                     let u = self.upper[bi].as_ref().unwrap();
                     (u.tag, reach > u.value)
                 };
-                if missed {
+                if missed || pivot_col.is_none() {
                     let mut farkas = Vec::new();
                     TheoryConflict::add_farkas(&mut farkas, own, Rat::one());
                     for (tag, lam) in lams {
@@ -760,42 +1050,7 @@ impl Simplex {
                     return Some(Err(TheoryConflict::from_farkas(farkas)));
                 }
             }
-            let Some(j) = pivot_col else {
-                // Infeasible: every nonbasic is pinned at the blocking bound.
-                // The Farkas combination uses multiplier 1 for the violated
-                // bound on `b` and |scale·c| for each blocking bound: since
-                // `b = scale·Σ c·x` holds identically, the variable parts
-                // cancel and the constants sum to a negative value. (With
-                // bound propagation above this is only reachable when a
-                // blocked bound equals the reachable extreme exactly.)
-                let own = if below {
-                    self.lower[bi].as_ref().unwrap().tag
-                } else {
-                    self.upper[bi].as_ref().unwrap().tag
-                };
-                let mut farkas = Vec::new();
-                TheoryConflict::add_farkas(&mut farkas, own, Rat::one());
-                for (jv, c) in row.iter() {
-                    let ji = jv.0 as usize;
-                    let blocking = if below {
-                        // b needs increase; positive coeff blocked by upper,
-                        // negative coeff blocked by lower.
-                        if c.is_positive() {
-                            self.upper[ji].as_ref()
-                        } else {
-                            self.lower[ji].as_ref()
-                        }
-                    } else if c.is_positive() {
-                        self.lower[ji].as_ref()
-                    } else {
-                        self.upper[ji].as_ref()
-                    };
-                    let lam = row.eff(c).abs();
-                    let tag = blocking.expect("blocking bound must exist").tag;
-                    TheoryConflict::add_farkas(&mut farkas, tag, lam);
-                }
-                return Some(Err(TheoryConflict::from_farkas(farkas)));
-            };
+            let j = pivot_col.expect("an unbounded row has a pivot column");
             if stop.triggered() {
                 return None;
             }
@@ -834,48 +1089,21 @@ impl Simplex {
         let a_bj = row_j.remove(j).expect("pivot column must be in row");
         // Value updates: θ = (target − β(b)) / (s·a_bj), the effective
         // pivot coefficient.
-        let inv_eff = (&s * &Rat::from(a_bj.clone())).recip();
+        let inv_eff = a_bj.eff(&s).recip();
         let theta = (&target - &self.value[bi]).scale(&inv_eff);
         self.value[bi] = target;
         self.value[ji] = &self.value[ji] + &theta;
-        // Row for j: from b = (p/q)·Σ e_k x_k, with σ = sign(a_bj),
-        //   x_j = (1/(p·|a_bj|))·( σq·b − σp·Σ_{k≠j} e_k·x_k ).
-        // The surviving entries had gcd g' with a_bj, so the new row's
-        // content is gcd(q, g') (p is coprime to q); it moves into the
-        // scale, which keeps every rational factor. `b`, having been basic,
-        // cannot already appear in its own row.
-        let (p, q) = (s.numer(), s.denom());
-        let one = BigInt::one();
-        let mut g = q.clone();
-        for (_, e) in &row_j.entries {
-            if g == one {
-                break;
-            }
-            g = g.gcd(e);
-        }
-        let positive = a_bj.is_positive();
-        let m = if positive { -p } else { p.clone() };
-        for (_, e) in row_j.entries.iter_mut() {
-            if g != one {
-                *e = &*e / &g;
-            }
-            *e = &*e * &m;
-        }
-        let qg = if g == one { q.clone() } else { q / &g };
-        let b_entry = if positive { qg } else { -qg };
-        let at = row_j.entries.binary_search_by_key(&b, |e| e.0).expect_err("b is not in its row");
-        row_j.entries.insert(at, (b, b_entry));
-        row_j.scale = Rat::new(g, p * &a_bj.abs());
+        let mut scratch = std::mem::take(&mut self.scratch);
+        row_j.solve_for(b, &s, &a_bj, &mut scratch);
         // j is about to become basic with a changed value; its row (and
         // every row whose value shifts below) may now violate a bound.
         // Every other row mentioning j gets its value shifted and x_j
         // substituted out via the shared scratch buffer.
         self.mark_dirty(ji);
-        let mut scratch = std::mem::take(&mut self.scratch);
         for i in 0..self.rows.len() {
             let Some(row) = self.rows[i].as_mut() else { continue };
             let Some(c) = row.remove(j) else { continue };
-            let adj = theta.scale(&row.eff(&c));
+            let adj = theta.scale(&c.eff(&row.scale));
             row.substitute(&c, &row_j, &mut scratch);
             self.value[i] = &self.value[i] + &adj;
             self.mark_dirty(i);
@@ -1178,7 +1406,7 @@ mod tests {
         let sl = s.define_slack(&[(x, &huge * &int(1)), (y, &huge * &int(2))]);
         for row in s.rows.iter().flatten() {
             assert!(
-                row.entries.iter().all(|(_, c)| c.to_i64().is_some()),
+                row.iter().all(|(_, c)| c.to_i64().is_some()),
                 "a big entry left the row scale: {:?}",
                 row.entries
             );
@@ -1213,7 +1441,7 @@ mod tests {
         assert!(s.pivots > 0, "the chain must force pivoting");
         for row in s.rows.iter().flatten() {
             assert!(row.scale.is_positive(), "row scale must stay positive");
-            assert!(row.entries.iter().all(|(_, c)| c.to_i64().is_some()));
+            assert!(row.iter().all(|(_, c)| c.to_i64().is_some()));
         }
         // The model still satisfies every constraint exactly.
         let vals = s.concrete_values();
@@ -1276,22 +1504,51 @@ mod tests {
             .collect()
     }
 
+    fn is_words(row: &Row) -> bool {
+        matches!(row.entries, Entries::Words(_))
+    }
+
+    fn words(row: &Row) -> &[(SimVar, i64)] {
+        match &row.entries {
+            Entries::Words(es) => es,
+            Entries::Big(_) => panic!("row is spilled"),
+        }
+    }
+
+    /// A random nonbasic variable of a random nonempty basic row, or `None`
+    /// if every row is empty.
+    fn random_pivot(s: &Simplex, rng: &mut ccmatic_num::SmallRng) -> Option<(SimVar, SimVar)> {
+        let basic: Vec<usize> = (0..s.num_vars())
+            .filter(|&i| s.rows[i].as_ref().is_some_and(|r| r.iter().next().is_some()))
+            .collect();
+        if basic.is_empty() {
+            return None;
+        }
+        let b = basic[rng.gen_range_usize(0, basic.len())];
+        let vars: Vec<SimVar> = s.rows[b].as_ref().unwrap().iter().map(|e| e.0).collect();
+        Some((SimVar(b as u32), vars[rng.gen_range_usize(0, vars.len())]))
+    }
+
     /// Every row is primitive (nonzero integer entries with gcd 1, sorted,
-    /// positive scale) and its effective coefficients are the oracle's.
+    /// positive scale), in word form exactly when every entry fits an
+    /// `i64`, and its effective coefficients are the oracle's.
     fn assert_canonical(s: &Simplex, defs: &[(usize, Vec<(SimVar, Rat)>)]) {
         let n = s.num_vars();
         let basic: Vec<usize> = (0..n).filter(|&i| s.rows[i].is_some()).collect();
         let oracle = oracle_tableau(n, defs, &basic);
         for &b in &basic {
             let row = s.rows[b].as_ref().unwrap();
+            let entries: Vec<(SimVar, BigInt)> = row.iter().collect();
             assert!(row.scale.is_positive(), "row {b}: scale {} not positive", row.scale);
-            assert!(row.entries.windows(2).all(|w| w[0].0 < w[1].0), "row {b}: unsorted");
-            let g = row.entries.iter().fold(BigInt::zero(), |g, (_, c)| g.gcd(c));
-            if row.entries.is_empty() {
+            assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "row {b}: unsorted");
+            let g = entries.iter().fold(BigInt::zero(), |g, (_, c)| g.gcd(c));
+            if entries.is_empty() {
                 assert_eq!(row.scale, Rat::one(), "row {b}: empty row must have scale 1");
             } else {
-                assert_eq!(g, BigInt::one(), "row {b}: entries {:?} not primitive", row.entries);
+                assert_eq!(g, BigInt::one(), "row {b}: entries {entries:?} not primitive");
             }
+            let fits = entries.iter().all(|(_, c)| c.to_i64().is_some());
+            assert_eq!(is_words(row), fits, "row {b}: word form iff every entry fits an i64");
             for (col, want) in oracle[&b].iter().enumerate() {
                 let got = row.effective(SimVar(col as u32)).unwrap_or_else(Rat::zero);
                 assert_eq!(&got, want, "row {b}, column {col}");
@@ -1333,17 +1590,9 @@ mod tests {
             }
             assert_canonical(&s, &defs);
             for _ in 0..12 {
-                let basic: Vec<usize> = (0..s.num_vars())
-                    .filter(|&i| s.rows[i].as_ref().is_some_and(|r| !r.entries.is_empty()))
-                    .collect();
-                if basic.is_empty() {
-                    break;
-                }
-                let b = basic[rng.gen_range_usize(0, basic.len())];
-                let row = s.rows[b].as_ref().unwrap();
-                let j = row.entries[rng.gen_range_usize(0, row.entries.len())].0;
-                let target = s.value[b].clone();
-                s.pivot_and_update(SimVar(b as u32), j, target);
+                let Some((b, j)) = random_pivot(&s, &mut rng) else { break };
+                let target = s.value[b.0 as usize].clone();
+                s.pivot_and_update(b, j, target);
                 total_pivots += 1;
                 assert_canonical(&s, &defs);
             }
@@ -1351,21 +1600,11 @@ mod tests {
         assert!(total_pivots > 100, "only {total_pivots} pivots exercised");
     }
 
-    /// `substitute` with the word merge skipped: the `BigInt` merge alone.
-    fn substitute_big(row: &mut Row, c: &BigInt, sub: &Row) {
-        let mut scratch = Vec::new();
-        let q = row.merge_big(c, sub, &mut scratch);
-        row.entries = scratch;
-        if row.entries.is_empty() {
-            row.scale = Rat::one();
-        } else {
-            let g = row.take_content();
-            row.scale = &row.scale * &Rat::new(g, q);
-        }
-    }
-
     fn row(entries: &[(u32, i64)], scale: Rat) -> Row {
-        Row { entries: entries.iter().map(|&(v, e)| (SimVar(v), BigInt::from(e))).collect(), scale }
+        Row {
+            entries: Entries::Words(entries.iter().map(|&(v, e)| (SimVar(v), e)).collect()),
+            scale,
+        }
     }
 
     #[test]
@@ -1378,10 +1617,10 @@ mod tests {
         let c = BigInt::from(2i64);
         let mut r = row(&[(0, 1), (2, big), (3, 1)], Rat::one());
         let mut partial = Vec::new();
-        assert_eq!(r.merge_words(&c, &sub, &mut partial), None);
+        assert_eq!(merge_words(words(&r), &c, words(&sub), &sub.scale, &mut partial), None);
         assert_eq!(partial.len(), 1, "the overflow must come after a merged word");
         let mut want = r.clone();
-        substitute_big(&mut want, &c, &sub);
+        want.substitute_big(&c, &sub);
         r.substitute(&c, &sub, &mut partial);
         assert_eq!((&r.entries, &r.scale), (&want.entries, &want.scale));
         // And both are the rational substitution.
@@ -1394,7 +1633,7 @@ mod tests {
         for (v, e) in expect {
             assert_eq!(r.effective(SimVar(v)), Some(e), "x{v}");
         }
-        assert!(r.entries.iter().any(|(_, e)| e.to_i64().is_none()), "the result promotes");
+        assert!(r.iter().any(|(_, e)| e.to_i64().is_none()), "the result promotes");
     }
 
     #[test]
@@ -1423,7 +1662,7 @@ mod tests {
             entries
         }
         let mut rng = SmallRng::seed_from_u64(12);
-        let (mut words, mut fallbacks) = (0, 0);
+        let (mut word_merges, mut fallbacks) = (0, 0);
         for _ in 0..4_000 {
             let (own, other) = (draw(&mut rng), draw(&mut rng));
             let scale =
@@ -1431,17 +1670,20 @@ mod tests {
             let sub = row(&other, scale(&mut rng));
             let mut r = row(&own, scale(&mut rng));
             let c = BigInt::from(entry(&mut rng));
-            match r.merge_words(&c, &sub, &mut Vec::new()) {
-                Some(_) => words += 1,
+            match merge_words(words(&r), &c, words(&sub), &sub.scale, &mut Vec::new()) {
+                Some(_) => word_merges += 1,
                 None => fallbacks += 1,
             }
             let mut want = r.clone();
-            substitute_big(&mut want, &c, &sub);
+            want.substitute_big(&c, &sub);
             r.substitute(&c, &sub, &mut Vec::new());
             assert_eq!(r.entries, want.entries);
             assert_eq!(r.scale, want.scale);
         }
-        assert!(words > 500 && fallbacks > 500, "{words} word merges, {fallbacks} fallbacks");
+        assert!(
+            word_merges > 500 && fallbacks > 500,
+            "{word_merges} word merges, {fallbacks} fallbacks"
+        );
     }
 
     #[test]
@@ -1473,29 +1715,76 @@ mod tests {
                 defs.push((sl.0 as usize, expr));
             }
             for _ in 0..12 {
-                let basic: Vec<usize> = (0..s.num_vars())
-                    .filter(|&i| s.rows[i].as_ref().is_some_and(|r| !r.entries.is_empty()))
-                    .collect();
-                if basic.is_empty() {
-                    break;
-                }
-                let b = basic[rng.gen_range_usize(0, basic.len())];
-                let row = s.rows[b].as_ref().unwrap();
-                let j = row.entries[rng.gen_range_usize(0, row.entries.len())].0;
-                let target = s.value[b].clone();
-                s.pivot_and_update(SimVar(b as u32), j, target);
+                let Some((b, j)) = random_pivot(&s, &mut rng) else { break };
+                let target = s.value[b.0 as usize].clone();
+                s.pivot_and_update(b, j, target);
                 total_pivots += 1;
                 assert_canonical(&s, &defs);
                 promoted_rows += s
                     .rows
                     .iter()
                     .flatten()
-                    .filter(|r| r.entries.iter().any(|(_, e)| e.to_i64().is_none()))
+                    .filter(|r| r.iter().any(|(_, e)| e.to_i64().is_none()))
                     .count();
             }
         }
         assert!(total_pivots > 100, "only {total_pivots} pivots exercised");
         assert!(promoted_rows > 0, "no merge left the word range");
+    }
+
+    #[test]
+    fn rows_spill_to_bigint_and_return_to_words() {
+        // Entries near 2^62 overflow word merges and pivot rewrites. After
+        // every pivot each row must be primitive, equal to the rational
+        // oracle, and in word form exactly when every entry fits an `i64`
+        // (`assert_canonical`); tracking each basic row's form across the
+        // pivot shows both directions happen.
+        use ccmatic_num::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(14);
+        let coeff = |rng: &mut SmallRng| -> Rat {
+            let near = (1i64 << 62) + rng.gen_range_i64(-2, 3);
+            match rng.gen_range_usize(0, 4) {
+                0 => int(near),
+                1 => int(-near),
+                2 => rat(rng.gen_range_i64(-4, 5), rng.gen_range_i64(1, 6)),
+                _ => int(rng.gen_range_i64(-4, 5)),
+            }
+        };
+        let forms = |s: &Simplex| -> Vec<Option<bool>> {
+            s.rows.iter().map(|r| r.as_ref().map(is_words)).collect()
+        };
+        let (mut spills, mut returns) = (0, 0);
+        for _ in 0..40 {
+            let mut s = Simplex::new();
+            for _ in 0..rng.gen_range_usize(3, 6) {
+                s.new_var();
+            }
+            let mut defs = Vec::new();
+            for _ in 0..rng.gen_range_usize(2, 7) {
+                let pool = s.num_vars();
+                let expr: Vec<(SimVar, Rat)> = (0..rng.gen_range_usize(2, 5))
+                    .map(|_| (SimVar(rng.gen_range_usize(0, pool) as u32), coeff(&mut rng)))
+                    .collect();
+                let sl = s.define_slack(&expr);
+                defs.push((sl.0 as usize, expr));
+            }
+            assert_canonical(&s, &defs);
+            for _ in 0..12 {
+                let before = forms(&s);
+                let Some((b, j)) = random_pivot(&s, &mut rng) else { break };
+                let target = s.value[b.0 as usize].clone();
+                s.pivot_and_update(b, j, target);
+                assert_canonical(&s, &defs);
+                for (was, is) in before.iter().zip(forms(&s)) {
+                    match (was, is) {
+                        (Some(true), Some(false)) => spills += 1,
+                        (Some(false), Some(true)) => returns += 1,
+                        _ => {}
+                    }
+                }
+            }
+        }
+        assert!(spills > 50 && returns > 50, "{spills} spills, {returns} returns to words");
     }
 
     #[test]

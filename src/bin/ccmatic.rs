@@ -115,6 +115,7 @@ impl Args {
 struct KernelSnapshot {
     arith: ccmatic_num::ArithStats,
     pivots: u64,
+    row_spills: u64,
     theory: ccmatic_smt::TheoryCounters,
 }
 
@@ -123,22 +124,25 @@ impl KernelSnapshot {
         KernelSnapshot {
             arith: ccmatic_num::arith_snapshot(),
             pivots: ccmatic_smt::lra::pivots_total(),
+            row_spills: ccmatic_smt::lra::row_spills_total(),
             theory: ccmatic_smt::theory_counters(),
         }
     }
 
-    /// Print pivot and arithmetic fast-path counters accumulated since the
-    /// snapshot (to stderr, like the other progress chatter).
+    /// Print pivot, row-spill and arithmetic fast-path counters accumulated
+    /// since the snapshot (to stderr, like the other progress chatter).
     fn report(&self) {
         let arith = ccmatic_num::arith_snapshot().since(&self.arith);
         let pivots = ccmatic_smt::lra::pivots_total().saturating_sub(self.pivots);
+        let spills = ccmatic_smt::lra::row_spills_total().saturating_sub(self.row_spills);
         let theory = ccmatic_smt::theory_counters();
         let props = theory.theory_props.saturating_sub(self.theory.theory_props);
         let asserted = theory.bounds_asserted.saturating_sub(self.theory.bounds_asserted);
         let reused = theory.bounds_reused.saturating_sub(self.theory.bounds_reused);
         eprintln!(
-            "kernel: pivots {} · promotions {} · fast-path {:.2}% ({} small / {} big ops)",
+            "kernel: pivots {} · row spills {} · promotions {} · fast-path {:.2}% ({} small / {} big ops)",
             pivots,
+            spills,
             arith.promotions,
             arith.fast_fraction() * 100.0,
             arith.small_ops,
