@@ -106,7 +106,9 @@ fn table_at(table: &[Rat], u: usize) -> Rat {
 /// callers must gate it through [`ccac_model::check_trace`] (partial waste
 /// can break the lagged service floor) — see [`lift_checked`].
 pub fn lift_schedule(spec: &CcaSpec, cfg: &LiftConfig) -> Trace {
-    lift(spec, cfg, false).expect("a lift that does not stop early always ends in a trace")
+    let mut lifter = Lifter::default();
+    lifter.run(spec, cfg, false).expect("a lift that does not stop early always ends in a trace");
+    lifter.trace(&cfg.net)
 }
 
 /// [`lift_schedule`] + the authoritative feasibility gate: `Err` means the
@@ -119,103 +121,132 @@ pub fn lift_schedule(spec: &CcaSpec, cfg: &LiftConfig) -> Trace {
 /// the module docs). A lift that reaches the last round is returned only
 /// if it passes [`check_trace`], so `lift_checked(..).is_ok()` equals
 /// `check_trace(&lift_schedule(..)).is_ok()`.
+///
+/// One-shot form of [`Lifter::lift_checked`]; a caller lifting many
+/// schedules should keep one [`Lifter`].
 pub fn lift_checked(spec: &CcaSpec, cfg: &LiftConfig) -> Result<Trace, LiftError> {
-    let trace = lift(spec, cfg, true)?;
-    check_trace(&trace, &cfg.net).map_err(LiftError::Infeasible)?;
-    Ok(trace)
+    Lifter::default().lift_checked(spec, cfg)
 }
 
-/// The lift itself; with `stop_early`, `Err` at the first round whose
-/// lagged service floor exceeds the arrivals.
-fn lift(spec: &CcaSpec, cfg: &LiftConfig, stop_early: bool) -> Result<Trace, LiftError> {
-    let h = cfg.net.history;
-    let rounds = h + cfg.net.horizon;
-    assert!(cfg.net.buffer.is_none(), "lifting is defined for the lossless scope only");
-    assert!(spec.beta.len() < h, "β lookback {} needs history > it", spec.beta.len());
-    assert!(spec.alpha.len() < h, "α lookback {} needs history > it", spec.alpha.len());
-    assert!(h <= 16, "history {h} exceeds the simulator's 16-sample window");
-    assert!(!cfg.initial_backlog.is_negative(), "A(−h) must be ≥ 0");
+/// Reusable lift state: the trace columns of the lift in progress. Once
+/// they have grown to a schedule's length, a lift that stops early
+/// allocates nothing; only a lift that reaches the last round allocates,
+/// for the trace it hands out.
+#[derive(Clone, Debug, Default)]
+pub struct Lifter {
+    a: Vec<Rat>,
+    s: Vec<Rat>,
+    w: Vec<Rat>,
+    cwnd: Vec<Rat>,
+}
 
-    let rate = &cfg.net.link_rate;
-    let zero = Rat::zero();
-    let mut s_by_round: Vec<Rat> = Vec::with_capacity(rounds);
-    let mut cwnd_by_round: Vec<Rat> = Vec::with_capacity(rounds);
-    let mut waste_history: Vec<Rat> = vec![Rat::zero()];
-    let mut wasted = Rat::zero();
-    let mut s_prev = Rat::zero();
-    let mut arrivals = cfg.initial_backlog.clone();
-
-    // Row 0 is the model's t_min: the initial conditions.
-    let mut a = vec![cfg.initial_backlog.clone()];
-    let mut s = vec![Rat::zero()];
-    let mut w = vec![Rat::zero()];
-    let mut cwnd_col = vec![cfg.initial_cwnd.clone()];
-
-    for u in 0..rounds {
-        // Model-template recursion: cwnd(t) = γ + Σᵢ βᵢ·S(t−i−2)
-        // + Σᵢ αᵢ·cwnd(t−i−1); lookback past round 0 reads the anchors
-        // (S = 0) resp. nothing (cwnd contributes 0 there — the enforced
-        // window never reaches it).
-        let mut rule = spec.gamma.clone();
-        for (i, b) in spec.beta.iter().enumerate() {
-            let back = i + 2;
-            if back <= u {
-                rule = &rule + &(b * &s_by_round[u - back]);
-            }
-        }
-        for (i, al) in spec.alpha.iter().enumerate() {
-            let back = i + 1;
-            if back <= u {
-                rule = &rule + &(al * &cwnd_by_round[u - back]);
-            }
-        }
-        let cwnd = if u == 0 { cfg.initial_cwnd.clone().max(rule) } else { rule };
-
-        // Aggressive cwnd-limited sender.
-        arrivals = arrivals.max(&s_prev + &cwnd);
-
-        // Link step (1-based step index, exact twin of `LinkState::step`).
-        let t_link = (u + 1) as i64;
-        let tokens_now = &(rate * &Rat::from(t_link)) - &wasted;
-        let floor = if t_link >= cfg.net.jitter as i64 {
-            let lag = t_link - cfg.net.jitter as i64;
-            &(rate * &Rat::from(lag)) - &waste_history[lag as usize]
-        } else {
-            Rat::zero()
-        };
-        if stop_early && floor > arrivals {
-            return Err(LiftError::FloorAboveArrivals { round: u });
-        }
-        let hi = tokens_now.clone().min(arrivals.clone()).max(s_prev.clone());
-        let lo = floor.min(arrivals.clone()).max(s_prev.clone()).min(hi.clone());
-        let lambda = table_at(&cfg.lambdas, u);
-        let served = &lo + &(&lambda * &(&hi - &lo));
-        let surplus = &tokens_now - &arrivals;
-        if surplus > zero {
-            let omega = table_at(&cfg.omegas, u);
-            wasted = &wasted + &(&omega * &surplus);
-        }
-        waste_history.push(wasted.clone());
-
-        a.push(arrivals.clone());
-        s.push(served.clone());
-        w.push(wasted.clone());
-        cwnd_col.push(cwnd.clone());
-        s_by_round.push(served.clone());
-        cwnd_by_round.push(cwnd);
-        s_prev = served;
+impl Lifter {
+    /// [`lift_checked`] on this lifter's buffers.
+    pub fn lift_checked(&mut self, spec: &CcaSpec, cfg: &LiftConfig) -> Result<Trace, LiftError> {
+        self.run(spec, cfg, true)?;
+        let trace = self.trace(&cfg.net);
+        check_trace(&trace, &cfg.net).map_err(LiftError::Infeasible)?;
+        Ok(trace)
     }
 
-    let n = a.len();
-    Ok(Trace {
-        t_min: cfg.net.t_min(),
-        t_max: cfg.net.t_max(),
-        a,
-        s,
-        w,
-        l: vec![Rat::zero(); n],
-        cwnd: cwnd_col,
-    })
+    /// The lift itself, into the columns (row 0 holds the initial
+    /// conditions, row `u + 1` simulator round `u`); with `stop_early`,
+    /// `Err` at the first round whose lagged service floor exceeds the
+    /// arrivals.
+    fn run(&mut self, spec: &CcaSpec, cfg: &LiftConfig, stop_early: bool) -> Result<(), LiftError> {
+        let h = cfg.net.history;
+        let rounds = h + cfg.net.horizon;
+        assert!(cfg.net.buffer.is_none(), "lifting is defined for the lossless scope only");
+        assert!(spec.beta.len() < h, "β lookback {} needs history > it", spec.beta.len());
+        assert!(spec.alpha.len() < h, "α lookback {} needs history > it", spec.alpha.len());
+        assert!(h <= 16, "history {h} exceeds the simulator's 16-sample window");
+        assert!(!cfg.initial_backlog.is_negative(), "A(−h) must be ≥ 0");
+
+        let rate = &cfg.net.link_rate;
+        let zero = Rat::zero();
+        let Lifter { a, s, w, cwnd } = self;
+        for col in [&mut *a, &mut *s, &mut *w, &mut *cwnd] {
+            col.clear();
+            col.reserve(rounds + 1);
+        }
+        // Row 0 is the model's t_min: the initial conditions. `w` doubles
+        // as the waste history the lagged floor reads.
+        a.push(cfg.initial_backlog.clone());
+        s.push(Rat::zero());
+        w.push(Rat::zero());
+        cwnd.push(cfg.initial_cwnd.clone());
+        let mut arrivals = cfg.initial_backlog.clone();
+
+        for u in 0..rounds {
+            // Model-template recursion: cwnd(t) = γ + Σᵢ βᵢ·S(t−i−2)
+            // + Σᵢ αᵢ·cwnd(t−i−1); lookback past round 0 reads the anchors
+            // (S = 0) resp. nothing (cwnd contributes 0 there — the
+            // enforced window never reaches it). Round `u − back` is row
+            // `u − back + 1`.
+            let mut rule = spec.gamma.clone();
+            for (i, b) in spec.beta.iter().enumerate() {
+                let back = i + 2;
+                if back <= u {
+                    rule = &rule + &(b * &s[u - back + 1]);
+                }
+            }
+            for (i, al) in spec.alpha.iter().enumerate() {
+                let back = i + 1;
+                if back <= u {
+                    rule = &rule + &(al * &cwnd[u - back + 1]);
+                }
+            }
+            let cwnd_u = if u == 0 { cfg.initial_cwnd.clone().max(rule) } else { rule };
+
+            // Aggressive cwnd-limited sender; `s[u]` is the previous
+            // round's service (0 before round 0).
+            let s_prev = &s[u];
+            arrivals = arrivals.max(s_prev + &cwnd_u);
+
+            // Link step (1-based step index, exact twin of `LinkState::step`).
+            let t_link = (u + 1) as i64;
+            let tokens_now = &(rate * &Rat::from(t_link)) - &w[u];
+            let floor = if t_link >= cfg.net.jitter as i64 {
+                let lag = t_link - cfg.net.jitter as i64;
+                &(rate * &Rat::from(lag)) - &w[lag as usize]
+            } else {
+                Rat::zero()
+            };
+            if stop_early && floor > arrivals {
+                return Err(LiftError::FloorAboveArrivals { round: u });
+            }
+            let hi = tokens_now.clone().min(arrivals.clone()).max(s_prev.clone());
+            let lo = floor.min(arrivals.clone()).max(s_prev.clone()).min(hi.clone());
+            let lambda = table_at(&cfg.lambdas, u);
+            let served = &lo + &(&lambda * &(&hi - &lo));
+            let surplus = &tokens_now - &arrivals;
+            let wasted = if surplus > zero {
+                let omega = table_at(&cfg.omegas, u);
+                &w[u] + &(&omega * &surplus)
+            } else {
+                w[u].clone()
+            };
+
+            a.push(arrivals.clone());
+            s.push(served);
+            w.push(wasted);
+            cwnd.push(cwnd_u);
+        }
+        Ok(())
+    }
+
+    /// The finished lift as a verifier-shaped trace.
+    fn trace(&self, net: &NetConfig) -> Trace {
+        Trace {
+            t_min: net.t_min(),
+            t_max: net.t_max(),
+            a: self.a.clone(),
+            s: self.s.clone(),
+            w: self.w.clone(),
+            l: vec![Rat::zero(); self.a.len()],
+            cwnd: self.cwnd.clone(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -321,7 +352,8 @@ mod tests {
     /// The early stop changes no verdict and no trace: over seeded random
     /// schedules (partial waste, backlogs up to 8), `lift_checked` accepts
     /// exactly the lifts `check_trace` accepts, with the same trace, and
-    /// some rejections do stop before the last round.
+    /// some rejections do stop before the last round. A reused `Lifter`
+    /// returns what a fresh one does.
     #[test]
     fn early_stop_agrees_with_the_full_lift_and_the_gate() {
         use ccmatic_num::SmallRng;
@@ -334,6 +366,7 @@ mod tests {
             _ => rat(rng.gen_range_i64(0, 9), 8),
         };
         let (mut accepted, mut rejected, mut stopped_early) = (0, 0, 0);
+        let mut lifter = Lifter::default();
         for spec in [known::const_cwnd(Rat::zero()), known::rocc(), known::eq_iii()] {
             for _ in 0..300 {
                 let cfg = LiftConfig {
@@ -359,7 +392,10 @@ mod tests {
                         rejected += 1;
                     }
                 }
-                if let Err(LiftError::FloorAboveArrivals { round }) = lift(&spec, &cfg, true) {
+                // One lifter reused across every schedule lifts as a fresh one.
+                let reused = lifter.lift_checked(&spec, &cfg);
+                assert_eq!(reused, lift_checked(&spec, &cfg), "{spec}: a reused lifter differs");
+                if let Err(LiftError::FloorAboveArrivals { round }) = reused {
                     if round + 1 < rounds {
                         stopped_early += 1;
                     }

@@ -32,7 +32,7 @@ use crate::shrink::shrink;
 use ccac_model::{NetConfig, Thresholds, Trace};
 use ccmatic::generator::FeasibilityMode;
 use ccmatic::json::Json;
-use ccmatic::lift::lift_checked;
+use ccmatic::lift::{LiftConfig, LiftError, Lifter};
 use ccmatic::replay::TraceReplay;
 use ccmatic::template::CcaSpec;
 use ccmatic::verifier::{CcaVerifier, VerifyConfig};
@@ -375,6 +375,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let mut confirmed: HashSet<u64> = HashSet::new();
 
     let mut screen = Screen::new(&fitness_cfg);
+    let mut lift = ExactLift::new(cfg);
     let mut cca = ScreenCca::new(&cfg.target);
     let mut population = initial_population(&mut rng, rounds, cfg.population);
     // Breeding writes each generation into the previous one's genomes, and
@@ -403,6 +404,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
                     cfg,
                     spec,
                     &replay,
+                    &mut lift,
                     genome,
                     fit.score,
                     verifier_passed,
@@ -466,6 +468,33 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     FuzzReport { counters, best_fitness, verifier_passed, gaps, corpus }
 }
 
+/// The exact tier's reusable lift state: one lift configuration whose
+/// schedule each genome overwrites in place, and one [`Lifter`]. Nearly
+/// every lift of a broken window stops at an early round, and such a lift
+/// allocates nothing once the buffers have grown.
+struct ExactLift {
+    cfg: LiftConfig,
+    lifter: Lifter,
+}
+
+impl ExactLift {
+    fn new(cfg: &FuzzConfig) -> Self {
+        ExactLift {
+            cfg: LiftConfig {
+                initial_cwnd: cfg.initial_cwnd.clone(),
+                ..LiftConfig::ideal(cfg.net.clone())
+            },
+            lifter: Lifter::default(),
+        }
+    }
+
+    /// `lift_checked` of `spec` under `genome`'s schedule.
+    fn lift(&mut self, spec: &CcaSpec, genome: &ScheduleGenome) -> Result<Trace, LiftError> {
+        genome.write_lift_config(&mut self.cfg);
+        self.lifter.lift_checked(spec, &self.cfg)
+    }
+}
+
 /// The exact tier for one flagged genome: admission gate → lift →
 /// feasibility gate → replay verdict → corpus/gap bookkeeping.
 ///
@@ -479,6 +508,7 @@ fn confirm_exact(
     cfg: &FuzzConfig,
     spec: &CcaSpec,
     replay: &TraceReplay,
+    lift: &mut ExactLift,
     genome: &ScheduleGenome,
     score: f64,
     verifier_passed: Option<bool>,
@@ -490,8 +520,7 @@ fn confirm_exact(
         counters.confirm_skipped += 1;
         return;
     }
-    let lift_cfg = genome.lift_config(&cfg.net, &cfg.initial_cwnd);
-    let trace = match lift_checked(spec, &lift_cfg) {
+    let trace = match lift.lift(spec, genome) {
         Ok(trace) => trace,
         Err(_) => {
             counters.lift_infeasible += 1;
@@ -517,15 +546,12 @@ fn confirm_exact(
             // `shrink` keeps every edit the predicate accepts, so the last
             // trace accepted here is the shrunk genome's own lift.
             let mut small_trace = trace;
-            let mut still_fails = |g: &ScheduleGenome| {
-                let lift_cfg = g.lift_config(&cfg.net, &cfg.initial_cwnd);
-                match lift_checked(spec, &lift_cfg) {
-                    Ok(t) if replay.refutes(spec, &t) => {
-                        small_trace = t;
-                        true
-                    }
-                    _ => false,
+            let mut still_fails = |g: &ScheduleGenome| match lift.lift(spec, g) {
+                Ok(t) if replay.refutes(spec, &t) => {
+                    small_trace = t;
+                    true
                 }
+                _ => false,
             };
             let small = shrink(genome, &mut still_fails);
             gaps.push(ModelGapReport {
@@ -544,6 +570,7 @@ fn confirm_exact(
 mod tests {
     use super::*;
     use ccmatic::known;
+    use ccmatic::lift::lift_checked;
     use ccmatic_num::int;
 
     fn net(history: usize) -> NetConfig {
@@ -703,6 +730,7 @@ mod tests {
             &cfg,
             &spec,
             &replay,
+            &mut ExactLift::new(&cfg),
             &genome,
             1.0,
             Some(true),

@@ -172,13 +172,23 @@ impl ScheduleGenome {
 
     /// The exact-rational lift configuration for this genome.
     pub fn lift_config(&self, net: &NetConfig, initial_cwnd: &Rat) -> LiftConfig {
-        LiftConfig {
-            net: net.clone(),
-            lambdas: self.lambdas.iter().map(|&k| rat(k as i64, GENE_STEPS as i64)).collect(),
-            omegas: self.omegas.iter().map(|&k| rat(k as i64, GENE_STEPS as i64)).collect(),
-            initial_backlog: rat(self.backlog_q as i64, BACKLOG_STEPS as i64),
-            initial_cwnd: initial_cwnd.clone(),
-        }
+        let mut cfg =
+            LiftConfig { initial_cwnd: initial_cwnd.clone(), ..LiftConfig::ideal(net.clone()) };
+        self.write_lift_config(&mut cfg);
+        cfg
+    }
+
+    /// Overwrite `cfg`'s schedule and initial backlog with this genome's,
+    /// keeping its network and initial cwnd: the exact tier reuses one
+    /// configuration for every genome it lifts, so once its tables have
+    /// grown this allocates nothing.
+    pub fn write_lift_config(&self, cfg: &mut LiftConfig) {
+        let gene = |&k: &u8| rat(k as i64, GENE_STEPS as i64);
+        cfg.lambdas.clear();
+        cfg.lambdas.extend(self.lambdas.iter().map(gene));
+        cfg.omegas.clear();
+        cfg.omegas.extend(self.omegas.iter().map(gene));
+        cfg.initial_backlog = rat(self.backlog_q as i64, BACKLOG_STEPS as i64);
     }
 
     /// Stable content hash (FNV-1a) for dedup and run digests.

@@ -1,9 +1,12 @@
 //! The fuzz generation loop allocates nothing per genome: the screen runs
 //! on one reusable simulator state, and breeding writes children into the
-//! previous generation's genomes. A counting global allocator checks both.
+//! previous generation's genomes. The exact tier's lifts that stop early
+//! allocate nothing either: they run on one reusable lift configuration and
+//! one `Lifter`. A counting global allocator checks all three.
 
 use ccac_model::{NetConfig, Thresholds};
 use ccmatic::known;
+use ccmatic::lift::{LiftConfig, LiftError, Lifter};
 use ccmatic_fuzz::{
     run_fuzz, FitnessConfig, FuzzConfig, FuzzTarget, ModelCca, ScheduleGenome, Screen,
 };
@@ -116,4 +119,35 @@ fn generations_allocate_nothing_after_the_first() {
         "36 more generations allocated {} more times",
         long as i64 - short as i64
     );
+}
+
+/// Eq. (iii)'s lifts nearly all stop at an early round. After the first
+/// lift has grown the buffers, writing a genome into the reused lift
+/// configuration and lifting it allocates nothing when the lift stops.
+#[test]
+fn stopped_lifts_allocate_nothing_after_the_first() {
+    let net = net();
+    let rounds = net.history + net.horizon;
+    let mut rng = SmallRng::seed_from_u64(9);
+    let genomes: Vec<ScheduleGenome> =
+        (0..1000).map(|_| ScheduleGenome::random(&mut rng, rounds)).collect();
+    let spec = known::eq_iii();
+    let mut cfg = LiftConfig { initial_cwnd: Rat::one(), ..LiftConfig::ideal(net) };
+    let mut lifter = Lifter::default();
+    let (first, rest) = genomes.split_first().unwrap();
+    first.write_lift_config(&mut cfg);
+    let _ = lifter.lift_checked(&spec, &cfg);
+    let mut stopped = 0;
+    for g in rest {
+        let mut outcome = None;
+        let n = allocations(|| {
+            g.write_lift_config(&mut cfg);
+            outcome = Some(lifter.lift_checked(&spec, &cfg));
+        });
+        if let Some(Err(LiftError::FloorAboveArrivals { round })) = outcome {
+            assert_eq!(n, 0, "a lift stopped at round {round} allocated {n} times");
+            stopped += 1;
+        }
+    }
+    assert!(stopped > 30, "only {stopped} of {} lifts stopped early", rest.len());
 }
