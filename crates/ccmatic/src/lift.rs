@@ -132,7 +132,7 @@ pub fn lift_checked(spec: &CcaSpec, cfg: &LiftConfig) -> Result<Trace, LiftError
 /// they have grown to a schedule's length, a lift that stops early
 /// allocates nothing; only a lift that reaches the last round allocates,
 /// for the trace it hands out.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Lifter {
     a: Vec<Rat>,
     s: Vec<Rat>,
