@@ -1,23 +1,27 @@
 //! Microbenchmarks of the arithmetic kernel under the simplex: `Rat`
 //! add/mul/cmp on the small-value fast path, `BigInt` gcd, a simplex
-//! pivot kernel driven through the public `Simplex` API, and one verifier
-//! call whose tableau is the densest the verifier builds. These back the
-//! DESIGN.md §8 claim that the hot loop runs allocation-free on
-//! machine-word operands.
+//! pivot kernel driven through the public `Simplex` API, one verifier
+//! call whose tableau is the densest the verifier builds, and one
+//! certificate parsed from text and checked from scratch (the RoCC WCE
+//! Pass certificate at horizon 6, history 5). The arithmetic cases back
+//! the DESIGN.md §8 claim that the hot loop runs allocation-free on
+//! machine-word operands; the certificate case times the §9 checker.
 //!
 //! ```sh
 //! cargo run --release -p ccmatic-bench --bin num_micro -- [--check BENCH_num_micro.json]
 //! ```
 //!
-//! Emits `BENCH_num_micro.json` with per-case mean/min timings plus the
+//! Emits `BENCH_num_micro.json` with per-case mean/min timings, the
 //! pivot, row-spill and arithmetic counters accumulated across the whole
-//! run.
+//! run, and the checked certificate's counters (`cert_check`: steps, RUP
+//! checks, theory checks, propagations). The certificate is produced
+//! before the counters start, so its verifier call is not counted.
 //!
 //! `--check FILE` reads FILE before the run and, after writing the fresh
 //! `BENCH_num_micro.json`, compares every field except the timings,
 //! `small_ops` and `fast_fraction` with it: the case list, `pivots`,
-//! `promotions`, `big_ops` and `row_spills`. Any difference is printed by
-//! path and fails the run.
+//! `promotions`, `big_ops`, `row_spills` and `cert_check`. Any difference
+//! is printed by path and fails the run.
 
 use ccac_model::{NetConfig, Thresholds};
 use ccmatic::known;
@@ -25,6 +29,7 @@ use ccmatic::verifier::{CcaVerifier, VerifyConfig};
 use ccmatic_bench::drift::{read_committed, report_drift};
 use ccmatic_bench::{bench_case, write_json, Json, MicroResult};
 use ccmatic_num::{rat, BigInt, DeltaRat, Rat, SmallRng};
+use ccmatic_proof::{check, steps_to_text, CertStats, UnsatCertificate};
 use ccmatic_smt::lra::Simplex;
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -132,6 +137,35 @@ fn verifier_eq_iii_case() -> MicroResult {
     })
 }
 
+/// The RoCC WCE Pass certificate at horizon 6, history 5, as text: the
+/// prefix of a certifying WCE verifier's proof log behind its RoCC verdict.
+fn rocc_pass_certificate() -> String {
+    let mut v = CcaVerifier::new(VerifyConfig {
+        net: NetConfig { horizon: 6, history: 5, link_rate: Rat::one(), jitter: 1, buffer: None },
+        thresholds: Thresholds::default(),
+        worst_case: true,
+        wce_precision: rat(1, 2),
+        certify: true,
+        ..Default::default()
+    });
+    v.verify(&known::rocc()).expect("RoCC passes at horizon 6");
+    let len = v.take_last_pass_cert().expect("a certified Pass verdict has a certificate");
+    steps_to_text(&v.proof_log()[..len])
+}
+
+/// Parses `text` and checks it from scratch, as a cache lookup does.
+fn cert_check_case(text: &str) -> (MicroResult, CertStats) {
+    let parse_and_check = || {
+        let cert = UnsatCertificate::from_text(text).expect("the certificate parses");
+        check(&cert).expect("the checker accepts the certificate")
+    };
+    let stats = parse_and_check();
+    let case = bench_case("cert_check", 3, 20, || {
+        black_box(parse_and_check());
+    });
+    (case, stats)
+}
+
 /// Fields that vary from run to run (timings) or only count the
 /// arithmetic fast path's bookkeeping, and are left out of `--check`.
 fn unchecked(key: &str) -> bool {
@@ -161,9 +195,11 @@ fn main() -> ExitCode {
         },
     };
     let operands = small_rats(4_000, 42);
+    let certificate = rocc_pass_certificate();
     let before = ccmatic_num::arith_snapshot();
     let pivots_before = ccmatic_smt::lra::pivots_total();
     let spills_before = ccmatic_smt::lra::row_spills_total();
+    let (cert_case, cert) = cert_check_case(&certificate);
     let results = [
         rat_add_case(&operands),
         rat_mul_case(&operands),
@@ -171,6 +207,7 @@ fn main() -> ExitCode {
         gcd_case(),
         simplex_pivot_case(40),
         verifier_eq_iii_case(),
+        cert_case,
     ];
     let arith = ccmatic_num::arith_snapshot().since(&before);
     let pivots = ccmatic_smt::lra::pivots_total().saturating_sub(pivots_before);
@@ -184,6 +221,10 @@ fn main() -> ExitCode {
         arith.small_ops,
         arith.big_ops
     );
+    eprintln!(
+        "certificate: {} steps · {} RUP checks · {} theory checks · {} propagations",
+        cert.steps, cert.rup_checked, cert.theory_checked, cert.propagations
+    );
 
     let json = Json::obj(vec![
         ("bench", Json::Str("num_micro".into())),
@@ -194,6 +235,15 @@ fn main() -> ExitCode {
         ("big_ops", Json::UInt(arith.big_ops)),
         ("row_spills", Json::UInt(spills)),
         ("fast_fraction", Json::Num(arith.fast_fraction())),
+        (
+            "cert_check",
+            Json::obj(vec![
+                ("steps", Json::UInt(cert.steps as u64)),
+                ("rup_checked", Json::UInt(cert.rup_checked as u64)),
+                ("theory_checked", Json::UInt(cert.theory_checked as u64)),
+                ("propagations", Json::UInt(cert.propagations)),
+            ]),
+        ),
     ]);
     write_json("BENCH_num_micro.json", &json).expect("write the microbench report");
     match &committed {

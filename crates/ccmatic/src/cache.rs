@@ -13,9 +13,14 @@
 //! and falls through to a fresh solve.
 //!
 //! One verifier produces an entry's Pass certificates from one proof log,
-//! so each is a prefix of the next. [`PassCerts`] holds them as prefix
-//! lengths of the newest, and validation checks them with one
-//! [`Replayer`], which replays each shared prefix once.
+//! so each is a prefix of the next. [`PassCerts`] holds them as lengths
+//! into that log, and the entry stores them as a chain: element `k` of
+//! `solution_certs` holds only the steps past certificate `k − 1`, so each
+//! logged step is rendered once. Validation parses each link once,
+//! appends it to one [`Replayer`]'s log, and checks the certificate that
+//! ends there, end-of-certificate test included; an empty link is
+//! rejected. The exhaustion certificate comes from the generator's own log
+//! and is stored and checked whole.
 //!
 //! Only complete enumerations are stored: a budget-truncated result is not
 //! a fact about the problem, just about the budget.
@@ -25,7 +30,7 @@ use crate::json::Json;
 use crate::synth::SynthOptions;
 use crate::template::CcaSpec;
 use ccmatic_num::Rat;
-use ccmatic_proof::{steps_to_text, ProofStep, Replayer, UnsatCertificate};
+use ccmatic_proof::{check, steps_to_text, ProofStep, Replayer, UnsatCertificate};
 use std::io;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -58,8 +63,8 @@ pub struct CachedOutcome {
     /// solution plus the exhaustion certificate).
     pub certs_checked: u64,
     /// Proof steps the checker executed for them: each solution
-    /// certificate costs only the steps past the prefix it shares with the
-    /// one before.
+    /// certificate costs only its link, the steps past the certificate
+    /// before it.
     pub steps_replayed: u64,
     /// Wall-clock milliseconds spent inside the checker.
     pub cert_ms: f64,
@@ -94,56 +99,44 @@ impl CacheStats {
     }
 }
 
-/// The Pass certificates of one enumeration, one per solution in order.
-///
-/// A certificate that the newest one extends is held as a length, not a
-/// copy: one verifier's certificates are snapshots of one append-only log.
-/// Whether a certificate is a prefix of the newest is checked step by
-/// step; one that is not is kept whole.
+/// The Pass certificates of one enumeration, one per solution in order,
+/// as lengths into the proof log of the verifier that produced them
+/// ([`crate::verifier::CcaVerifier::proof_log`]).
 #[derive(Debug, Default)]
 pub struct PassCerts {
-    newest: Vec<ProofStep>,
-    held: Vec<Held>,
-}
-
-#[derive(Debug)]
-enum Held {
-    /// The first `n` steps of the newest certificate.
-    Prefix(usize),
-    /// A certificate the newest one does not extend.
-    Whole(Vec<ProofStep>),
+    lens: Vec<usize>,
 }
 
 impl PassCerts {
-    /// Adds the certificate of the next solution.
-    pub fn push(&mut self, cert: UnsatCertificate) {
-        let old = std::mem::replace(&mut self.newest, cert.steps);
-        if !self.newest.starts_with(&old) {
-            for held in &mut self.held {
-                if let Held::Prefix(n) = *held {
-                    *held = Held::Whole(old[..n].to_vec());
-                }
-            }
-        }
-        self.held.push(Held::Prefix(self.newest.len()));
+    /// Adds the certificate of the next solution: the log's first `len`
+    /// steps.
+    ///
+    /// # Panics
+    /// Panics unless `len` exceeds the previous certificate's length: every
+    /// link of the stored chain must add steps.
+    pub fn push(&mut self, len: usize) {
+        assert!(
+            self.lens.last().is_none_or(|&prev| len > prev),
+            "Pass certificates of one log must grow"
+        );
+        self.lens.push(len);
     }
 
     /// Number of certificates held.
     pub fn len(&self) -> usize {
-        self.held.len()
+        self.lens.len()
     }
 
     /// Whether no certificate is held.
     pub fn is_empty(&self) -> bool {
-        self.held.is_empty()
+        self.lens.is_empty()
     }
 
-    /// The certificates' steps, in solution order.
-    pub fn iter(&self) -> impl Iterator<Item = &[ProofStep]> {
-        self.held.iter().map(|held| match held {
-            Held::Prefix(n) => &self.newest[..*n],
-            Held::Whole(steps) => steps.as_slice(),
-        })
+    /// The chain links over `log`, in solution order: link `k` is the steps
+    /// of certificate `k` past certificate `k − 1`.
+    pub fn links<'a>(&'a self, log: &'a [ProofStep]) -> impl Iterator<Item = &'a [ProofStep]> {
+        let starts = std::iter::once(0).chain(self.lens.iter().copied());
+        starts.zip(&self.lens).map(move |(start, &end)| &log[start..end])
     }
 }
 
@@ -162,7 +155,8 @@ impl ResultCache {
     }
 
     /// Store a complete enumeration outcome. `solution_certs` must carry
-    /// exactly one Pass certificate per solution and `exhaustion` the
+    /// exactly one Pass certificate per solution, as lengths into the
+    /// verifier's proof log `pass_log`, and `exhaustion` the steps of the
     /// generator's final UNSAT certificate; an entry without its full
     /// complement of proofs is worthless (lookups would reject it), so
     /// storing one is an error on the caller's side.
@@ -170,8 +164,9 @@ impl ResultCache {
         &self,
         opts: &SynthOptions,
         solutions: &[CcaSpec],
+        pass_log: &[ProofStep],
         solution_certs: &PassCerts,
-        exhaustion: &UnsatCertificate,
+        exhaustion: &[ProofStep],
     ) -> io::Result<()> {
         assert_eq!(
             solutions.len(),
@@ -183,14 +178,15 @@ impl ResultCache {
             .iter()
             .map(|s| Json::Arr(s.flat().iter().map(|c| Json::Str(c.to_string())).collect()))
             .collect();
-        let certs = solution_certs.iter().map(|c| Json::Str(steps_to_text(c))).collect();
+        let certs =
+            solution_certs.links(pass_log).map(|link| Json::Str(steps_to_text(link))).collect();
         let entry = Json::obj(vec![
             ("engine", Json::Str(fingerprint::ENGINE_VERSION.into())),
             ("canonical", Json::Str(canonical)),
             ("complete", Json::Bool(true)),
             ("solutions", Json::Arr(sols)),
             ("solution_certs", Json::Arr(certs)),
-            ("exhaustion_cert", Json::Str(exhaustion.to_text())),
+            ("exhaustion_cert", Json::Str(steps_to_text(exhaustion))),
         ]);
         std::fs::write(self.entry_path(opts), entry.render())
     }
@@ -262,27 +258,34 @@ impl ResultCache {
             .ok_or_else(|| "missing exhaustion certificate".to_string())?;
 
         // Replay every proof through the independent checker. The solution
-        // certificates share one log, so one replayer resumes along it; the
-        // exhaustion certificate comes from the generator's log, so the
-        // replayer finds no shared prefix and replays it from scratch.
+        // certificates form a chain over one log: each link is appended to
+        // one replayer's log, and the certificate ending there is checked.
+        // The exhaustion certificate comes from the generator's log and is
+        // checked on its own.
         let t0 = Instant::now();
         let mut replayer = Replayer::new();
         let mut checked = 0u64;
         for (i, c) in certs.iter().enumerate() {
             let text = c.as_str().ok_or_else(|| format!("certificate {i} is not a string"))?;
-            let cert = UnsatCertificate::from_text(text)
+            let link = UnsatCertificate::from_text(text)
                 .map_err(|e| format!("solution certificate {i} unparseable: {e}"))?;
-            replayer.check(&cert).map_err(|e| format!("solution certificate {i} rejected: {e}"))?;
+            if link.steps.is_empty() {
+                return Err(format!("solution certificate {i} is an empty link"));
+            }
+            replayer.append(link.steps);
+            replayer
+                .check_prefix(replayer.log().len())
+                .map_err(|e| format!("solution certificate {i} rejected: {e}"))?;
             checked += 1;
         }
         let cert = UnsatCertificate::from_text(exhaustion)
             .map_err(|e| format!("exhaustion certificate unparseable: {e}"))?;
-        replayer.check(&cert).map_err(|e| format!("exhaustion certificate rejected: {e}"))?;
+        let stats = check(&cert).map_err(|e| format!("exhaustion certificate rejected: {e}"))?;
         checked += 1;
         Ok(CachedOutcome {
             solutions,
             certs_checked: checked,
-            steps_replayed: replayer.steps_replayed(),
+            steps_replayed: replayer.steps_replayed() + stats.steps as u64,
             cert_ms: t0.elapsed().as_secs_f64() * 1e3,
         })
     }
@@ -292,25 +295,23 @@ impl ResultCache {
 mod tests {
     use super::*;
 
-    fn cert(ids: &[u64]) -> UnsatCertificate {
-        UnsatCertificate {
-            steps: ids.iter().map(|&id| ProofStep::Input { id, lits: vec![] }).collect(),
+    #[test]
+    fn pass_certs_render_each_log_step_in_one_link() {
+        let log: Vec<ProofStep> = (1..=6).map(|id| ProofStep::Input { id, lits: vec![] }).collect();
+        let mut held = PassCerts::default();
+        for len in [2, 3, 6] {
+            held.push(len);
         }
+        let links: Vec<&[ProofStep]> = held.links(&log).collect();
+        assert_eq!(links, [&log[..2], &log[2..3], &log[3..6]]);
+        assert_eq!(held.len(), 3);
     }
 
     #[test]
-    fn pass_certs_hold_prefixes_and_keep_the_rest_whole() {
+    #[should_panic(expected = "must grow")]
+    fn pass_certs_refuse_an_empty_link() {
         let mut held = PassCerts::default();
-        held.push(cert(&[1, 2]));
-        held.push(cert(&[1, 2, 3]));
-        // Not an extension of [1, 2, 3]: both earlier certificates are kept
-        // whole, and the unrelated one becomes the newest.
-        held.push(cert(&[4]));
-        held.push(cert(&[4, 5]));
-        let got: Vec<Vec<ProofStep>> = held.iter().map(<[ProofStep]>::to_vec).collect();
-        let want: Vec<Vec<ProofStep>> =
-            [&[1, 2][..], &[1, 2, 3], &[4], &[4, 5]].iter().map(|ids| cert(ids).steps).collect();
-        assert_eq!(got, want);
-        assert_eq!(held.len(), 4);
+        held.push(4);
+        held.push(4);
     }
 }

@@ -34,7 +34,6 @@ use crate::synth::{build_loop, make_replay, SynthOptions};
 use crate::template::CcaSpec;
 use ccac_model::Trace;
 use ccmatic_cegis::{run_with_progress, Budget, Generator, Outcome, Stats, Verdict, Verifier};
-use ccmatic_proof::UnsatCertificate;
 use std::time::Instant;
 
 /// Result of [`enumerate_all`].
@@ -162,8 +161,8 @@ pub fn enumerate_all_with(
             match verdict {
                 Verdict::Pass => {
                     stats.warm_solutions_confirmed += 1;
-                    if let Some(cert) = verifier.inner.take_last_pass_cert() {
-                        pass_certs.push(cert);
+                    if let Some(len) = verifier.inner.take_last_pass_cert() {
+                        pass_certs.push(len);
                     }
                     generator.inner.block(sol);
                     solutions.push(sol.clone());
@@ -178,7 +177,6 @@ pub fn enumerate_all_with(
         }
     }
 
-    let mut exhaustion: Option<UnsatCertificate> = None;
     let complete = loop {
         let budget = Budget {
             max_iterations: remaining,
@@ -204,16 +202,13 @@ pub fn enumerate_all_with(
         remaining = remaining.saturating_sub(result.stats.iterations);
         match result.outcome {
             Outcome::Solution(spec) => {
-                if let Some(cert) = verifier.inner.take_last_pass_cert() {
-                    pass_certs.push(cert);
+                if let Some(len) = verifier.inner.take_last_pass_cert() {
+                    pass_certs.push(len);
                 }
                 generator.inner.block(&spec);
                 solutions.push(spec);
             }
-            Outcome::NoSolution => {
-                exhaustion = generator.inner.take_exhaustion_cert();
-                break true;
-            }
+            Outcome::NoSolution => break true,
             Outcome::BudgetExhausted => break false,
         }
     };
@@ -222,9 +217,10 @@ pub fn enumerate_all_with(
     // complement only.
     let mut stored = false;
     if let (Some(cache), true) = (cache, complete) {
-        if let Some(exhaustion) = &exhaustion {
+        if let Some(exhaustion) = generator.inner.exhaustion_cert() {
             if pass_certs.len() == solutions.len() {
-                stored = cache.store(opts, &solutions, &pass_certs, exhaustion).is_ok();
+                let pass_log = verifier.inner.proof_log();
+                stored = cache.store(opts, &solutions, pass_log, &pass_certs, exhaustion).is_ok();
             }
         }
     }

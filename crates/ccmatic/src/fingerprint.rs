@@ -20,7 +20,7 @@ use std::fmt::Write as _;
 /// Bump on any change to problem semantics, encodings, or the certificate
 /// format: old cache entries then miss (and are rejected even if copied
 /// across versions, since the canonical string embeds this).
-pub const ENGINE_VERSION: &str = "ccmatic-engine-v1";
+pub const ENGINE_VERSION: &str = "ccmatic-engine-v2";
 
 /// The canonical string for `opts`' *problem* (not its solver knobs).
 pub fn canonical(opts: &SynthOptions) -> String {

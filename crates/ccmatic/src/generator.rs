@@ -46,7 +46,7 @@ use crate::replay::TraceReplay;
 use crate::template::{CcaSpec, TemplateShape};
 use ccac_model::{NetConfig, Thresholds, Trace};
 use ccmatic_num::Rat;
-use ccmatic_proof::UnsatCertificate;
+use ccmatic_proof::ProofStep;
 use ccmatic_smt::{Context, Interrupt, LinExpr, RealVar, SatResult, Solver, Term};
 use std::collections::VecDeque;
 
@@ -106,9 +106,13 @@ pub struct SmtGenerator {
     /// before the first assertion). Base-level exhaustion claims then carry
     /// a checkable UNSAT certificate.
     certify: bool,
+    /// The solver's proof log, as far as exhaustion claims have taken it
+    /// (certifying only).
+    proof_log: Vec<ProofStep>,
     /// The certificate backing the most recent base-level exhaustion claim
-    /// (`propose` → [`Proposal::Exhausted`]), when certifying.
-    last_exhaustion_cert: Option<UnsatCertificate>,
+    /// (`propose` → [`Proposal::Exhausted`]), as its length in
+    /// `proof_log`, when certifying.
+    exhaustion_len: Option<usize>,
     /// Counterexamples learned (kept for reporting).
     pub num_learned: u64,
     /// Blocking clauses asserted by the dominance/symmetry BFS of
@@ -130,8 +134,8 @@ impl SmtGenerator {
 
     /// [`SmtGenerator::new`] with proof logging enabled from
     /// the first assertion, so base-level exhaustion claims (`propose` →
-    /// [`Proposal::Exhausted`]) carry an [`UnsatCertificate`] retrievable via
-    /// [`SmtGenerator::take_exhaustion_cert`]. The persistent result cache
+    /// [`Proposal::Exhausted`]) carry an UNSAT certificate, read through
+    /// [`SmtGenerator::exhaustion_cert`]. The persistent result cache
     /// stores that certificate alongside the enumerated solution set.
     pub fn new_certified(
         shape: TemplateShape,
@@ -201,28 +205,31 @@ impl SmtGenerator {
             coeffs,
             replay,
             certify,
-            last_exhaustion_cert: None,
+            proof_log: Vec::new(),
+            exhaustion_len: None,
             num_learned: 0,
             regions_pruned: 0,
         }
     }
 
-    /// The certificate backing the most recent base-level exhaustion claim,
-    /// if this generator certifies (see [`SmtGenerator::new_certified`]).
-    pub fn take_exhaustion_cert(&mut self) -> Option<UnsatCertificate> {
-        self.last_exhaustion_cert.take()
+    /// The steps of the certificate backing the most recent base-level
+    /// exhaustion claim, if this generator certifies (see
+    /// [`SmtGenerator::new_certified`]).
+    pub fn exhaustion_cert(&self) -> Option<&[ProofStep]> {
+        self.exhaustion_len.map(|len| &self.proof_log[..len])
     }
 
     /// One solver check; when certifying, an Unsat is a whole-space
-    /// exhaustion claim and its proof snapshot is retained for
-    /// [`SmtGenerator::take_exhaustion_cert`].
+    /// exhaustion claim, and the solver's log up to it is kept for
+    /// [`SmtGenerator::exhaustion_cert`].
     fn check_tracking_exhaustion(&mut self) -> SatResult {
         if !self.certify {
             return self.solver.check(&self.ctx);
         }
         let certified = self.solver.check_certified(&self.ctx);
         if certified.result == SatResult::Unsat {
-            self.last_exhaustion_cert = certified.certificate;
+            self.proof_log.extend(self.solver.take_proof_steps());
+            self.exhaustion_len = certified.certificate;
         }
         certified.result
     }

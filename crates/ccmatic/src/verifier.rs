@@ -27,7 +27,7 @@ use ccac_model::{
 };
 use ccmatic_cegis::Verdict;
 use ccmatic_num::Rat;
-use ccmatic_proof::Replayer;
+use ccmatic_proof::{ProofStep, Replayer};
 use ccmatic_smt::{
     maximize_scoped, Context, Interrupt, LinExpr, MaximizeOutcome, MaximizeParams, RealVar,
     SatResult, Solver, Term,
@@ -95,33 +95,33 @@ pub struct CertAudit {
     pub clauses: u64,
     /// Total rendered size of those certificates, in bytes.
     pub bytes: u64,
-    /// Proof steps the checker executed. A certificate that extends one the
-    /// verifier's replayer already accepted costs only its new steps, so
-    /// this is at most the summed certificate lengths.
+    /// Proof steps the checker executed. Every certificate is a prefix of
+    /// the verifier's one proof log and each log step is applied once, so
+    /// this is the length of the longest certificate, not the summed
+    /// certificate lengths.
     pub steps_replayed: u64,
     /// Wall-clock nanoseconds spent inside the checker.
     pub check_ns: u64,
 }
 
 impl CertAudit {
-    /// Replay `cert` through the independent checker, resuming `replayer`
-    /// where the certificate extends what it already accepted, and panic
-    /// with the checker's diagnosis if it is rejected.
-    fn replay(
-        &mut self,
-        replayer: &mut Replayer,
-        cert: &ccmatic_proof::UnsatCertificate,
-        what: &str,
-    ) {
+    /// Hand the steps `solver` logged since the last audit to `replayer`,
+    /// then check the certificates ending at `lens` (increasing lengths
+    /// into the replayer's log) through the independent checker, and panic
+    /// with the checker's diagnosis if one is rejected.
+    fn replay(&mut self, replayer: &mut Replayer, solver: &mut Solver, lens: &[usize], what: &str) {
         let t0 = std::time::Instant::now();
         let replayed0 = replayer.steps_replayed();
-        let stats = match replayer.check(cert) {
-            Ok(stats) => stats,
-            Err(e) => panic!("{what}: certificate rejected by the independent checker: {e}"),
-        };
-        self.checked += 1;
-        self.clauses += stats.clauses as u64;
-        self.bytes += stats.bytes;
+        replayer.append(solver.take_proof_steps());
+        for &len in lens {
+            let stats = match replayer.check_prefix(len) {
+                Ok(stats) => stats,
+                Err(e) => panic!("{what}: certificate rejected by the independent checker: {e}"),
+            };
+            self.checked += 1;
+            self.clauses += stats.clauses as u64;
+            self.bytes += stats.bytes;
+        }
         self.steps_replayed += replayer.steps_replayed() - replayed0;
         self.check_ns += t0.elapsed().as_nanos() as u64;
     }
@@ -152,15 +152,16 @@ pub struct CcaVerifier {
     pub solver_probes: u64,
     /// Certificate-checking totals (all zero unless `cfg.certify`).
     pub cert_audit: CertAudit,
-    /// Checks every certificate this verifier produces. The incremental
-    /// solver logs its whole life into one proof log, so each certificate
-    /// extends the previous one and only its new steps are replayed.
+    /// Holds the incremental solver's proof log and checks every
+    /// certificate this verifier produces: each is a prefix of that one
+    /// log, so each logged step is applied once.
     replayer: Replayer,
     /// The checker-accepted certificate behind the most recent Pass
-    /// verdict (`cfg.certify` only; cleared at the start of every verify
-    /// call). The persistent result cache persists these so a cache hit
-    /// can re-establish each solution's verdict without a solver.
-    last_pass_cert: Option<ccmatic_proof::UnsatCertificate>,
+    /// verdict, as its length in [`CcaVerifier::proof_log`] (`cfg.certify`
+    /// only; cleared at the start of every verify call). The persistent
+    /// result cache persists these so a cache hit can re-establish each
+    /// solution's verdict without a solver.
+    last_pass_cert: Option<usize>,
     /// Lazily-built incremental state.
     inc: Option<IncState>,
 }
@@ -180,9 +181,18 @@ impl CcaVerifier {
     }
 
     /// The certificate behind the most recent Pass verdict, when
-    /// certifying (`None` after a Fail/Timeout or outside certify mode).
-    pub fn take_last_pass_cert(&mut self) -> Option<ccmatic_proof::UnsatCertificate> {
+    /// certifying, as its length in [`CcaVerifier::proof_log`] (`None`
+    /// after a Fail/Timeout or outside certify mode).
+    pub fn take_last_pass_cert(&mut self) -> Option<usize> {
         self.last_pass_cert.take()
+    }
+
+    /// The proof log of the incremental solver, as far as its certificates
+    /// have been checked (empty outside certify mode). Every certificate
+    /// length this verifier hands out indexes it, until [`CcaVerifier::reset`]
+    /// starts a new log.
+    pub fn proof_log(&self) -> &[ProofStep] {
+        self.replayer.log()
     }
 
     /// Drop the cached incremental encoding (required after mutating `cfg`).
@@ -301,22 +311,24 @@ impl CcaVerifier {
                 MaximizeOutcome::Infeasible { certificate } => {
                     self.solver_probes += 1;
                     if self.cfg.certify {
-                        let cert = certificate.expect("certify mode must produce a certificate");
+                        let len = certificate.expect("certify mode must produce a certificate");
                         self.cert_audit.replay(
                             &mut self.replayer,
-                            &cert,
+                            &mut st.solver,
+                            &[len],
                             "scoped WCE infeasibility",
                         );
-                        self.last_pass_cert = Some(*cert);
+                        self.last_pass_cert = Some(len);
                     }
                     Verdict::Pass
                 }
                 MaximizeOutcome::Feasible { model, probes, certificates, .. } => {
                     self.solver_probes += probes as u64;
-                    for cert in &certificates {
+                    if self.cfg.certify {
                         self.cert_audit.replay(
                             &mut self.replayer,
-                            cert,
+                            &mut st.solver,
+                            &certificates,
                             "scoped WCE bracket probe",
                         );
                     }
@@ -331,20 +343,20 @@ impl CcaVerifier {
             self.solver_probes += 1;
             let saved = std::mem::replace(&mut st.solver.interrupt, interrupt.clone());
             let res = if self.cfg.certify {
-                // Snapshot before the pop below: popping the candidate scope
-                // deletes its clauses (including any empty clause) from the
-                // proof log.
+                // The certificate ends before the pop below: popping the
+                // candidate scope logs the deletion of its clauses
+                // (including any empty clause).
                 let out = st.solver.check_certified(&st.ctx);
                 match out.result {
                     SatResult::Unsat => {
-                        let cert =
-                            out.certificate.expect("certify mode must produce a certificate");
+                        let len = out.certificate.expect("certify mode must produce a certificate");
                         self.cert_audit.replay(
                             &mut self.replayer,
-                            &cert,
+                            &mut st.solver,
+                            &[len],
                             "incremental UNSAT verdict",
                         );
-                        self.last_pass_cert = Some(cert);
+                        self.last_pass_cert = Some(len);
                     }
                     SatResult::Sat => {
                         assert_eq!(

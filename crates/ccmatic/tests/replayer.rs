@@ -1,20 +1,20 @@
-//! `ccmatic_proof::Replayer` against the from-scratch `check`, on the
+//! The chained certificate check against the from-scratch `check`, on the
 //! certificates a certifying worst-case-counterexample verifier produces
 //! over the known-CCA set.
 //!
-//! The certificates are rebuilt here by running the verifier's incremental
-//! encoding step by step (base network model, then one scoped WCE search per
-//! candidate), so each one can be inspected and mutated; a real
-//! `CcaVerifier` over the same set must report the same count, bytes and
-//! replayed steps. Pinned:
-//! * the replayer returns the same verdict and `CertStats` as `check` on
-//!   every certificate, and replays only the steps past the accepted prefix;
+//! The verifier's proof log and certificate lengths are rebuilt here by
+//! running its incremental encoding step by step (base network model, then
+//! one scoped WCE search per candidate), so each certificate can be
+//! inspected and mutated; a real `CcaVerifier` over the same set must hold
+//! the same log and report the same count, bytes and replayed steps.
+//! Pinned:
+//! * one `Replayer` holding the log returns, at every certificate length,
+//!   the verdict and `CertStats` that `check` returns on that prefix, and
+//!   applies only the steps past the previous certificate;
 //! * every mutation class of the certificate tests (dropped clause,
 //!   perturbed Farkas coefficient, reordered deletion, stripped atoms,
-//!   truncation) is rejected both inside the prefix the replayer already
-//!   accepted and in the new suffix, and the next valid certificate is then
-//!   accepted with `check`'s counters;
-//! * a certificate from an unrelated log is replayed from scratch.
+//!   truncation) is rejected by the chain both inside an earlier link and in
+//!   the last one, with `check`'s verdict at each length.
 
 use ccac_model::{
     alloc_net_vars, desired_property, network_constraints, sender_constraints, NetConfig,
@@ -24,7 +24,7 @@ use ccmatic::known;
 use ccmatic::template::CcaSpec;
 use ccmatic::verifier::{CcaVerifier, VerifyConfig};
 use ccmatic_num::{int, rat, Rat};
-use ccmatic_proof::{check, ProofStep, Replayer, UnsatCertificate};
+use ccmatic_proof::{check, CertStats, CheckError, ProofStep, Replayer, UnsatCertificate};
 use ccmatic_smt::{maximize_scoped, Context, LinExpr, MaximizeOutcome, MaximizeParams, Solver};
 use std::ops::Range;
 
@@ -42,6 +42,10 @@ fn known_set() -> Vec<CcaSpec> {
     ]
 }
 
+/// `CertAudit` (checked, bytes, steps replayed) of a `CcaVerifier` over
+/// [`known_set`].
+const PINNED_AUDIT: (u64, u64, u64) = (19, 885_156, 2_169);
+
 fn verify_config() -> VerifyConfig {
     VerifyConfig {
         net: net(),
@@ -53,9 +57,10 @@ fn verify_config() -> VerifyConfig {
     }
 }
 
-/// The certificates of a certifying incremental WCE verifier over `specs`,
-/// in the order it checks them.
-fn verifier_certificates(specs: &[CcaSpec]) -> Vec<UnsatCertificate> {
+/// The proof log of a certifying incremental WCE verifier over `specs`
+/// and its certificates, as increasing lengths into that log, in the order
+/// it checks them.
+fn verifier_log(specs: &[CcaSpec]) -> (Vec<ProofStep>, Vec<usize>) {
     let cfg = verify_config();
     let mut ctx = Context::new();
     let nv = alloc_net_vars(&mut ctx, &cfg.net);
@@ -80,59 +85,86 @@ fn verifier_certificates(specs: &[CcaSpec]) -> Vec<UnsatCertificate> {
         certify: true,
         ..MaximizeParams::default()
     };
-    let mut certs = Vec::new();
+    let (mut log, mut lens) = (Vec::new(), Vec::new());
     for spec in specs {
         solver.push();
         let tmpl = CcaVerifier::template_constraints(&mut ctx, &nv, spec);
         solver.assert(&ctx, tmpl);
         match maximize_scoped(&mut ctx, &mut solver, &LinExpr::var(m), &params) {
             MaximizeOutcome::Infeasible { certificate } => {
-                certs.push(*certificate.expect("certified infeasibility carries a proof"));
+                lens.push(certificate.expect("certified infeasibility carries a proof"));
             }
-            MaximizeOutcome::Feasible { certificates, .. } => certs.extend(certificates),
+            MaximizeOutcome::Feasible { certificates, .. } => lens.extend(certificates),
             MaximizeOutcome::Aborted => unreachable!("no interrupt armed"),
         }
         solver.pop();
+        log.extend(solver.take_proof_steps());
     }
-    certs
+    (log, lens)
+}
+
+/// The certificate made of the first `len` steps of `log`.
+fn prefix(log: &[ProofStep], len: usize) -> UnsatCertificate {
+    UnsatCertificate { steps: log[..len].to_vec() }
+}
+
+/// Checks the certificates ending at `lens` along one replayer holding
+/// `log`, asserting each verdict and `CertStats` equal a from-scratch
+/// `check` of the same prefix and that each call applies only the steps
+/// past the one before. Returns the verdicts.
+fn chain_equals_scratch(log: &[ProofStep], lens: &[usize]) -> Vec<Result<CertStats, CheckError>> {
+    let mut replayer = Replayer::new();
+    replayer.append(log.to_vec());
+    let mut prev = 0;
+    lens.iter()
+        .enumerate()
+        .map(|(i, &len)| {
+            let before = replayer.steps_replayed();
+            let chained = replayer.check_prefix(len);
+            assert_eq!(
+                chained,
+                check(&prefix(log, len)),
+                "certificate {i}: verdict or counters differ"
+            );
+            assert!(replayer.steps_replayed() - before <= (len - prev) as u64);
+            prev = len;
+            chained
+        })
+        .collect()
 }
 
 #[test]
 fn replayer_matches_check_and_replays_only_new_steps() {
-    let certs = verifier_certificates(&known_set());
-    assert!(certs.len() > 10, "the known set yields a long certificate sequence");
+    let (log, lens) = verifier_log(&known_set());
+    assert!(lens.len() > 10, "the known set yields a long certificate sequence");
+    assert!(lens.windows(2).all(|w| w[0] < w[1]), "each certificate extends the one before");
 
-    let mut replayer = Replayer::new();
-    let mut prev_len = 0;
-    let (mut bytes, mut total_steps) = (0, 0);
-    for (i, cert) in certs.iter().enumerate() {
-        // The premise: one log, so each certificate extends the one before.
-        assert!(cert.steps.len() > prev_len, "certificate {i} does not grow the log");
-        let before = replayer.steps_replayed();
-        let resumed = replayer.check(cert);
-        assert_eq!(resumed, check(cert), "certificate {i}: verdict or counters differ");
-        let stats = resumed.expect("solver-produced certificates are accepted");
-        assert_eq!(stats.bytes, cert.to_text().len() as u64);
-        assert_eq!(
-            replayer.steps_replayed() - before,
-            (cert.steps.len() - prev_len) as u64,
-            "certificate {i} must replay only its new steps"
-        );
-        prev_len = cert.steps.len();
+    let verdicts = chain_equals_scratch(&log, &lens);
+    let mut bytes = 0;
+    for (i, (verdict, &len)) in verdicts.iter().zip(&lens).enumerate() {
+        let stats = verdict.as_ref().unwrap_or_else(|e| panic!("certificate {i} rejected: {e}"));
+        assert_eq!(stats.bytes, prefix(&log, len).to_text().len() as u64);
         bytes += stats.bytes;
-        total_steps += cert.steps.len() as u64;
     }
-    assert_eq!(replayer.steps_replayed(), prev_len as u64, "the log is replayed exactly once");
+    let total_steps: usize = lens.iter().sum();
 
-    // The sequence is the real verifier's: same count, bytes and work.
+    // The sequence is the real verifier's: same count, bytes and work, and
+    // the log it holds is the one rebuilt here.
     let mut v = CcaVerifier::new(verify_config());
     for spec in &known_set() {
         let _ = v.verify(spec);
     }
-    assert_eq!(v.cert_audit.checked, certs.len() as u64);
+    assert!(log.starts_with(v.proof_log()) && v.proof_log().len() >= *lens.last().unwrap());
+    assert_eq!(v.cert_audit.checked, lens.len() as u64);
     assert_eq!(v.cert_audit.bytes, bytes);
-    assert_eq!(v.cert_audit.steps_replayed, prev_len as u64);
-    assert!(v.cert_audit.steps_replayed < total_steps);
+    assert_eq!(v.cert_audit.steps_replayed, *lens.last().unwrap() as u64);
+    assert!(v.cert_audit.steps_replayed < total_steps as u64);
+    // The values this sequence had when each certificate was a copy of the
+    // log, replayed from the prefix it shared with the one before.
+    assert_eq!(
+        (v.cert_audit.checked, v.cert_audit.bytes, v.cert_audit.steps_replayed),
+        PINNED_AUDIT
+    );
 }
 
 /// A clause-adding step's id.
@@ -208,65 +240,28 @@ const MUTATIONS: [(&str, Mutation); 5] = [
 
 #[test]
 fn mutations_are_rejected_inside_the_accepted_prefix_and_in_the_suffix() {
-    let certs = verifier_certificates(&known_set());
-    // Resume from the middle of the sequence to its end: both the accepted
-    // prefix and the new suffix then span several scoped probes, with atoms,
-    // lemmas, learned clauses and deletions of their own.
-    let (accepted, next) = (&certs[certs.len() / 2], certs.last().expect("certificates"));
-    let n = accepted.steps.len();
-    let expected = check(next);
-    assert!(expected.is_ok());
+    let (log, lens) = verifier_log(&known_set());
+    // An earlier link ends in the middle of the sequence, the last at its
+    // end: both the accepted prefix and the new suffix then span several
+    // scoped probes, with atoms, lemmas, learned clauses and deletions of
+    // their own.
+    let (n, last) = (lens[lens.len() / 2], *lens.last().expect("certificates"));
+    let next = prefix(&log, last);
+    assert!(check(&next).is_ok());
 
     for (name, mutate) in MUTATIONS {
-        for (where_, region) in [("prefix", 0..n), ("suffix", n..next.steps.len())] {
-            let bad = mutate(next, region)
+        for (where_, region) in [("prefix", 0..n), ("suffix", n..last)] {
+            let bad = mutate(&next, region)
                 .unwrap_or_else(|| panic!("{name} has no target in the {where_}"));
             let verdict = check(&bad);
             assert!(verdict.is_err(), "{name} in the {where_} must be rejected by check");
-
-            let mut replayer = Replayer::new();
-            replayer.check(accepted).expect("the accepted certificate checks");
-            let before = replayer.steps_replayed();
-            assert_eq!(replayer.check(&bad), verdict, "{name} in the {where_}: verdicts differ");
-            let executed = replayer.steps_replayed() - before;
-            if where_ == "suffix" {
-                assert!(
-                    executed <= (bad.steps.len() - n) as u64,
-                    "{name} in the suffix: the replayer must resume, not restart"
-                );
-            }
-            // The rejection left nothing behind: the next valid certificate
-            // is replayed from scratch and agrees with `check`.
-            let before = replayer.steps_replayed();
-            assert_eq!(replayer.check(next), expected, "{name} in the {where_}: recovery");
-            assert_eq!(replayer.steps_replayed() - before, next.steps.len() as u64);
+            // The earlier link's end, moved by the steps a mutation inside
+            // it removed.
+            let removed = next.steps.len() - bad.steps.len();
+            let n_bad = if where_ == "prefix" { n.saturating_sub(removed) } else { n };
+            let n_bad = n_bad.clamp(1, bad.steps.len());
+            let verdicts = chain_equals_scratch(&bad.steps, &[n_bad, bad.steps.len()]);
+            assert_eq!(verdicts[1], verdict, "{name} in the {where_}: the chain must reject");
         }
     }
-}
-
-#[test]
-fn certificate_from_an_unrelated_log_is_replayed_from_scratch() {
-    let certs = verifier_certificates(&known_set());
-    // Another log: the same encoding over a different candidate order.
-    let other = verifier_certificates(&[known::copy_cwnd(), known::rocc()]);
-    let foreign = other.last().expect("certificates");
-
-    let mut replayer = Replayer::new();
-    for cert in &certs[..3] {
-        replayer.check(cert).expect("accepted");
-    }
-    let before = replayer.steps_replayed();
-    let verdict = replayer.check(foreign);
-    assert_eq!(verdict, check(foreign));
-    assert!(verdict.is_ok());
-    assert_eq!(
-        replayer.steps_replayed() - before,
-        foreign.steps.len() as u64,
-        "a foreign certificate shares no prefix and is replayed in full"
-    );
-
-    // Back on the first log, the replayer starts over again.
-    let before = replayer.steps_replayed();
-    assert_eq!(replayer.check(&certs[3]), check(&certs[3]));
-    assert_eq!(replayer.steps_replayed() - before, certs[3].steps.len() as u64);
 }

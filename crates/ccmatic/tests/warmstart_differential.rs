@@ -10,9 +10,9 @@ use ccmatic::enumerate::enumerate_all_with;
 use ccmatic::json::Json;
 use ccmatic::sweep::{sweep_with_config, SweepConfig, SweepRow};
 use ccmatic::synth::{OptMode, SynthOptions};
-use ccmatic::template::{CoeffDomain, TemplateShape};
+use ccmatic::template::{CcaSpec, CoeffDomain, TemplateShape};
 use ccmatic_num::{int, rat, Rat};
-use ccmatic_proof::{ProofStep, UnsatCertificate};
+use ccmatic_proof::{steps_to_text, ProofStep, UnsatCertificate};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -110,109 +110,186 @@ fn tamper_entry(path: &PathBuf, key: &str, f: impl Fn(&str) -> String) {
     std::fs::write(path, entry.render()).unwrap();
 }
 
-#[test]
-fn corrupted_certificate_is_rejected_and_resolved_fresh() {
-    let opts = tiny_base();
-    let dir = fresh_cache_dir("corrupt");
-    let cache = ResultCache::new(&dir).unwrap();
-    let baseline = enumerate_all_with(&opts, None, Some(&cache));
-    assert!(baseline.stored, "first run must populate the cache");
-
-    // Drop the certificate's final step: it still parses, but the checker
-    // no longer finds an empty-clause derivation.
-    let path = cache.entry_path(&opts);
-    tamper_entry(&path, "exhaustion_cert", |cert| {
-        let t = cert.trim_end();
-        t[..t.rfind('\n').expect("multi-step certificate")].to_string()
-    });
-    assert!(
-        matches!(cache.lookup(&opts), Lookup::Rejected(_)),
-        "mutated certificate must be rejected, not trusted"
-    );
-
-    let fresh = enumerate_all_with(&opts, None, Some(&cache));
-    assert!(!fresh.from_cache, "rejected entry must not be used");
-    assert!(fresh.cache_rejected.is_some(), "rejection reason must be surfaced");
-    assert_eq!(fresh.result.solutions, baseline.result.solutions, "fresh solve must be correct");
-    assert!(fresh.stored, "fresh solve must repair the entry");
-    assert!(matches!(cache.lookup(&opts), Lookup::Hit(_)), "repaired entry must validate");
-    let _ = std::fs::remove_dir_all(&dir);
+/// A cache entry's JSON.
+fn read_entry(path: &PathBuf) -> Json {
+    Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
 }
 
-/// The solution certificates of a cache entry's JSON.
-fn solution_certs(entry: &Json) -> Vec<UnsatCertificate> {
-    let certs = entry.get("solution_certs").and_then(Json::as_arr).expect("solution_certs");
-    certs.iter().map(|c| UnsatCertificate::from_text(c.as_str().unwrap()).unwrap()).collect()
-}
-
-#[test]
-fn solution_certificate_mutated_inside_its_shared_prefix_is_rejected_and_repaired() {
-    // A loose delay bound, so the space has several solutions.
-    let mut opts = tiny_base();
-    opts.thresholds.delay = int(8);
-    let dir = fresh_cache_dir("prefix");
-    let cache = ResultCache::new(&dir).unwrap();
-    let baseline = enumerate_all_with(&opts, None, Some(&cache));
-    assert!(baseline.stored);
-    assert!(baseline.result.solutions.len() >= 2, "the entry needs two solution certificates");
-
-    // One verifier's certificates are prefixes of one log, and validation
-    // replays each shared step once.
-    let path = cache.entry_path(&opts);
-    let mut entry = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let certs = solution_certs(&entry);
-    assert!(certs.windows(2).all(|w| w[1].steps.starts_with(&w[0].steps)));
-    let exhaustion = entry.get("exhaustion_cert").and_then(Json::as_str).unwrap();
-    let exhaustion_len = UnsatCertificate::from_text(exhaustion).unwrap().steps.len();
-    let Lookup::Hit(hit) = cache.lookup(&opts) else { panic!("fresh entry must validate") };
-    assert_eq!(hit.steps_replayed, (certs.last().unwrap().steps.len() + exhaustion_len) as u64);
-
-    // Perturb a Farkas coefficient of the second certificate inside the
-    // prefix it shares with the first.
-    let shared = certs[0].steps.len();
-    let mut bad = certs[1].clone();
-    let i = (0..shared)
-        .find(|&i| matches!(bad.steps[i], ProofStep::Theory { .. }))
-        .expect("the shared prefix holds theory lemmas");
-    let ProofStep::Theory { farkas, .. } = &mut bad.steps[i] else { unreachable!() };
-    farkas[0].1 = &farkas[0].1 + &int(7);
-    let Json::Obj(fields) = &mut entry else { panic!("entry is not an object") };
+/// The `solution_certs` chain of a cache entry's JSON, one text per link.
+fn chain_texts(entry: &mut Json) -> &mut Vec<Json> {
+    let Json::Obj(fields) = entry else { panic!("entry is not an object") };
     let (_, Json::Arr(texts)) = fields.iter_mut().find(|(k, _)| k == "solution_certs").unwrap()
     else {
         panic!("solution_certs is not an array")
     };
-    texts[1] = Json::Str(bad.to_text());
-    std::fs::write(&path, entry.render()).unwrap();
-    match cache.lookup(&opts) {
-        Lookup::Rejected(why) => assert!(why.contains("solution certificate 1"), "{why}"),
-        other => panic!("mutated shared prefix must be rejected, got {other:?}"),
-    }
+    texts
+}
 
-    let fresh = enumerate_all_with(&opts, None, Some(&cache));
+/// The parsed links of a cache entry's `solution_certs` chain.
+fn chain_links(entry: &Json) -> Vec<Vec<ProofStep>> {
+    let certs = entry.get("solution_certs").and_then(Json::as_arr).expect("solution_certs");
+    certs.iter().map(|c| UnsatCertificate::from_text(c.as_str().unwrap()).unwrap().steps).collect()
+}
+
+/// Rewrites the `solution_certs` chain of the entry at `path` through `f`.
+fn tamper_chain(path: &PathBuf, f: impl Fn(&mut Vec<Vec<ProofStep>>)) {
+    let mut entry = read_entry(path);
+    let mut links = chain_links(&entry);
+    f(&mut links);
+    *chain_texts(&mut entry) = links.iter().map(|l| Json::Str(steps_to_text(l))).collect();
+    std::fs::write(path, entry.render()).unwrap();
+}
+
+/// A populated cache for `opts` in a fresh directory, and the baseline
+/// enumeration that filled it.
+fn populated(opts: &SynthOptions, tag: &str) -> (PathBuf, ResultCache, Vec<CcaSpec>) {
+    let dir = fresh_cache_dir(tag);
+    let cache = ResultCache::new(&dir).unwrap();
+    let baseline = enumerate_all_with(opts, None, Some(&cache));
+    assert!(baseline.stored, "first run must populate the cache");
+    (dir, cache, baseline.result.solutions)
+}
+
+/// The tampered entry is rejected with a reason containing `why`, and a
+/// fresh solve returns `solutions` and repairs the entry.
+fn rejected_then_repaired(
+    opts: &SynthOptions,
+    cache: &ResultCache,
+    solutions: &[CcaSpec],
+    why: &str,
+) {
+    match cache.lookup(opts) {
+        Lookup::Rejected(reason) => assert!(reason.contains(why), "{reason}"),
+        other => panic!("tampered entry must be rejected ({why}), got {other:?}"),
+    }
+    let fresh = enumerate_all_with(opts, None, Some(cache));
     assert!(!fresh.from_cache, "rejected entry must not be used");
-    assert!(fresh.cache_rejected.is_some());
-    assert_eq!(fresh.result.solutions, baseline.result.solutions, "fresh solve must be correct");
+    assert!(fresh.cache_rejected.is_some(), "rejection reason must be surfaced");
+    assert_eq!(fresh.result.solutions, solutions, "fresh solve must be correct");
     assert!(fresh.stored, "fresh solve must repair the entry");
-    assert!(matches!(cache.lookup(&opts), Lookup::Hit(_)), "repaired entry must validate");
+    assert!(matches!(cache.lookup(opts), Lookup::Hit(_)), "repaired entry must validate");
+}
+
+/// `tiny_base` at a loose delay bound, so the space has several solutions
+/// and the chain several links.
+fn several_solutions() -> SynthOptions {
+    let mut opts = tiny_base();
+    opts.thresholds.delay = int(8);
+    opts
+}
+
+#[test]
+fn corrupted_certificate_is_rejected_and_resolved_fresh() {
+    let opts = tiny_base();
+    let (dir, cache, solutions) = populated(&opts, "corrupt");
+    // Drop the certificate's final step: it still parses, but the checker
+    // no longer finds an empty-clause derivation.
+    tamper_entry(&cache.entry_path(&opts), "exhaustion_cert", |cert| {
+        let t = cert.trim_end();
+        t[..t.rfind('\n').expect("multi-step certificate")].to_string()
+    });
+    rejected_then_repaired(&opts, &cache, &solutions, "exhaustion certificate rejected");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn solution_certificate_mutated_inside_its_shared_prefix_is_rejected_and_repaired() {
+    let opts = several_solutions();
+    let (dir, cache, solutions) = populated(&opts, "prefix");
+    assert!(solutions.len() >= 3, "the chain needs a link that later certificates share");
+
+    // The chain stores each step of the verifier's log once, and
+    // validation replays each once.
+    let path = cache.entry_path(&opts);
+    let entry = read_entry(&path);
+    let links = chain_links(&entry);
+    assert_eq!(links.len(), solutions.len());
+    assert!(links.iter().all(|l| !l.is_empty()));
+    let exhaustion = entry.get("exhaustion_cert").and_then(Json::as_str).unwrap();
+    let exhaustion_len = UnsatCertificate::from_text(exhaustion).unwrap().steps.len();
+    let Lookup::Hit(hit) = cache.lookup(&opts) else { panic!("fresh entry must validate") };
+    let chain_len: usize = links.iter().map(Vec::len).sum();
+    assert_eq!(hit.steps_replayed, (chain_len + exhaustion_len) as u64);
+    assert_eq!(hit.certs_checked, solutions.len() as u64 + 1);
+
+    // Perturb a Farkas coefficient in link 1: the prefix that every later
+    // certificate shares with certificate 1.
+    tamper_chain(&path, |links| {
+        let step = links[1]
+            .iter_mut()
+            .find(|s| matches!(s, ProofStep::Theory { .. }))
+            .expect("link 1 holds theory lemmas");
+        let ProofStep::Theory { farkas, .. } = step else { unreachable!() };
+        farkas[0].1 = &farkas[0].1 + &int(7);
+    });
+    rejected_then_repaired(&opts, &cache, &solutions, "solution certificate 1 rejected");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn chain_link_failing_its_end_test_is_rejected_and_repaired() {
+    let opts = several_solutions();
+    let (dir, cache, solutions) = populated(&opts, "endtest");
+    // Move link 0's last step (its empty clause) to the front of link 1:
+    // the log is unchanged, but certificate 0 now refutes nothing.
+    tamper_chain(&cache.entry_path(&opts), |links| {
+        let last = links[0].pop().unwrap();
+        links[1].insert(0, last);
+    });
+    rejected_then_repaired(&opts, &cache, &solutions, "solution certificate 0 rejected");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn empty_chain_link_is_rejected_and_repaired() {
+    let opts = several_solutions();
+    let (dir, cache, solutions) = populated(&opts, "emptylink");
+    // Fold link 1 into link 0: certificate 0 becomes certificate 1, which
+    // checks, and link 1 is empty.
+    tamper_chain(&cache.entry_path(&opts), |links| {
+        let moved = std::mem::take(&mut links[1]);
+        links[0].extend(moved);
+    });
+    rejected_then_repaired(&opts, &cache, &solutions, "solution certificate 1 is an empty link");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reordered_chain_links_are_rejected_and_repaired() {
+    let opts = several_solutions();
+    let (dir, cache, solutions) = populated(&opts, "reorder");
+    tamper_chain(&cache.entry_path(&opts), |links| links.swap(0, 1));
+    rejected_then_repaired(&opts, &cache, &solutions, "solution certificate 0 rejected");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn whole_certificate_entry_format_is_rejected_and_repaired() {
+    let opts = several_solutions();
+    let (dir, cache, solutions) = populated(&opts, "v1format");
+    // The previous entry format stored every solution certificate whole:
+    // element k held certificate k − 1's steps again. Even under this
+    // engine's canonical string, certificate 1 then re-adds certificate
+    // 0's clause ids.
+    tamper_chain(&cache.entry_path(&opts), |links| {
+        for k in 1..links.len() {
+            let earlier = links[k - 1].clone();
+            links[k].splice(0..0, earlier);
+        }
+    });
+    rejected_then_repaired(&opts, &cache, &solutions, "solution certificate 1 rejected");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn stale_engine_version_is_rejected_and_resolved_fresh() {
     let opts = tiny_base();
-    let dir = fresh_cache_dir("stale");
-    let cache = ResultCache::new(&dir).unwrap();
-    let baseline = enumerate_all_with(&opts, None, Some(&cache));
-    assert!(baseline.stored);
-
+    let (dir, cache, solutions) = populated(&opts, "stale");
     // Pretend the entry came from an older engine: the canonical string no
     // longer matches, so the answer is not about *this* engine's problem.
-    let path = cache.entry_path(&opts);
-    tamper_entry(&path, "canonical", |c| c.replace("ccmatic-engine-v1", "ccmatic-engine-v0"));
-    assert!(matches!(cache.lookup(&opts), Lookup::Rejected(_)));
-
-    let fresh = enumerate_all_with(&opts, None, Some(&cache));
-    assert!(!fresh.from_cache);
-    assert_eq!(fresh.result.solutions, baseline.result.solutions);
+    tamper_entry(&cache.entry_path(&opts), "canonical", |c| {
+        c.replace("ccmatic-engine-v2", "ccmatic-engine-v1")
+    });
+    rejected_then_repaired(&opts, &cache, &solutions, "canonical mismatch");
     let _ = std::fs::remove_dir_all(&dir);
 }

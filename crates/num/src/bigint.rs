@@ -21,6 +21,11 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Rem, Sub, SubAssign};
 
+/// Number of decimal digits of `v` (1 for zero).
+fn decimal_digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
 /// Internal representation. `Small` covers the full `i64` range including
 /// zero; `Big` is reserved for values strictly outside it.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -447,6 +452,28 @@ impl BigInt {
         }
     }
 
+    /// Length in bytes of the value's decimal [`Display`](fmt::Display)
+    /// text, sign included, computed without building the text.
+    pub fn display_len(&self) -> usize {
+        match &self.0 {
+            Repr::Small(v) => usize::from(*v < 0) + decimal_digits(v.unsigned_abs()),
+            Repr::Big { sign, mag } => {
+                // The Display chunks: the top one unpadded, the rest 19 digits.
+                const CHUNK: u64 = 10_000_000_000_000_000_000;
+                let mut mag = mag.clone();
+                let mut len = usize::from(*sign < 0);
+                loop {
+                    let (q, r) = BigInt::divmod_small(&mag, CHUNK);
+                    if q.is_empty() {
+                        return len + decimal_digits(r);
+                    }
+                    len += 19;
+                    mag = q;
+                }
+            }
+        }
+    }
+
     /// Number of bits in the magnitude (0 for zero).
     pub fn bits(&self) -> usize {
         match &self.0 {
@@ -467,6 +494,11 @@ impl BigInt {
         };
         if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
             return None;
+        }
+        // Up to 18 digits is below 10^18 < 2^63: a machine word.
+        if digits.len() <= 18 {
+            let v = digits.bytes().fold(0i64, |v, b| v * 10 + i64::from(b - b'0'));
+            return Some(BigInt::from(if sign < 0 { -v } else { v }));
         }
         let mut mag: Vec<u64> = Vec::new();
         for b in digits.bytes() {
@@ -781,6 +813,23 @@ mod tests {
     /// True iff the value uses the inline representation.
     fn is_small(v: &BigInt) -> bool {
         matches!(v.0, Repr::Small(_))
+    }
+
+    #[test]
+    fn display_len_and_from_decimal_agree_with_display() {
+        let ten19 = BigInt::from_decimal("10000000000000000000").unwrap();
+        let mut values = vec![bi(0), bi(7), bi(-9), bi(10), bi(-10), bi(i64::MAX), bi(i64::MIN)];
+        values.extend([bi(999_999_999_999_999_999), bi(-1_000_000_000_000_000_000)]);
+        for v in [&ten19 - &bi(1), ten19.clone(), &ten19 * &ten19, &(&ten19 * &ten19) - &bi(1)] {
+            values.push(-&v);
+            values.push(v);
+        }
+        for v in &values {
+            assert_eq!(v.display_len(), v.to_string().len(), "{v}");
+            assert_eq!(BigInt::from_decimal(&v.to_string()).as_ref(), Some(v), "{v}");
+        }
+        assert_eq!(BigInt::from_decimal("-0"), Some(bi(0)));
+        assert_eq!(BigInt::from_decimal("000000000000000000007"), Some(bi(7)));
     }
 
     #[test]

@@ -179,6 +179,16 @@ impl Rat {
         }
     }
 
+    /// Length in bytes of the value's [`Display`](fmt::Display) text
+    /// (`n` or `n/d`), computed without building the text.
+    pub fn display_len(&self) -> usize {
+        if self.is_integer() {
+            self.num.display_len()
+        } else {
+            self.num.display_len() + 1 + self.den.display_len()
+        }
+    }
+
     /// Largest integer ≤ self, as a `BigInt`.
     pub fn floor(&self) -> BigInt {
         let (q, r) = self.num.divmod(&self.den);

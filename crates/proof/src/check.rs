@@ -1,14 +1,16 @@
 //! Independent certificate replay: RUP propagation over the live clause set
-//! plus exact-rational Farkas summation for theory lemmas, resumable across
-//! certificates that extend one another.
+//! plus Farkas summation for theory lemmas, over one append-only log whose
+//! prefixes are the certificates.
 
 use crate::{ProofStep, UnsatCertificate};
-use ccmatic_num::{DeltaRat, Rat};
+use ccmatic_num::{gcd_u64, DeltaRat, Rat};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::Range;
 
 /// Counters from a successful replay. They describe the whole certificate,
-/// whether its steps were replayed now or resumed from an accepted prefix.
+/// whether its steps were applied for it or for a shorter certificate of
+/// the same log.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CertStats {
     /// Steps in the certificate.
@@ -90,10 +92,15 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-struct AtomDef {
-    expr: Vec<(u32, Rat)>,
-    bound: Rat,
-    strict: bool,
+/// A variable's atom definition in the log.
+#[derive(Clone, Copy)]
+struct AtomRef {
+    /// Index of the `Atom` step.
+    step: usize,
+    /// The lcm of the denominators of the atom's coefficients and bound:
+    /// the factor that makes its row integral. Zero if it does not fit an
+    /// `i64`.
+    scale: i64,
 }
 
 struct ClauseRec {
@@ -105,7 +112,9 @@ struct ClauseRec {
 
 #[derive(Default)]
 struct Checker {
-    atoms: HashMap<u32, AtomDef>,
+    /// SAT variable → its latest `Atom` step. The definition is read from
+    /// the log, not copied.
+    atoms: Vec<Option<AtomRef>>,
     slots: Vec<Option<ClauseRec>>,
     /// Clause id → slot. Entries persist after deletion (slot becomes `None`)
     /// so duplicate ids are still caught.
@@ -122,6 +131,11 @@ struct Checker {
     assign: Vec<i8>,
     /// Assigned literals in order, for propagation and undo.
     trail: Vec<u32>,
+    /// Farkas scratch: real variable → integer coefficient sum (zero
+    /// between checks).
+    farkas_acc: Vec<i128>,
+    /// Real variables whose `farkas_acc` entry the current check set.
+    farkas_touched: Vec<u32>,
     stats: CertStats,
 }
 
@@ -306,26 +320,194 @@ impl Checker {
         conflict
     }
 
+    /// The replay loop: applies `log[range]` in order.
+    fn replay(&mut self, log: &[ProofStep], range: Range<usize>) -> Result<(), CheckError> {
+        range.into_iter().try_for_each(|i| self.apply(log, i))
+    }
+
+    /// Applies step `i` of `log` to the checker state.
+    fn apply(&mut self, log: &[ProofStep], i: usize) -> Result<(), CheckError> {
+        let step = &log[i];
+        self.stats.steps += 1;
+        self.stats.bytes += step.byte_len();
+        match step {
+            ProofStep::Atom { var, expr, bound, .. } => {
+                let v = *var as usize;
+                if v >= self.atoms.len() {
+                    self.atoms.resize(v + 1, None);
+                }
+                let scale = expr
+                    .iter()
+                    .map(|(_, c)| c)
+                    .chain([bound])
+                    .try_fold(1, |scale, r| lcm(scale, r.denom().to_i64()?))
+                    .unwrap_or(0);
+                self.atoms[v] = Some(AtomRef { step: i, scale });
+            }
+            ProofStep::Input { id, lits } => self.add_clause(*id, lits)?,
+            ProofStep::Rup { id, lits } => {
+                if !self.rup_holds(lits) {
+                    return Err(CheckError::RupFailed(*id));
+                }
+                self.stats.rup_checked += 1;
+                self.add_clause(*id, lits)?;
+            }
+            ProofStep::Theory { id, lits, farkas } => {
+                self.check_farkas(log, *id, lits, farkas)?;
+                self.stats.theory_checked += 1;
+                self.add_clause(*id, lits)?;
+            }
+            ProofStep::Delete { id } => self.delete(*id)?,
+        }
+        Ok(())
+    }
+
+    /// The end-of-certificate test: a live verified empty clause.
+    fn finish(&self) -> Result<CertStats, CheckError> {
+        if self.empties == 0 {
+            return Err(CheckError::NoEmptyClause);
+        }
+        Ok(self.stats)
+    }
+
+    /// Checks Farkas literal `l` with coefficient `lam` of lemma `id` —
+    /// positive, in the clause, over a defined atom — and returns that
+    /// atom. Both summations run these checks in literal order, so they
+    /// reject with the same error.
+    fn farkas_atom(&self, id: u64, lits: &[u32], l: u32, lam: &Rat) -> Result<AtomRef, CheckError> {
+        if !lam.is_positive() {
+            return Err(CheckError::NonPositiveFarkas(id));
+        }
+        if !lits.contains(&l) {
+            return Err(CheckError::FarkasLitNotInClause { id, lit: l });
+        }
+        let var = l >> 1;
+        match self.atoms.get(var as usize) {
+            Some(&Some(atom)) => Ok(atom),
+            _ => Err(CheckError::UnknownAtom { id, var }),
+        }
+    }
+
     /// Verifies the Farkas combination for theory lemma `id`: the weighted
     /// sum of the constraints asserted by the *negations* of the Farkas
     /// literals must cancel every variable and leave a negative constant
     /// (strict bounds contribute an infinitesimal −δ).
-    fn check_farkas(&self, id: u64, lits: &[u32], farkas: &[(u32, Rat)]) -> Result<(), CheckError> {
+    ///
+    /// The sum runs in checked machine words ([`Checker::word_sum`]) and
+    /// reruns in exact rationals ([`Checker::farkas_exact`]) when a scaled
+    /// multiplier or row entry does not fit a word or a sum overflows.
+    fn check_farkas(
+        &mut self,
+        log: &[ProofStep],
+        id: u64,
+        lits: &[u32],
+        farkas: &[(u32, Rat)],
+    ) -> Result<(), CheckError> {
         if farkas.is_empty() {
             return Err(CheckError::EmptyFarkas(id));
         }
+        match self.farkas_words(log, id, lits, farkas) {
+            Some(verdict) => verdict,
+            None => self.farkas_exact(log, id, lits, farkas),
+        }
+    }
+
+    /// [`Checker::word_sum`], leaving the scratch clean.
+    fn farkas_words(
+        &mut self,
+        log: &[ProofStep],
+        id: u64,
+        lits: &[u32],
+        farkas: &[(u32, Rat)],
+    ) -> Option<Result<(), CheckError>> {
+        let verdict = self.word_sum(log, id, lits, farkas);
+        for &v in &self.farkas_touched {
+            self.farkas_acc[v as usize] = 0;
+        }
+        self.farkas_touched.clear();
+        verdict
+    }
+
+    /// The Farkas sum in integers. Each atom's row times its scale `Dₐ`
+    /// is integral, and `λ·row = (λ/Dₐ)·(Dₐ·row)`; multiplying every term
+    /// by the lcm `L` of the denominators of the `λ/Dₐ` makes each
+    /// multiplier an integer, and scaling by `L > 0` keeps which variables
+    /// cancel and the constant's sign. Multipliers and integral rows must
+    /// fit an `i64`; their products are exact in `i128` and sums are
+    /// checked. `None` when that fails, leaving the verdict to the exact
+    /// path. Leaves its sums in `farkas_acc` for the caller to clear.
+    fn word_sum(
+        &mut self,
+        log: &[ProofStep],
+        id: u64,
+        lits: &[u32],
+        farkas: &[(u32, Rat)],
+    ) -> Option<Result<(), CheckError>> {
+        let mut scale = 1i64;
+        for (l, lam) in farkas {
+            let atom = match self.farkas_atom(id, lits, *l, lam) {
+                Ok(atom) => atom,
+                Err(e) => return Some(Err(e)),
+            };
+            let den = lam.denom().to_i64()?.checked_mul(atom.scale).filter(|&d| d > 0)?;
+            scale = lcm(scale, den)?;
+        }
+        // The constant `real + delta·δ`.
+        let (mut real, mut delta) = (0i128, 0i128);
+        for (l, lam) in farkas {
+            let atom = self.atoms[(l >> 1) as usize].expect("checked above");
+            let ProofStep::Atom { expr, bound, strict, .. } = &log[atom.step] else {
+                unreachable!("atoms index Atom steps")
+            };
+            // `λ/Dₐ` times `L`, an integer.
+            let den = lam.denom().to_i64()? * atom.scale;
+            let lam = i128::from(lam.numer().to_i64()?.checked_mul(scale / den)?);
+            let bound = i128::from(integral(bound, atom.scale)?);
+            // Odd `l`: bound − expr ≥ 0, −δ if strict. Even `l`:
+            // expr − bound ≥ 0, −δ if not strict (see `farkas_exact`).
+            let held = l & 1 == 1;
+            real = real.checked_add(if held { lam * bound } else { -(lam * bound) })?;
+            if held == *strict {
+                delta = delta.checked_sub(lam)?;
+            }
+            for (v, c) in expr {
+                let add = lam * i128::from(integral(c, atom.scale)?);
+                let v = *v as usize;
+                if v >= self.farkas_acc.len() {
+                    self.farkas_acc.resize(v + 1, 0);
+                }
+                let acc = &mut self.farkas_acc[v];
+                if *acc == 0 {
+                    self.farkas_touched.push(v as u32);
+                }
+                *acc = acc.checked_add(if held { -add } else { add })?;
+            }
+        }
+        // The smallest uncancelled variable, as the exact path names it.
+        let acc = &self.farkas_acc;
+        if let Some(&var) = self.farkas_touched.iter().filter(|&&v| acc[v as usize] != 0).min() {
+            return Some(Err(CheckError::FarkasVarsDontCancel { id, var }));
+        }
+        if (real, delta) >= (0, 0) {
+            return Some(Err(CheckError::FarkasNotNegative(id)));
+        }
+        Some(Ok(()))
+    }
+
+    /// The Farkas sum in exact `DeltaRat` arithmetic.
+    fn farkas_exact(
+        &self,
+        log: &[ProofStep],
+        id: u64,
+        lits: &[u32],
+        farkas: &[(u32, Rat)],
+    ) -> Result<(), CheckError> {
         let mut vars: HashMap<u32, Rat> = HashMap::new();
         let mut konst = DeltaRat::zero();
         for (l, lam) in farkas {
-            if !lam.is_positive() {
-                return Err(CheckError::NonPositiveFarkas(id));
-            }
-            if !lits.contains(l) {
-                return Err(CheckError::FarkasLitNotInClause { id, lit: *l });
-            }
-            let var = l >> 1;
-            let Some(def) = self.atoms.get(&var) else {
-                return Err(CheckError::UnknownAtom { id, var });
+            let atom = self.farkas_atom(id, lits, *l, lam)?;
+            let ProofStep::Atom { expr, bound, strict, .. } = &log[atom.step] else {
+                unreachable!("atoms index Atom steps")
             };
             // The clause literal `l` is the negation of what was asserted.
             // Odd `l` (¬v in the clause) ⇒ the atom held: expr ≤ bound
@@ -334,14 +516,14 @@ impl Checker {
             // expr ≥ bound when the atom is strict, expr > bound otherwise,
             // i.e. g = expr − bound ≥ 0 with −δ if the atom is non-strict.
             let (negate_expr, gc) = if l & 1 == 1 {
-                let delta = if def.strict { -&Rat::one() } else { Rat::zero() };
-                (true, DeltaRat::new(def.bound.clone(), delta))
+                let delta = if *strict { -&Rat::one() } else { Rat::zero() };
+                (true, DeltaRat::new(bound.clone(), delta))
             } else {
-                let delta = if def.strict { Rat::zero() } else { -&Rat::one() };
-                (false, DeltaRat::new(-&def.bound, delta))
+                let delta = if *strict { Rat::zero() } else { -&Rat::one() };
+                (false, DeltaRat::new(-bound, delta))
             };
             konst = &konst + &gc.scale(lam);
-            for (v, c) in &def.expr {
+            for (v, c) in expr {
                 let mut add = lam * c;
                 if negate_expr {
                     add = -add;
@@ -361,26 +543,42 @@ impl Checker {
     }
 }
 
-/// Replays a certificate from scratch. Returns replay counters on success;
-/// the first invalid step otherwise.
-pub fn check(cert: &UnsatCertificate) -> Result<CertStats, CheckError> {
-    Replayer::new().check(cert)
+/// `lcm(a, b)` for positive `a` and `b`, if it fits an `i64`.
+fn lcm(a: i64, b: i64) -> Option<i64> {
+    (a / gcd_u64(a as u64, b as u64) as i64).checked_mul(b)
 }
 
-/// A checker that resumes from the last certificate it accepted.
+/// `r·scale` for a `scale` its denominator divides, if it fits an `i64`.
+fn integral(r: &Rat, scale: i64) -> Option<i64> {
+    r.numer().to_i64()?.checked_mul(scale / r.denom().to_i64()?)
+}
+
+/// Replays a standalone certificate from scratch. Returns replay counters
+/// on success; the first invalid step otherwise.
+pub fn check(cert: &UnsatCertificate) -> Result<CertStats, CheckError> {
+    let mut ck = Checker::default();
+    ck.replay(&cert.steps, 0..cert.steps.len())?;
+    ck.finish()
+}
+
+/// An append-only proof log and the checker state after a prefix of it.
 ///
-/// It holds the checker state after the steps it has accepted and the steps
-/// themselves. [`Replayer::check`] resumes only when those steps equal the
-/// start of the new certificate, compared step by step; otherwise it starts
-/// from an empty checker. Either way it then replays the rest and applies
-/// the end-of-certificate test. A rejection resets the replayer, so a bad
-/// certificate leaves no state behind.
+/// A solver that logs its whole life into one log hands out certificates
+/// that are prefixes of it. The replayer holds that log itself: callers
+/// [`Replayer::append`] the steps the solver's sink hands over, and a
+/// certificate is a length into the log. [`Replayer::check_prefix`]
+/// applies only the steps past the longest prefix checked so far, then
+/// runs the end-of-certificate test. Nothing is compared: the prefix the
+/// checker state describes is, by construction, the start of the log.
 #[derive(Default)]
 pub struct Replayer {
     ck: Checker,
-    /// The steps `ck` has replayed, in order.
-    accepted: Vec<ProofStep>,
-    /// Steps executed over this replayer's life, rejected replays included.
+    log: Vec<ProofStep>,
+    /// Steps of `log` applied to `ck` (or consumed by a rejection).
+    applied: usize,
+    /// The first step rejection: it is in every longer prefix too.
+    failed: Option<CheckError>,
+    /// Steps executed over this replayer's life.
     replayed: u64,
 }
 
@@ -390,24 +588,38 @@ impl Replayer {
         Self::default()
     }
 
-    /// Checks `cert`, replaying only the steps past the accepted prefix it
-    /// shares. The verdict and counters equal [`check`]'s on the same
-    /// certificate.
-    pub fn check(&mut self, cert: &UnsatCertificate) -> Result<CertStats, CheckError> {
-        if !cert.steps.starts_with(&self.accepted) {
-            self.reset();
+    /// Appends `steps` to the log.
+    pub fn append(&mut self, steps: Vec<ProofStep>) {
+        self.log.extend(steps);
+    }
+
+    /// The log: every step appended so far, in order.
+    pub fn log(&self) -> &[ProofStep] {
+        &self.log
+    }
+
+    /// Checks the certificate made of the log's first `len` steps,
+    /// applying only the steps past those already applied. The verdict and
+    /// counters equal [`check`]'s on that prefix.
+    ///
+    /// # Panics
+    /// Panics if `len` exceeds the log or is shorter than a prefix checked
+    /// before: the state of a longer prefix cannot be rolled back.
+    pub fn check_prefix(&mut self, len: usize) -> Result<CertStats, CheckError> {
+        assert!(len <= self.log.len(), "certificate length {len} past the log's end");
+        assert!(len >= self.applied, "certificate length {len} below a checked prefix");
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
         }
-        let start = self.accepted.len();
-        match self.replay(&cert.steps[start..]) {
-            Ok(stats) => {
-                self.accepted.extend_from_slice(&cert.steps[start..]);
-                Ok(stats)
-            }
-            Err(e) => {
-                self.reset();
-                Err(e)
-            }
+        let steps0 = self.ck.stats.steps;
+        let replayed = self.ck.replay(&self.log, self.applied..len);
+        self.replayed += (self.ck.stats.steps - steps0) as u64;
+        self.applied = len;
+        if let Err(e) = replayed {
+            self.failed = Some(e.clone());
+            return Err(e);
         }
+        self.ck.finish()
     }
 
     /// Steps the checker has executed over this replayer's life: a
@@ -415,46 +627,105 @@ impl Replayer {
     pub fn steps_replayed(&self) -> u64 {
         self.replayed
     }
+}
 
-    /// Drops the checker state and the accepted steps.
-    fn reset(&mut self) {
-        *self = Replayer { replayed: self.replayed, ..Replayer::default() };
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ccmatic_num::{int, BigInt, SmallRng};
+
+    /// A coefficient: a small integer, an integer near 2^62, a fraction,
+    /// or a fraction whose denominator is near or past 2^63.
+    fn coeff(rng: &mut SmallRng, kind: usize) -> Rat {
+        let v = rng.gen_range_i64(-3, 4);
+        match kind {
+            0 => int(v),
+            1 => &int(v) * &int(1 << 62),
+            2 => Rat::new(BigInt::from(v), BigInt::from(rng.gen_range_i64(1, 5))),
+            _ => Rat::new(
+                BigInt::from(v),
+                &BigInt::from(rng.gen_range_i64(1, 5)) * &BigInt::from(1i64 << 62),
+            ),
+        }
     }
 
-    /// The replay loop: applies `steps` to the checker state, then the
-    /// end-of-certificate test.
-    fn replay(&mut self, steps: &[ProofStep]) -> Result<CertStats, CheckError> {
-        let ck = &mut self.ck;
-        for step in steps {
-            self.replayed += 1;
-            ck.stats.steps += 1;
-            ck.stats.bytes += step.byte_len();
-            match step {
-                ProofStep::Atom { var, expr, bound, strict } => {
-                    ck.atoms.insert(
-                        *var,
-                        AtomDef { expr: expr.clone(), bound: bound.clone(), strict: *strict },
-                    );
+    /// A positive Farkas multiplier.
+    fn lambda(rng: &mut SmallRng, kind: usize) -> Rat {
+        let v = rng.gen_range_i64(1, 6);
+        match kind {
+            0 => int(v),
+            1 => &int(v) * &int(1 << 61),
+            _ => Rat::new(BigInt::from(v), BigInt::from(rng.gen_range_i64(1, 7))),
+        }
+    }
+
+    /// Random lemmas over small, huge and fractional data, most built to
+    /// cancel, some with a bad multiplier, literal or atom: the word sum,
+    /// when it answers, gives the exact sum's verdict, and `check_farkas`
+    /// always does.
+    #[test]
+    fn word_farkas_agrees_with_the_exact_sum() {
+        let mut rng = SmallRng::seed_from_u64(0xFA4C);
+        let (mut answered, mut accepted, mut uncancelled, mut nonnegative) = (0, 0, 0, 0);
+        let rounds = 3_000;
+        for round in 0..rounds {
+            let (kind, lam_kind) = (round % 4, rng.gen_range_usize(0, 3));
+            let k = rng.gen_range_usize(1, 4);
+            let mut log = Vec::new();
+            let (mut lits, mut farkas) = (Vec::new(), Vec::new());
+            // Σ ±λ·expr over the literals so far, per real variable.
+            let mut sum = vec![Rat::zero(); 3];
+            for var in 0..=k as u32 {
+                let held = rng.gen_bool(0.5);
+                let lam =
+                    if var as usize == k && kind < 2 { int(1) } else { lambda(&mut rng, lam_kind) };
+                let sign = if held { -&lam } else { lam.clone() };
+                let expr: Vec<(u32, Rat)> = if var as usize == k && !rng.gen_bool(0.2) {
+                    // Closing atom: cancels the sum so far.
+                    (0..3u32).map(|v| (v, -&(&sum[v as usize] / &sign))).collect()
+                } else {
+                    (0..3u32).map(|v| (v, coeff(&mut rng, kind))).collect()
+                };
+                for (v, c) in &expr {
+                    sum[*v as usize] += &(&sign * c);
                 }
-                ProofStep::Input { id, lits } => ck.add_clause(*id, lits)?,
-                ProofStep::Rup { id, lits } => {
-                    if !ck.rup_holds(lits) {
-                        return Err(CheckError::RupFailed(*id));
-                    }
-                    ck.stats.rup_checked += 1;
-                    ck.add_clause(*id, lits)?;
-                }
-                ProofStep::Theory { id, lits, farkas } => {
-                    ck.check_farkas(*id, lits, farkas)?;
-                    ck.stats.theory_checked += 1;
-                    ck.add_clause(*id, lits)?;
-                }
-                ProofStep::Delete { id } => ck.delete(*id)?,
+                let bound =
+                    if kind >= 2 { coeff(&mut rng, kind) } else { int(rng.gen_range_i64(-5, 6)) };
+                log.push(ProofStep::Atom { var, expr, bound, strict: rng.gen_bool(0.5) });
+                let l = var << 1 | u32::from(held);
+                lits.push(l);
+                farkas.push((l, lam));
             }
+            match rng.gen_range_usize(0, 20) {
+                0 => farkas[0].1 = -&farkas[0].1,
+                1 => {
+                    lits.remove(0);
+                }
+                2 => {
+                    let unknown = (k as u32 + 1) << 1;
+                    lits.push(unknown);
+                    farkas.push((unknown, int(1)));
+                }
+                _ => {}
+            }
+            let mut ck = Checker::default();
+            ck.replay(&log, 0..log.len()).expect("atom steps apply");
+            let exact = ck.farkas_exact(&log, 1, &lits, &farkas);
+            if let Some(words) = ck.farkas_words(&log, 1, &lits, &farkas) {
+                assert_eq!(words, exact, "round {round}");
+                answered += 1;
+                match words {
+                    Ok(()) => accepted += 1,
+                    Err(CheckError::FarkasVarsDontCancel { .. }) => uncancelled += 1,
+                    Err(CheckError::FarkasNotNegative(_)) => nonnegative += 1,
+                    Err(_) => {}
+                }
+            }
+            assert!(ck.farkas_acc.iter().all(|&a| a == 0), "round {round}: scratch left dirty");
+            assert_eq!(ck.check_farkas(&log, 1, &lits, &farkas), exact, "round {round}");
         }
-        if ck.empties == 0 {
-            return Err(CheckError::NoEmptyClause);
-        }
-        Ok(ck.stats)
+        assert!(answered > rounds / 5 && answered < rounds, "{answered} of {rounds} in words");
+        eprintln!("{answered} in words: {accepted} accepted, {uncancelled} uncancelled, {nonnegative} non-negative");
+        assert!(accepted > 50 && uncancelled > 50 && nonnegative > 50);
     }
 }

@@ -4,26 +4,29 @@
 //! DRAT-style clausal proof through the [`ProofSink`] trait: input clauses,
 //! learned clauses claimed derivable by reverse unit propagation (RUP),
 //! theory lemmas carrying Farkas coefficients, clause deletions, and atom
-//! definitions binding SAT variables to linear-arithmetic constraints. A
-//! snapshot of the log at the moment a solver reports UNSAT is an
-//! [`UnsatCertificate`].
+//! definitions binding SAT variables to linear-arithmetic constraints. The
+//! log up to the moment a solver reports UNSAT is an UNSAT certificate.
 //!
 //! [`check`] replays a certificate **independently**: this crate depends only
 //! on `ccmatic-num` and shares zero code with the solver. RUP steps are
 //! checked by unit propagation over the live clause set; theory lemmas by
-//! exact-rational Farkas summation (the weighted sum of the negated literals'
-//! constraints must cancel every variable and leave a negative constant). A
-//! certificate is accepted only if every derivation checks out and a verified
-//! empty clause is live at the end.
+//! Farkas summation (the weighted sum of the negated literals' constraints
+//! must cancel every variable and leave a negative constant), in checked
+//! machine words with an exact-rational rerun on overflow or a fractional
+//! coefficient. A certificate is accepted only if every derivation checks
+//! out and a verified empty clause is live at the end.
 //!
 //! A solver that keeps one proof log for its whole life (an incremental
-//! verifier) hands out certificates that are snapshots of that log, so each
-//! extends the one before. A [`Replayer`] keeps the checker state after a
-//! certificate it accepted and, when the next certificate starts with the
-//! same steps (compared step by step, never assumed), replays only the new
-//! suffix. Each step's outcome depends only on the steps before it, so the
-//! verdict and [`CertStats`] equal a replay from scratch; [`check`] is a
-//! fresh `Replayer`, so there is one replay loop.
+//! verifier) hands out certificates that are prefixes of that log, so each
+//! extends the one before. A [`Replayer`] holds such a log itself: the
+//! solver's [`MemorySink`] hands each logged step over once
+//! ([`ProofSink::take_steps`]), and a certificate is a length into the
+//! replayer's log ([`Replayer::check_prefix`]). The replayer applies each
+//! step once, in log order, and runs the end-of-certificate test at every
+//! length it is asked about. Each step's outcome depends only on the steps
+//! before it, so the verdict and [`CertStats`] equal a replay from scratch
+//! of the same prefix; [`check`] runs the same replay loop on a standalone
+//! [`UnsatCertificate`].
 //!
 //! Literals use the dense encoding `var << 1 | sign` (odd = negated). The
 //! encoding is re-stated here, not imported from the solver.
@@ -98,23 +101,40 @@ impl ProofStep {
         let _ = out.write_char('\n');
     }
 
-    /// Length of the step's text rendering in bytes, counted without
-    /// building the text.
+    /// Length of the step's text rendering in bytes: the sum of the digit
+    /// counts of its ids, literals and rationals and of its separators,
+    /// computed without rendering.
     pub fn byte_len(&self) -> u64 {
-        let mut count = ByteCount(0);
-        self.render(&mut count);
-        count.0
+        /// `" {x}"` for each `x`.
+        fn spaced(lits: &[u32]) -> usize {
+            lits.iter().map(|&l| 1 + digits(u64::from(l))).sum()
+        }
+        /// `" {l}:{c}"` for each `(l, c)`.
+        fn pairs(terms: &[(u32, Rat)]) -> usize {
+            terms.iter().map(|(l, c)| 2 + digits(u64::from(*l)) + c.display_len()).sum()
+        }
+        // Each line is a one-byte tag, a space, the first field and the
+        // closing newline: 3 bytes around the fields below.
+        let fields = match self {
+            ProofStep::Atom { var, expr, bound, .. } => {
+                // ` {strict} ` is three bytes.
+                digits(u64::from(*var)) + 3 + bound.display_len() + pairs(expr)
+            }
+            ProofStep::Input { id, lits } | ProofStep::Rup { id, lits } => {
+                digits(*id) + spaced(lits)
+            }
+            ProofStep::Theory { id, lits, farkas } => {
+                digits(*id) + spaced(lits) + 2 + pairs(farkas)
+            }
+            ProofStep::Delete { id } => digits(*id),
+        };
+        (3 + fields) as u64
     }
 }
 
-/// A `fmt::Write` that counts the bytes written to it and keeps none.
-struct ByteCount(u64);
-
-impl fmt::Write for ByteCount {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.0 += s.len() as u64;
-        Ok(())
-    }
+/// Number of decimal digits of `v`.
+fn digits(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// `steps` in the one-line-per-step text format: the text of a certificate
@@ -249,19 +269,27 @@ pub trait ProofSink {
     fn log_rup(&mut self, lits: Vec<u32>) -> u64;
     fn log_theory(&mut self, lits: Vec<u32>, farkas: Vec<(u32, Rat)>) -> u64;
     fn log_delete(&mut self, id: u64);
-    /// A copy of the full log so far, if this sink retains one. Solvers call
-    /// this at the moment they conclude UNSAT.
-    fn snapshot(&self) -> Option<UnsatCertificate> {
+    /// Steps logged so far, if this sink keeps them for
+    /// [`ProofSink::take_steps`]: a certificate taken now is the log's
+    /// first `position()` steps. Solvers call this at the moment they
+    /// conclude UNSAT.
+    fn position(&self) -> Option<usize> {
         None
+    }
+    /// Moves out the kept steps logged since the previous call, in order,
+    /// for the caller to append to the log it holds.
+    fn take_steps(&mut self) -> Vec<ProofStep> {
+        Vec::new()
     }
     fn stats(&self) -> ProofLogStats;
 }
 
-/// In-memory sink: retains every step so [`ProofSink::snapshot`] can produce
-/// an [`UnsatCertificate`].
+/// In-memory sink: keeps each step until [`ProofSink::take_steps`] moves it
+/// out, so a certificate is a position in the log, never a copy of it.
 #[derive(Debug, Default)]
 pub struct MemorySink {
-    steps: Vec<ProofStep>,
+    /// Steps logged since the last `take_steps`.
+    pending: Vec<ProofStep>,
     next_id: u64,
     stats: ProofLogStats,
 }
@@ -274,7 +302,7 @@ impl MemorySink {
     fn push(&mut self, step: ProofStep) {
         self.stats.steps += 1;
         self.stats.bytes += step.byte_len();
-        self.steps.push(step);
+        self.pending.push(step);
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -314,8 +342,12 @@ impl ProofSink for MemorySink {
         self.push(ProofStep::Delete { id });
     }
 
-    fn snapshot(&self) -> Option<UnsatCertificate> {
-        Some(UnsatCertificate { steps: self.steps.clone() })
+    fn position(&self) -> Option<usize> {
+        Some(self.stats.steps as usize)
+    }
+
+    fn take_steps(&mut self) -> Vec<ProofStep> {
+        std::mem::take(&mut self.pending)
     }
 
     fn stats(&self) -> ProofLogStats {
@@ -324,8 +356,8 @@ impl ProofSink for MemorySink {
 }
 
 /// Streaming sink: renders each step to a writer as it is logged, keeping
-/// memory bounded. Cannot produce snapshots (check the streamed file with an
-/// external replay instead).
+/// memory bounded. Keeps no steps, so it hands out no certificates (check
+/// the streamed file with an external replay instead).
 #[derive(Debug)]
 pub struct WriterSink<W: Write> {
     writer: W,

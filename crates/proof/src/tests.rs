@@ -1,5 +1,7 @@
-use crate::{check, CheckError, MemorySink, ProofSink, ProofStep, Replayer, UnsatCertificate};
-use ccmatic_num::{rat, Rat};
+use crate::{
+    check, steps_to_text, CheckError, MemorySink, ProofSink, ProofStep, Replayer, UnsatCertificate,
+};
+use ccmatic_num::{rat, BigInt, Rat, SmallRng};
 
 // Literal helpers mirroring the dense encoding: var << 1 | sign.
 fn p(v: u32) -> u32 {
@@ -168,7 +170,7 @@ fn rejects_empty_farkas_and_missing_empty_clause() {
 }
 
 #[test]
-fn replayer_resumes_on_extensions_and_restarts_otherwise() {
+fn replayer_applies_each_log_step_once_and_tests_every_prefix() {
     // A log that refutes, retracts its empty clause and refutes again.
     let first = sat_refutation();
     let mut second = first.clone();
@@ -176,33 +178,40 @@ fn replayer_resumes_on_extensions_and_restarts_otherwise() {
     second.steps.push(ProofStep::Rup { id: 7, lits: vec![] });
 
     let mut r = Replayer::new();
-    assert_eq!(r.check(&first), check(&first));
+    r.append(first.steps.clone());
+    assert_eq!(r.check_prefix(6), check(&first));
     assert_eq!(r.steps_replayed(), 6);
-    let stats = r.check(&second);
+    r.append(second.steps[6..].to_vec());
+    assert_eq!(r.log(), &second.steps[..]);
+    // The end test runs at every length asked about: with the empty
+    // clause deleted and no new one, the prefix refutes nothing.
+    assert_eq!(r.check_prefix(7), Err(CheckError::NoEmptyClause));
+    let stats = r.check_prefix(8);
     assert_eq!(stats, check(&second));
     assert_eq!(stats.unwrap().bytes, second.to_text().len() as u64);
-    assert_eq!(r.steps_replayed(), 8, "only the two new steps are replayed");
+    assert_eq!(r.steps_replayed(), 8, "each step is applied once");
 
-    // A certificate shorter than the accepted steps restarts from scratch.
-    assert_eq!(r.check(&first), check(&first));
-    assert_eq!(r.steps_replayed(), 14);
-
-    // A mutated prefix is not resumed from: it is replayed and rejected,
-    // and the rejection leaves nothing behind.
+    // A rejected step rejects its prefix and every longer one, without
+    // being applied again.
     let mut bad = second.clone();
     bad.steps.remove(0);
-    assert_eq!(r.check(&bad), Err(CheckError::RupFailed(5)));
-    assert_eq!(r.steps_replayed(), 14 + 4);
-    assert_eq!(r.check(&second), check(&second));
-    assert_eq!(r.steps_replayed(), 14 + 4 + 8);
-
-    // A suffix that deletes the empty clause and stops is rejected.
-    let mut open = first.clone();
-    open.steps.push(ProofStep::Delete { id: 6 });
     let mut r = Replayer::new();
-    r.check(&first).unwrap();
-    assert_eq!(r.check(&open), Err(CheckError::NoEmptyClause));
-    assert_eq!(r.steps_replayed(), 7);
+    r.append(bad.steps.clone());
+    let short = UnsatCertificate { steps: bad.steps[..5].to_vec() };
+    assert_eq!(r.check_prefix(5), check(&short));
+    assert_eq!(r.check_prefix(5), Err(CheckError::RupFailed(5)));
+    assert_eq!(r.steps_replayed(), 4, "replay stops at the rejected step");
+    assert_eq!(r.check_prefix(7), check(&bad));
+    assert_eq!(r.steps_replayed(), 4);
+}
+
+#[test]
+#[should_panic(expected = "below a checked prefix")]
+fn replayer_refuses_a_prefix_shorter_than_one_it_checked() {
+    let mut r = Replayer::new();
+    r.append(sat_refutation().steps);
+    r.check_prefix(6).unwrap();
+    let _ = r.check_prefix(5);
 }
 
 #[test]
@@ -211,6 +220,8 @@ fn memory_sink_roundtrip_and_stats() {
     let a = sink.log_input(vec![p(0), p(1)]);
     let b = sink.log_input(vec![n(0)]);
     sink.log_atom(1, vec![(0, rat(1, 1))], Rat::zero(), false);
+    assert_eq!(sink.position(), Some(3));
+    let head = sink.take_steps();
     let c = sink.log_rup(vec![p(1)]);
     sink.log_delete(a);
     assert_eq!((a, b, c), (1, 2, 3));
@@ -218,7 +229,10 @@ fn memory_sink_roundtrip_and_stats() {
     assert_eq!(stats.steps, 5);
     assert_eq!(stats.clauses, 3);
     assert_eq!(stats.deletions, 1);
-    let cert = sink.snapshot().unwrap();
+    // The position counts every step logged; each step is handed over once.
+    assert_eq!(sink.position(), Some(5));
+    let cert = UnsatCertificate { steps: [head, sink.take_steps()].concat() };
+    assert!(sink.take_steps().is_empty());
     assert_eq!(cert.steps.len(), 5);
     assert_eq!(stats.bytes, cert.to_text().len() as u64, "counted bytes equal the rendering");
     assert!(cert.to_text().lines().count() == 5);
@@ -236,8 +250,62 @@ fn writer_sink_streams_the_same_text() {
             sink.log_delete(1);
         }
         assert_eq!(mem.stats().bytes, w.stats().bytes);
+        assert_eq!(w.position(), None, "a streaming sink keeps no steps");
     }
-    assert_eq!(String::from_utf8(buf).unwrap(), mem.snapshot().unwrap().to_text());
+    assert_eq!(String::from_utf8(buf).unwrap(), steps_to_text(&mem.take_steps()));
+}
+
+/// A rational with a random sign, a numerator and denominator of up to
+/// `limbs` 64-bit limbs, and denominator 1 half the time.
+fn random_rat(rng: &mut SmallRng, limbs: usize) -> Rat {
+    let big = |rng: &mut SmallRng| {
+        let mut v = BigInt::from(rng.gen_range_i64(1, i64::MAX));
+        for _ in 1..rng.gen_range_usize(1, limbs + 1) {
+            v = &(&v * &BigInt::from(i64::MAX)) + &BigInt::from(rng.gen_range_i64(0, i64::MAX));
+        }
+        v
+    };
+    let num = if rng.gen_bool(0.1) { BigInt::zero() } else { big(rng) };
+    let num = if rng.gen_bool(0.5) { -num } else { num };
+    let den = if rng.gen_bool(0.5) { BigInt::one() } else { big(rng) };
+    Rat::new(num, den)
+}
+
+#[test]
+fn byte_len_equals_the_rendered_length_on_random_steps() {
+    let mut rng = SmallRng::seed_from_u64(0xB17E);
+    let small = |rng: &mut SmallRng| match rng.gen_range_usize(0, 3) {
+        0 => rng.gen_range_i64(0, 10) as u32,
+        1 => rng.gen_range_i64(0, 100_000) as u32,
+        _ => rng.gen_range_i64(0, i64::from(u32::MAX) + 1) as u32,
+    };
+    for _ in 0..2_000 {
+        let limbs = rng.gen_range_usize(1, 4);
+        let id = if rng.gen_bool(0.5) {
+            rng.gen_range_i64(0, 1_000) as u64
+        } else {
+            rng.gen_range_i64(0, i64::MAX) as u64 * 2
+        };
+        let len = rng.gen_range_usize(0, 5);
+        let lits: Vec<u32> = (0..len).map(|_| small(&mut rng)).collect();
+        let terms: Vec<(u32, Rat)> =
+            (0..len).map(|_| (small(&mut rng), random_rat(&mut rng, limbs))).collect();
+        let step = match rng.gen_range_usize(0, 5) {
+            0 => ProofStep::Atom {
+                var: small(&mut rng),
+                expr: terms,
+                bound: random_rat(&mut rng, limbs),
+                strict: rng.gen_bool(0.5),
+            },
+            1 => ProofStep::Input { id, lits },
+            2 => ProofStep::Rup { id, lits },
+            3 => ProofStep::Theory { id, lits, farkas: terms },
+            _ => ProofStep::Delete { id },
+        };
+        let mut text = String::new();
+        step.render(&mut text);
+        assert_eq!(step.byte_len(), text.len() as u64, "{text}");
+    }
 }
 
 #[test]

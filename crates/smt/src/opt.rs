@@ -12,7 +12,6 @@ use crate::linexpr::LinExpr;
 use crate::solver::{Model, SatResult, Solver};
 use crate::term::Context;
 use ccmatic_num::Rat;
-use ccmatic_proof::UnsatCertificate;
 
 /// Parameters for [`maximize_scoped`].
 #[derive(Clone, Debug)]
@@ -31,9 +30,11 @@ pub struct MaximizeParams {
     /// [`MaximizeOutcome::Aborted`]; when it fires later, the best model
     /// found so far is returned (sound, possibly sub-maximal).
     pub interrupt: Interrupt,
-    /// Collect an UNSAT certificate from every infeasible probe. The
-    /// caller must have called [`Solver::enable_proofs`] before asserting
-    /// the base (snapshots are taken here, logging happens there).
+    /// Collect an UNSAT certificate from every infeasible probe, as a
+    /// length into the solver's proof log. The caller must have called
+    /// [`Solver::enable_proofs`] before asserting the base (positions are
+    /// taken here, logging happens there) and collects the logged steps
+    /// with [`Solver::take_proof_steps`].
     pub certify: bool,
 }
 
@@ -71,9 +72,10 @@ impl Default for MaximizeParams {
 pub enum MaximizeOutcome {
     /// `φ ∧ obj ≥ lo` is unsatisfiable.
     Infeasible {
-        /// Replayable refutation of `φ ∧ obj ≥ lo`, when
-        /// [`MaximizeParams::certify`] is on and proof logging is active.
-        certificate: Option<Box<UnsatCertificate>>,
+        /// Refutation of `φ ∧ obj ≥ lo` as a length into the solver's
+        /// proof log, when [`MaximizeParams::certify`] is on and proof
+        /// logging is active.
+        certificate: Option<usize>,
     },
     /// Best feasible objective value found (within `precision` of the
     /// supremum, unless the interrupt fired mid-search) and a witnessing
@@ -86,9 +88,10 @@ pub enum MaximizeOutcome {
         /// Number of solver probes used.
         probes: u32,
         /// Refutations of `φ ∧ obj ≥ mid` for every probe that tightened
-        /// the upper bracket, when [`MaximizeParams::certify`] is on: they
-        /// justify that the search stopped near the true supremum.
-        certificates: Vec<UnsatCertificate>,
+        /// the upper bracket, as increasing lengths into the solver's proof
+        /// log, when [`MaximizeParams::certify`] is on: they justify that
+        /// the search stopped near the true supremum.
+        certificates: Vec<usize>,
     },
     /// The interrupt fired before the first probe
     /// decided feasibility: no claim is made either way. Reporting this
@@ -100,7 +103,7 @@ pub enum MaximizeOutcome {
 /// Per-probe verdict.
 enum Probe {
     Sat(Model),
-    Unsat(Option<Box<UnsatCertificate>>),
+    Unsat(Option<usize>),
     Unknown,
 }
 
@@ -133,9 +136,8 @@ pub fn maximize_scoped(
         let obj_ge = ctx.ge(objective.clone(), LinExpr::constant(threshold.clone()));
         solver.assert(ctx, obj_ge);
         if params.certify {
-            // The snapshot must be taken before the pop: popping the probe
-            // scope deletes its clauses (including the empty clause) from
-            // the proof log.
+            // The certificate ends before the pop: popping the probe scope
+            // logs the deletion of its clauses (the empty clause included).
             let out = solver.check_certified(ctx);
             match out.result {
                 SatResult::Sat => {
@@ -145,7 +147,7 @@ pub fn maximize_scoped(
                 }
                 SatResult::Unsat => {
                     solver.pop();
-                    Probe::Unsat(out.certificate.map(Box::new))
+                    Probe::Unsat(out.certificate)
                 }
                 SatResult::Unknown => {
                     solver.pop();
@@ -187,7 +189,7 @@ pub fn maximize_scoped(
                     }
                     Probe::Unsat(cert) => {
                         hi = mid;
-                        certificates.extend(cert.map(|c| *c));
+                        certificates.extend(cert);
                     }
                     // Past the first probe a feasible witness is in hand;
                     // returning it early is sound (the trace is a real
@@ -219,6 +221,16 @@ mod tests {
         objective: &LinExpr,
         params: &MaximizeParams,
     ) -> MaximizeOutcome {
+        maximize_logged(ctx, base, objective, params).0
+    }
+
+    /// [`maximize_fresh`], plus the solver's proof log.
+    fn maximize_logged(
+        ctx: &mut Context,
+        base: Term,
+        objective: &LinExpr,
+        params: &MaximizeParams,
+    ) -> (MaximizeOutcome, Vec<ccmatic_proof::ProofStep>) {
         let mut solver = Solver::new();
         if params.certify {
             solver.enable_proofs();
@@ -226,7 +238,13 @@ mod tests {
         solver.assert(ctx, base);
         let out = maximize_scoped(ctx, &mut solver, objective, params);
         assert_eq!(solver.depth(), 0, "search must return the solver at its original depth");
-        out
+        (out, solver.take_proof_steps())
+    }
+
+    /// The certificate made of the first `len` steps of `log`.
+    #[cfg(feature = "proofs")]
+    fn prefix(log: &[ccmatic_proof::ProofStep], len: usize) -> ccmatic_proof::UnsatCertificate {
+        ccmatic_proof::UnsatCertificate { steps: log[..len].to_vec() }
     }
 
     #[test]
@@ -399,12 +417,13 @@ mod tests {
             certify: true,
             ..MaximizeParams::default()
         };
-        match maximize_fresh(&mut ctx, base, &LinExpr::var(x), &params) {
-            MaximizeOutcome::Feasible { value, certificates, .. } => {
+        match maximize_logged(&mut ctx, base, &LinExpr::var(x), &params) {
+            (MaximizeOutcome::Feasible { value, certificates, .. }, log) => {
                 assert!(value > rat(599, 100) && value <= int(6));
                 assert!(!certificates.is_empty(), "search must tighten the bracket");
-                for cert in &certificates {
-                    ccmatic_proof::check(cert).expect("scoped-probe certificate replays");
+                for &len in &certificates {
+                    ccmatic_proof::check(&prefix(&log, len))
+                        .expect("scoped-probe certificate replays");
                 }
             }
             other => panic!("unexpected outcome {other:?}"),
@@ -413,10 +432,11 @@ mod tests {
         // A bracket starting above the supremum is infeasible at the first
         // probe and must report a certificate on the spot.
         let params = MaximizeParams { lo: int(50), ..params };
-        match maximize_fresh(&mut ctx, base, &LinExpr::var(x), &params) {
-            MaximizeOutcome::Infeasible { certificate } => {
-                let cert = certificate.expect("certified infeasibility carries a proof");
-                ccmatic_proof::check(&cert).expect("infeasible-base certificate replays");
+        match maximize_logged(&mut ctx, base, &LinExpr::var(x), &params) {
+            (MaximizeOutcome::Infeasible { certificate }, log) => {
+                let len = certificate.expect("certified infeasibility carries a proof");
+                ccmatic_proof::check(&prefix(&log, len))
+                    .expect("infeasible-base certificate replays");
             }
             other => panic!("unexpected outcome {other:?}"),
         }

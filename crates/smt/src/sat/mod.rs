@@ -382,18 +382,30 @@ impl SatSolver {
     #[cfg(not(feature = "proofs"))]
     pub fn set_proof_sink(&mut self, _sink: Box<dyn ccmatic_proof::ProofSink + Send>) {}
 
-    /// A copy of the proof log so far, if a snapshot-capable sink is
-    /// installed. Meaningful as an UNSAT certificate when taken while
-    /// [`SatSolver::is_unsat`] holds.
+    /// The proof log's length so far, if a sink that keeps its steps is
+    /// installed: taken while [`SatSolver::is_unsat`] holds, the log's
+    /// first that many steps are an UNSAT certificate.
     #[cfg(feature = "proofs")]
-    pub fn proof_snapshot(&self) -> Option<ccmatic_proof::UnsatCertificate> {
-        self.sink.as_ref().and_then(|s| s.snapshot())
+    pub fn proof_position(&self) -> Option<usize> {
+        self.sink.as_ref().and_then(|s| s.position())
     }
 
     /// See the `proofs`-enabled variant.
     #[cfg(not(feature = "proofs"))]
-    pub fn proof_snapshot(&self) -> Option<ccmatic_proof::UnsatCertificate> {
+    pub fn proof_position(&self) -> Option<usize> {
         None
+    }
+
+    /// Moves the steps logged since the previous call out of the sink.
+    #[cfg(feature = "proofs")]
+    pub fn take_proof_steps(&mut self) -> Vec<ccmatic_proof::ProofStep> {
+        self.sink.as_mut().map(|s| s.take_steps()).unwrap_or_default()
+    }
+
+    /// See the `proofs`-enabled variant.
+    #[cfg(not(feature = "proofs"))]
+    pub fn take_proof_steps(&mut self) -> Vec<ccmatic_proof::ProofStep> {
+        Vec::new()
     }
 
     /// Proof-log counters, if logging is on.

@@ -638,16 +638,17 @@ impl Solver {
         }
     }
 
-    /// [`Solver::check`], plus evidence: `Unsat` verdicts carry a snapshot
-    /// of the proof log (when a snapshot-capable sink is attached — see
-    /// [`Solver::enable_proofs`]) for independent replay by
-    /// [`ccmatic_proof::check`], and `Sat` verdicts are audited by exact
-    /// rational evaluation of every asserted term under the model.
+    /// [`Solver::check`], plus evidence: `Unsat` verdicts carry the length
+    /// of the proof log at that moment (when a sink that keeps its steps
+    /// is attached — see [`Solver::enable_proofs`]): the log's first that
+    /// many steps refute the assertions, for independent replay by
+    /// `ccmatic_proof`. `Sat` verdicts are audited by exact rational
+    /// evaluation of every asserted term under the model.
     pub fn check_certified(&mut self, ctx: &Context) -> Certified {
         let result = self.check(ctx);
         match result {
             SatResult::Unsat => {
-                Certified { result, certificate: self.sat.proof_snapshot(), model_ok: None }
+                Certified { result, certificate: self.sat.proof_position(), model_ok: None }
             }
             SatResult::Sat => Certified {
                 result,
@@ -656,6 +657,14 @@ impl Solver {
             },
             SatResult::Unknown => Certified { result, certificate: None, model_ok: None },
         }
+    }
+
+    /// Moves the proof steps logged since the previous call out of the
+    /// solver, in order (none without a sink that keeps them). A caller
+    /// that appends every batch to one log holds the log that
+    /// certificate lengths index.
+    pub fn take_proof_steps(&mut self) -> Vec<ccmatic_proof::ProofStep> {
+        self.sat.take_proof_steps()
     }
 
     fn extract_model(&mut self, ctx: &Context) {
@@ -709,9 +718,10 @@ impl Solver {
 pub struct Certified {
     /// The verdict, identical to what [`Solver::check`] returns.
     pub result: SatResult,
-    /// On `Unsat` with a snapshot-capable proof sink: the refutation, ready
-    /// for [`ccmatic_proof::check`].
-    pub certificate: Option<ccmatic_proof::UnsatCertificate>,
+    /// On `Unsat` with a proof sink that keeps its steps: the refutation,
+    /// as its length in the solver's proof log (see
+    /// [`Solver::take_proof_steps`]).
+    pub certificate: Option<usize>,
     /// On `Sat`: whether every asserted term evaluated true under the model.
     pub model_ok: Option<bool>,
 }

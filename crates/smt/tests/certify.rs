@@ -72,7 +72,9 @@ fn certified_verdict(ctx: &Context, parts: &[Term]) -> SatResult {
     let out = s.check_certified(ctx);
     match out.result {
         SatResult::Unsat => {
-            let cert = out.certificate.expect("unsat verdict must carry a certificate");
+            let len = out.certificate.expect("unsat verdict must carry a certificate");
+            let cert = UnsatCertificate { steps: s.take_proof_steps() };
+            assert_eq!(cert.steps.len(), len, "the certificate is the whole log");
             check(&cert).unwrap_or_else(|e| {
                 panic!("checker rejected a solver-produced certificate: {e}\n{}", cert.to_text())
             });
@@ -123,6 +125,7 @@ fn scoped_probes_yield_accepted_certificates() {
         let y = ctx.real_var("y");
         let mut s = Solver::new();
         s.enable_proofs();
+        let mut log = Vec::new();
         let base_f = gen_formula(&mut rng, 2);
         let base_t = encode(&mut ctx, &base_f, x, y);
         s.assert(&ctx, base_t);
@@ -134,7 +137,9 @@ fn scoped_probes_yield_accepted_certificates() {
             let out = s.check_certified(&ctx);
             match out.result {
                 SatResult::Unsat => {
-                    let cert = out.certificate.expect("unsat probe must carry a certificate");
+                    let len = out.certificate.expect("unsat probe must carry a certificate");
+                    log.extend(s.take_proof_steps());
+                    let cert = UnsatCertificate { steps: log[..len].to_vec() };
                     check(&cert).unwrap_or_else(|e| {
                         panic!(
                             "round {round} probe {probe_idx}: checker rejected: {e}\n{}",
@@ -168,7 +173,10 @@ fn solver_produced_certificate() -> UnsatCertificate {
     s.assert(&ctx, yx);
     let out = s.check_certified(&ctx);
     assert_eq!(out.result, SatResult::Unsat);
-    out.certificate.expect("certificate")
+    let len = out.certificate.expect("certificate");
+    let cert = UnsatCertificate { steps: s.take_proof_steps() };
+    assert_eq!(cert.steps.len(), len);
+    cert
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //! that checker, and scoped checks must agree with fresh solvers.
 
 use ccmatic_num::{int, rat, Rat, SmallRng};
-use ccmatic_proof::ProofStep;
+use ccmatic_proof::{ProofStep, UnsatCertificate};
 use ccmatic_smt::{Context, LinExpr, SatResult, Solver, Term};
 
 /// A randomly generated formula AST we can both encode and evaluate
@@ -103,7 +103,9 @@ fn solve_checked(f: &F) -> SatResult {
             assert!(eval(f, &xv, &yv), "model (x={xv}, y={yv}) does not satisfy {f:?}");
         }
         SatResult::Unsat => {
-            let cert = out.certificate.expect("unsat verdict must carry a certificate");
+            let len = out.certificate.expect("unsat verdict must carry a certificate");
+            let cert = UnsatCertificate { steps: solver.take_proof_steps() };
+            assert_eq!(cert.steps.len(), len, "the certificate is the whole log");
             ccmatic_proof::check(&cert)
                 .unwrap_or_else(|e| panic!("checker rejected the refutation of {f:?}: {e}"));
         }
@@ -158,7 +160,9 @@ fn certified_unsat_with_propagation_replays_clean() {
     let stats = solver.stats();
     assert!(stats.theory_props > 0, "propagation never fired: {stats:?}");
     assert!(stats.bounds_asserted > 0);
-    let cert = out.certificate.expect("unsat must carry a certificate");
+    let len = out.certificate.expect("unsat must carry a certificate");
+    let cert = UnsatCertificate { steps: solver.take_proof_steps() };
+    assert_eq!(cert.steps.len(), len, "the certificate is the whole log");
     // The propagation lemmas are in the log as theory steps with their
     // lazily generated Farkas explanations; the independent checker must
     // accept the whole refutation.
@@ -179,7 +183,9 @@ fn corrupted_propagation_explanation_is_rejected() {
     solver.assert(&ctx, t);
     let out = solver.check_certified(&ctx);
     assert_eq!(out.result, SatResult::Unsat);
-    let cert = out.certificate.expect("unsat must carry a certificate");
+    let len = out.certificate.expect("unsat must carry a certificate");
+    let cert = UnsatCertificate { steps: solver.take_proof_steps() };
+    assert_eq!(cert.steps.len(), len, "the certificate is the whole log");
     ccmatic_proof::check(&cert).expect("uncorrupted certificate must replay");
 
     // Corrupt every theory step's Farkas witness in turn; each mutant must

@@ -8,7 +8,7 @@
 #![cfg(feature = "proofs")]
 
 use ccmatic_num::{int, Rat, SmallRng};
-use ccmatic_proof::check;
+use ccmatic_proof::{check, UnsatCertificate};
 use ccmatic_smt::lra::row_spills_total;
 use ccmatic_smt::{Context, LinExpr, SatResult, Solver, Term};
 
@@ -59,7 +59,9 @@ fn spilled_rows_give_independently_checked_verdicts() {
                 sat += 1;
             }
             SatResult::Unsat => {
-                let cert = out.certificate.expect("an Unsat verdict carries a certificate");
+                let len = out.certificate.expect("an Unsat verdict carries a certificate");
+                let cert = UnsatCertificate { steps: s.take_proof_steps() };
+                assert_eq!(cert.steps.len(), len, "the certificate is the whole log");
                 check(&cert).unwrap_or_else(|e| panic!("the checker rejected a certificate: {e}"));
                 unsat += 1;
             }
