@@ -11,8 +11,8 @@
 //! Emits `BENCH_solution_space.json` with the machine-readable numbers.
 //!
 //! `--check FILE` reads FILE before the run and, after writing the fresh
-//! report, compares it with FILE: every field except `wall_s`, `threads`
-//! and `budget_secs`. A row FILE marks incomplete is compared on
+//! report, compares it with FILE: every field except `wall_s` and
+//! `budget_secs`. A row FILE marks incomplete is compared on
 //! `complete` alone, because how far a budget-cut enumeration gets depends
 //! on the runner. Any difference is printed by path and fails the run.
 
@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 /// Every field where `fresh` drifted from `committed`, by path: all but
-/// `wall_s`, `threads` and `budget_secs`, and only `complete` on a row the
+/// `wall_s` and `budget_secs`, and only `complete` on a row the
 /// committed file marks incomplete.
 fn drifts(fresh: &Json, committed: &Json) -> Vec<String> {
     let mut out = Vec::new();
@@ -44,7 +44,7 @@ fn drifts(fresh: &Json, committed: &Json) -> Vec<String> {
         if y.get("complete").and_then(Json::as_bool) == Some(false) {
             drift(&path, x, y, &|k: &str| k != "complete", &mut out);
         } else {
-            drift(&path, x, y, &|k: &str| k == "wall_s" || k == "threads", &mut out);
+            drift(&path, x, y, &|k: &str| k == "wall_s", &mut out);
         }
     }
     out
@@ -124,7 +124,6 @@ fn main() -> ExitCode {
             ("iterations", Json::UInt(result.stats.iterations)),
             ("wall_s", Json::Num(result.stats.wall.as_secs_f64())),
             ("solver_probes", Json::UInt(result.solver_probes)),
-            ("threads", Json::UInt(1)),
             (
                 "history_usage",
                 Json::Obj(

@@ -8,10 +8,10 @@
 //!     [--check FILE]
 //! ```
 //!
-//! By default each axis runs warm-started: points execute sequentially
-//! loose→tight, carrying re-validated counterexample traces and
-//! pre-verified solutions forward. `--no-warm-start` restores the cold
-//! parallel fan-out (worker pool, override with `CCMATIC_SWEEP_THREADS`).
+//! Each axis runs its points sequentially, loose→tight. By default each
+//! point is warm-started, carrying re-validated counterexample traces and
+//! pre-verified solutions forward; `--no-warm-start` runs every point as
+//! an independent cold enumeration, the reference the warm rows match.
 //! With `--cache-dir` every point consults (and populates) the persistent
 //! certificate-backed result cache; `--require-cached` then fails the run
 //! unless *every* point was answered from the cache with zero solver
@@ -22,21 +22,24 @@
 //! wall that remains, and overruns are reported as `budget_exceeded` in
 //! the JSON instead of silently blowing past the budget.
 //!
-//! Emits `BENCH_threshold_sweep.json` (or `--out FILE`) with the
-//! machine-readable numbers.
+//! Prints the Markdown report (no wall times, so a rerun prints the same
+//! text; walls go to standard error) and emits
+//! `BENCH_threshold_sweep.json` (or `--out FILE`) with the
+//! machine-readable numbers. `results/threshold_sweep_ci.md` is the
+//! warm ci report; CI compares it with a fresh run's output.
 //!
 //! `--check FILE` reads FILE before the run and, after writing the fresh
 //! JSON, compares its per-point counts with it: solutions, completeness,
 //! iterations, solver probes, the warm-start counters and cache hits, the
 //! per-axis cache hits/misses/rejections/stores and `budget_exceeded`.
-//! Wall times, certificate-check milliseconds, the thread count and the
-//! budgets are ignored. Any difference is printed by path and fails the
-//! run. Every point of the ci sweep is exhaustive, so these counts do not
-//! depend on the machine.
+//! Wall times, certificate-check milliseconds and the budgets are
+//! ignored. Any difference is printed by path and fails the run. Every
+//! point of the ci sweep is exhaustive, so these counts do not depend on
+//! the machine.
 
 use ccac_model::Thresholds;
 use ccmatic::cache::ResultCache;
-use ccmatic::sweep::{render_table, sweep_threads, sweep_with_config, SweepConfig, SweepReport};
+use ccmatic::sweep::{render_table, sweep_with_config, SweepConfig, SweepReport};
 use ccmatic::synth::{OptMode, SynthOptions};
 use ccmatic_bench::drift::{read_committed, report_drift};
 use ccmatic_bench::{table1_rows, write_json, Json, Scale};
@@ -48,7 +51,7 @@ use std::time::{Duration, Instant};
 /// Fields that vary from run to run or machine to machine, left out of
 /// `--check`.
 fn unchecked(key: &str) -> bool {
-    matches!(key, "threads" | "budget_secs" | "sweep_budget_secs")
+    matches!(key, "budget_secs" | "sweep_budget_secs")
         || key.ends_with("wall_s")
         || key.ends_with("cert_ms")
 }
@@ -156,22 +159,17 @@ fn main() -> ExitCode {
     };
 
     let make_cfg = || SweepConfig {
-        threads: sweep_threads(),
         warm_start,
         cache: cache_dir.as_ref().map(|d| ResultCache::new(d).expect("unusable --cache-dir")),
         sweep_wall: Some(Duration::from_secs(sweep_budget_secs)),
+        ..Default::default()
     };
 
-    let threads = sweep_threads();
     println!(
         "# Threshold sweeps over {} / {} ({}, {sweep_budget_secs}s per axis)\n",
         row.params,
         row.domain_label,
-        if warm_start {
-            "warm-started, sequential".to_string()
-        } else {
-            format!("cold, {threads} worker threads")
-        }
+        if warm_start { "sequential, warm-started" } else { "sequential, cold" }
     );
 
     // Both axes sweep loose→tight so the warm carry's nested-solution
@@ -184,7 +182,8 @@ fn main() -> ExitCode {
         sweep_with_config(&base, &delay_values, |t, d| t.delay = d.clone(), &make_cfg());
     let delay_wall = t0.elapsed().as_secs_f64();
     println!("{}", render_table(&delay_report.rows));
-    println!("sweep wall: {delay_wall:.1}s (budget exceeded: {})\n", delay_report.budget_exceeded);
+    println!("budget exceeded: {}\n", delay_report.budget_exceeded);
+    eprintln!("delay sweep wall: {delay_wall:.1}s");
 
     println!("## E3: utilization sweep at delay ≤ 4×RTT");
     println!("paper: 12 @ ≥50% · 2 @ ≥65% · 1 @ ≥70% (Eq. iii)\n");
@@ -194,7 +193,8 @@ fn main() -> ExitCode {
         sweep_with_config(&base, &util_values, |t, u| t.util = u.clone(), &make_cfg());
     let util_wall = t0.elapsed().as_secs_f64();
     println!("{}", render_table(&util_report.rows));
-    println!("sweep wall: {util_wall:.1}s (budget exceeded: {})", util_report.budget_exceeded);
+    println!("budget exceeded: {}", util_report.budget_exceeded);
+    eprintln!("utilization sweep wall: {util_wall:.1}s");
 
     let json = Json::obj(vec![
         ("bench", Json::Str("threshold_sweep".into())),
@@ -202,7 +202,6 @@ fn main() -> ExitCode {
         ("budget_secs", Json::UInt(budget_secs)),
         ("sweep_budget_secs", Json::UInt(sweep_budget_secs)),
         ("warm_start", Json::Bool(warm_start)),
-        ("threads", Json::UInt(threads as u64)),
         ("params", Json::Str(row.params.into())),
         ("domain", Json::Str(row.domain_label.into())),
         ("delay_sweep", sweep_json(&delay_report, &delay_values, delay_wall)),

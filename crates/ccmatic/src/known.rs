@@ -21,7 +21,9 @@ pub fn eq_iii() -> CcaSpec {
 }
 
 /// A constant window (`cwnd(t) = c`): starves for small `c` under jitter,
-/// builds standing queues for large `c`. The canonical non-solution.
+/// builds standing queues for large `c`. Not every constant fails: on the
+/// default model and thresholds `c = 1/2` and `c = 1` are refuted, while
+/// `c = 3/2` and `c = 2` verify, since the link rate is fixed at 1.
 pub fn const_cwnd(c: Rat) -> CcaSpec {
     CcaSpec { alpha: Vec::new(), beta: vec![Rat::zero(); 4], gamma: c }
 }

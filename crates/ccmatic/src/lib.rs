@@ -57,7 +57,6 @@ pub mod cache;
 pub mod conditional;
 pub mod differential;
 pub mod enumerate;
-pub mod env;
 pub mod fingerprint;
 pub mod generator;
 pub mod json;

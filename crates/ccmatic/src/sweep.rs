@@ -1,26 +1,19 @@
 //! Threshold sweeps over the solution space (§4: how the solution count
 //! moves as the utilization and delay targets change).
 //!
-//! Each threshold value is an independent full enumeration. Two execution
-//! strategies exist, picked by [`SweepConfig::warm_start`]:
+//! A sweep is one sequential loop over the threshold values, in input
+//! order, on one core as in the paper. [`SweepConfig::warm_start`] decides
+//! only what each point is handed:
 //!
-//! * **Cold (parallel):** the per-threshold runs fan out across a
-//!   `std::thread::scope` worker pool. Every worker owns its own
-//!   generator/verifier pair (built inside `enumerate_all`), so no solver
-//!   state is shared; results are collected in input order, making the
-//!   output deterministic and independent of both the thread count and the
-//!   scheduling order. The pool size follows
-//!   `std::thread::available_parallelism`, overridable with the
-//!   `CCMATIC_SWEEP_THREADS` environment variable.
-//! * **Warm (sequential):** points run in input order, each seeded with
-//!   the previous point's [`WarmStart`] carry (re-validated counterexample
-//!   traces + pre-verified solutions; see `enumerate` module docs). Callers
-//!   should order values loose→tight so the nested-solution-set
-//!   pre-verification pays off. Warm-starting is inherently sequential —
-//!   `threads` is ignored — which also makes the row set trivially
-//!   identical across thread counts.
+//! * **Warm (the default):** each point is seeded with the previous
+//!   point's [`WarmStart`] carry (re-validated counterexample traces +
+//!   pre-verified solutions; see `enumerate` module docs). Callers should
+//!   order values loose→tight so the nested-solution-set pre-verification
+//!   pays off.
+//! * **Cold:** each point is an independent full enumeration (no carry).
+//!   Cold rows are the reference that warm rows are compared against.
 //!
-//! Both strategies enforce the optional *sweep-level* wall budget honestly:
+//! Either way the optional *sweep-level* wall budget is enforced honestly:
 //! each successive point's own deadline is clamped to the wall remaining
 //! for the whole sweep, and points reached after the sweep deadline are
 //! skipped outright (empty, incomplete rows) rather than silently blowing
@@ -32,8 +25,6 @@ use crate::synth::SynthOptions;
 use ccac_model::Thresholds;
 use ccmatic_cegis::Stats;
 use ccmatic_num::Rat;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// One row of a sweep report.
@@ -45,19 +36,13 @@ pub struct SweepRow {
     pub result: EnumerateResult,
 }
 
-/// Worker-pool size: `CCMATIC_SWEEP_THREADS` if set and valid (unparsable
-/// values warn once on stderr), else the machine's available parallelism.
-pub fn sweep_threads() -> usize {
-    crate::env::env_threads_or_cores("CCMATIC_SWEEP_THREADS")
-}
-
-/// How to run a sweep (see the module docs for the two strategies).
+/// How to run a sweep (see the module docs).
 #[derive(Debug)]
 pub struct SweepConfig {
-    /// Worker-pool size for the cold (parallel) strategy; ignored when
-    /// warm-starting.
+    /// Not read: a sweep is one sequential loop. Kept only so the
+    /// `SweepConfig` literals in the `perfbench/` workloads compile.
     pub threads: usize,
-    /// Run sequentially, carrying a [`WarmStart`] between points.
+    /// Carry a [`WarmStart`] from each point to the next.
     pub warm_start: bool,
     /// Persistent certificate-backed result cache consulted (and
     /// populated) per point.
@@ -69,7 +54,7 @@ pub struct SweepConfig {
 
 impl Default for SweepConfig {
     fn default() -> Self {
-        SweepConfig { threads: sweep_threads(), warm_start: true, cache: None, sweep_wall: None }
+        SweepConfig { threads: 1, warm_start: true, cache: None, sweep_wall: None }
     }
 }
 
@@ -125,12 +110,11 @@ fn fold_cache_stats(stats: &mut CacheStats, cfg_has_cache: bool, out: &WarmEnume
     }
 }
 
-/// Enumerate the solution space once per threshold value, with `set`
-/// writing each value into the run's thresholds, under `cfg`'s strategy.
-/// Rows come back in the order of `values` regardless of which worker
-/// finished first. The paper's §4 sweeps are the delay axis (at ≥50 %
-/// utilization: 245 solutions at ≤8×RTT, 9 at ≤3.6×RTT, none at ≤3×RTT)
-/// and the utilization axis (at ≤4×RTT: ≥65 % leaves 2 CCAs, ≥70 % only
+/// Enumerate the solution space once per threshold value, in the order of
+/// `values`, with `set` writing each value into the run's thresholds. The
+/// paper's §4 sweeps are the delay axis (at ≥50 % utilization: 245
+/// solutions at ≤8×RTT, 9 at ≤3.6×RTT, none at ≤3×RTT) and the
+/// utilization axis (at ≤4×RTT: ≥65 % leaves 2 CCAs, ≥70 % only
 /// Equation (iii)).
 pub fn sweep_with_config<F>(
     base: &SynthOptions,
@@ -139,27 +123,9 @@ pub fn sweep_with_config<F>(
     cfg: &SweepConfig,
 ) -> SweepReport
 where
-    F: Fn(&mut Thresholds, &Rat) + Sync,
+    F: Fn(&mut Thresholds, &Rat),
 {
     let sweep_deadline = cfg.sweep_wall.map(|w| Instant::now() + w);
-    if cfg.warm_start {
-        sweep_sequential_warm(base, values, &set, cfg, sweep_deadline)
-    } else {
-        sweep_parallel_cold(base, values, &set, cfg, sweep_deadline)
-    }
-}
-
-/// The warm strategy: input order, carrying each point's facts forward.
-fn sweep_sequential_warm<F>(
-    base: &SynthOptions,
-    values: &[Rat],
-    set: &F,
-    cfg: &SweepConfig,
-    sweep_deadline: Option<Instant>,
-) -> SweepReport
-where
-    F: Fn(&mut Thresholds, &Rat) + Sync,
-{
     let mut rows = Vec::with_capacity(values.len());
     let mut budget_exceeded = false;
     let mut cache_stats = CacheStats::default();
@@ -178,73 +144,11 @@ where
         if !out.result.complete {
             budget_exceeded = true;
         }
-        carry = Some(out.carry);
+        if cfg.warm_start {
+            carry = Some(out.carry);
+        }
         rows.push(SweepRow { thresholds: opts.thresholds.clone(), result: out.result });
     }
-    SweepReport { rows, budget_exceeded, cache_stats }
-}
-
-/// The cold strategy: the original parallel fan-out, plus sweep-deadline
-/// clamping at dispatch time and optional cache consultation per point.
-fn sweep_parallel_cold<F>(
-    base: &SynthOptions,
-    values: &[Rat],
-    set: &F,
-    cfg: &SweepConfig,
-    sweep_deadline: Option<Instant>,
-) -> SweepReport
-where
-    F: Fn(&mut Thresholds, &Rat) + Sync,
-{
-    let n = values.len();
-    let workers = cfg.threads.max(1).min(n.max(1));
-    let next = AtomicUsize::new(0);
-    let mut rows: Vec<Option<SweepRow>> = (0..n).map(|_| None).collect();
-    let mut budget_exceeded = false;
-    let mut cache_stats = CacheStats::default();
-    let (tx, rx) = mpsc::channel::<(usize, Thresholds, Option<WarmEnumeration>)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let cache = cfg.cache.as_ref();
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let mut opts = base.clone();
-                set(&mut opts.thresholds, &values[i]);
-                let out = if clamp_to_sweep(&mut opts, sweep_deadline) {
-                    Some(enumerate_all_with(&opts, None, cache))
-                } else {
-                    None
-                };
-                if tx.send((i, opts.thresholds, out)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (i, thresholds, out) in rx {
-            let result = match out {
-                Some(out) => {
-                    fold_cache_stats(&mut cache_stats, cfg.cache.is_some(), &out);
-                    if !out.result.complete {
-                        budget_exceeded = true;
-                    }
-                    out.result
-                }
-                None => {
-                    budget_exceeded = true;
-                    skipped_result()
-                }
-            };
-            rows[i] = Some(SweepRow { thresholds, result });
-        }
-    });
-    let rows =
-        rows.into_iter().map(|r| r.expect("every index was dispatched exactly once")).collect();
     SweepReport { rows, budget_exceeded, cache_stats }
 }
 
@@ -267,6 +171,7 @@ pub fn render_table(rows: &[SweepRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::enumerate_all;
     use crate::synth::OptMode;
     use crate::template::{CoeffDomain, TemplateShape};
     use ccac_model::NetConfig;
@@ -295,9 +200,9 @@ mod tests {
         }
     }
 
-    /// The cold (parallel) strategy on `threads` workers.
-    fn cold(threads: usize) -> SweepConfig {
-        SweepConfig { threads, warm_start: false, cache: None, sweep_wall: None }
+    /// Independent points, no carry.
+    fn cold() -> SweepConfig {
+        SweepConfig { warm_start: false, ..Default::default() }
     }
 
     #[test]
@@ -305,7 +210,7 @@ mod tests {
         let base = tiny_base();
         let values = [int(8), int(4), int(2)];
         let set = |th: &mut Thresholds, d: &Rat| th.delay = d.clone();
-        let rows = sweep_with_config(&base, &values, set, &cold(sweep_threads())).rows;
+        let rows = sweep_with_config(&base, &values, set, &cold()).rows;
         assert_eq!(rows.len(), 3);
         for w in rows.windows(2) {
             assert!(
@@ -321,8 +226,7 @@ mod tests {
     fn tighter_utilization_never_adds_solutions() {
         let base = tiny_base();
         let set = |th: &mut Thresholds, u: &Rat| th.util = u.clone();
-        let rows =
-            sweep_with_config(&base, &[rat(1, 2), rat(7, 10)], set, &cold(sweep_threads())).rows;
+        let rows = sweep_with_config(&base, &[rat(1, 2), rat(7, 10)], set, &cold()).rows;
         assert!(
             rows[0].result.solutions.len() >= rows[1].result.solutions.len(),
             "solution count must shrink as the utilization target rises"
@@ -334,12 +238,8 @@ mod tests {
         let base = tiny_base();
         let set = |th: &mut Thresholds, d: &Rat| th.delay = d.clone();
         for warm_start in [true, false] {
-            let cfg = SweepConfig {
-                threads: 2,
-                warm_start,
-                cache: None,
-                sweep_wall: Some(Duration::ZERO),
-            };
+            let cfg =
+                SweepConfig { warm_start, sweep_wall: Some(Duration::ZERO), ..Default::default() };
             let rep = sweep_with_config(&base, &[int(8), int(4)], set, &cfg);
             assert!(rep.budget_exceeded, "warm={warm_start}: exhausted budget must be reported");
             assert_eq!(rep.rows.len(), 2);
@@ -356,9 +256,8 @@ mod tests {
         let base = tiny_base();
         let values = [int(8), int(4), int(2)];
         let set = |th: &mut Thresholds, d: &Rat| th.delay = d.clone();
-        let cold = sweep_with_config(&base, &values, set, &cold(1)).rows;
-        let cfg = SweepConfig { threads: 1, warm_start: true, cache: None, sweep_wall: None };
-        let warm = sweep_with_config(&base, &values, set, &cfg);
+        let cold = sweep_with_config(&base, &values, set, &cold()).rows;
+        let warm = sweep_with_config(&base, &values, set, &SweepConfig::default());
         assert!(!warm.budget_exceeded);
         for (i, (c, w)) in cold.iter().zip(&warm.rows).enumerate() {
             assert_eq!(c.result.solutions, w.result.solutions, "row {i}: warm ≠ cold");
@@ -371,21 +270,21 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_deterministic_across_thread_counts() {
+    fn cold_rows_equal_a_plain_enumerate_all_loop() {
         let base = tiny_base();
         let values = [int(8), int(4), int(3), int(2)];
         let set = |th: &mut Thresholds, d: &Rat| th.delay = d.clone();
-        let serial = sweep_with_config(&base, &values, set, &cold(1)).rows;
-        let parallel = sweep_with_config(&base, &values, set, &cold(4)).rows;
-        assert_eq!(serial.len(), parallel.len());
-        for (i, (a, b)) in serial.iter().zip(&parallel).enumerate() {
-            assert_eq!(a.thresholds.delay, b.thresholds.delay, "row {i}: order differs");
-            assert_eq!(a.thresholds.delay, values[i], "row {i}: not in input order");
-            assert_eq!(
-                a.result.solutions, b.result.solutions,
-                "row {i}: solution set depends on thread count"
-            );
-            assert_eq!(a.result.complete, b.result.complete, "row {i}: completeness differs");
+        let rows = sweep_with_config(&base, &values, set, &cold()).rows;
+        assert_eq!(rows.len(), values.len());
+        for (i, (row, v)) in rows.iter().zip(&values).enumerate() {
+            let mut opts = base.clone();
+            set(&mut opts.thresholds, v);
+            let plain = enumerate_all(&opts);
+            assert_eq!(row.thresholds.delay, *v, "row {i}: not in input order");
+            assert_eq!(row.result.solutions, plain.solutions, "row {i}: solution set");
+            assert_eq!(row.result.complete, plain.complete, "row {i}: completeness");
+            assert_eq!(row.result.stats.iterations, plain.stats.iterations, "row {i}: iterations");
+            assert_eq!(row.result.solver_probes, plain.solver_probes, "row {i}: solver probes");
         }
     }
 }

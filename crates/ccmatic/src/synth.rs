@@ -214,12 +214,11 @@ impl Generator for GenAdapter {
 
     /// At most one candidate, whatever `k`; honors `deadline`.
     fn propose_batch(&mut self, _k: usize, deadline: Option<Instant>) -> BatchProposal<CcaSpec> {
-        let (candidates, interrupted) =
-            match self.inner.propose(&Interrupt { deadline, cancel: None }) {
-                Proposal::Candidate(spec) => (vec![spec], false),
-                Proposal::Exhausted => (Vec::new(), false),
-                Proposal::Interrupted => (Vec::new(), true),
-            };
+        let (candidates, interrupted) = match self.inner.propose(&Interrupt { deadline }) {
+            Proposal::Candidate(spec) => (vec![spec], false),
+            Proposal::Exhausted => (Vec::new(), false),
+            Proposal::Interrupted => (Vec::new(), true),
+        };
         BatchProposal { candidates, interrupted }
     }
 }
@@ -250,10 +249,9 @@ impl Verifier for VerAdapter {
         &mut self,
         candidate: &CcaSpec,
         deadline: Option<Instant>,
-        cancel: Option<&Arc<AtomicBool>>,
+        _cancel: Option<&Arc<AtomicBool>>,
     ) -> Verdict<Trace> {
-        let interrupt = Interrupt { deadline, cancel: cancel.cloned() };
-        self.inner.verify_interruptible(candidate, &interrupt)
+        self.inner.verify_interruptible(candidate, &Interrupt { deadline })
     }
 }
 

@@ -389,7 +389,7 @@ impl CcaVerifier {
 mod tests {
     use super::*;
     use crate::known;
-    use ccmatic_num::int;
+    use ccmatic_num::{int, rat};
 
     fn small_cfg() -> VerifyConfig {
         VerifyConfig {
@@ -429,6 +429,26 @@ mod tests {
         let mut v = CcaVerifier::new(small_cfg());
         let cex = v.verify(&known::const_cwnd(int(20)));
         assert!(cex.is_err(), "cwnd = 20 must violate the delay bound");
+    }
+
+    /// Under the default model (horizon 9, history 5, link rate 1) and
+    /// thresholds (util ≥ 1/2, delay ≤ 4), small constant windows starve
+    /// the link but 3/2 and 2 satisfy the property: the link rate is fixed,
+    /// so a constant window of 1.5–2 BDP is a valid CCA.
+    #[test]
+    fn constant_windows_split_on_the_defaults() {
+        let mut v = CcaVerifier::new(VerifyConfig {
+            net: NetConfig::default(),
+            thresholds: Thresholds::default(),
+            ..Default::default()
+        });
+        for c in [rat(1, 2), int(1)] {
+            let trace = v.verify(&known::const_cwnd(c.clone())).expect_err("starves the link");
+            assert!(trace.utilization() < rat(1, 2), "cwnd = {c}: utilization below 1/2");
+        }
+        for c in [rat(3, 2), int(2)] {
+            assert!(v.verify(&known::const_cwnd(c.clone())).is_ok(), "cwnd = {c} verifies");
+        }
     }
 
     #[test]

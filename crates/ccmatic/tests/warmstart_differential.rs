@@ -51,23 +51,21 @@ fn assert_rows_equal(cold: &[SweepRow], warm: &[SweepRow], label: &str) {
 }
 
 #[test]
-fn warm_equals_cold_on_both_axes_across_thread_counts() {
+fn warm_equals_cold_on_both_axes() {
     let base = tiny_base();
     let delay_values = [int(8), int(4), int(2)];
     let util_values = [rat(1, 2), rat(7, 10)];
     let set_delay = |t: &mut Thresholds, d: &Rat| t.delay = d.clone();
     let set_util = |t: &mut Thresholds, u: &Rat| t.util = u.clone();
 
-    let cold = SweepConfig { threads: 1, warm_start: false, cache: None, sweep_wall: None };
+    let cold = SweepConfig { warm_start: false, ..Default::default() };
+    let warm = SweepConfig::default();
     let cold_delay = sweep_with_config(&base, &delay_values, set_delay, &cold).rows;
+    let warm_delay = sweep_with_config(&base, &delay_values, set_delay, &warm).rows;
+    assert_rows_equal(&cold_delay, &warm_delay, "delay");
     let cold_util = sweep_with_config(&base, &util_values, set_util, &cold).rows;
-    for threads in [1, 4] {
-        let cfg = SweepConfig { threads, warm_start: true, cache: None, sweep_wall: None };
-        let warm_delay = sweep_with_config(&base, &delay_values, set_delay, &cfg);
-        assert_rows_equal(&cold_delay, &warm_delay.rows, &format!("delay@{threads}t"));
-        let warm_util = sweep_with_config(&base, &util_values, set_util, &cfg);
-        assert_rows_equal(&cold_util, &warm_util.rows, &format!("util@{threads}t"));
-    }
+    let warm_util = sweep_with_config(&base, &util_values, set_util, &warm).rows;
+    assert_rows_equal(&cold_util, &warm_util, "util");
 }
 
 #[test]
@@ -77,12 +75,7 @@ fn populated_cache_answers_repeat_sweeps_with_zero_solver_probes() {
     let set = |t: &mut Thresholds, d: &Rat| t.delay = d.clone();
     let dir = fresh_cache_dir("roundtrip");
 
-    let cfg = || SweepConfig {
-        threads: 1,
-        warm_start: true,
-        cache: Some(ResultCache::new(&dir).unwrap()),
-        sweep_wall: None,
-    };
+    let cfg = || SweepConfig { cache: Some(ResultCache::new(&dir).unwrap()), ..Default::default() };
     let first = sweep_with_config(&base, &values, set, &cfg());
     assert_eq!(first.cache_stats.stores, 2, "both completed points must be cached");
     assert_eq!(first.cache_stats.hits, 0);

@@ -78,8 +78,8 @@ pub enum Verdict<X> {
     Pass,
     /// A concrete trace breaking the candidate.
     Fail(X),
-    /// The deadline or cancellation fired before the verifier decided; no
-    /// claim is made either way.
+    /// The deadline passed before the verifier decided; no claim is made
+    /// either way.
     Timeout,
 }
 
@@ -95,12 +95,13 @@ pub trait Verifier {
     fn verify(&mut self, candidate: &Self::Candidate) -> Result<(), Self::CounterExample>;
 
     /// Like [`Verifier::verify`], but giving up (with [`Verdict::Timeout`])
-    /// once `deadline` passes or `cancel` is raised. The default ignores
-    /// both and blocks until `verify` finishes — correct, but unable to
-    /// honor a wall budget mid-query.
+    /// once `deadline` passes. The default ignores it and blocks until
+    /// `verify` finishes — correct, but unable to honor a wall budget
+    /// mid-query.
     ///
-    /// The serial loop always passes `cancel = None`; the parameter stays
-    /// only because the `perfbench/` workloads implement this signature.
+    /// `cancel` is not read: the loop always passes `None`, and no
+    /// implementation polls it. It stays only because the `perfbench/`
+    /// workloads implement this signature.
     fn verify_interruptible(
         &mut self,
         candidate: &Self::Candidate,

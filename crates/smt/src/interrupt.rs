@@ -2,24 +2,19 @@
 //!
 //! A single WCE binary-search probe can run for minutes on the Large
 //! domains, so a wall-clock budget enforced only *between* solver calls is
-//! no budget at all. [`Interrupt`] carries a deadline and/or a shared
-//! cancellation flag down into the CDCL search loop, which polls it once
-//! per propagation fixpoint, and into the simplex check, which polls it
-//! before every pivot (a single theory check can run thousands). Either
-//! gives up with an *Unknown* verdict (never a fake Sat/Unsat) when it
-//! fires. The cancellation flag lets another thread stop a query early.
+//! no budget at all. [`Interrupt`] carries a deadline down into the CDCL
+//! search loop, which polls it once per propagation fixpoint, and into the
+//! simplex check, which polls it before every pivot (a single theory check
+//! can run thousands). Either gives up with an *Unknown* verdict (never a
+//! fake Sat/Unsat) once the deadline passes.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
-/// A deadline and/or cancellation flag polled inside search loops.
+/// A deadline polled inside search loops.
 #[derive(Clone, Debug, Default)]
 pub struct Interrupt {
     /// Give up once this instant passes.
     pub deadline: Option<Instant>,
-    /// Give up once this flag is raised (shared across threads).
-    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 impl Interrupt {
@@ -28,33 +23,21 @@ impl Interrupt {
         Interrupt::default()
     }
 
-    /// An interrupt firing at `deadline` (no cancellation flag).
+    /// An interrupt firing at `deadline`.
     pub fn at(deadline: Instant) -> Self {
-        Interrupt { deadline: Some(deadline), cancel: None }
+        Interrupt { deadline: Some(deadline) }
     }
 
     /// Whether polling can ever observe a trigger. Checked once up front so
     /// the common uninterruptible case pays nothing per loop iteration.
     pub fn is_armed(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
+        self.deadline.is_some()
     }
 
-    /// Whether the interrupt has fired. The flag is checked before the
-    /// clock: a cancelled worker should stop even if its deadline is far
-    /// away. Once fired it stays fired (flags are never lowered), so a
+    /// Whether the deadline has passed. Once fired it stays fired, so a
     /// caller may re-poll to learn why a callee gave up.
     pub fn triggered(&self) -> bool {
-        if let Some(flag) = &self.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return true;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return true;
-            }
-        }
-        false
+        self.deadline.is_some_and(|deadline| Instant::now() >= deadline)
     }
 }
 
@@ -81,17 +64,5 @@ mod tests {
     fn future_deadline_does_not_trigger() {
         let i = Interrupt::at(Instant::now() + Duration::from_secs(3600));
         assert!(!i.triggered());
-    }
-
-    #[test]
-    fn cancel_flag_triggers_immediately() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let i = Interrupt {
-            deadline: Some(Instant::now() + Duration::from_secs(3600)),
-            cancel: Some(flag.clone()),
-        };
-        assert!(!i.triggered());
-        flag.store(true, Ordering::Relaxed);
-        assert!(i.triggered());
     }
 }

@@ -52,8 +52,8 @@ use ccmatic_num::{gcd_u64, BigInt, DeltaRat, Rat};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-/// Process-wide pivot count across every [`Simplex`] instance (including
-/// worker-thread verifiers); complements the per-instance
+/// Process-wide pivot count across every [`Simplex`] instance (generator,
+/// verifier and WCE probes alike); complements the per-instance
 /// [`Simplex::pivots`] the same way `ccmatic_num::arith_snapshot` works for
 /// arithmetic ops.
 static PIVOTS_TOTAL: AtomicU64 = AtomicU64::new(0);
@@ -1179,9 +1179,8 @@ mod tests {
     }
 
     #[test]
-    fn raised_cancel_flag_stops_check_before_its_first_pivot() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
+    fn expired_deadline_stops_check_before_its_first_pivot() {
+        use std::time::{Duration, Instant};
         // x + y ≤ 4, x − y ≤ 2, x ≥ 3: feasible, but only after a pivot.
         let build = || {
             let mut s = Simplex::new();
@@ -1197,9 +1196,9 @@ mod tests {
         let mut whole = build();
         whole.check().unwrap();
         assert!(whole.pivots > 0);
-        let cancelled = Interrupt { deadline: None, cancel: Some(Arc::new(AtomicBool::new(true))) };
+        let expired = Interrupt::at(Instant::now() - Duration::from_millis(1));
         let mut s = build();
-        assert!(s.check_until(&cancelled).is_none());
+        assert!(s.check_until(&expired).is_none());
         assert_eq!(s.pivots, 0);
         // The stopped tableau resumes to the uninterrupted result.
         s.check().unwrap();

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
 /// Process-wide trail-sync counters across every [`Solver`] instance
-/// (including worker-thread verifiers), in the mold of
+/// (generator, verifier and WCE probes alike), in the mold of
 /// `ccmatic_smt::pivots_total` / `ccmatic_num::arith_snapshot`: benches
 /// bracket a region of interest with snapshots and report the deltas.
 static THEORY_PROPS_TOTAL: AtomicU64 = AtomicU64::new(0);

@@ -12,7 +12,7 @@
 //! ccmatic enumerate [same space/threshold flags]
 //!                 [--cache-dir DIR]  (certificate-backed persistent result cache)
 //! ccmatic sweep   --axis delay|util --values "8,4,3.6,3"  [same space flags]
-//!                 [--no-warm-start]  (default: sequential warm-started sweep)
+//!                 [--no-warm-start]  (independent points instead of carry-over)
 //!                 [--cache-dir DIR] [--sweep-budget-secs N]
 //! ccmatic assume  --cca "…"
 //! ccmatic diff    --cca "…" --cca-b "…"
@@ -172,7 +172,7 @@ fn usage() -> ExitCode {
          \x20                  DRAT+Farkas certificate with the independent checker)\n\
          \x20      --cache-dir DIR  (enumerate/sweep: certificate-backed result cache)\n\
          \x20      --axis delay|util --values \"8,4,3.6,3\"  (sweep points)\n\
-         \x20      --no-warm-start  (sweep: parallel cold points instead of carry-over)\n\
+         \x20      --no-warm-start  (sweep: independent cold points, no carry-over)\n\
          \x20      --sweep-budget-secs N  (wall budget for the whole sweep)\n\
          \x20      --cca \"b1,b2,…,g\"  --cca-b \"…\"  (β taps then γ)\n\
          \x20      --target aimd|const:X  (fuzz: simulator-only target instead of --cca)\n\
@@ -402,13 +402,13 @@ fn main() -> ExitCode {
                 None => None,
             };
             let cfg = SweepConfig {
-                threads: ccmatic::sweep::sweep_threads(),
                 warm_start: !args.has("--no-warm-start"),
                 cache,
                 sweep_wall: args
                     .get("--sweep-budget-secs")
                     .and_then(|v| v.parse().ok())
                     .map(Duration::from_secs),
+                ..Default::default()
             };
             let report = match args.get("--axis").unwrap_or("delay") {
                 "util" => sweep_with_config(&opts, &values, |t, u| t.util = u.clone(), &cfg),
