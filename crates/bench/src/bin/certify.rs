@@ -6,17 +6,25 @@
 //! so this binary exiting 0 *is* the acceptance statement.
 //!
 //! ```sh
-//! cargo run --release -p ccmatic-bench --bin certify -- [--budget-secs N]
+//! cargo run --release -p ccmatic-bench --bin certify -- [--budget-secs N] [--check BENCH_certify.json]
 //! ```
 //!
 //! Emits `BENCH_certify.json` with per-CCA certificate statistics and the
 //! certified-vs-plain overhead factor on the No-cwnd/Small RP+WCE cell.
+//!
+//! `--check FILE` reads FILE before the run and, after writing the fresh
+//! `BENCH_certify.json`, compares every field except the timings
+//! (`check_ms`, `wall_s`, `certify_overhead`), `small_ops` and
+//! `budget_secs` with it: verdicts, certificate counts, clauses, bytes,
+//! steps replayed and the synthesis cells' work counters. Any difference
+//! is printed by path and fails the run.
 
 use ccac_model::Thresholds;
 use ccmatic::known;
 use ccmatic::synth::OptMode;
 use ccmatic::template::CcaSpec;
 use ccmatic::verifier::{CcaVerifier, VerifyConfig};
+use ccmatic_bench::drift::{read_committed, report_drift};
 use ccmatic_bench::{run_cell, run_cell_with, table1_rows, write_json, Json, Scale};
 use ccmatic_num::{rat, Rat};
 use std::process::ExitCode;
@@ -38,8 +46,25 @@ fn certified_verify(spec: &CcaSpec, worst_case: bool) -> (bool, CcaVerifier) {
     (pass, v)
 }
 
+/// Fields that vary from run to run (timings and the budget) or only count
+/// the arithmetic fast path's bookkeeping, and are left out of `--check`.
+fn unchecked(key: &str) -> bool {
+    matches!(key, "check_ms" | "wall_s" | "certify_overhead" | "small_ops" | "budget_secs")
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
+    // Read before the run: the run rewrites `BENCH_certify.json`.
+    let committed = match args.windows(2).find(|w| w[0] == "--check") {
+        None => None,
+        Some(w) => match read_committed(&w[1]) {
+            Ok(doc) => Some((w[1].clone(), doc)),
+            Err(e) => {
+                eprintln!("certify: cannot read {}: {e}", w[1]);
+                return ExitCode::FAILURE;
+            }
+        },
+    };
     let budget_secs: u64 = args
         .windows(2)
         .find(|w| w[0] == "--budget-secs")
@@ -47,9 +72,10 @@ fn main() -> ExitCode {
         .unwrap_or(120);
 
     // The known-CCA set: RoCC plus two reference variants the paper
-    // discusses. Verdicts differ (RoCC passes, a constant window is
-    // refuted); the invariant under test is that *every* verdict is backed
-    // by an accepted certificate or an exact-audited model.
+    // discusses. Verdicts differ (RoCC and the constant window 2 pass,
+    // Eq. (iii) is refuted); the invariant under test is that *every*
+    // verdict is backed by an accepted certificate or an exact-audited
+    // model.
     let cases: Vec<(&str, CcaSpec)> = vec![
         ("rocc", known::rocc()),
         ("eq_iii", known::eq_iii()),
@@ -121,5 +147,8 @@ fn main() -> ExitCode {
         eprintln!("certify: certified run produced no certificates");
         return ExitCode::FAILURE;
     }
-    ExitCode::SUCCESS
+    match &committed {
+        Some((path, doc)) if !report_drift(path, &json, doc, &unchecked) => ExitCode::FAILURE,
+        _ => ExitCode::SUCCESS,
+    }
 }

@@ -1,7 +1,7 @@
 //! Self-contained UNSAT certificates and an independent checker.
 //!
-//! The solver side (`ccmatic-smt`, behind its `proofs` feature) logs a
-//! DRAT-style clausal proof through the [`ProofSink`] trait: input clauses,
+//! The solver side (`ccmatic-smt`, once proofs are enabled) logs a
+//! DRAT-style clausal proof into a [`MemorySink`]: input clauses,
 //! learned clauses claimed derivable by reverse unit propagation (RUP),
 //! theory lemmas carrying Farkas coefficients, clause deletions, and atom
 //! definitions binding SAT variables to linear-arithmetic constraints. The
@@ -20,7 +20,7 @@
 //! verifier) hands out certificates that are prefixes of that log, so each
 //! extends the one before. A [`Replayer`] holds such a log itself: the
 //! solver's [`MemorySink`] hands each logged step over once
-//! ([`ProofSink::take_steps`]), and a certificate is a length into the
+//! ([`MemorySink::take_steps`]), and a certificate is a length into the
 //! replayer's log ([`Replayer::check_prefix`]). The replayer applies each
 //! step once, in log order, and runs the end-of-certificate test at every
 //! length it is asked about. Each step's outcome depends only on the steps
@@ -33,7 +33,6 @@
 
 use ccmatic_num::Rat;
 use std::fmt;
-use std::io::Write;
 
 mod check;
 pub use check::{check, CertStats, CheckError, Replayer};
@@ -62,8 +61,8 @@ pub enum ProofStep {
 }
 
 impl ProofStep {
-    /// Renders the step as one line of the text format (used for size
-    /// accounting and the streaming sink).
+    /// Renders the step as one line of the text format (used by
+    /// [`steps_to_text`]).
     pub fn render<W: fmt::Write>(&self, out: &mut W) {
         match self {
             ProofStep::Atom { var, expr, bound, strict } => {
@@ -247,51 +246,17 @@ impl UnsatCertificate {
     }
 }
 
-/// Aggregate counters a sink maintains as the solver logs, surfaced in
-/// `SolverStats` so proof overhead is observable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProofLogStats {
-    /// Total steps logged (including deletions and atom definitions).
-    pub steps: u64,
-    /// Clause-addition steps logged (input + RUP + theory).
-    pub clauses: u64,
-    /// Deletion steps logged.
-    pub deletions: u64,
-    /// Bytes of the text rendering of everything logged so far.
-    pub bytes: u64,
-}
-
-/// Receives proof steps from a solver. Clause-addition methods return the
-/// fresh clause id (ids start at 1 and are never reused).
-pub trait ProofSink {
-    fn log_atom(&mut self, var: u32, expr: Vec<(u32, Rat)>, bound: Rat, strict: bool);
-    fn log_input(&mut self, lits: Vec<u32>) -> u64;
-    fn log_rup(&mut self, lits: Vec<u32>) -> u64;
-    fn log_theory(&mut self, lits: Vec<u32>, farkas: Vec<(u32, Rat)>) -> u64;
-    fn log_delete(&mut self, id: u64);
-    /// Steps logged so far, if this sink keeps them for
-    /// [`ProofSink::take_steps`]: a certificate taken now is the log's
-    /// first `position()` steps. Solvers call this at the moment they
-    /// conclude UNSAT.
-    fn position(&self) -> Option<usize> {
-        None
-    }
-    /// Moves out the kept steps logged since the previous call, in order,
-    /// for the caller to append to the log it holds.
-    fn take_steps(&mut self) -> Vec<ProofStep> {
-        Vec::new()
-    }
-    fn stats(&self) -> ProofLogStats;
-}
-
-/// In-memory sink: keeps each step until [`ProofSink::take_steps`] moves it
-/// out, so a certificate is a position in the log, never a copy of it.
+/// The solver's in-memory proof log: keeps each step until
+/// [`MemorySink::take_steps`] moves it out, so a certificate is a position
+/// in the log, never a copy of it. Clause-addition methods return the fresh
+/// clause id (ids start at 1 and are never reused).
 #[derive(Debug, Default)]
 pub struct MemorySink {
     /// Steps logged since the last `take_steps`.
     pending: Vec<ProofStep>,
+    /// Steps logged in total.
+    steps: usize,
     next_id: u64,
-    stats: ProofLogStats,
 }
 
 impl MemorySink {
@@ -300,8 +265,7 @@ impl MemorySink {
     }
 
     fn push(&mut self, step: ProofStep) {
-        self.stats.steps += 1;
-        self.stats.bytes += step.byte_len();
+        self.steps += 1;
         self.pending.push(step);
     }
 
@@ -309,115 +273,44 @@ impl MemorySink {
         self.next_id += 1;
         self.next_id
     }
-}
 
-impl ProofSink for MemorySink {
-    fn log_atom(&mut self, var: u32, expr: Vec<(u32, Rat)>, bound: Rat, strict: bool) {
+    pub fn log_atom(&mut self, var: u32, expr: Vec<(u32, Rat)>, bound: Rat, strict: bool) {
         self.push(ProofStep::Atom { var, expr, bound, strict });
     }
 
-    fn log_input(&mut self, lits: Vec<u32>) -> u64 {
+    pub fn log_input(&mut self, lits: Vec<u32>) -> u64 {
         let id = self.fresh_id();
-        self.stats.clauses += 1;
         self.push(ProofStep::Input { id, lits });
         id
     }
 
-    fn log_rup(&mut self, lits: Vec<u32>) -> u64 {
+    pub fn log_rup(&mut self, lits: Vec<u32>) -> u64 {
         let id = self.fresh_id();
-        self.stats.clauses += 1;
         self.push(ProofStep::Rup { id, lits });
         id
     }
 
-    fn log_theory(&mut self, lits: Vec<u32>, farkas: Vec<(u32, Rat)>) -> u64 {
+    pub fn log_theory(&mut self, lits: Vec<u32>, farkas: Vec<(u32, Rat)>) -> u64 {
         let id = self.fresh_id();
-        self.stats.clauses += 1;
         self.push(ProofStep::Theory { id, lits, farkas });
         id
     }
 
-    fn log_delete(&mut self, id: u64) {
-        self.stats.deletions += 1;
+    pub fn log_delete(&mut self, id: u64) {
         self.push(ProofStep::Delete { id });
     }
 
-    fn position(&self) -> Option<usize> {
-        Some(self.stats.steps as usize)
+    /// Steps logged so far: a certificate taken now is the log's first
+    /// `position()` steps. Solvers call this at the moment they conclude
+    /// UNSAT.
+    pub fn position(&self) -> usize {
+        self.steps
     }
 
-    fn take_steps(&mut self) -> Vec<ProofStep> {
+    /// Moves out the steps logged since the previous call, in order, for
+    /// the caller to append to the log it holds.
+    pub fn take_steps(&mut self) -> Vec<ProofStep> {
         std::mem::take(&mut self.pending)
-    }
-
-    fn stats(&self) -> ProofLogStats {
-        self.stats
-    }
-}
-
-/// Streaming sink: renders each step to a writer as it is logged, keeping
-/// memory bounded. Keeps no steps, so it hands out no certificates (check
-/// the streamed file with an external replay instead).
-#[derive(Debug)]
-pub struct WriterSink<W: Write> {
-    writer: W,
-    next_id: u64,
-    stats: ProofLogStats,
-    line: String,
-}
-
-impl<W: Write> WriterSink<W> {
-    pub fn new(writer: W) -> Self {
-        WriterSink { writer, next_id: 0, stats: ProofLogStats::default(), line: String::new() }
-    }
-
-    fn emit(&mut self, step: ProofStep) {
-        self.line.clear();
-        step.render(&mut self.line);
-        self.stats.steps += 1;
-        self.stats.bytes += self.line.len() as u64;
-        let _ = self.writer.write_all(self.line.as_bytes());
-    }
-
-    fn fresh_id(&mut self) -> u64 {
-        self.next_id += 1;
-        self.next_id
-    }
-}
-
-impl<W: Write> ProofSink for WriterSink<W> {
-    fn log_atom(&mut self, var: u32, expr: Vec<(u32, Rat)>, bound: Rat, strict: bool) {
-        self.emit(ProofStep::Atom { var, expr, bound, strict });
-    }
-
-    fn log_input(&mut self, lits: Vec<u32>) -> u64 {
-        let id = self.fresh_id();
-        self.stats.clauses += 1;
-        self.emit(ProofStep::Input { id, lits });
-        id
-    }
-
-    fn log_rup(&mut self, lits: Vec<u32>) -> u64 {
-        let id = self.fresh_id();
-        self.stats.clauses += 1;
-        self.emit(ProofStep::Rup { id, lits });
-        id
-    }
-
-    fn log_theory(&mut self, lits: Vec<u32>, farkas: Vec<(u32, Rat)>) -> u64 {
-        let id = self.fresh_id();
-        self.stats.clauses += 1;
-        self.emit(ProofStep::Theory { id, lits, farkas });
-        id
-    }
-
-    fn log_delete(&mut self, id: u64) {
-        self.stats.deletions += 1;
-        self.emit(ProofStep::Delete { id });
-    }
-
-    fn stats(&self) -> ProofLogStats {
-        self.stats
     }
 }
 

@@ -242,7 +242,6 @@ mod tests {
     }
 
     /// The certificate made of the first `len` steps of `log`.
-    #[cfg(feature = "proofs")]
     fn prefix(log: &[ccmatic_proof::ProofStep], len: usize) -> ccmatic_proof::UnsatCertificate {
         ccmatic_proof::UnsatCertificate { steps: log[..len].to_vec() }
     }
@@ -398,7 +397,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proofs")]
     #[test]
     fn certified_search_carries_checkable_certificates() {
         // max x subject to x + y <= 10, y >= 4, with certification: every

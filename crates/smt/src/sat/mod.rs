@@ -184,10 +184,7 @@ struct Clause {
     /// Deepest assertion scope this clause's derivation depends on; the
     /// clause survives a pop to depth `d` iff `epoch ≤ d`.
     epoch: u32,
-    /// Id of this clause in the proof log (0 when logging is off). Kept
-    /// unconditionally — it is dead weight without the `proofs` feature but
-    /// saves a cfg forest at every construction site.
-    #[cfg_attr(not(feature = "proofs"), allow(dead_code))]
+    /// Id of this clause in the proof log (0 when logging is off).
     proof_id: u64,
 }
 
@@ -262,20 +259,17 @@ pub struct SatSolver {
     /// Optional deadline/cancellation; `solve` polls it once per
     /// propagation fixpoint and gives up (`None` result) when it fires.
     pub interrupt: crate::interrupt::Interrupt,
-    /// Proof log receiver; `None` (the default) makes every logging hook a
+    /// The proof log; `None` (the default) makes every logging hook a
     /// no-op.
-    #[cfg(feature = "proofs")]
-    sink: Option<Box<dyn ccmatic_proof::ProofSink + Send>>,
+    sink: Option<ccmatic_proof::MemorySink>,
     /// Live proof-log clause ids *not* tracked by `clauses`, indexed by
     /// derivation epoch: unit and level-0-satisfied input clauses, learned
     /// unit clauses, and unit theory lemmas. A pop to depth `d` deletes
     /// every id recorded at epochs > `d` (mirroring the trail filter and
     /// `pending_units` retention).
-    #[cfg(feature = "proofs")]
     extra_ids: Vec<Vec<u64>>,
     /// Id of the logged empty clause while the solver is unsat; deleted
     /// when a pop clears the verdict.
-    #[cfg(feature = "proofs")]
     unsat_proof: Option<u64>,
 }
 
@@ -313,11 +307,8 @@ impl SatSolver {
             frames: Vec::new(),
             stats: SatStats::default(),
             interrupt: crate::interrupt::Interrupt::none(),
-            #[cfg(feature = "proofs")]
             sink: None,
-            #[cfg(feature = "proofs")]
             extra_ids: Vec::new(),
-            #[cfg(feature = "proofs")]
             unsat_proof: None,
         }
     }
@@ -355,7 +346,6 @@ impl SatSolver {
         // Conclude the proof with one empty clause (derivable by unit
         // propagation alone at every call site). Guarded so repeated
         // conclusions while already unsat log nothing new.
-        #[cfg(feature = "proofs")]
         if self.unsat_proof.is_none() {
             if let Some(sink) = self.sink.as_mut() {
                 self.unsat_proof = Some(sink.log_rup(Vec::new()));
@@ -363,81 +353,40 @@ impl SatSolver {
         }
     }
 
-    /// Install a proof-log receiver. Must be called on an empty solver so
-    /// the log covers every clause.
+    /// Start logging DRAT + Farkas steps into an in-memory proof log. Must
+    /// be called on an empty solver so the log covers every clause.
     ///
     /// # Panics
     /// Panics if variables or clauses already exist.
-    #[cfg(feature = "proofs")]
-    pub fn set_proof_sink(&mut self, sink: Box<dyn ccmatic_proof::ProofSink + Send>) {
+    pub fn enable_proofs(&mut self) {
         assert!(
             self.num_vars == 0 && self.clauses.is_empty() && self.pending_units.is_empty(),
             "proof logging must be enabled on an empty solver"
         );
-        self.sink = Some(sink);
+        self.sink = Some(ccmatic_proof::MemorySink::new());
     }
 
-    /// See the `proofs`-enabled variant; without the feature the sink is
-    /// dropped and nothing is ever logged.
-    #[cfg(not(feature = "proofs"))]
-    pub fn set_proof_sink(&mut self, _sink: Box<dyn ccmatic_proof::ProofSink + Send>) {}
-
-    /// The proof log's length so far, if a sink that keeps its steps is
-    /// installed: taken while [`SatSolver::is_unsat`] holds, the log's
-    /// first that many steps are an UNSAT certificate.
-    #[cfg(feature = "proofs")]
+    /// The proof log's length so far, if logging is on: taken while
+    /// [`SatSolver::is_unsat`] holds, the log's first that many steps are
+    /// an UNSAT certificate.
     pub fn proof_position(&self) -> Option<usize> {
-        self.sink.as_ref().and_then(|s| s.position())
+        self.sink.as_ref().map(|s| s.position())
     }
 
-    /// See the `proofs`-enabled variant.
-    #[cfg(not(feature = "proofs"))]
-    pub fn proof_position(&self) -> Option<usize> {
-        None
-    }
-
-    /// Moves the steps logged since the previous call out of the sink.
-    #[cfg(feature = "proofs")]
+    /// Moves the steps logged since the previous call out of the log.
     pub fn take_proof_steps(&mut self) -> Vec<ccmatic_proof::ProofStep> {
         self.sink.as_mut().map(|s| s.take_steps()).unwrap_or_default()
     }
 
-    /// See the `proofs`-enabled variant.
-    #[cfg(not(feature = "proofs"))]
-    pub fn take_proof_steps(&mut self) -> Vec<ccmatic_proof::ProofStep> {
-        Vec::new()
-    }
-
-    /// Proof-log counters, if logging is on.
-    #[cfg(feature = "proofs")]
-    pub fn proof_stats(&self) -> Option<ccmatic_proof::ProofLogStats> {
-        self.sink.as_ref().map(|s| s.stats())
-    }
-
-    /// See the `proofs`-enabled variant.
-    #[cfg(not(feature = "proofs"))]
-    pub fn proof_stats(&self) -> Option<ccmatic_proof::ProofLogStats> {
-        None
-    }
-
-    /// Whether a proof sink is attached (always `false` without the
-    /// `proofs` feature).
-    #[cfg(feature = "proofs")]
+    /// Whether proof logging is on.
     pub fn proofs_enabled(&self) -> bool {
         self.sink.is_some()
     }
 
-    /// See the `proofs`-enabled variant.
-    #[cfg(not(feature = "proofs"))]
-    pub fn proofs_enabled(&self) -> bool {
-        false
-    }
-
     /// Record the arithmetic meaning of SAT variable `v` in the proof log:
     /// `expr ≤ bound` (`<` when `strict`), with `expr` a sparse sum over
-    /// real-variable indices. No-op without a sink. Re-logging a recycled
-    /// variable replaces its definition.
-    #[cfg(feature = "proofs")]
+    /// real-variable indices. No-op when logging is off. Re-logging a
+    /// recycled variable replaces its definition.
     pub fn log_atom_def(
         &mut self,
         v: Var,
@@ -450,19 +399,6 @@ impl SatSolver {
         }
     }
 
-    /// See the `proofs`-enabled variant; without the feature this is a
-    /// no-op kept so call sites need no cfg.
-    #[cfg(not(feature = "proofs"))]
-    pub fn log_atom_def(
-        &mut self,
-        _v: Var,
-        _expr: &[(u32, ccmatic_num::Rat)],
-        _bound: &ccmatic_num::Rat,
-        _strict: bool,
-    ) {
-    }
-
-    #[cfg(feature = "proofs")]
     fn plog_input(&mut self, lits: &[Lit]) -> u64 {
         match self.sink.as_mut() {
             Some(s) => s.log_input(lits.iter().map(|l| l.0).collect()),
@@ -470,12 +406,6 @@ impl SatSolver {
         }
     }
 
-    #[cfg(not(feature = "proofs"))]
-    fn plog_input(&mut self, _lits: &[Lit]) -> u64 {
-        0
-    }
-
-    #[cfg(feature = "proofs")]
     fn plog_rup(&mut self, lits: &[Lit]) -> u64 {
         match self.sink.as_mut() {
             Some(s) => s.log_rup(lits.iter().map(|l| l.0).collect()),
@@ -483,12 +413,6 @@ impl SatSolver {
         }
     }
 
-    #[cfg(not(feature = "proofs"))]
-    fn plog_rup(&mut self, _lits: &[Lit]) -> u64 {
-        0
-    }
-
-    #[cfg(feature = "proofs")]
     fn plog_theory(&mut self, lits: &[Lit], farkas: &[(Lit, ccmatic_num::Rat)]) -> u64 {
         match self.sink.as_mut() {
             Some(s) => s.log_theory(
@@ -499,12 +423,6 @@ impl SatSolver {
         }
     }
 
-    #[cfg(not(feature = "proofs"))]
-    fn plog_theory(&mut self, _lits: &[Lit], _farkas: &[(Lit, ccmatic_num::Rat)]) -> u64 {
-        0
-    }
-
-    #[cfg(feature = "proofs")]
     fn plog_delete(&mut self, id: u64) {
         if id != 0 {
             if let Some(s) = self.sink.as_mut() {
@@ -513,13 +431,9 @@ impl SatSolver {
         }
     }
 
-    #[cfg(not(feature = "proofs"))]
-    fn plog_delete(&mut self, _id: u64) {}
-
     /// Track a live proof clause that `clauses` does not own (unit inputs,
     /// learned units, level-0-satisfied inputs) so the matching pop can
     /// delete it.
-    #[cfg(feature = "proofs")]
     fn plog_record_extra(&mut self, epoch: u32, id: u64) {
         if id == 0 {
             return;
@@ -530,9 +444,6 @@ impl SatSolver {
         }
         self.extra_ids[e].push(id);
     }
-
-    #[cfg(not(feature = "proofs"))]
-    fn plog_record_extra(&mut self, _epoch: u32, _id: u64) {}
 
     /// Open an assertion scope: clauses and variables added from here on are
     /// discarded by the matching [`SatSolver::pop`].
@@ -584,7 +495,6 @@ impl SatSolver {
         // Log deletions for everything about to be dropped — BEFORE any
         // later addition, so a popped clause can never justify a later RUP
         // step in the proof.
-        #[cfg(feature = "proofs")]
         if self.sink.is_some() {
             let mut dead: Vec<u64> = self
                 .clauses
@@ -599,7 +509,6 @@ impl SatSolver {
                 self.plog_delete(id);
             }
         }
-        #[cfg(feature = "proofs")]
         self.extra_ids.truncate(new_depth as usize + 1);
         // Keep only clauses derivable from the surviving prefix. The epoch
         // invariant (clause epoch ≥ every literal's variable epoch)
@@ -618,7 +527,6 @@ impl SatSolver {
         if self.unsat_at.is_some_and(|e| e > new_depth) {
             self.unsat_at = None;
             // The empty clause's derivation died with the popped scope.
-            #[cfg(feature = "proofs")]
             if let Some(id) = self.unsat_proof.take() {
                 self.plog_delete(id);
             }

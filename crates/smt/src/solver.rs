@@ -122,11 +122,6 @@ pub struct SolverStats {
     /// *process-wide* snapshot from `ccmatic_num::arith_snapshot()`, not a
     /// per-solver count: take deltas around a region of interest.
     pub promotions: u64,
-    /// Clause-derivation steps in the proof log (0 when logging is off or
-    /// the `proofs` feature is disabled).
-    pub proof_clauses: u64,
-    /// Bytes of the proof log's text rendering (0 when logging is off).
-    pub proof_bytes: u64,
     /// Literals implied into the SAT trail by theory propagation.
     pub theory_props: u64,
     /// Atom bounds asserted into the simplex at theory fixpoints.
@@ -207,24 +202,18 @@ impl Solver {
         self.cnf.assert_term(ctx, &mut self.sat, t);
     }
 
-    /// Enable DRAT + Farkas proof logging into an in-memory sink, so `Unsat`
-    /// verdicts from [`Solver::check_certified`] carry a replayable
-    /// certificate. Must be called before anything is asserted. Without the
-    /// `proofs` feature this is a no-op and [`Solver::proofs_enabled`] stays
-    /// `false`.
+    /// Enable DRAT + Farkas proof logging into the solver's in-memory
+    /// [`ccmatic_proof::MemorySink`], so `Unsat` verdicts from
+    /// [`Solver::check_certified`] carry a replayable certificate.
+    ///
+    /// # Panics
+    /// Panics unless the solver is empty: it must be called before anything
+    /// is asserted, so the log covers every clause.
     pub fn enable_proofs(&mut self) {
-        self.sat.set_proof_sink(Box::new(ccmatic_proof::MemorySink::new()));
+        self.sat.enable_proofs();
     }
 
-    /// Enable proof logging into a caller-supplied sink (e.g. a streaming
-    /// [`ccmatic_proof::WriterSink`] for bounded memory). Must be called
-    /// before anything is asserted.
-    pub fn set_proof_sink(&mut self, sink: Box<dyn ccmatic_proof::ProofSink + Send>) {
-        self.sat.set_proof_sink(sink);
-    }
-
-    /// Whether proof logging is active (always `false` without the `proofs`
-    /// feature).
+    /// Whether [`Solver::enable_proofs`] has been called.
     pub fn proofs_enabled(&self) -> bool {
         self.sat.proofs_enabled()
     }
@@ -639,8 +628,8 @@ impl Solver {
     }
 
     /// [`Solver::check`], plus evidence: `Unsat` verdicts carry the length
-    /// of the proof log at that moment (when a sink that keeps its steps
-    /// is attached — see [`Solver::enable_proofs`]): the log's first that
+    /// of the proof log at that moment (when logging is on — see
+    /// [`Solver::enable_proofs`]): the log's first that
     /// many steps refute the assertions, for independent replay by
     /// `ccmatic_proof`. `Sat` verdicts are audited by exact rational
     /// evaluation of every asserted term under the model.
@@ -660,7 +649,7 @@ impl Solver {
     }
 
     /// Moves the proof steps logged since the previous call out of the
-    /// solver, in order (none without a sink that keeps them). A caller
+    /// solver, in order (none when logging is off). A caller
     /// that appends every batch to one log holds the log that
     /// certificate lengths index.
     pub fn take_proof_steps(&mut self) -> Vec<ccmatic_proof::ProofStep> {
@@ -689,13 +678,6 @@ impl Solver {
 
     /// Solver statistics.
     pub fn stats(&self) -> SolverStats {
-        #[cfg(feature = "proofs")]
-        let (proof_clauses, proof_bytes) = match self.sat.proof_stats() {
-            Some(p) => (p.clauses, p.bytes),
-            None => (0, 0),
-        };
-        #[cfg(not(feature = "proofs"))]
-        let (proof_clauses, proof_bytes) = (0, 0);
         SolverStats {
             checks: self.checks,
             decisions: self.sat.stats.decisions,
@@ -704,8 +686,6 @@ impl Solver {
             theory_conflicts: self.sat.stats.theory_conflicts,
             pivots: self.simplex.pivots,
             promotions: ccmatic_num::arith_snapshot().promotions,
-            proof_clauses,
-            proof_bytes,
             theory_props: self.sat.stats.theory_props,
             bounds_asserted: self.bounds_asserted,
             bounds_reused: self.bounds_reused,
@@ -718,9 +698,8 @@ impl Solver {
 pub struct Certified {
     /// The verdict, identical to what [`Solver::check`] returns.
     pub result: SatResult,
-    /// On `Unsat` with a proof sink that keeps its steps: the refutation,
-    /// as its length in the solver's proof log (see
-    /// [`Solver::take_proof_steps`]).
+    /// On `Unsat` with proof logging on: the refutation, as its length in
+    /// the solver's proof log (see [`Solver::take_proof_steps`]).
     pub certificate: Option<usize>,
     /// On `Sat`: whether every asserted term evaluated true under the model.
     pub model_ok: Option<bool>,

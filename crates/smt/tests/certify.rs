@@ -2,7 +2,6 @@
 //! must come with a certificate the independent checker accepts, every `Sat`
 //! verdict must survive an exact-rational model audit, and corrupting a real
 //! solver-produced certificate must be detected.
-#![cfg(feature = "proofs")]
 
 use ccmatic_num::{int, SmallRng};
 use ccmatic_proof::{check, CheckError, ProofStep, UnsatCertificate};
@@ -78,8 +77,6 @@ fn certified_verdict(ctx: &Context, parts: &[Term]) -> SatResult {
             check(&cert).unwrap_or_else(|e| {
                 panic!("checker rejected a solver-produced certificate: {e}\n{}", cert.to_text())
             });
-            let stats = s.stats();
-            assert!(stats.proof_clauses > 0 && stats.proof_bytes > 0, "stats must report log size");
         }
         SatResult::Sat => {
             assert_eq!(out.model_ok, Some(true), "model failed the exact-rational audit");
@@ -273,5 +270,16 @@ fn uncertified_solver_has_no_certificate_but_same_verdicts() {
     let out = s.check_certified(&ctx);
     assert_eq!(out.result, SatResult::Unsat);
     assert!(out.certificate.is_none());
-    assert_eq!(s.stats().proof_clauses, 0);
+    assert!(s.take_proof_steps().is_empty());
+}
+
+#[test]
+#[should_panic(expected = "proof logging must be enabled on an empty solver")]
+fn enabling_proofs_after_an_assert_panics() {
+    let mut ctx = Context::new();
+    let x = ctx.real_var("x");
+    let lo = ctx.ge(ctx.var(x), ctx.constant(int(2)));
+    let mut s = Solver::new();
+    s.assert(&ctx, lo);
+    s.enable_proofs();
 }

@@ -5,7 +5,6 @@
 //! verdict is then checked without the simplex: a `Sat` model by exact
 //! rational evaluation of every asserted atom, an `Unsat` verdict by
 //! replaying its certificate in the independent proof checker.
-#![cfg(feature = "proofs")]
 
 use ccmatic_num::{int, Rat, SmallRng};
 use ccmatic_proof::{check, UnsatCertificate};
