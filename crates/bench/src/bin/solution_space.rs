@@ -26,7 +26,7 @@ use ccmatic::synth::{OptMode, SynthOptions};
 use ccmatic_bench::drift::{drift, read_committed, report};
 use ccmatic_bench::{table1_rows, write_json, Json, Scale};
 use ccmatic_cegis::Budget;
-use ccmatic_num::rat;
+use ccmatic_num::{rat, Rat};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -106,10 +106,14 @@ fn main() -> ExitCode {
         if result.complete {
             let (n, iterations) = (result.solutions.len(), result.stats.iterations);
             println!("{n} solution(s); exhaustive; {iterations} iterations");
+            // Taps past the last nonzero one read nothing, so a shorter
+            // lookback holds RoCC too.
+            let taps =
+                |b: &[Rat]| b[..b.iter().rposition(|x| !x.is_zero()).map_or(0, |i| i + 1)].to_vec();
             let rocc = known::rocc();
             for s in &result.solutions {
-                let marker =
-                    if s.beta == rocc.beta && s.gamma == rocc.gamma { "  ← RoCC" } else { "" };
+                let is_rocc = taps(&s.beta) == taps(&rocc.beta) && s.gamma == rocc.gamma;
+                let marker = if is_rocc { "  ← RoCC" } else { "" };
                 println!("  {s}{marker}");
             }
             print!("history usage:");

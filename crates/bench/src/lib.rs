@@ -105,8 +105,6 @@ pub struct CellResult {
     pub solved: bool,
     /// Verifier solver probes (for the §4 scalability discussion).
     pub verifier_probes: u64,
-    /// Candidates killed by the concrete replay prefilter, no SMT.
-    pub replay_hits: u64,
     /// Candidates blocked by counterexample region generalization.
     pub regions_pruned: u64,
     /// Simplex pivots performed during this cell (process-wide delta).
@@ -151,7 +149,6 @@ impl CellResult {
             ("iterations", Json::UInt(self.iterations)),
             ("wall_s", Json::Num(self.wall.as_secs_f64())),
             ("solver_probes", Json::UInt(self.verifier_probes)),
-            ("replay_hits", Json::UInt(self.replay_hits)),
             ("regions_pruned", Json::UInt(self.regions_pruned)),
             ("pivots", Json::UInt(self.pivots)),
             ("promotions", Json::UInt(self.promotions)),
@@ -221,7 +218,6 @@ pub fn run_cell_with(
         wall: result.stats.wall,
         solved: matches!(result.outcome, Outcome::Solution(_)),
         verifier_probes: result.verifier_probes,
-        replay_hits: result.stats.replay_hits,
         regions_pruned: result.stats.regions_pruned,
         pivots: ccmatic_smt::lra::pivots_total().saturating_sub(pivots_before),
         promotions: arith.promotions,

@@ -13,15 +13,17 @@
 //! facts being right:
 //!
 //! * **L1 — a [`WarmStart`] carried from a neighboring sweep point.** Each
-//!   carried (refuted candidate, trace) pair is re-checked by
-//!   [`crate::replay::TraceReplay::refutes`] under the *current*
-//!   thresholds before its constraint is asserted; pairs that fail the
-//!   re-check only join the replay prefilter, where every later use is
-//!   individually gated by the same re-check. The neighbor's solutions are
-//!   pre-verified first: a Pass admits the solution and blocks it (no
-//!   generator work at all), a Fail yields a fresh counterexample for this
-//!   point. The generator's final unsat claim is unchanged by any of this
-//!   — warm and cold runs provably enumerate the same set.
+//!   carried (refuted candidate, trace) pair whose trace the network model
+//!   admits is learned before the first proposal, like a counterexample
+//!   the verifier just produced: σ holds for every solution on every
+//!   network-feasible trace, so the assertion removes no solution at the
+//!   current thresholds. [`crate::replay::TraceReplay::refutes`] only
+//!   decides whether the region BFS runs around the carried candidate.
+//!   The neighbor's solutions are then pre-verified: a Pass admits the
+//!   solution and blocks it (no generator work at all), a Fail yields a
+//!   fresh counterexample for this point. The generator's final unsat
+//!   claim is unchanged by any of this — warm and cold runs provably
+//!   enumerate the same set.
 //! * **L2 — the persistent [`ResultCache`].** A validated hit (exact
 //!   canonical-fingerprint match + every stored certificate re-checked by
 //!   the independent checker) answers the whole enumeration with zero
@@ -30,10 +32,10 @@
 //!   Pass certificates, and the exhaustion certificate.
 
 use crate::cache::{Lookup, PassCerts, ResultCache};
-use crate::synth::{build_loop, make_replay, SynthOptions};
+use crate::synth::{build_loop, SynthOptions};
 use crate::template::CcaSpec;
 use ccac_model::Trace;
-use ccmatic_cegis::{run_with_progress, Budget, Generator, Outcome, Stats, Verdict, Verifier};
+use ccmatic_cegis::{run, Budget, Generator, Outcome, Stats, Verdict, Verifier};
 use std::time::Instant;
 
 /// Result of [`enumerate_all`].
@@ -135,18 +137,15 @@ pub fn enumerate_all_with(
     };
 
     let (mut generator, mut verifier) = build_loop(opts_run);
-    let replayer = make_replay(opts_run);
     let mut solutions: Vec<CcaSpec> = Vec::new();
     let mut pass_certs = PassCerts::default();
     let mut remaining = opts.budget.max_iterations;
     let deadline = t0 + opts.budget.max_wall;
 
-    // L1: seed carried facts, re-validating every one at *this* point's
-    // thresholds. Traces that no longer refute their candidate are demoted
-    // to the replay prefilter (each later use is re-gated individually).
-    let mut replay_seeds: Vec<Trace> = Vec::new();
+    // L1: learn the carried traces the network model admits at *this*
+    // point, then re-verify the carried solutions.
     if let Some(warm) = warm {
-        replay_seeds = generator.seed(&warm.refuted, &mut stats);
+        generator.seed(&warm.refuted, &mut stats);
         // Pre-verify the neighbor's solutions: monotone thresholds nest
         // solution sets, so most either re-verify (admitted + blocked, no
         // generator work) or yield a fresh counterexample for this point.
@@ -185,20 +184,11 @@ pub fn enumerate_all_with(
         if budget.max_iterations == 0 || budget.max_wall.is_zero() {
             break false;
         }
-        let replay = |c: &CcaSpec, cex: &Trace| replayer.refutes(c, cex);
-        let result = run_with_progress(
-            &mut generator,
-            &mut verifier,
-            replay,
-            &budget,
-            replay_seeds.clone(),
-            |_| {},
-        );
+        let result = run(&mut generator, &mut verifier, &budget);
         stats.iterations += result.stats.iterations;
         stats.generator_time += result.stats.generator_time;
         stats.verifier_time += result.stats.verifier_time;
         stats.verifier_calls += result.stats.verifier_calls;
-        stats.replay_hits += result.stats.replay_hits;
         remaining = remaining.saturating_sub(result.stats.iterations);
         match result.outcome {
             Outcome::Solution(spec) => {

@@ -93,14 +93,16 @@ pub struct SmtGenerator {
     ctx: Context,
     solver: Solver,
     shape: TemplateShape,
-    net: NetConfig,
+    /// The network model every learned trace must fit (seeding checks
+    /// carried traces against it).
+    pub(crate) net: NetConfig,
     thresholds: Thresholds,
     mode: FeasibilityMode,
     /// alphas (if any) then betas then gamma.
     coeffs: Vec<Coeff>,
-    /// Concrete replayer gating every dominance/symmetry block and every
-    /// warm-start seed (must match this generator's net/thresholds/mode so
-    /// `refutes` mirrors `learn`).
+    /// Concrete replayer gating every dominance/symmetry block and whether
+    /// a warm-start seed gets the region BFS (must match this generator's
+    /// net/thresholds/mode so `refutes` mirrors `learn`).
     pub(crate) replay: TraceReplay,
     /// Proof logging on (set at construction — proofs must be enabled
     /// before the first assertion). Base-level exhaustion claims then carry

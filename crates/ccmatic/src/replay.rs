@@ -11,14 +11,13 @@
 //! agreement tests below, which replay every verifier counterexample
 //! against the candidate it refuted.
 //!
-//! The payoff is the CEGIS loop's prefilter: a candidate that a known
-//! trace refutes dies for a few hundred rational operations instead of a
-//! solver probe. For traces the generator has already learned a replay hit
-//! is impossible by construction, which makes the prefilter double as a
-//! cross-check of the generator encoding; it does real work on seeds
-//! carried from another problem instance (a sweep point, a fuzzer), which
-//! the generator has not learned. Inside the generator the same check
-//! gates every region-BFS block and every warm-start seed.
+//! Inside the generator the check gates every region-BFS block and
+//! decides whether a warm-start seed gets the region BFS at all. The
+//! fuzzer's confirm step uses it to claim a concrete refutation. The CEGIS
+//! loop does not call it; the test
+//! `synth::tests::learned_traces_never_refute_a_later_proposal` runs the
+//! loop and asserts that no learned trace ever refutes a later proposal,
+//! which is the generator encoding and this mirror agreeing.
 
 use crate::generator::FeasibilityMode;
 use crate::template::CcaSpec;
@@ -36,7 +35,7 @@ pub struct TraceReplay {
 
 impl TraceReplay {
     /// Build a replayer. `mode` must match the generator's feasibility
-    /// encoding or the prefilter would disagree with `learn`.
+    /// encoding or `refutes` would disagree with `learn`.
     pub fn new(net: NetConfig, thresholds: Thresholds, mode: FeasibilityMode) -> Self {
         TraceReplay { net, thresholds, mode }
     }

@@ -134,9 +134,8 @@ pub struct SynthResult {
 
 /// Adapter: [`SmtGenerator`] as a [`ccmatic_cegis::Generator`].
 ///
-/// Deduplicates learned traces: the engine re-submits a counterexample it
-/// already holds whenever the replay prefilter kills a candidate with it,
-/// and asserting the same trace constraint twice only bloats the solver.
+/// `learn` skips a trace it has already asserted (a seed list may repeat
+/// one), so each trace constraint enters the solver once.
 pub struct GenAdapter {
     /// The wrapped SMT generator.
     pub inner: SmtGenerator,
@@ -145,8 +144,7 @@ pub struct GenAdapter {
     pub cex_subsumed: u64,
     /// Every (refuted candidate, trace) pair actually asserted, in order —
     /// the duplicate filter of `learn` and the warm-start carry for the
-    /// next sweep point, which re-validates each pair against *its*
-    /// thresholds before re-asserting.
+    /// next sweep point.
     refuted_log: Vec<(CcaSpec, Trace)>,
 }
 
@@ -163,28 +161,28 @@ impl GenAdapter {
         std::mem::take(&mut self.refuted_log)
     }
 
-    /// Seed `(refuted, trace)` pairs carried from another problem instance
-    /// (a neighboring sweep point, a fuzzer), re-gating each through the
-    /// replay semantics of *this* configuration: pairs that still refute
-    /// their candidate are learned before the first proposal (counted in
-    /// `stats.warm_traces_seeded`), the rest are returned for the replay
-    /// prefilter, where every later use is re-gated individually
-    /// (`stats.warm_traces_rejected`).
+    /// Learn `(refuted, trace)` pairs carried from another problem instance
+    /// (a neighboring sweep point, a fuzzer) before the first proposal.
     ///
-    /// A seeded candidate need not lie in the search space (e.g. a fuzzed γ
-    /// outside the coefficient domain; sweep pairs always do). The region
-    /// BFS around a refuted point only makes sense for representable
-    /// candidates, so an off-grid pair asserts its trace constraint alone.
-    pub(crate) fn seed(&mut self, pairs: &[(CcaSpec, Trace)], stats: &mut Stats) -> Vec<Trace> {
+    /// A trace the network model rejects (`ccac_model::check_trace`: a
+    /// different shape, or a schedule the link cannot produce) is counted
+    /// in `stats.warm_traces_rejected` and asserts nothing. Every other
+    /// trace is learned and counted in `stats.warm_traces_seeded`. σ(A, τ)
+    /// holds for every solution A on every network-feasible τ (DESIGN.md
+    /// §12.1), so asserting it removes no solution whatever `refuted` is.
+    /// The refuted candidate only decides whether the region BFS runs:
+    /// through [`Generator::learn`] when it lies in the search space and
+    /// the trace still refutes it here, as the trace constraint alone
+    /// otherwise (an off-grid γ from a fuzzer, or a pair whose refutation
+    /// did not survive a threshold change).
+    pub(crate) fn seed(&mut self, pairs: &[(CcaSpec, Trace)], stats: &mut Stats) {
         let g0 = Instant::now();
-        let mut replay_seeds = Vec::new();
         for (refuted, trace) in pairs {
-            if !self.inner.replay.refutes(refuted, trace) {
+            if ccac_model::check_trace(trace, &self.inner.net).is_err() {
                 stats.warm_traces_rejected += 1;
-                replay_seeds.push(trace.clone());
                 continue;
             }
-            if self.inner.contains(refuted) {
+            if self.inner.contains(refuted) && self.inner.replay.refutes(refuted, trace) {
                 self.learn(refuted, trace);
             } else {
                 self.inner.learn(trace);
@@ -192,7 +190,6 @@ impl GenAdapter {
             stats.warm_traces_seeded += 1;
         }
         stats.generator_time += g0.elapsed();
-        replay_seeds
     }
 }
 
@@ -281,7 +278,8 @@ fn verify_config(opts: &SynthOptions) -> VerifyConfig {
     }
 }
 
-/// The replay prefilter matching `opts`' generator semantics.
+/// The trace replay matching `opts`' generator semantics. The CEGIS loop
+/// no longer reads it; kept because `perfbench/` calls it.
 pub fn make_replay(opts: &SynthOptions) -> TraceReplay {
     TraceReplay::new(opts.net.clone(), opts.thresholds.clone(), opts.mode.feasibility())
 }
@@ -292,33 +290,22 @@ pub fn build_loop(opts: &SynthOptions) -> (GenAdapter, VerAdapter) {
 }
 
 /// Run CEGIS until the first solution (or exhaustion/budget): the serial
-/// loop with the concrete replay prefilter, exactly [`synthesize_seeded`]
-/// with no seeds.
+/// loop, exactly [`synthesize_seeded`] with no seeds.
 pub fn synthesize(opts: &SynthOptions) -> SynthResult {
     synthesize_seeded(opts, &[])
 }
 
 /// Serial CEGIS warm-started from externally found counterexamples —
-/// the fuzzer's feedback path. Each `(refuted, trace)` seed is re-gated
-/// through the replay semantics of *this* configuration before the first
-/// proposal ([`GenAdapter`]'s seeding, shared with the sweep's cross-point
-/// warm start in [`crate::enumerate`]), so a seed can come from a
-/// different threshold point — or from a simulator — and still be used
-/// soundly.
+/// the fuzzer's feedback path. Every `(refuted, trace)` seed that the
+/// network model admits is learned before the first proposal
+/// ([`GenAdapter`]'s seeding, shared with the sweep's cross-point warm
+/// start in [`crate::enumerate`]), so a seed can come from a different
+/// threshold point — or from a simulator — and still be used soundly.
 pub fn synthesize_seeded(opts: &SynthOptions, seeds: &[(CcaSpec, Trace)]) -> SynthResult {
     let (mut generator, mut verifier) = build_loop(opts);
     let mut warm = Stats::default();
-    let replay_seeds = generator.seed(seeds, &mut warm);
-    let replayer = make_replay(opts);
-    let replay = |c: &CcaSpec, cex: &Trace| replayer.refutes(c, cex);
-    let mut run = ccmatic_cegis::run_with_progress(
-        &mut generator,
-        &mut verifier,
-        replay,
-        &opts.budget,
-        replay_seeds,
-        |_| {},
-    );
+    generator.seed(seeds, &mut warm);
+    let mut run = ccmatic_cegis::run(&mut generator, &mut verifier, &opts.budget);
     run.stats.generator_time += warm.generator_time;
     run.stats.warm_traces_seeded = warm.warm_traces_seeded;
     run.stats.warm_traces_rejected = warm.warm_traces_rejected;
@@ -334,7 +321,9 @@ pub fn synthesize_seeded(opts: &SynthOptions, seeds: &[(CcaSpec, Trace)]) -> Syn
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::enumerate_all_with;
     use crate::template::CoeffDomain;
+    use ccmatic_cegis::{run_with_progress, Event};
     use ccmatic_num::int;
     use std::time::Duration;
 
@@ -405,5 +394,128 @@ mod tests {
         let tap_sum = spec.beta.iter().fold(Rat::zero(), |acc, b| &acc + b);
         assert!(tap_sum.is_zero(), "rate taps should cancel (rate-proportional rule), got {spec}");
         assert!(spec.gamma > int(0), "needs a positive additive term, got {spec}");
+    }
+
+    /// `opts` at queue-delay threshold `delay`.
+    fn at_delay(opts: &SynthOptions, delay: i64) -> SynthOptions {
+        let thresholds = Thresholds { delay: int(delay), ..opts.thresholds.clone() };
+        SynthOptions { thresholds, ..opts.clone() }
+    }
+
+    /// The refuted-pair carry of the complete delay ≤ 3 enumeration, the
+    /// seeds the golden seeded record uses at delay ≤ 4.
+    fn delay_3_carry() -> Vec<(CcaSpec, Trace)> {
+        let opts = at_delay(&quick_opts(OptMode::RangePruningWce), 3);
+        enumerate_all_with(&opts, None, None).carry.refuted
+    }
+
+    /// Learn `seeds`, then run the loop through `run_with_progress`,
+    /// blocking each solution and running again until the space is
+    /// exhausted, `max_solutions` are found or the iteration budget runs
+    /// out. At every proposal, assert that no trace learned so far (seeded
+    /// or from the verifier) refutes the candidate: the generator's learned
+    /// constraints exclude whatever `TraceReplay::refutes` kills. Returns
+    /// the number of proposals and the last outcome.
+    fn cross_check(
+        opts: &SynthOptions,
+        seeds: &[(CcaSpec, Trace)],
+        max_solutions: usize,
+    ) -> (u64, Outcome<CcaSpec>) {
+        let (mut generator, mut verifier) = build_loop(opts);
+        let mut warm = Stats::default();
+        generator.seed(seeds, &mut warm);
+        assert_eq!(warm.warm_traces_rejected, 0, "every seed must be learned");
+        let replay = make_replay(opts);
+        let mut learned: Vec<Trace> = seeds.iter().map(|(_, t)| t.clone()).collect();
+        let (mut proposals, mut solutions) = (0, 0);
+        loop {
+            let run = run_with_progress(&mut generator, &mut verifier, &opts.budget, |e| match e {
+                Event::Proposed(_, c) => {
+                    proposals += 1;
+                    if let Some(k) = learned.iter().position(|t| replay.refutes(c, t)) {
+                        panic!("learned trace #{k} refutes proposal {c}");
+                    }
+                }
+                Event::Refuted(_, _, t) => learned.push(t.clone()),
+                Event::Certified(..) => {}
+            });
+            match run.outcome {
+                Outcome::Solution(spec) if solutions + 1 < max_solutions => {
+                    solutions += 1;
+                    generator.inner.block(&spec);
+                }
+                outcome => return (proposals, outcome),
+            }
+        }
+    }
+
+    #[test]
+    fn learned_traces_never_refute_a_later_proposal() {
+        for mode in [OptMode::Baseline, OptMode::RangePruning, OptMode::RangePruningWce] {
+            let (proposals, outcome) = cross_check(&quick_opts(mode), &[], usize::MAX);
+            assert!(matches!(outcome, Outcome::NoSolution) && proposals > 1, "{mode:?}");
+        }
+        // cwnd/Small takes minutes to a first solution at this scale, so
+        // only its first iterations are checked.
+        let rp = quick_opts(OptMode::RangePruning);
+        let opts = SynthOptions {
+            shape: TemplateShape { use_cwnd: true, ..rp.shape.clone() },
+            budget: Budget { max_iterations: 6, ..rp.budget.clone() },
+            ..rp
+        };
+        let (proposals, outcome) = cross_check(&opts, &[], 1);
+        assert!(matches!(outcome, Outcome::BudgetExhausted) && proposals == 6);
+        let seeded = at_delay(&quick_opts(OptMode::RangePruningWce), 4);
+        let (_, outcome) = cross_check(&seeded, &delay_3_carry(), usize::MAX);
+        assert!(matches!(outcome, Outcome::NoSolution));
+    }
+
+    #[test]
+    fn seed_that_no_longer_refutes_its_candidate_is_still_learned() {
+        let opts = at_delay(&quick_opts(OptMode::RangePruningWce), 4);
+        let replay = make_replay(&opts);
+        let (kept, stale): (Vec<_>, Vec<_>) =
+            delay_3_carry().into_iter().partition(|(c, t)| replay.refutes(c, t));
+        assert!(!stale.is_empty(), "some delay-3 pair must not refute its candidate at delay 4");
+        // With only the pairs that still refute learned, the first proposal
+        // is one a stale trace refutes.
+        let (mut generator, _) = build_loop(&opts);
+        generator.seed(&kept, &mut Stats::default());
+        let first = generator.propose().expect("a candidate");
+        assert!(stale.iter().any(|(_, t)| replay.refutes(&first, t)), "{first}");
+        // Learning the stale traces too excludes it and every later
+        // candidate they refute.
+        let mut all = kept;
+        all.extend(stale);
+        cross_check(&opts, &all, 1);
+    }
+
+    #[test]
+    fn traces_the_network_rejects_are_not_learned() {
+        let opts = quick_opts(OptMode::RangePruningWce);
+        let broken = CcaSpec { alpha: vec![], beta: vec![Rat::zero(); 3], gamma: Rat::zero() };
+        let cex = CcaVerifier::new(verify_config(&opts)).verify(&broken).expect_err("broken");
+        // One step short of the net's horizon.
+        let mut short = cex.clone();
+        short.t_max -= 1;
+        for col in [&mut short.a, &mut short.s, &mut short.w, &mut short.l, &mut short.cwnd] {
+            col.pop();
+        }
+        // S(T) one above the token line C·(T + h) − W(T).
+        let mut raised = cex;
+        let (t, i) = (raised.t_max, raised.s.len() - 1);
+        let tokens =
+            &(&opts.net.link_rate * &Rat::from(t + opts.net.history as i64)) - raised.w_at(t);
+        raised.s[i] = &tokens + &Rat::one();
+        raised.a[i] = raised.a[i].clone().max(raised.s[i].clone());
+        let why = ccac_model::check_trace(&raised, &opts.net).unwrap_err();
+        assert!(why.contains("tokens"), "{why}");
+
+        let cold = synthesize(&opts);
+        let seeded = synthesize_seeded(&opts, &[(broken.clone(), short), (broken, raised)]);
+        assert_eq!((seeded.stats.warm_traces_seeded, seeded.stats.warm_traces_rejected), (0, 2));
+        assert_eq!(format!("{:?}", seeded.outcome), format!("{:?}", cold.outcome));
+        assert_eq!(seeded.stats.iterations, cold.stats.iterations);
+        assert_eq!(seeded.verifier_probes, cold.verifier_probes);
     }
 }

@@ -16,8 +16,7 @@
 //!   certificate bytes replayed by the independent checker and the pivots;
 //! * `synthesize_seeded` on the same cell at delay ≤ 4, seeded from the
 //!   refuted-pair carry of a complete enumeration at delay ≤ 3 — the carry
-//!   digest, the warm seeded/rejected split, replay hits and the search
-//!   counters;
+//!   digest, the warm seeded/rejected split and the search counters;
 //! * the warm one-thread delay sweep through `sweep_with_config` — per
 //!   point the solution set, iterations, probes, warm seeded/rejected/
 //!   confirmed counts, regions pruned and counterexamples subsumed.
@@ -94,7 +93,7 @@ fn seeded_record() -> String {
     let r = synthesize_seeded(&with_delay(&ci_cell(), int(4)), &carry.refuted);
     format!(
         "carry {} pairs {:016x} · {} · iterations {} · probes {} · warm seeded {} · \
-         warm rejected {} · replay hits {} · regions pruned {} · cex subsumed {} · pivots {}",
+         warm rejected {} · regions pruned {} · cex subsumed {} · pivots {}",
         carry.refuted.len(),
         fnv1a64(&format!("{:?}", carry.refuted)),
         outcome(&r),
@@ -102,7 +101,6 @@ fn seeded_record() -> String {
         r.verifier_probes,
         r.stats.warm_traces_seeded,
         r.stats.warm_traces_rejected,
-        r.stats.replay_hits,
         r.stats.regions_pruned,
         r.stats.cex_subsumed,
         pivots_total() - p0
@@ -196,9 +194,8 @@ fn search_trajectories_match_goldens() {
     );
     assert_eq!(
         seeded_record(),
-        "carry 7 pairs 99b5e3994c390064 · solution cwnd(t) = 1 · iterations 2 · probes 1 \
-         · warm seeded 6 · warm rejected 1 · replay hits 1 · regions pruned 84 \
-         · cex subsumed 0 · pivots 289"
+        "carry 7 pairs 99b5e3994c390064 · solution cwnd(t) = 1 · iterations 1 · probes 1 \
+         · warm seeded 7 · warm rejected 0 · regions pruned 60 · cex subsumed 0 · pivots 291"
     );
     assert_eq!(
         sweep_records(),

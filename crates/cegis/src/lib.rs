@@ -12,6 +12,10 @@
 //! exhausted (*no solution exists* in the space — complete), or a budget
 //! runs out.
 //!
+//! There is no third stage: counterexamples found elsewhere (a neighboring
+//! problem instance, a fuzzer) are learned into the generator before the
+//! run, like any counterexample the verifier produces.
+//!
 //! The engine is generic over candidate/counterexample types so the same
 //! loop drives CCA synthesis (the `ccmatic` crate), ABR
 //! verification tuning, and the unit-test toy domains below.
@@ -46,10 +50,7 @@ pub trait Generator {
     /// proves no solution exists).
     fn propose(&mut self) -> Option<Self::Candidate>;
 
-    /// Incorporate a counterexample that broke `candidate`. The engine may
-    /// re-submit a counterexample it already learned (when the concrete
-    /// replay prefilter kills a candidate with an old trace); generators
-    /// are free to deduplicate.
+    /// Incorporate a counterexample that broke `candidate`.
     fn learn(&mut self, candidate: &Self::Candidate, cex: &Self::CounterExample);
 
     /// Produce at most `k` candidates, optionally giving up at `deadline`.
@@ -145,10 +146,6 @@ pub struct Stats {
     /// called multiple times per iteration, e.g. worst-case-counterexample
     /// binary search counts each probe via [`Stats::note_extra_verifier_calls`]).
     pub verifier_calls: u64,
-    /// Candidates killed by the concrete counterexample-replay prefilter —
-    /// refuted by re-running an already-learned trace against the
-    /// candidate's rule directly, without an SMT call.
-    pub replay_hits: u64,
     /// Candidates blocked by counterexample *region* generalization —
     /// replay-verified neighbors and symmetry images of a refuted candidate
     /// excluded beyond the refuted point itself.
@@ -156,11 +153,11 @@ pub struct Stats {
     /// Always zero: no engine drops a learned trace for being subsumed by
     /// another. Kept only for the `perfbench/` workloads that read it.
     pub cex_subsumed: u64,
-    /// Warm-start: carried counterexample traces that still refute their
-    /// original candidate at the new thresholds and were re-asserted.
+    /// Warm-start: carried counterexample traces the network model admits,
+    /// asserted into the generator before the first proposal.
     pub warm_traces_seeded: u64,
-    /// Warm-start: carried traces whose refutation did not survive the
-    /// threshold change and were demoted to the replay prefilter only.
+    /// Warm-start: carried traces the network model rejects (a different
+    /// shape, or a schedule the link cannot produce); nothing is asserted.
     pub warm_traces_rejected: u64,
     /// Warm-start: neighbor solutions that re-verified at the new
     /// thresholds and were admitted without any generator work.
@@ -207,9 +204,7 @@ pub struct RunResult<C> {
 pub enum Event<'a, C, X> {
     /// The generator proposed a candidate (iteration number included).
     Proposed(u64, &'a C),
-    /// The candidate was broken by this counterexample: a fresh one from
-    /// the verifier, or a learned or seeded one the replay prefilter
-    /// re-checked.
+    /// The verifier broke the candidate with this counterexample.
     Refuted(u64, &'a C, &'a X),
     /// The verifier certified the candidate.
     Certified(u64, &'a C),
@@ -221,22 +216,10 @@ where
     G: Generator,
     V: Verifier<Candidate = G::Candidate, CounterExample = G::CounterExample>,
 {
-    run_with_progress(generator, verifier, |_, _| false, budget, Vec::new(), |_| {})
+    run_with_progress(generator, verifier, budget, |_| {})
 }
 
-/// Serial CEGIS with the concrete counterexample-replay prefilter: before
-/// paying for an SMT verifier call, re-run every learned trace against the
-/// new candidate via `replay` (`replay(c, τ) == true` means τ concretely
-/// refutes `c`). A replay kill counts as an iteration and is fed back
-/// through [`Generator::learn`] with the old trace, but costs no verifier
-/// call.
-///
-/// With an exact generator (one whose learned constraints exclude every
-/// replay-refutable candidate, like the SMT generator) the prefilter never
-/// fires on learned traces — it is a cross-check there — and it pays off
-/// for inexact generators and for seeds carried from another problem
-/// instance. A consecutive-kill cap forces an SMT call every
-/// `REPLAY_KILL_CAP` kills so inexact generators still make progress.
+/// [`run`]. `replay` is not read; kept because `perfbench/` calls it.
 pub fn run_with_replay<G, V, R>(
     generator: &mut G,
     verifier: &mut V,
@@ -249,33 +232,22 @@ where
     G::CounterExample: Clone,
     R: Fn(&G::Candidate, &G::CounterExample) -> bool,
 {
-    run_with_progress(generator, verifier, replay, budget, Vec::new(), |_| {})
+    let _ = replay;
+    run(generator, verifier, budget)
 }
 
-/// The serial CEGIS loop behind [`run`] and [`run_with_replay`]: propose,
-/// replay-prefilter, verify, learn, invoking `progress` on every event
-/// (the examples print the Figure-1 interaction live with it). A replay
-/// kill emits [`Event::Proposed`] then [`Event::Refuted`] with the
-/// replayed trace.
-///
-/// `seeds` pre-populate the replay cache. Each seed is a counterexample
-/// carried over from a *different* problem instance (a neighboring sweep
-/// point, a fuzzer); seeds are never asserted blindly — a seed only acts
-/// when `replay(candidate, seed)` re-establishes, under the *current*
-/// problem's semantics, that it concretely refutes the candidate at hand,
-/// so an inapplicable seed is inert rather than unsound.
-pub fn run_with_progress<G, V, R, F>(
+/// The serial CEGIS loop behind [`run`]: propose, verify, learn, invoking
+/// `progress` on every event (the examples print the Figure-1 interaction
+/// live with it).
+pub fn run_with_progress<G, V, F>(
     generator: &mut G,
     verifier: &mut V,
-    replay: R,
     budget: &Budget,
-    seeds: Vec<G::CounterExample>,
     mut progress: F,
 ) -> RunResult<G::Candidate>
 where
     G: Generator,
     V: Verifier<Candidate = G::Candidate, CounterExample = G::CounterExample>,
-    R: Fn(&G::Candidate, &G::CounterExample) -> bool,
     F: FnMut(Event<'_, G::Candidate, G::CounterExample>),
 {
     let start = Instant::now();
@@ -283,8 +255,6 @@ where
     // or WCE binary search cannot blow far past `max_wall`.
     let deadline = start.checked_add(budget.max_wall);
     let mut stats = Stats::default();
-    let mut learned = seeds;
-    let mut consecutive_kills = 0u32;
     let outcome = loop {
         if stats.iterations >= budget.max_iterations || start.elapsed() >= budget.max_wall {
             break Outcome::BudgetExhausted;
@@ -304,19 +274,6 @@ where
         };
         progress(Event::Proposed(i, &candidate));
 
-        if consecutive_kills < REPLAY_KILL_CAP {
-            if let Some(cex) = learned.iter().find(|x| replay(&candidate, x)) {
-                stats.replay_hits += 1;
-                consecutive_kills += 1;
-                progress(Event::Refuted(i, &candidate, cex));
-                let g1 = Instant::now();
-                generator.learn(&candidate, cex);
-                stats.generator_time += g1.elapsed();
-                continue;
-            }
-        }
-        consecutive_kills = 0;
-
         let v0 = Instant::now();
         let verdict = verifier.verify_interruptible(&candidate, deadline, None);
         stats.verifier_time += v0.elapsed();
@@ -332,7 +289,6 @@ where
                 let g1 = Instant::now();
                 generator.learn(&candidate, &cex);
                 stats.generator_time += g1.elapsed();
-                learned.push(cex);
             }
             Verdict::Timeout => break Outcome::BudgetExhausted,
         }
@@ -340,11 +296,6 @@ where
     stats.wall = start.elapsed();
     RunResult { outcome, stats }
 }
-
-/// After this many consecutive replay kills, [`run_with_progress`] forces an
-/// SMT verifier call regardless, so a generator whose `learn` is weaker
-/// than the replay semantics cannot starve the loop.
-const REPLAY_KILL_CAP: u32 = 32;
 
 #[cfg(test)]
 mod tests {
@@ -457,20 +408,13 @@ mod tests {
         let mut v = ThresholdVerifier { hidden, calls: 0, worst_case: false };
         let budget = Budget { max_iterations, ..Budget::default() };
         let mut log = Vec::new();
-        let r = run_with_progress(
-            &mut g,
-            &mut v,
-            |_, _| false,
-            &budget,
-            Vec::new(),
-            |e| {
-                log.push(match e {
-                    Event::Proposed(i, c) => format!("P{i}:{c}"),
-                    Event::Refuted(i, c, x) => format!("R{i}:{c}:{x}"),
-                    Event::Certified(i, c) => format!("C{i}:{c}"),
-                });
-            },
-        );
+        let r = run_with_progress(&mut g, &mut v, &budget, |e| {
+            log.push(match e {
+                Event::Proposed(i, c) => format!("P{i}:{c}"),
+                Event::Refuted(i, c, x) => format!("R{i}:{c}:{x}"),
+                Event::Certified(i, c) => format!("C{i}:{c}"),
+            });
+        });
         (r.outcome, log)
     }
 
@@ -488,69 +432,6 @@ mod tests {
         let (outcome, log) = event_log(10, 100, 2);
         assert!(matches!(outcome, Outcome::BudgetExhausted));
         assert_eq!(log, ["P1:0", "R1:0:0", "P2:1", "R2:1:1"]);
-    }
-
-    #[test]
-    fn replay_kills_and_seeds_emit_proposed_then_refuted() {
-        let fmt = |e: Event<'_, i64, i64>| match e {
-            Event::Proposed(i, c) => format!("P{i}:{c}"),
-            Event::Refuted(i, c, x) => format!("R{i}:{c}:{x}"),
-            Event::Certified(i, c) => format!("C{i}:{c}"),
-        };
-        // A learned worst-case trace kills the next candidates by replay.
-        let mut g = EnumGen { remaining: (0..=10).collect(), range_pruning: false };
-        let mut v = ThresholdVerifier { hidden: 3, calls: 0, worst_case: true };
-        let mut log = Vec::new();
-        let replay = |c: &i64, x: &i64| c <= x;
-        let r = run_with_progress(&mut g, &mut v, replay, &Budget::default(), Vec::new(), |e| {
-            log.push(fmt(e))
-        });
-        assert!(matches!(r.outcome, Outcome::Solution(3)));
-        assert_eq!(log, ["P1:0", "R1:0:2", "P2:1", "R2:1:2", "P3:2", "R3:2:2", "P4:3", "C4:3"]);
-        assert_eq!((r.stats.replay_hits, r.stats.verifier_calls), (2, 2));
-        // A seed acts exactly like a learned trace, before any verifier call.
-        let mut g = EnumGen { remaining: (0..=10).collect(), range_pruning: false };
-        let mut v = ThresholdVerifier { hidden: 3, calls: 0, worst_case: false };
-        let mut log = Vec::new();
-        let r = run_with_progress(&mut g, &mut v, replay, &Budget::default(), vec![1], |e| {
-            log.push(fmt(e))
-        });
-        assert!(matches!(r.outcome, Outcome::Solution(3)));
-        assert_eq!(log, ["P1:0", "R1:0:1", "P2:1", "R2:1:1", "P3:2", "R3:2:2", "P4:3", "C4:3"]);
-        assert_eq!((r.stats.replay_hits, r.stats.verifier_calls), (2, 2));
-    }
-
-    #[test]
-    fn replay_prefilter_saves_verifier_calls() {
-        // Worst-case counterexamples + baseline (one-value-per-learn)
-        // generator: the replay prefilter kills the whole failing prefix
-        // without SMT calls, with the consecutive-kill cap forcing an
-        // occasional real verification.
-        let mut g = EnumGen { remaining: (0..=100).collect(), range_pruning: false };
-        let mut v = ThresholdVerifier { hidden: 37, calls: 0, worst_case: true };
-        let r = run_with_replay(&mut g, &mut v, |c, x| c <= x, &Budget::default());
-        match r.outcome {
-            Outcome::Solution(c) => assert_eq!(c, 37),
-            other => panic!("expected solution, got {other:?}"),
-        }
-        // c0 verified (cex 36), c1..c32 replay-killed (cap), c33 verified,
-        // c34..c36 replay-killed, c37 verified and certified.
-        assert_eq!(r.stats.replay_hits, 35);
-        assert_eq!(r.stats.verifier_calls, 3);
-        assert_eq!(r.stats.iterations, 38);
-        assert_eq!(v.calls, 3);
-    }
-
-    #[test]
-    fn replay_never_fires_with_exact_generator() {
-        // Range pruning learns exactly what replay checks, so the prefilter
-        // must never fire: a hit would mean the generator's learned
-        // constraints and the replay semantics disagree.
-        let mut g = EnumGen { remaining: (0..=100).collect(), range_pruning: true };
-        let mut v = ThresholdVerifier { hidden: 37, calls: 0, worst_case: true };
-        let r = run_with_replay(&mut g, &mut v, |c, x| c <= x, &Budget::default());
-        assert!(matches!(r.outcome, Outcome::Solution(37)));
-        assert_eq!(r.stats.replay_hits, 0);
     }
 
     #[test]

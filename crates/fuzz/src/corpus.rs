@@ -96,8 +96,8 @@ impl Corpus {
 
     /// CEGIS warm-start seeds: every exact-confirmed trace, paired with
     /// the candidate it refutes (all entries of a spec-target run refute
-    /// the same fixed CCA, which is exactly what
-    /// [`ccmatic::synth::synthesize_seeded`] re-gates per seed).
+    /// the same fixed CCA; [`ccmatic::synth::synthesize_seeded`] learns
+    /// each trace the network model admits).
     pub fn cegis_seeds(&self, refuted: &CcaSpec) -> Vec<(CcaSpec, Trace)> {
         self.entries
             .iter()

@@ -754,8 +754,8 @@ mod tests {
         let report = run_fuzz(&cfg);
         let seeds = report.corpus.cegis_seeds(&spec);
         assert_eq!(seeds.len(), report.corpus.len());
-        // Every seed must re-gate positively under the same configuration
-        // (synthesize_seeded re-checks exactly this predicate).
+        // Every seed refutes its candidate under the same configuration,
+        // so synthesize_seeded learns it with the region BFS.
         let replay = TraceReplay::new(
             cfg.net.clone(),
             cfg.thresholds.clone(),

@@ -6,7 +6,7 @@
 //! ```
 
 use ccac_model::{NetConfig, Thresholds};
-use ccmatic::synth::{build_loop, make_replay, OptMode, SynthOptions};
+use ccmatic::synth::{build_loop, OptMode, SynthOptions};
 use ccmatic::template::{CoeffDomain, TemplateShape};
 use ccmatic_cegis::{run_with_progress, Budget, Event, Outcome};
 use ccmatic_num::{rat, Rat};
@@ -35,15 +35,8 @@ fn main() {
     );
 
     let (mut generator, mut verifier) = build_loop(&opts);
-    let replayer = make_replay(&opts);
-    let replay = |spec: &_, cex: &_| replayer.refutes(spec, cex);
-    let result = run_with_progress(
-        &mut generator,
-        &mut verifier,
-        replay,
-        &opts.budget,
-        Vec::new(),
-        |event| match event {
+    let result =
+        run_with_progress(&mut generator, &mut verifier, &opts.budget, |event| match event {
             Event::Proposed(i, spec) => println!("[{i:>3}] generator proposes  {spec}"),
             Event::Refuted(i, _, cex) => println!(
                 "[{i:>3}] verifier refutes    (util {:.2}, max queue {:.2})",
@@ -51,8 +44,7 @@ fn main() {
                 cex.max_queue().to_f64()
             ),
             Event::Certified(i, spec) => println!("[{i:>3}] verifier CERTIFIES  {spec} ✓"),
-        },
-    );
+        });
 
     match result.outcome {
         Outcome::Solution(spec) => {

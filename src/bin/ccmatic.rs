@@ -290,10 +290,9 @@ fn main() -> ExitCode {
                 Outcome::Solution(spec) => {
                     println!("SOLUTION  {spec}");
                     println!(
-                        "iterations {} · verifier probes {} · replay hits {} · {:.1}s",
+                        "iterations {} · verifier probes {} · {:.1}s",
                         r.stats.iterations,
                         r.verifier_probes,
-                        r.stats.replay_hits,
                         r.stats.wall.as_secs_f64()
                     );
                     ExitCode::SUCCESS
