@@ -104,16 +104,12 @@ pub struct SmtGenerator {
     /// a warm-start seed gets the region BFS (must match this generator's
     /// net/thresholds/mode so `refutes` mirrors `learn`).
     pub(crate) replay: TraceReplay,
-    /// Proof logging on (set at construction — proofs must be enabled
-    /// before the first assertion). Base-level exhaustion claims then carry
-    /// a checkable UNSAT certificate.
-    certify: bool,
     /// The solver's proof log, as far as exhaustion claims have taken it
-    /// (certifying only).
+    /// (empty unless the solver logs proofs).
     proof_log: Vec<ProofStep>,
     /// The certificate backing the most recent base-level exhaustion claim
     /// (`propose` → [`Proposal::Exhausted`]), as its length in
-    /// `proof_log`, when certifying.
+    /// `proof_log`, when the solver logs proofs.
     exhaustion_len: Option<usize>,
     /// Counterexamples learned (kept for reporting).
     pub num_learned: u64,
@@ -206,7 +202,6 @@ impl SmtGenerator {
             mode,
             coeffs,
             replay,
-            certify,
             proof_log: Vec::new(),
             exhaustion_len: None,
             num_learned: 0,
@@ -221,19 +216,16 @@ impl SmtGenerator {
         self.exhaustion_len.map(|len| &self.proof_log[..len])
     }
 
-    /// One solver check; when certifying, an Unsat is a whole-space
-    /// exhaustion claim, and the solver's log up to it is kept for
+    /// One solver check. An Unsat is a whole-space exhaustion claim; when
+    /// the solver logs proofs, its log up to that claim is kept for
     /// [`SmtGenerator::exhaustion_cert`].
     fn check_tracking_exhaustion(&mut self) -> SatResult {
-        if !self.certify {
-            return self.solver.check(&self.ctx);
-        }
-        let certified = self.solver.check_certified(&self.ctx);
-        if certified.result == SatResult::Unsat {
+        let result = self.solver.check(&self.ctx);
+        if result == SatResult::Unsat && self.solver.proofs_enabled() {
             self.proof_log.extend(self.solver.take_proof_steps());
-            self.exhaustion_len = certified.certificate;
+            self.exhaustion_len = self.solver.proof_position();
         }
-        certified.result
+        result
     }
 
     fn coeff_names(shape: &TemplateShape) -> Vec<String> {
@@ -269,7 +261,7 @@ impl SmtGenerator {
 
     /// Ask the solver for a coefficient assignment consistent with every
     /// learned counterexample, abandoning the search when `interrupt` fires
-    /// (deadline passed or cancel flag raised). [`Proposal::Exhausted`] is
+    /// (its deadline passed). [`Proposal::Exhausted`] is
     /// a completeness claim; the generator sets no conflict budget, so only
     /// the interrupt can leave the question open. The solver's own interrupt
     /// is restored to none before returning.

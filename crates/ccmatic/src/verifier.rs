@@ -53,12 +53,14 @@ pub struct VerifyConfig {
     /// in the `perfbench/` workloads compile; delete it when those
     /// workloads stop naming it.
     pub incremental: bool,
-    /// Certify every verdict: UNSAT answers (including every WCE
-    /// binary-search infeasibility probe) must carry a DRAT+Farkas
-    /// certificate that the independent checker in `ccmatic-proof` accepts,
-    /// and SAT answers have their model re-evaluated exactly against every
-    /// asserted term. A rejected certificate or failed model audit panics —
-    /// it means the solver produced an unsound verdict.
+    /// Certify every verdict: the verifier's solver logs proofs
+    /// ([`Solver::enable_proofs`]), so every UNSAT answer (including every
+    /// WCE binary-search infeasibility probe) carries a DRAT+Farkas
+    /// certificate, which the verifier replays through the independent
+    /// checker in `ccmatic-proof`, and [`Solver::check`] re-evaluates every
+    /// SAT model exactly against every asserted term. A rejected
+    /// certificate or failed model audit panics — it means the solver
+    /// produced an unsound verdict.
     pub certify: bool,
     /// Not read: the SAT core has one fixed search strategy. Kept only so
     /// the `VerifyConfig` literals in the `perfbench/` workloads compile;
@@ -109,14 +111,14 @@ impl CertAudit {
     /// then check the certificates ending at `lens` (increasing lengths
     /// into the replayer's log) through the independent checker, and panic
     /// with the checker's diagnosis if one is rejected.
-    fn replay(&mut self, replayer: &mut Replayer, solver: &mut Solver, lens: &[usize], what: &str) {
+    fn replay(&mut self, replayer: &mut Replayer, solver: &mut Solver, lens: &[usize]) {
         let t0 = std::time::Instant::now();
         let replayed0 = replayer.steps_replayed();
         replayer.append(solver.take_proof_steps());
         for &len in lens {
             let stats = match replayer.check_prefix(len) {
                 Ok(stats) => stats,
-                Err(e) => panic!("{what}: certificate rejected by the independent checker: {e}"),
+                Err(e) => panic!("certificate rejected by the independent checker: {e}"),
             };
             self.checked += 1;
             self.clauses += stats.clauses as u64;
@@ -228,7 +230,6 @@ impl CcaVerifier {
             hi,
             precision: self.cfg.wce_precision.clone(),
             interrupt: interrupt.clone(),
-            certify: self.cfg.certify,
         }
     }
 
@@ -306,80 +307,50 @@ impl CcaVerifier {
         st.solver.push();
         let tmpl = Self::template_constraints(&mut st.ctx, &st.nv, spec);
         st.solver.assert(&st.ctx, tmpl);
-        let verdict = if let Some(m) = st.band {
+        // Certificates are lengths into the proof log (none when proofs
+        // are off), taken before the pop below: popping the candidate scope
+        // logs the deletion of its clauses (the empty clause included).
+        let (verdict, certificates) = if let Some(m) = st.band {
             match maximize_scoped(&mut st.ctx, &mut st.solver, &LinExpr::var(m), &params) {
                 MaximizeOutcome::Infeasible { certificate } => {
                     self.solver_probes += 1;
-                    if self.cfg.certify {
-                        let len = certificate.expect("certify mode must produce a certificate");
-                        self.cert_audit.replay(
-                            &mut self.replayer,
-                            &mut st.solver,
-                            &[len],
-                            "scoped WCE infeasibility",
-                        );
-                        self.last_pass_cert = Some(len);
-                    }
-                    Verdict::Pass
+                    (Verdict::Pass, certificate.into_iter().collect())
                 }
                 MaximizeOutcome::Feasible { model, probes, certificates, .. } => {
                     self.solver_probes += probes as u64;
-                    if self.cfg.certify {
-                        self.cert_audit.replay(
-                            &mut self.replayer,
-                            &mut st.solver,
-                            &certificates,
-                            "scoped WCE bracket probe",
-                        );
-                    }
-                    Verdict::Fail(Trace::from_model(&model, &st.nv))
+                    (Verdict::Fail(Trace::from_model(&model, &st.nv)), certificates)
                 }
                 MaximizeOutcome::Aborted => {
                     self.solver_probes += 1;
-                    Verdict::Timeout
+                    (Verdict::Timeout, Vec::new())
                 }
             }
         } else {
             self.solver_probes += 1;
             let saved = std::mem::replace(&mut st.solver.interrupt, interrupt.clone());
-            let res = if self.cfg.certify {
-                // The certificate ends before the pop below: popping the
-                // candidate scope logs the deletion of its clauses
-                // (including any empty clause).
-                let out = st.solver.check_certified(&st.ctx);
-                match out.result {
-                    SatResult::Unsat => {
-                        let len = out.certificate.expect("certify mode must produce a certificate");
-                        self.cert_audit.replay(
-                            &mut self.replayer,
-                            &mut st.solver,
-                            &[len],
-                            "incremental UNSAT verdict",
-                        );
-                        self.last_pass_cert = Some(len);
-                    }
-                    SatResult::Sat => {
-                        assert_eq!(
-                            out.model_ok,
-                            Some(true),
-                            "counterexample model failed the exact audit"
-                        );
-                    }
-                    SatResult::Unknown => {}
-                }
-                out.result
-            } else {
-                st.solver.check(&st.ctx)
-            };
+            let res = st.solver.check(&st.ctx);
             st.solver.interrupt = saved;
             match res {
-                SatResult::Unsat => Verdict::Pass,
-                SatResult::Sat => {
-                    Verdict::Fail(Trace::from_model(st.solver.model().unwrap(), &st.nv))
+                SatResult::Unsat => {
+                    (Verdict::Pass, st.solver.proof_position().into_iter().collect())
                 }
-                SatResult::Unknown => Verdict::Timeout,
+                SatResult::Sat => (
+                    Verdict::Fail(Trace::from_model(
+                        st.solver.model().expect("sat has a model"),
+                        &st.nv,
+                    )),
+                    Vec::new(),
+                ),
+                SatResult::Unknown => (Verdict::Timeout, Vec::new()),
             }
         };
+        if self.cfg.certify {
+            self.cert_audit.replay(&mut self.replayer, &mut st.solver, &certificates);
+            if let Verdict::Pass = verdict {
+                let len = certificates.last().expect("certify mode must produce a certificate");
+                self.last_pass_cert = Some(*len);
+            }
+        }
         st.solver.pop();
         verdict
     }

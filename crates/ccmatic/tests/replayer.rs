@@ -82,7 +82,6 @@ fn verifier_log(specs: &[CcaSpec]) -> (Vec<ProofStep>, Vec<usize>) {
         lo: Rat::zero(),
         hi: Rat::from(cfg.net.t_max() + cfg.net.history as i64),
         precision: cfg.wce_precision.clone(),
-        certify: true,
         ..MaximizeParams::default()
     };
     let (mut log, mut lens) = (Vec::new(), Vec::new());

@@ -60,7 +60,5 @@ pub mod term;
 pub use interrupt::Interrupt;
 pub use linexpr::LinExpr;
 pub use opt::{maximize_scoped, MaximizeOutcome, MaximizeParams};
-pub use solver::{
-    theory_counters, Certified, Model, SatResult, Solver, SolverStats, TheoryCounters,
-};
+pub use solver::{theory_counters, Model, SatResult, Solver, SolverStats, TheoryCounters};
 pub use term::{Context, RealVar, Term};

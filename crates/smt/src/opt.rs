@@ -25,17 +25,11 @@ pub struct MaximizeParams {
     pub hi: Rat,
     /// Stop when the bracket is narrower than this.
     pub precision: Rat,
-    /// Optional deadline/cancellation polled inside every probe. When it
+    /// Optional deadline polled inside every probe. When it
     /// fires before the first probe decides, the search reports
     /// [`MaximizeOutcome::Aborted`]; when it fires later, the best model
     /// found so far is returned (sound, possibly sub-maximal).
     pub interrupt: Interrupt,
-    /// Collect an UNSAT certificate from every infeasible probe, as a
-    /// length into the solver's proof log. The caller must have called
-    /// [`Solver::enable_proofs`] before asserting the base (positions are
-    /// taken here, logging happens there) and collects the logged steps
-    /// with [`Solver::take_proof_steps`].
-    pub certify: bool,
 }
 
 impl Default for MaximizeParams {
@@ -45,7 +39,6 @@ impl Default for MaximizeParams {
             hi: Rat::from(1_000_000i64),
             precision: Rat::new(1i64.into(), 64i64.into()),
             interrupt: Interrupt::none(),
-            certify: false,
         }
     }
 }
@@ -73,8 +66,8 @@ pub enum MaximizeOutcome {
     /// `φ ∧ obj ≥ lo` is unsatisfiable.
     Infeasible {
         /// Refutation of `φ ∧ obj ≥ lo` as a length into the solver's
-        /// proof log, when [`MaximizeParams::certify`] is on and proof
-        /// logging is active.
+        /// proof log, when the solver logs proofs (see
+        /// [`Solver::enable_proofs`]).
         certificate: Option<usize>,
     },
     /// Best feasible objective value found (within `precision` of the
@@ -89,8 +82,8 @@ pub enum MaximizeOutcome {
         probes: u32,
         /// Refutations of `φ ∧ obj ≥ mid` for every probe that tightened
         /// the upper bracket, as increasing lengths into the solver's proof
-        /// log, when [`MaximizeParams::certify`] is on: they justify that
-        /// the search stopped near the true supremum.
+        /// log, when the solver logs proofs: they justify that the search
+        /// stopped near the true supremum.
         certificates: Vec<usize>,
     },
     /// The interrupt fired before the first probe
@@ -135,39 +128,22 @@ pub fn maximize_scoped(
         solver.push();
         let obj_ge = ctx.ge(objective.clone(), LinExpr::constant(threshold.clone()));
         solver.assert(ctx, obj_ge);
-        if params.certify {
-            // The certificate ends before the pop: popping the probe scope
-            // logs the deletion of its clauses (the empty clause included).
-            let out = solver.check_certified(ctx);
-            match out.result {
-                SatResult::Sat => {
-                    assert_eq!(out.model_ok, Some(true), "probe model failed the exact audit");
-                    kept += 1;
-                    Probe::Sat(solver.model().cloned().expect("sat has a model"))
-                }
-                SatResult::Unsat => {
-                    solver.pop();
-                    Probe::Unsat(out.certificate)
-                }
-                SatResult::Unknown => {
-                    solver.pop();
-                    Probe::Unknown
-                }
+        match solver.check(ctx) {
+            SatResult::Sat => {
+                kept += 1;
+                Probe::Sat(solver.model().cloned().expect("sat has a model"))
             }
-        } else {
-            match solver.check(ctx) {
-                SatResult::Sat => {
-                    kept += 1;
-                    Probe::Sat(solver.model().cloned().expect("sat has a model"))
-                }
-                SatResult::Unsat => {
-                    solver.pop();
-                    Probe::Unsat(None)
-                }
-                SatResult::Unknown => {
-                    solver.pop();
-                    Probe::Unknown
-                }
+            SatResult::Unsat => {
+                // The certificate ends before the pop: popping the probe
+                // scope logs the deletion of its clauses (the empty clause
+                // included).
+                let certificate = solver.proof_position();
+                solver.pop();
+                Probe::Unsat(certificate)
+            }
+            SatResult::Unknown => {
+                solver.pop();
+                Probe::Unknown
             }
         }
     };
@@ -221,18 +197,20 @@ mod tests {
         objective: &LinExpr,
         params: &MaximizeParams,
     ) -> MaximizeOutcome {
-        maximize_logged(ctx, base, objective, params).0
+        maximize_logged(ctx, base, objective, params, false).0
     }
 
-    /// [`maximize_fresh`], plus the solver's proof log.
+    /// [`maximize_fresh`] on a solver that logs proofs when `proofs`, plus
+    /// its proof log.
     fn maximize_logged(
         ctx: &mut Context,
         base: Term,
         objective: &LinExpr,
         params: &MaximizeParams,
+        proofs: bool,
     ) -> (MaximizeOutcome, Vec<ccmatic_proof::ProofStep>) {
         let mut solver = Solver::new();
-        if params.certify {
+        if proofs {
             solver.enable_proofs();
         }
         solver.assert(ctx, base);
@@ -260,7 +238,6 @@ mod tests {
             hi: int(100),
             precision: rat(1, 100),
             interrupt: Interrupt::none(),
-            certify: false,
         };
         match maximize_fresh(&mut ctx, base, &LinExpr::var(x), &params) {
             MaximizeOutcome::Feasible { value, model, probes, .. } => {
@@ -301,7 +278,6 @@ mod tests {
             hi: int(100),
             precision: rat(1, 10),
             interrupt: Interrupt::none(),
-            certify: false,
         };
         match maximize_fresh(&mut ctx, base, &LinExpr::var(x), &params) {
             MaximizeOutcome::Feasible { value, .. } => {
@@ -329,7 +305,6 @@ mod tests {
             hi: int(100),
             precision: rat(1, 100),
             interrupt: Interrupt::none(),
-            certify: false,
         };
         let value_of = |out: MaximizeOutcome| match out {
             MaximizeOutcome::Feasible { value, .. } => value,
@@ -388,7 +363,6 @@ mod tests {
             hi: int(10),
             precision: rat(1, 10),
             interrupt: Interrupt::none(),
-            certify: false,
         };
         match maximize_fresh(&mut ctx, base, &LinExpr::var(x), &params) {
             MaximizeOutcome::Feasible { value, .. } => assert_eq!(value, int(5)),
@@ -412,10 +386,9 @@ mod tests {
             lo: int(-100),
             hi: int(100),
             precision: rat(1, 100),
-            certify: true,
             ..MaximizeParams::default()
         };
-        match maximize_logged(&mut ctx, base, &LinExpr::var(x), &params) {
+        match maximize_logged(&mut ctx, base, &LinExpr::var(x), &params, true) {
             (MaximizeOutcome::Feasible { value, certificates, .. }, log) => {
                 assert!(value > rat(599, 100) && value <= int(6));
                 assert!(!certificates.is_empty(), "search must tighten the bracket");
@@ -430,13 +403,54 @@ mod tests {
         // A bracket starting above the supremum is infeasible at the first
         // probe and must report a certificate on the spot.
         let params = MaximizeParams { lo: int(50), ..params };
-        match maximize_logged(&mut ctx, base, &LinExpr::var(x), &params) {
+        match maximize_logged(&mut ctx, base, &LinExpr::var(x), &params, true) {
             (MaximizeOutcome::Infeasible { certificate }, log) => {
                 let len = certificate.expect("certified infeasibility carries a proof");
                 ccmatic_proof::check(&prefix(&log, len))
                     .expect("infeasible-base certificate replays");
             }
             other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+
+    #[test]
+    fn evidence_follows_the_solver_mode() {
+        // One formula, one search, two solvers: the one without proofs
+        // hands out no certificate, the one with proofs hands out a
+        // checkable one for every infeasible probe. No parameter decides.
+        let mut ctx = Context::new();
+        let x = ctx.real_var("x");
+        let y = ctx.real_var("y");
+        let c1 = ctx.le(ctx.var(x) + ctx.var(y), ctx.constant(int(10)));
+        let c2 = ctx.ge(ctx.var(y), ctx.constant(int(4)));
+        let base = ctx.and(vec![c1, c2]);
+        for lo in [int(-100), int(50)] {
+            let params =
+                MaximizeParams { lo, hi: int(100), precision: rat(1, 100), ..Default::default() };
+            match maximize_logged(&mut ctx, base, &LinExpr::var(x), &params, false) {
+                (MaximizeOutcome::Feasible { certificates, .. }, log) => {
+                    assert!(certificates.is_empty() && log.is_empty());
+                }
+                (MaximizeOutcome::Infeasible { certificate }, log) => {
+                    assert_eq!(certificate, None);
+                    assert!(log.is_empty());
+                }
+                (MaximizeOutcome::Aborted, _) => unreachable!("no interrupt armed"),
+            }
+            let (lens, log) = match maximize_logged(&mut ctx, base, &LinExpr::var(x), &params, true)
+            {
+                (MaximizeOutcome::Feasible { certificates, .. }, log) => {
+                    assert!(!certificates.is_empty(), "search must tighten the bracket");
+                    (certificates, log)
+                }
+                (MaximizeOutcome::Infeasible { certificate }, log) => {
+                    (vec![certificate.expect("a logging solver certifies infeasibility")], log)
+                }
+                (MaximizeOutcome::Aborted, _) => unreachable!("no interrupt armed"),
+            };
+            for &len in &lens {
+                ccmatic_proof::check(&prefix(&log, len)).expect("certificate replays");
+            }
         }
     }
 }

@@ -203,8 +203,9 @@ impl Solver {
     }
 
     /// Enable DRAT + Farkas proof logging into the solver's in-memory
-    /// [`ccmatic_proof::MemorySink`], so `Unsat` verdicts from
-    /// [`Solver::check_certified`] carry a replayable certificate.
+    /// [`ccmatic_proof::MemorySink`], so every [`Solver::check`] verdict
+    /// carries evidence: `Unsat` a replayable certificate
+    /// ([`Solver::proof_position`]), `Sat` an exact audit of its model.
     ///
     /// # Panics
     /// Panics unless the solver is empty: it must be called before anything
@@ -304,6 +305,16 @@ impl Solver {
     }
 
     /// Decide satisfiability of the asserted formula.
+    ///
+    /// With proofs on (see [`Solver::enable_proofs`]) every verdict carries
+    /// evidence: an `Unsat` verdict's certificate is
+    /// [`Solver::proof_position`], read before any [`Solver::pop`], and a
+    /// `Sat` model is audited by exact rational evaluation of every
+    /// asserted term (always in debug builds).
+    ///
+    /// # Panics
+    /// Panics if a `Sat` model fails that audit: the solver produced an
+    /// unsound verdict.
     pub fn check(&mut self, ctx: &Context) -> SatResult {
         self.checks += 1;
         self.model = None;
@@ -607,10 +618,12 @@ impl Solver {
         match result {
             Some(SolveResult::Sat) => {
                 self.extract_model(ctx);
-                debug_assert!(
-                    self.model_satisfies_asserted(ctx),
-                    "extracted model violates an asserted term"
-                );
+                if cfg!(debug_assertions) || self.proofs_enabled() {
+                    assert!(
+                        self.model_satisfies_asserted(ctx),
+                        "extracted model violates an asserted term"
+                    );
+                }
                 SatResult::Sat
             }
             Some(SolveResult::Unsat) => SatResult::Unsat,
@@ -627,25 +640,13 @@ impl Solver {
         }
     }
 
-    /// [`Solver::check`], plus evidence: `Unsat` verdicts carry the length
-    /// of the proof log at that moment (when logging is on — see
-    /// [`Solver::enable_proofs`]): the log's first that
-    /// many steps refute the assertions, for independent replay by
-    /// `ccmatic_proof`. `Sat` verdicts are audited by exact rational
-    /// evaluation of every asserted term under the model.
-    pub fn check_certified(&mut self, ctx: &Context) -> Certified {
-        let result = self.check(ctx);
-        match result {
-            SatResult::Unsat => {
-                Certified { result, certificate: self.sat.proof_position(), model_ok: None }
-            }
-            SatResult::Sat => Certified {
-                result,
-                certificate: None,
-                model_ok: Some(self.model_satisfies_asserted(ctx)),
-            },
-            SatResult::Unknown => Certified { result, certificate: None, model_ok: None },
-        }
+    /// The proof log's length so far, if logging is on. Read right after
+    /// an `Unsat` [`Solver::check`], before any [`Solver::pop`] (popping a
+    /// scope logs the deletion of its clauses, the empty clause included),
+    /// it is that verdict's certificate: the log's first that many steps
+    /// refute the assertions, for independent replay by `ccmatic_proof`.
+    pub fn proof_position(&self) -> Option<usize> {
+        self.sat.proof_position()
     }
 
     /// Moves the proof steps logged since the previous call out of the
@@ -691,18 +692,6 @@ impl Solver {
             bounds_reused: self.bounds_reused,
         }
     }
-}
-
-/// Verdict plus evidence, from [`Solver::check_certified`].
-#[derive(Debug)]
-pub struct Certified {
-    /// The verdict, identical to what [`Solver::check`] returns.
-    pub result: SatResult,
-    /// On `Unsat` with proof logging on: the refutation, as its length in
-    /// the solver's proof log (see [`Solver::take_proof_steps`]).
-    pub certificate: Option<usize>,
-    /// On `Sat`: whether every asserted term evaluated true under the model.
-    pub model_ok: Option<bool>,
 }
 
 #[cfg(test)]

@@ -68,10 +68,10 @@ fn certified_verdict(ctx: &Context, parts: &[Term]) -> SatResult {
     for &t in parts {
         s.assert(ctx, t);
     }
-    let out = s.check_certified(ctx);
-    match out.result {
+    let result = s.check(ctx);
+    match result {
         SatResult::Unsat => {
-            let len = out.certificate.expect("unsat verdict must carry a certificate");
+            let len = s.proof_position().expect("unsat verdict must carry a certificate");
             let cert = UnsatCertificate { steps: s.take_proof_steps() };
             assert_eq!(cert.steps.len(), len, "the certificate is the whole log");
             check(&cert).unwrap_or_else(|e| {
@@ -79,11 +79,11 @@ fn certified_verdict(ctx: &Context, parts: &[Term]) -> SatResult {
             });
         }
         SatResult::Sat => {
-            assert_eq!(out.model_ok, Some(true), "model failed the exact-rational audit");
+            assert!(s.model_satisfies_asserted(ctx), "model failed the exact-rational audit");
         }
         SatResult::Unknown => panic!("check without an interrupt returned Unknown"),
     }
-    out.result
+    result
 }
 
 #[test]
@@ -131,10 +131,9 @@ fn scoped_probes_yield_accepted_certificates() {
             let probe_t = encode(&mut ctx, &probe_f, x, y);
             s.push();
             s.assert(&ctx, probe_t);
-            let out = s.check_certified(&ctx);
-            match out.result {
+            match s.check(&ctx) {
                 SatResult::Unsat => {
-                    let len = out.certificate.expect("unsat probe must carry a certificate");
+                    let len = s.proof_position().expect("unsat probe must carry a certificate");
                     log.extend(s.take_proof_steps());
                     let cert = UnsatCertificate { steps: log[..len].to_vec() };
                     check(&cert).unwrap_or_else(|e| {
@@ -144,7 +143,7 @@ fn scoped_probes_yield_accepted_certificates() {
                         )
                     });
                 }
-                SatResult::Sat => assert_eq!(out.model_ok, Some(true)),
+                SatResult::Sat => assert!(s.model_satisfies_asserted(&ctx)),
                 SatResult::Unknown => panic!("check without an interrupt returned Unknown"),
             }
             s.pop();
@@ -168,9 +167,8 @@ fn solver_produced_certificate() -> UnsatCertificate {
     s.assert(&ctx, ge1);
     s.assert(&ctx, disj);
     s.assert(&ctx, yx);
-    let out = s.check_certified(&ctx);
-    assert_eq!(out.result, SatResult::Unsat);
-    let len = out.certificate.expect("certificate");
+    assert_eq!(s.check(&ctx), SatResult::Unsat);
+    let len = s.proof_position().expect("certificate");
     let cert = UnsatCertificate { steps: s.take_proof_steps() };
     assert_eq!(cert.steps.len(), len);
     cert
@@ -267,9 +265,8 @@ fn uncertified_solver_has_no_certificate_but_same_verdicts() {
     assert!(!s.proofs_enabled());
     s.assert(&ctx, lo);
     s.assert(&ctx, hi);
-    let out = s.check_certified(&ctx);
-    assert_eq!(out.result, SatResult::Unsat);
-    assert!(out.certificate.is_none());
+    assert_eq!(s.check(&ctx), SatResult::Unsat);
+    assert!(s.proof_position().is_none());
     assert!(s.take_proof_steps().is_empty());
 }
 

@@ -95,15 +95,15 @@ fn solve_checked(f: &F) -> SatResult {
     let mut solver = Solver::new();
     solver.enable_proofs();
     solver.assert(&ctx, t);
-    let out = solver.check_certified(&ctx);
-    match out.result {
+    let result = solver.check(&ctx);
+    match result {
         SatResult::Sat => {
             let m = solver.model().unwrap();
             let (xv, yv) = (m.real(x), m.real(y));
             assert!(eval(f, &xv, &yv), "model (x={xv}, y={yv}) does not satisfy {f:?}");
         }
         SatResult::Unsat => {
-            let len = out.certificate.expect("unsat verdict must carry a certificate");
+            let len = solver.proof_position().expect("unsat verdict must carry a certificate");
             let cert = UnsatCertificate { steps: solver.take_proof_steps() };
             assert_eq!(cert.steps.len(), len, "the certificate is the whole log");
             ccmatic_proof::check(&cert)
@@ -111,7 +111,7 @@ fn solve_checked(f: &F) -> SatResult {
         }
         SatResult::Unknown => {}
     }
-    out.result
+    result
 }
 
 #[test]
@@ -155,12 +155,11 @@ fn certified_unsat_with_propagation_replays_clean() {
     let mut solver = Solver::new();
     solver.enable_proofs();
     solver.assert(&ctx, t);
-    let out = solver.check_certified(&ctx);
-    assert_eq!(out.result, SatResult::Unsat);
+    assert_eq!(solver.check(&ctx), SatResult::Unsat);
     let stats = solver.stats();
     assert!(stats.theory_props > 0, "propagation never fired: {stats:?}");
     assert!(stats.bounds_asserted > 0);
-    let len = out.certificate.expect("unsat must carry a certificate");
+    let len = solver.proof_position().expect("unsat must carry a certificate");
     let cert = UnsatCertificate { steps: solver.take_proof_steps() };
     assert_eq!(cert.steps.len(), len, "the certificate is the whole log");
     // The propagation lemmas are in the log as theory steps with their
@@ -181,9 +180,8 @@ fn corrupted_propagation_explanation_is_rejected() {
     let mut solver = Solver::new();
     solver.enable_proofs();
     solver.assert(&ctx, t);
-    let out = solver.check_certified(&ctx);
-    assert_eq!(out.result, SatResult::Unsat);
-    let len = out.certificate.expect("unsat must carry a certificate");
+    assert_eq!(solver.check(&ctx), SatResult::Unsat);
+    let len = solver.proof_position().expect("unsat must carry a certificate");
     let cert = UnsatCertificate { steps: solver.take_proof_steps() };
     assert_eq!(cert.steps.len(), len, "the certificate is the whole log");
     ccmatic_proof::check(&cert).expect("uncorrupted certificate must replay");

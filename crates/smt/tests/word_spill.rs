@@ -48,8 +48,7 @@ fn spilled_rows_give_independently_checked_verdicts() {
         for &t in &parts {
             s.assert(&ctx, t);
         }
-        let out = s.check_certified(&ctx);
-        match out.result {
+        match s.check(&ctx) {
             SatResult::Sat => {
                 let model = s.model().expect("a Sat verdict has a model");
                 for &t in &parts {
@@ -58,7 +57,7 @@ fn spilled_rows_give_independently_checked_verdicts() {
                 sat += 1;
             }
             SatResult::Unsat => {
-                let len = out.certificate.expect("an Unsat verdict carries a certificate");
+                let len = s.proof_position().expect("an Unsat verdict carries a certificate");
                 let cert = UnsatCertificate { steps: s.take_proof_steps() };
                 assert_eq!(cert.steps.len(), len, "the certificate is the whole log");
                 check(&cert).unwrap_or_else(|e| panic!("the checker rejected a certificate: {e}"));
