@@ -184,12 +184,12 @@ fn search_trajectories_match_goldens() {
     assert_eq!(
         verifier_records(),
         [
-            "rocc: pass · probes 1 · cert bytes 18743 · pivots 920",
-            "eq_iii: fail 752e1436b53b0869 · probes 6 · cert bytes 152514 · pivots 2454",
-            "const_cwnd(0): fail 0ee904dcce60a5d1 · probes 6 · cert bytes 240139 · pivots 246",
-            "const_cwnd(6): fail 8a7ae03e2e8ef255 · probes 6 · cert bytes 224706 · pivots 240",
-            "const_cwnd(20): fail a89dc44547fd1fcf · probes 6 · cert bytes 248792 · pivots 182",
-            "copy_cwnd: fail 9039d8c244875164 · probes 6 · cert bytes 270178 · pivots 232",
+            "rocc: pass · probes 1 · cert bytes 17365 · pivots 920",
+            "eq_iii: fail 752e1436b53b0869 · probes 6 · cert bytes 126366 · pivots 2454",
+            "const_cwnd(0): fail 0ee904dcce60a5d1 · probes 6 · cert bytes 193155 · pivots 246",
+            "const_cwnd(6): fail 8a7ae03e2e8ef255 · probes 6 · cert bytes 172052 · pivots 240",
+            "const_cwnd(20): fail a89dc44547fd1fcf · probes 6 · cert bytes 182146 · pivots 182",
+            "copy_cwnd: fail 9039d8c244875164 · probes 6 · cert bytes 188146 · pivots 232",
         ]
     );
     assert_eq!(

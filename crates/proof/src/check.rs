@@ -1,6 +1,13 @@
 //! Independent certificate replay: RUP propagation over the live clause set
 //! plus Farkas summation for theory lemmas, over one append-only log whose
 //! prefixes are the certificates.
+//!
+//! The checker keeps the unit-propagation closure of the live clauses (the
+//! top-level assignment) between steps and extends it as clauses are
+//! added, so a RUP check propagates only from the candidate's negation.
+//! A deletion that removes a live unit or the reason of a closure literal
+//! marks the closure stale, and the next RUP check rebuilds it from the
+//! live units: a deleted clause never justifies a later step.
 
 use crate::{ProofStep, UnsatCertificate};
 use ccmatic_num::{gcd_u64, DeltaRat, Rat};
@@ -25,7 +32,8 @@ pub struct CertStats {
     pub theory_checked: usize,
     /// Deletions applied.
     pub deletions: usize,
-    /// Unit propagations performed across all RUP checks.
+    /// Unit propagations performed, keeping the top-level closure and
+    /// checking RUP steps.
     pub propagations: u64,
 }
 
@@ -122,15 +130,24 @@ struct Checker {
     /// Literal code → slots watching it (clauses of length ≥ 2 only).
     watches: Vec<Vec<usize>>,
     /// Literal code → number of live unit clauses asserting it. Ordered, so
-    /// RUP checks seed units in a fixed order and the propagation count is
-    /// a function of the certificate alone.
+    /// a closure rebuild seeds units in a fixed order and the propagation
+    /// count is a function of the certificate alone.
     units: BTreeMap<u32, u32>,
     /// Live empty clauses (axiomatic or verified).
     empties: u32,
-    /// Variable → 0 unset, 1 true, −1 false (scratch; clean between checks).
+    /// Variable → 0 unset, 1 true, −1 false. Between steps it holds the
+    /// top-level closure; a RUP check assigns on top and undoes its part.
     assign: Vec<i8>,
-    /// Assigned literals in order, for propagation and undo.
+    /// Assigned literals in order, for propagation and undo; between steps,
+    /// the closure.
     trail: Vec<u32>,
+    /// Variable → the slot whose clause put its closure literal on the
+    /// trail, or [`UNIT`] for a seeded unit literal.
+    reason: Vec<usize>,
+    /// A deletion invalidated the closure; the next RUP check rebuilds it.
+    stale: bool,
+    /// The closure propagates to a conflict: every clause is RUP.
+    conflict: bool,
     /// Farkas scratch: real variable → integer coefficient sum (zero
     /// between checks).
     farkas_acc: Vec<i128>,
@@ -138,6 +155,9 @@ struct Checker {
     farkas_touched: Vec<u32>,
     stats: CertStats,
 }
+
+/// The closure reason of a literal asserted by a live unit clause.
+const UNIT: usize = usize::MAX;
 
 /// Assigns `l` true and records it on the trail. Caller checks the current
 /// value first.
@@ -164,6 +184,7 @@ impl Checker {
             let v = (l >> 1) as usize;
             if v >= self.assign.len() {
                 self.assign.resize(v + 1, 0);
+                self.reason.resize(v + 1, UNIT);
             }
         }
     }
@@ -177,18 +198,88 @@ impl Checker {
         ls.dedup();
         self.ensure_lits(&ls);
         let slot = self.slots.len();
+        // The literal the clause forces onto a current closure, if any.
+        let mut implied = None;
+        let (mut w0, mut w1) = (0, 1);
+        let extend = !self.stale && !self.conflict;
         match ls.len() {
             0 => self.empties += 1,
-            1 => *self.units.entry(ls[0]).or_insert(0) += 1,
+            1 => {
+                *self.units.entry(ls[0]).or_insert(0) += 1;
+                implied = Some((ls[0], UNIT));
+            }
             _ => {
-                self.watches[ls[0] as usize].push(slot);
-                self.watches[ls[1] as usize].push(slot);
+                if extend {
+                    // Watch two literals the closure leaves unfalsified;
+                    // with one, the clause is unit (or satisfied), and with
+                    // none it is falsified. A watched false literal stays
+                    // false until the next rebuild unassigns everything.
+                    let mut free =
+                        (0..ls.len()).filter(|&j| lit_value(&self.assign, ls[j]) != Some(false));
+                    match (free.next(), free.next()) {
+                        (Some(a), Some(b)) => (w0, w1) = (a, b),
+                        (Some(a), None) => {
+                            (w0, w1) = (a, usize::from(a == 0));
+                            implied = Some((ls[a], slot));
+                        }
+                        (None, _) => self.conflict = true,
+                    }
+                }
+                self.watches[ls[w0] as usize].push(slot);
+                self.watches[ls[w1] as usize].push(slot);
             }
         }
-        self.slots.push(Some(ClauseRec { lits: ls, w0: 0, w1: 1 }));
+        self.slots.push(Some(ClauseRec { lits: ls, w0, w1 }));
         self.id_to_slot.insert(id, slot);
         self.stats.clauses += 1;
+        if let (true, Some((l, why))) = (extend, implied) {
+            self.extend_closure(l, why);
+        }
         Ok(())
+    }
+
+    /// Adds `l`, forced by `reason`, to a current closure and propagates.
+    fn extend_closure(&mut self, l: u32, reason: usize) {
+        match lit_value(&self.assign, l) {
+            Some(true) => {}
+            Some(false) => self.conflict = true,
+            None => {
+                let start = self.trail.len();
+                assign_lit(&mut self.assign, &mut self.trail, l);
+                self.reason[(l >> 1) as usize] = reason;
+                self.conflict = self.propagate(start);
+            }
+        }
+    }
+
+    /// Recomputes the closure from the live unit clauses.
+    fn rebuild_closure(&mut self) {
+        for l in self.trail.drain(..) {
+            self.assign[(l >> 1) as usize] = 0;
+        }
+        self.stale = false;
+        self.conflict = false;
+        for &u in self.units.keys() {
+            match lit_value(&self.assign, u) {
+                Some(true) => {}
+                Some(false) => {
+                    self.conflict = true;
+                    return;
+                }
+                None => {
+                    assign_lit(&mut self.assign, &mut self.trail, u);
+                    self.reason[(u >> 1) as usize] = UNIT;
+                }
+            }
+        }
+        self.conflict = self.propagate(0);
+    }
+
+    /// Whether the closure holds a literal of `lits` put there by `reason`.
+    fn closure_rests_on(&self, lits: &[u32], reason: usize) -> bool {
+        lits.iter().any(|&l| {
+            lit_value(&self.assign, l) == Some(true) && self.reason[(l >> 1) as usize] == reason
+        })
     }
 
     fn delete(&mut self, id: u64) -> Result<(), CheckError> {
@@ -205,6 +296,7 @@ impl Checker {
                     *n -= 1;
                     if *n == 0 {
                         self.units.remove(&rec.lits[0]);
+                        self.stale |= self.closure_rests_on(&rec.lits, UNIT);
                     }
                 }
             }
@@ -212,49 +304,55 @@ impl Checker {
                 for w in [rec.w0, rec.w1] {
                     self.watches[rec.lits[w] as usize].retain(|&s| s != slot);
                 }
+                self.stale |= self.closure_rests_on(&rec.lits, slot);
             }
         }
+        // A conflicting closure stopped propagating midway, so which
+        // clauses it rests on is not tracked: rebuild it.
+        self.stale |= self.conflict;
         self.stats.deletions += 1;
         Ok(())
     }
 
     /// True iff assuming the negation of every literal in `lits` (on top of
-    /// the live unit clauses) propagates to a conflict.
+    /// the closure of the live clauses) propagates to a conflict.
     fn rup_holds(&mut self, lits: &[u32]) -> bool {
         if self.empties > 0 {
             return true;
         }
         self.ensure_lits(lits);
-        debug_assert!(self.trail.is_empty());
-        let conflict = self.rup_inner(lits);
-        for i in 0..self.trail.len() {
-            let l = self.trail[i];
+        if self.stale {
+            self.rebuild_closure();
+        }
+        if self.conflict {
+            return true;
+        }
+        let closed = self.trail.len();
+        let conflict = self.rup_inner(lits, closed);
+        for l in self.trail.drain(closed..) {
             self.assign[(l >> 1) as usize] = 0;
         }
-        self.trail.clear();
         conflict
     }
 
-    fn rup_inner(&mut self, lits: &[u32]) -> bool {
+    fn rup_inner(&mut self, lits: &[u32], closed: usize) -> bool {
         // Assume the negation of the candidate clause…
         for &l in lits {
             let nl = l ^ 1;
             match lit_value(&self.assign, nl) {
                 Some(true) => {}
-                Some(false) => return true, // complementary pair: tautology
+                // A literal the closure or a complementary pair makes true.
+                Some(false) => return true,
                 None => assign_lit(&mut self.assign, &mut self.trail, nl),
             }
         }
-        // …seed every live unit clause…
-        for &u in self.units.keys() {
-            match lit_value(&self.assign, u) {
-                Some(true) => {}
-                Some(false) => return true,
-                None => assign_lit(&mut self.assign, &mut self.trail, u),
-            }
-        }
-        // …and propagate over the watched clauses.
-        let mut qhead = 0;
+        // …and propagate it over the watched clauses.
+        self.propagate(closed)
+    }
+
+    /// Propagates the trail from position `qhead`; returns true on
+    /// conflict.
+    fn propagate(&mut self, mut qhead: usize) -> bool {
         while qhead < self.trail.len() {
             let l = self.trail[qhead];
             qhead += 1;
@@ -307,6 +405,7 @@ impl Checker {
             match lit_value(&self.assign, other_lit) {
                 None => {
                     assign_lit(&mut self.assign, &mut self.trail, other_lit);
+                    self.reason[(other_lit >> 1) as usize] = slot;
                     i += 1;
                 }
                 Some(false) => {

@@ -1,4 +1,4 @@
-use crate::{check, CheckError, MemorySink, ProofStep, Replayer, UnsatCertificate};
+use crate::{check, steps_to_text, CheckError, MemorySink, ProofStep, Replayer, UnsatCertificate};
 use ccmatic_num::{rat, BigInt, Rat, SmallRng};
 
 // Literal helpers mirroring the dense encoding: var << 1 | sign.
@@ -65,6 +65,134 @@ fn rejects_duplicate_and_unknown_ids() {
     cert.steps.push(ProofStep::Delete { id: 1 });
     cert.steps.push(ProofStep::Delete { id: 1 });
     assert_eq!(check(&cert), Err(CheckError::UnknownDelete(1)));
+}
+
+/// The checker keeps the closure of the live clauses between steps: a
+/// deletion that removes a live unit or the reason of a closure literal
+/// (as a scope pop does) must take its consequences out of it.
+#[test]
+fn deleting_a_unit_or_a_reason_shrinks_the_closure() {
+    // ¬x ∨ y and ¬y ∨ z in the base scope, the unit x inside a scope: the
+    // closure holds x, y and z, so [z] is RUP until the pop.
+    let scope = |tail: Vec<ProofStep>| UnsatCertificate {
+        steps: [
+            vec![
+                ProofStep::Input { id: 1, lits: vec![n(0), p(1)] },
+                ProofStep::Input { id: 2, lits: vec![n(1), p(2)] },
+                ProofStep::Input { id: 3, lits: vec![p(0)] },
+                ProofStep::Input { id: 4, lits: vec![p(2), p(3)] },
+                ProofStep::Rup { id: 5, lits: vec![p(2), p(4)] },
+            ],
+            tail,
+        ]
+        .concat(),
+    };
+    let later_rup = |deleted: u64| {
+        scope(vec![ProofStep::Delete { id: deleted }, ProofStep::Rup { id: 6, lits: vec![p(2)] }])
+    };
+    // The pop deletes the unit x, then a later step needs z.
+    assert_eq!(check(&later_rup(3)), Err(CheckError::RupFailed(6)));
+    // Deleting the reason of y or of z breaks the chain as well.
+    assert_eq!(check(&later_rup(1)), Err(CheckError::RupFailed(6)));
+    assert_eq!(check(&later_rup(2)), Err(CheckError::RupFailed(6)));
+    // A deleted clause the closure does not rest on changes nothing.
+    assert_eq!(check(&later_rup(4)), Err(CheckError::NoEmptyClause));
+    assert_eq!(check(&later_rup(5)), Err(CheckError::NoEmptyClause));
+    // The closure itself is consistent: it refutes nothing.
+    let refuted = check(&scope(vec![ProofStep::Rup { id: 6, lits: vec![] }]));
+    assert_eq!(refuted, Err(CheckError::RupFailed(6)));
+
+    // Units x and ¬x make the closure conflict, so any clause is RUP, until
+    // a deletion removes one of them.
+    let conflicting = UnsatCertificate {
+        steps: vec![
+            ProofStep::Input { id: 1, lits: vec![p(0)] },
+            ProofStep::Input { id: 2, lits: vec![n(0)] },
+            ProofStep::Rup { id: 3, lits: vec![p(5), p(6)] },
+            ProofStep::Delete { id: 2 },
+            ProofStep::Rup { id: 4, lits: vec![p(5)] },
+        ],
+    };
+    assert_eq!(check(&conflicting), Err(CheckError::RupFailed(4)));
+}
+
+/// Whether unit propagation over `live` from the negation of `lits`
+/// reaches a conflict, by naive fixpoint iteration.
+fn naive_rup(live: &[&Vec<u32>], lits: &[u32]) -> bool {
+    let mut val: Vec<Option<bool>> = vec![None; 64];
+    let holds = |val: &[Option<bool>], l: u32| val[(l >> 1) as usize].map(|v| v == (l & 1 == 0));
+    for &l in lits {
+        match holds(&val, l) {
+            Some(true) => return true,
+            Some(false) => {}
+            None => val[(l >> 1) as usize] = Some(l & 1 == 1),
+        }
+    }
+    loop {
+        let mut changed = false;
+        for c in live {
+            if c.iter().any(|&l| holds(&val, l) == Some(true)) {
+                continue;
+            }
+            let mut open = c.iter().filter(|&&l| holds(&val, l).is_none());
+            match (open.next(), open.next()) {
+                (None, _) => return true,
+                (Some(&l), None) => {
+                    val[(l >> 1) as usize] = Some(l & 1 == 0);
+                    changed = true;
+                }
+                _ => {}
+            }
+        }
+        if !changed {
+            return false;
+        }
+    }
+}
+
+/// Random logs of inputs, RUP steps and deletions over a few variables:
+/// the checker, which keeps the closure between steps, accepts exactly
+/// the RUP steps a from-scratch propagation over the live clauses accepts.
+#[test]
+fn kept_closure_agrees_with_propagation_from_scratch() {
+    let mut rng = SmallRng::seed_from_u64(0xC705);
+    let (mut held, mut failed) = (0, 0);
+    for _ in 0..150 {
+        let mut steps = Vec::new();
+        let mut live: Vec<(u64, Vec<u32>)> = Vec::new();
+        for id in 1..=60u64 {
+            if !live.is_empty() && rng.gen_bool(0.25) {
+                let (gone, _) = live.remove(rng.gen_range_usize(0, live.len()));
+                steps.push(ProofStep::Delete { id: gone });
+                continue;
+            }
+            let len = rng.gen_range_usize(1, 4);
+            let mut lits: Vec<u32> = (0..len).map(|_| rng.gen_range_i64(0, 12) as u32).collect();
+            lits.sort_unstable();
+            lits.dedup();
+            let clauses: Vec<&Vec<u32>> = live.iter().map(|(_, c)| c).collect();
+            if rng.gen_bool(0.5) && naive_rup(&clauses, &lits) {
+                held += 1;
+                steps.push(ProofStep::Rup { id, lits: lits.clone() });
+            } else if !naive_rup(&clauses, &lits) {
+                // The checker must reject it here, then the log goes on
+                // with it as an input.
+                failed += 1;
+                let mut bad = steps.clone();
+                bad.push(ProofStep::Rup { id, lits: lits.clone() });
+                assert_eq!(check(&UnsatCertificate { steps: bad }), Err(CheckError::RupFailed(id)));
+                steps.push(ProofStep::Input { id, lits: lits.clone() });
+            } else {
+                steps.push(ProofStep::Input { id, lits: lits.clone() });
+            }
+            live.push((id, lits));
+        }
+        let verdict = check(&UnsatCertificate { steps: steps.clone() });
+        let clauses: Vec<&Vec<u32>> = live.iter().map(|(_, c)| c).collect();
+        let refuted = naive_rup(&clauses, &[]);
+        assert!(matches!(verdict, Err(CheckError::NoEmptyClause)) || (refuted && verdict.is_ok()));
+    }
+    assert!(held > 300 && failed > 300, "{held} held, {failed} failed");
 }
 
 /// x ≤ 1 (atom on var 0) asserted true, x ≤ 2 (atom on var 1) asserted
@@ -250,41 +378,103 @@ fn random_rat(rng: &mut SmallRng, limbs: usize) -> Rat {
     Rat::new(num, den)
 }
 
-#[test]
-fn byte_len_equals_the_rendered_length_on_random_steps() {
-    let mut rng = SmallRng::seed_from_u64(0xB17E);
+/// A random step of any kind, over ids, literals and rationals of every
+/// size the text format writes.
+fn random_step(rng: &mut SmallRng) -> ProofStep {
     let small = |rng: &mut SmallRng| match rng.gen_range_usize(0, 3) {
         0 => rng.gen_range_i64(0, 10) as u32,
         1 => rng.gen_range_i64(0, 100_000) as u32,
         _ => rng.gen_range_i64(0, i64::from(u32::MAX) + 1) as u32,
     };
-    for _ in 0..2_000 {
-        let limbs = rng.gen_range_usize(1, 4);
-        let id = if rng.gen_bool(0.5) {
-            rng.gen_range_i64(0, 1_000) as u64
-        } else {
-            rng.gen_range_i64(0, i64::MAX) as u64 * 2
-        };
-        let len = rng.gen_range_usize(0, 5);
-        let lits: Vec<u32> = (0..len).map(|_| small(&mut rng)).collect();
-        let terms: Vec<(u32, Rat)> =
-            (0..len).map(|_| (small(&mut rng), random_rat(&mut rng, limbs))).collect();
-        let step = match rng.gen_range_usize(0, 5) {
-            0 => ProofStep::Atom {
-                var: small(&mut rng),
-                expr: terms,
-                bound: random_rat(&mut rng, limbs),
-                strict: rng.gen_bool(0.5),
-            },
-            1 => ProofStep::Input { id, lits },
-            2 => ProofStep::Rup { id, lits },
-            3 => ProofStep::Theory { id, lits, farkas: terms },
-            _ => ProofStep::Delete { id },
-        };
-        let mut text = String::new();
-        step.render(&mut text);
-        assert_eq!(step.byte_len(), text.len() as u64, "{text}");
+    let limbs = rng.gen_range_usize(1, 4);
+    let id = if rng.gen_bool(0.5) {
+        rng.gen_range_i64(0, 1_000) as u64
+    } else {
+        rng.gen_range_i64(0, i64::MAX) as u64 * 2
+    };
+    let len = rng.gen_range_usize(0, 5);
+    let lits: Vec<u32> = (0..len).map(|_| small(rng)).collect();
+    let terms: Vec<(u32, Rat)> = (0..len).map(|_| (small(rng), random_rat(rng, limbs))).collect();
+    match rng.gen_range_usize(0, 5) {
+        0 => ProofStep::Atom {
+            var: small(rng),
+            expr: terms,
+            bound: random_rat(rng, limbs),
+            strict: rng.gen_bool(0.5),
+        },
+        1 => ProofStep::Input { id, lits },
+        2 => ProofStep::Rup { id, lits },
+        3 => ProofStep::Theory { id, lits, farkas: terms },
+        _ => ProofStep::Delete { id },
     }
+}
+
+#[test]
+fn byte_len_equals_the_rendered_length_on_random_steps() {
+    let mut rng = SmallRng::seed_from_u64(0xB17E);
+    for _ in 0..2_000 {
+        let step = random_step(&mut rng);
+        let mut text = Vec::new();
+        step.render(&mut text);
+        assert_eq!(step.byte_len(), text.len() as u64, "{}", String::from_utf8_lossy(&text));
+    }
+}
+
+/// The line `ProofStep::render` writes, built with `fmt` from `Display`.
+fn fmt_line(step: &ProofStep) -> String {
+    let join = |lits: &[u32]| lits.iter().map(|l| format!(" {l}")).collect::<String>();
+    let pairs =
+        |terms: &[(u32, Rat)]| terms.iter().map(|(l, c)| format!(" {l}:{c}")).collect::<String>();
+    match step {
+        ProofStep::Atom { var, expr, bound, strict } => {
+            format!("a {var} {} {bound}{}\n", u8::from(*strict), pairs(expr))
+        }
+        ProofStep::Input { id, lits } => format!("i {id}{}\n", join(lits)),
+        ProofStep::Rup { id, lits } => format!("r {id}{}\n", join(lits)),
+        ProofStep::Theory { id, lits, farkas } => {
+            format!("t {id}{} f{}\n", join(lits), pairs(farkas))
+        }
+        ProofStep::Delete { id } => format!("d {id}\n"),
+    }
+}
+
+/// Every step kind, with rationals past `i64` in either part, renders to
+/// the bytes `fmt` writes and parses back to the same step.
+#[test]
+fn codec_roundtrips_every_step_kind_bytewise() {
+    let mut rng = SmallRng::seed_from_u64(0xC0DE);
+    let steps: Vec<ProofStep> = (0..2_000).map(|_| random_step(&mut rng)).collect();
+    let text = steps_to_text(&steps);
+    assert_eq!(text, steps.iter().map(fmt_line).collect::<String>());
+    let back = UnsatCertificate::from_text(&text).expect("rendered text must parse");
+    assert_eq!(back.steps, steps);
+    assert!(
+        steps.iter().any(|s| matches!(s, ProofStep::Atom { bound, .. } if !bound.is_small())),
+        "the sample holds rationals past a machine word"
+    );
+    for limit in [i64::MAX, i64::MIN] {
+        let step = ProofStep::Atom {
+            var: u32::MAX,
+            expr: vec![(u32::MAX, rat(limit, i64::MAX)), (0, Rat::from(limit))],
+            bound: rat(-1, i64::MAX),
+            strict: false,
+        };
+        let text = steps_to_text(std::slice::from_ref(&step));
+        assert_eq!(text, fmt_line(&step));
+        assert_eq!(UnsatCertificate::from_text(&text).unwrap().steps, [step]);
+    }
+    // Decimals are read (through the slow path), never written.
+    let decimal = "a 2 1 -1.25 0:0.5 3:7 4:-36893488147419103232/3\n";
+    let huge = Rat::from_decimal_str("-36893488147419103232/3").unwrap();
+    assert_eq!(
+        UnsatCertificate::from_text(decimal).unwrap().steps,
+        [ProofStep::Atom {
+            var: 2,
+            expr: vec![(0, rat(1, 2)), (3, rat(7, 1)), (4, huge)],
+            bound: rat(-5, 4),
+            strict: true,
+        }]
+    );
 }
 
 #[test]

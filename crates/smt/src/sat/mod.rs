@@ -33,6 +33,7 @@ mod heap;
 
 pub use heap::ActivityHeap;
 
+use std::collections::HashMap;
 use std::fmt;
 
 /// A propositional variable.
@@ -184,7 +185,8 @@ struct Clause {
     /// Deepest assertion scope this clause's derivation depends on; the
     /// clause survives a pop to depth `d` iff `epoch ≤ d`.
     epoch: u32,
-    /// Id of this clause in the proof log (0 when logging is off).
+    /// Id of this clause in the proof log: 0 when logging is off, and for
+    /// a theory-propagation lemma until its first use logs it.
     proof_id: u64,
 }
 
@@ -271,6 +273,22 @@ pub struct SatSolver {
     /// Id of the logged empty clause while the solver is unsat; deleted
     /// when a pop clears the verdict.
     unsat_proof: Option<u64>,
+    /// Farkas witnesses of the stored theory-propagation lemmas not yet in
+    /// the proof log, by clause index. A lemma is logged when a derivation
+    /// first rests on it ([`SatSolver::plog_use`]); one no refutation uses
+    /// never enters the log, so its pop deletes nothing.
+    unlogged: HashMap<usize, Farkas>,
+}
+
+/// A Farkas witness: clause literals with positive coefficients.
+type Farkas = Vec<(Lit, ccmatic_num::Rat)>;
+
+/// Logs the theory lemma `lits` with its witness; returns its id.
+fn log_theory(sink: &mut ccmatic_proof::MemorySink, lits: &[Lit], farkas: Farkas) -> u64 {
+    sink.log_theory(
+        lits.iter().map(|l| l.0).collect(),
+        farkas.into_iter().map(|(l, c)| (l.0, c)).collect(),
+    )
 }
 
 const ACT_DECAY: f64 = 1.0 / 0.95;
@@ -310,6 +328,7 @@ impl SatSolver {
             sink: None,
             extra_ids: Vec::new(),
             unsat_proof: None,
+            unlogged: HashMap::new(),
         }
     }
 
@@ -413,13 +432,17 @@ impl SatSolver {
         }
     }
 
-    fn plog_theory(&mut self, lits: &[Lit], farkas: &[(Lit, ccmatic_num::Rat)]) -> u64 {
-        match self.sink.as_mut() {
-            Some(s) => s.log_theory(
-                lits.iter().map(|l| l.0).collect(),
-                farkas.iter().map(|(l, c)| (l.0, c.clone())).collect(),
-            ),
-            None => 0,
+    /// Logs stored clause `ci` if it is a theory-propagation lemma not yet
+    /// in the proof log. Called wherever a derivation rests on a clause:
+    /// conflict analysis resolving on it, a level-0 fact taking it as
+    /// reason (`pop` clears those reasons, so the lemma cannot be logged
+    /// later), and a level-0 conflict on it.
+    fn plog_use(&mut self, ci: usize) {
+        let Some(sink) = self.sink.as_mut() else { return };
+        let c = &mut self.clauses[ci];
+        if c.proof_id == 0 {
+            let farkas = self.unlogged.remove(&ci).expect("an unlogged clause is a lemma");
+            c.proof_id = log_theory(sink, &c.lits, farkas);
         }
     }
 
@@ -508,6 +531,19 @@ impl SatSolver {
             for id in dead {
                 self.plog_delete(id);
             }
+        }
+        // Surviving unlogged lemmas keep their witnesses under their new
+        // clause indices; the rest were never logged, so they need no
+        // deletion.
+        if !self.unlogged.is_empty() {
+            let mut unlogged = HashMap::with_capacity(self.unlogged.len());
+            let survivors = self.clauses.iter().enumerate().filter(|(_, c)| c.epoch <= new_depth);
+            for (kept, (ci, _)) in survivors.enumerate() {
+                if let Some(farkas) = self.unlogged.remove(&ci) {
+                    unlogged.insert(kept, farkas);
+                }
+            }
+            self.unlogged = unlogged;
         }
         self.extra_ids.truncate(new_depth as usize + 1);
         // Keep only clauses derivable from the surviving prefix. The epoch
@@ -642,6 +678,7 @@ impl SatSolver {
         let epoch = if self.trail_lim.is_empty() {
             match reason {
                 Some(ci) => {
+                    self.plog_use(ci);
                     let mut e = self.clauses[ci].epoch;
                     for &x in &self.clauses[ci].lits {
                         if x != l {
@@ -764,6 +801,7 @@ impl SatSolver {
         let mut epoch = 0u32;
 
         loop {
+            self.plog_use(reason_clause);
             epoch = epoch.max(self.clauses[reason_clause].epoch);
             let lits: Vec<Lit> = self.clauses[reason_clause].lits.clone();
             // Skip the asserting literal itself when walking a reason clause.
@@ -901,10 +939,11 @@ impl SatSolver {
 
     /// Integrate theory-implied literals from a `trail_check` scan. Each
     /// lemma's first literal is the implied one; the rest are its
-    /// currently-false premises. The clause is stored (entering the proof
-    /// log as a theory lemma with its Farkas witness) and the implied
+    /// currently-false premises. The clause is stored and the implied
     /// literal enqueued with it as reason, so conflict analysis can resolve
-    /// across it like any propagation. Returns `(progressed, consistent)`;
+    /// across it like any propagation. The clause keeps its Farkas witness
+    /// aside and enters the proof log as a theory lemma only on first use
+    /// ([`SatSolver::plog_use`]). Returns `(progressed, consistent)`;
     /// `consistent == false` means unsat was derived.
     fn integrate_theory_implications(&mut self, implied: Vec<TheoryLemma>) -> (bool, bool) {
         let mut progressed = false;
@@ -933,7 +972,6 @@ impl SatSolver {
                 clause[1..].iter().all(|&l| self.lit_value(l) == LBool::False),
                 "implication premises must be false under the current assignment"
             );
-            let theory_id = self.plog_theory(&clause, &farkas);
             // Same epoch rule as conflict lemmas: valid whenever its atoms
             // exist (bounds are re-derived from the live atom set).
             let epoch = clause
@@ -948,7 +986,10 @@ impl SatSolver {
             self.watches[clause[0].index()].push(idx);
             self.watches[clause[1].index()].push(idx);
             let implied_lit = clause[0];
-            self.clauses.push(Clause { lits: clause, epoch, proof_id: theory_id });
+            self.clauses.push(Clause { lits: clause, epoch, proof_id: 0 });
+            if self.sink.is_some() {
+                self.unlogged.insert(idx, farkas);
+            }
             self.enqueue(implied_lit, Some(idx));
             self.stats.theory_props += 1;
             progressed = true;
@@ -968,7 +1009,7 @@ impl SatSolver {
         );
         // The lemma enters the proof with its Farkas witness before anything
         // is derived from it.
-        let theory_id = self.plog_theory(&clause, &farkas);
+        let theory_id = self.sink.as_mut().map_or(0, |s| log_theory(s, &clause, farkas));
         // A theory lemma is valid whenever its atoms exist: the theory
         // re-derives its bounds from the live atom set on every check, so
         // the lemma's epoch is the max creation depth of its variables.
@@ -1050,6 +1091,7 @@ impl SatSolver {
             }
             if let Some(ci) = self.propagate() {
                 if self.trail_lim.is_empty() {
+                    self.plog_use(ci);
                     let e = self.level0_conflict_epoch(ci);
                     self.set_unsat(e);
                     return Some(SolveResult::Unsat);

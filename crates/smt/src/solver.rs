@@ -146,6 +146,12 @@ pub struct Solver {
     atom_slacks: Vec<SimVar>,
     /// `atom_slacks` length at each open `push`.
     scope_marks: Vec<usize>,
+    /// Leading `cnf.atom_bindings()` entries whose atom definitions are in
+    /// the proof log. A binding made before a `push` but registered inside
+    /// it is registered again after the `pop`, yet its SAT variable lives
+    /// on, so the definition is logged once per variable lifetime: only a
+    /// `pop` that drops the binding lowers this.
+    atoms_logged: usize,
     /// Memo: multi-variable atom expression (in simplex-variable terms) →
     /// its slack, so atoms differing only in the bound share one slack.
     /// Sharing is what lets a bound on one atom propagate the truth value
@@ -184,6 +190,7 @@ impl Solver {
             real_to_sim: HashMap::new(),
             atom_slacks: Vec::new(),
             scope_marks: Vec::new(),
+            atoms_logged: 0,
             expr_slacks: HashMap::new(),
             asserted: Vec::new(),
             asserted_marks: Vec::new(),
@@ -243,6 +250,7 @@ impl Solver {
         self.cnf.pop();
         self.simplex.pop();
         self.atom_slacks.truncate(mark);
+        self.atoms_logged = self.atoms_logged.min(self.cnf.atom_bindings().len());
         self.asserted.truncate(amark);
         // Real variables first seen inside the scope mapped to simplex vars
         // that no longer exist; forget them so a later assert re-allocates.
@@ -285,12 +293,13 @@ impl Solver {
                 }
             };
             self.atom_slacks.push(slack);
-            if self.sat.proofs_enabled() {
+            if self.sat.proofs_enabled() && self.atom_slacks.len() > self.atoms_logged {
                 // The certificate checker needs the arithmetic meaning of
                 // each theory literal, in real-variable space.
                 let expr: Vec<(u32, Rat)> =
                     data.expr.iter().map(|(v, c)| (v.0, c.clone())).collect();
                 self.sat.log_atom_def(sat_var, &expr, &data.bound, data.strict);
+                self.atoms_logged = self.atom_slacks.len();
             }
         }
     }

@@ -60,19 +60,30 @@ fn encode(ctx: &mut Context, f: &F, x: ccmatic_smt::RealVar, y: ccmatic_smt::Rea
     }
 }
 
+/// What one certified check produced: the verdict, its theory
+/// propagations, the theory lemmas it found (propagations plus conflicts)
+/// and those its log holds.
+struct Certified {
+    result: SatResult,
+    props: u64,
+    lemmas_found: u64,
+    lemmas_logged: u64,
+}
+
 /// Fresh certified solver over the conjunction of `parts`; on `Unsat` the
 /// certificate must exist and replay cleanly.
-fn certified_verdict(ctx: &Context, parts: &[Term]) -> SatResult {
+fn certified_verdict(ctx: &Context, parts: &[Term]) -> Certified {
     let mut s = Solver::new();
     s.enable_proofs();
     for &t in parts {
         s.assert(ctx, t);
     }
     let result = s.check(ctx);
+    let steps = s.take_proof_steps();
     match result {
         SatResult::Unsat => {
             let len = s.proof_position().expect("unsat verdict must carry a certificate");
-            let cert = UnsatCertificate { steps: s.take_proof_steps() };
+            let cert = UnsatCertificate { steps: steps.clone() };
             assert_eq!(cert.steps.len(), len, "the certificate is the whole log");
             check(&cert).unwrap_or_else(|e| {
                 panic!("checker rejected a solver-produced certificate: {e}\n{}", cert.to_text())
@@ -83,13 +94,26 @@ fn certified_verdict(ctx: &Context, parts: &[Term]) -> SatResult {
         }
         SatResult::Unknown => panic!("check without an interrupt returned Unknown"),
     }
-    result
+    let stats = s.stats();
+    Certified {
+        result,
+        props: stats.theory_props,
+        lemmas_found: stats.theory_props + stats.theory_conflicts,
+        lemmas_logged: steps.iter().filter(|s| matches!(s, ProofStep::Theory { .. })).count()
+            as u64,
+    }
 }
 
+/// Random formulas over two reals, many with atoms sharing a variable so
+/// that theory propagation fires: every Unsat certificate is accepted, and
+/// the logs hold fewer theory lemmas than the solvers found, since a
+/// propagation lemma enters the log only when a derivation first rests on
+/// it.
 #[test]
 fn random_unsat_instances_yield_accepted_certificates() {
     let mut rng = SmallRng::seed_from_u64(0xCE27);
     let (mut sat_seen, mut unsat_seen) = (0u32, 0u32);
+    let (mut found, mut logged, mut props) = (0u64, 0u64, 0u64);
     for _ in 0..60 {
         let mut ctx = Context::new();
         let x = ctx.real_var("x");
@@ -100,7 +124,11 @@ fn random_unsat_instances_yield_accepted_certificates() {
                 encode(&mut ctx, &f, x, y)
             })
             .collect();
-        match certified_verdict(&ctx, &parts) {
+        let run = certified_verdict(&ctx, &parts);
+        props += run.props;
+        found += run.lemmas_found;
+        logged += run.lemmas_logged;
+        match run.result {
             SatResult::Sat => sat_seen += 1,
             SatResult::Unsat => unsat_seen += 1,
             SatResult::Unknown => unreachable!(),
@@ -108,6 +136,78 @@ fn random_unsat_instances_yield_accepted_certificates() {
     }
     // The generator must actually exercise both verdicts.
     assert!(sat_seen > 5 && unsat_seen > 5, "skewed sample: {sat_seen} sat, {unsat_seen} unsat");
+    assert!(props > 0, "theory propagation never fired");
+    assert!(logged < found, "{logged} theory steps logged of {found} lemmas found");
+}
+
+/// x ≥ 2 holds at level 0 and theory propagation derives x ≥ 1 there; the
+/// Boolean part then refutes (x ≥ 1 → c ∨ d) with c and d each
+/// contradictory, resting on x ≥ 1 only as a level-0 fact that conflict
+/// analysis never resolves on. The propagation lemma must be in the log
+/// all the same, and the certificate fails without it.
+#[test]
+fn a_level_zero_propagation_lemma_is_logged() {
+    let mut ctx = Context::new();
+    let x = ctx.real_var("x");
+    let ge2 = ctx.ge(ctx.var(x), ctx.constant(int(2)));
+    let ge1 = ctx.ge(ctx.var(x), ctx.constant(int(1)));
+    let [c, d, e, f] = ["c", "d", "e", "f"].map(|n| ctx.bool_var(n));
+    let [nge1, nc, nd, ne, nf] = [ge1, c, d, e, f].map(|t| ctx.not(t));
+    let mut s = Solver::new();
+    s.enable_proofs();
+    s.assert(&ctx, ge2);
+    for clause in [vec![nge1, c, d], vec![nc, e], vec![nc, ne], vec![nd, f], vec![nd, nf]] {
+        let t = ctx.or(clause);
+        s.assert(&ctx, t);
+    }
+    assert_eq!(s.check(&ctx), SatResult::Unsat);
+    assert!(s.stats().theory_props > 0 && s.stats().theory_conflicts == 0);
+    let cert = UnsatCertificate { steps: s.take_proof_steps() };
+    check(&cert).expect("the certificate replays");
+    let theory: Vec<usize> = (0..cert.steps.len())
+        .filter(|&i| matches!(cert.steps[i], ProofStep::Theory { .. }))
+        .collect();
+    assert_eq!(theory.len(), 1, "the one propagation lemma is logged");
+    let mut without = cert.clone();
+    without.steps.remove(theory[0]);
+    assert!(matches!(check(&without), Err(CheckError::RupFailed(_))));
+}
+
+/// A scope whose theory propagations no refutation used pops without
+/// logging a deletion for them: they were never logged.
+#[test]
+fn a_pop_over_unused_propagation_lemmas_deletes_nothing_for_them() {
+    let mut ctx = Context::new();
+    let x = ctx.real_var("x");
+    let atoms: Vec<Term> = (0..6).map(|k| ctx.ge(ctx.var(x), ctx.constant(int(k)))).collect();
+    let mut s = Solver::new();
+    s.enable_proofs();
+    s.push();
+    // Nothing holds at level 0, so every propagation happens under a
+    // decision; the scope is satisfiable, so nothing resolves on them.
+    let some = ctx.or(atoms);
+    s.assert(&ctx, some);
+    assert_eq!(s.check(&ctx), SatResult::Sat);
+    let stats = s.stats();
+    assert!(stats.theory_props > 0 && stats.conflicts == 0, "{stats:?}");
+    s.pop();
+    let log = s.take_proof_steps();
+    assert!(!log.iter().any(|s| matches!(s, ProofStep::Theory { .. })));
+    let added: Vec<u64> = log
+        .iter()
+        .filter_map(|s| match s {
+            ProofStep::Input { id, .. } | ProofStep::Rup { id, .. } => Some(*id),
+            _ => None,
+        })
+        .collect();
+    let deleted: Vec<u64> = log
+        .iter()
+        .filter_map(|s| match s {
+            ProofStep::Delete { id } => Some(*id),
+            _ => None,
+        })
+        .collect();
+    assert!(!deleted.is_empty() && deleted.iter().all(|id| added.contains(id)), "{log:?}");
 }
 
 #[test]
