@@ -28,7 +28,7 @@
 //! Constraints (see [`network_constraints`]):
 //!
 //! * monotonicity of `A`, `S`, `W`; anchors `S(−h) = W(−h) = 0`;
-//! * no serving unsent data: `S(t) ≤ A(t)`;
+//! * no serving unsent (or lost) data: `S(t) ≤ A(t) − L(t)`;
 //! * token bucket: `S(t) ≤ C·(t+h) − W(t)`;
 //! * bounded non-congestive delay (jitter `D`):
 //!   `S(t) ≥ C·(t+h−D) − W(t−D)`;
@@ -37,6 +37,10 @@
 //! The sender is aggressive and cwnd-limited ([`sender_constraints`]):
 //! `A(t) = max(A(t−1), S(t−1) + cwnd(t))`, with the ACK signal delayed one
 //! propagation unit: `ack(t) = S(t−1)`.
+//!
+//! Each rule is written once, in [`model`], and read two ways: as solver
+//! terms ([`network_constraints`], [`sender_constraints`]) and as exact
+//! checks of a concrete [`Trace`] ([`check_trace`], [`check_sender_rule`]).
 //!
 //! # Desired property
 //!
@@ -61,7 +65,7 @@ pub mod property;
 pub mod trace;
 pub mod validate;
 
-pub use model::{alloc_net_vars, network_constraints, sender_constraints, NetConfig, NetVars};
+pub use model::{alloc_net_vars, network_constraints, sender_constraints, NetConfig, NetVars, Rel};
 pub use property::{desired_property, DesiredParts, Thresholds};
 pub use trace::Trace;
 pub use validate::{check_sender_rule, check_trace};

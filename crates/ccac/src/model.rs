@@ -2,6 +2,8 @@
 
 use ccmatic_num::Rat;
 use ccmatic_smt::{Context, LinExpr, RealVar, Term};
+use std::convert::Infallible;
+use std::ops::{Add, Sub};
 
 /// Static parameters of the modeled path.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -142,107 +144,210 @@ pub fn alloc_net_vars(ctx: &mut Context, cfg: &NetConfig) -> NetVars {
     NetVars { cfg: cfg.clone(), a, s, w, l, cwnd }
 }
 
-/// The conjunction of all *network* feasibility constraints (everything the
-/// adversarial link may do), excluding the CCA/sender behaviour.
-pub fn network_constraints(ctx: &mut Context, nv: &NetVars) -> Term {
-    let cfg = nv.cfg().clone();
-    let mut cs: Vec<Term> = Vec::new();
-    let t0 = cfg.t_min();
-    let t_end = cfg.t_max();
+/// How the two sides of a rule compare.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rel {
+    /// `lhs ≤ rhs`.
+    Le,
+    /// `lhs < rhs`.
+    Lt,
+    /// `lhs ≥ rhs`.
+    Ge,
+    /// `lhs > rhs`.
+    Gt,
+    /// `lhs = rhs`.
+    Eq,
+}
 
+impl Rel {
+    /// Whether `lhs ⋈ rhs` holds between two numbers.
+    pub fn holds(self, lhs: &Rat, rhs: &Rat) -> bool {
+        match self {
+            Rel::Le => lhs <= rhs,
+            Rel::Lt => lhs < rhs,
+            Rel::Ge => lhs >= rhs,
+            Rel::Gt => lhs > rhs,
+            Rel::Eq => lhs == rhs,
+        }
+    }
+
+    /// The solver term `lhs ⋈ rhs`.
+    pub fn term(self, ctx: &mut Context, lhs: LinExpr, rhs: LinExpr) -> Term {
+        match self {
+            Rel::Le => ctx.le(lhs, rhs),
+            Rel::Lt => ctx.lt(lhs, rhs),
+            Rel::Ge => ctx.ge(lhs, rhs),
+            Rel::Gt => ctx.gt(lhs, rhs),
+            Rel::Eq => ctx.eq(lhs, rhs),
+        }
+    }
+}
+
+/// The terms of `x = max(a, b)`: `x ≥ a`, `x ≥ b` and `x ≤ a ∨ x ≤ b`.
+pub fn max_terms(ctx: &mut Context, x: LinExpr, a: LinExpr, b: LinExpr) -> [Term; 3] {
+    let ge_a = ctx.ge(x.clone(), a.clone());
+    let ge_b = ctx.ge(x.clone(), b.clone());
+    let le_a = ctx.le(x.clone(), a);
+    let le_b = ctx.le(x, b);
+    [ge_a, ge_b, ctx.or(vec![le_a, le_b])]
+}
+
+/// The per-step quantities of the model, in [`Trace`](crate::Trace)
+/// column order.
+#[derive(Clone, Copy)]
+pub(crate) enum Q {
+    A,
+    S,
+    W,
+    L,
+    Cwnd,
+}
+
+/// A comparison `lhs ⋈ rhs` between two readings of model quantities.
+pub(crate) type Cmp<V> = (V, Rel, V);
+
+/// One rule of the model at one step, before it is read.
+pub(crate) enum Rule<V> {
+    /// `lhs ⋈ rhs`.
+    Holds(Cmp<V>),
+    /// `guard ⟹ body`.
+    If(Cmp<V>, Cmp<V>),
+    /// `x = max(a, b)`.
+    Max(V, V, V),
+}
+
+/// One reading of the model: what its quantities are and what imposing a
+/// rule means. [`network_rules`] and [`sender_rule`] are written once
+/// against it; the solver encoding ([`network_constraints`],
+/// [`sender_constraints`]) and the concrete checker
+/// ([`check_trace`](crate::check_trace),
+/// [`check_sender_rule`](crate::check_sender_rule)) are its two readings.
+pub(crate) trait Reading {
+    /// A quantity: a linear expression or an exact number.
+    type Val: Clone + Add<Output = Self::Val> + Sub<Output = Self::Val>;
+    /// Why imposing stopped (a rule the concrete reading found violated).
+    type Stop;
+    /// Quantity `q` at step `t`.
+    fn at(&self, q: Q, t: i64) -> Self::Val;
+    fn lit(&self, k: Rat) -> Self::Val;
+    /// Impose `rule`, named `name`, at step `t`.
+    fn impose(&mut self, name: &str, t: i64, rule: Rule<Self::Val>) -> Result<(), Self::Stop>;
+}
+
+/// Tokens accumulated by time `t`, net of waste: `C·(t+h) − W(t)`.
+fn tokens<R: Reading>(r: &R, cfg: &NetConfig, t: i64) -> R::Val {
+    r.lit(&cfg.link_rate * &Rat::from(t + cfg.history as i64)) - r.at(Q::W, t)
+}
+
+/// Every *network* rule (everything the adversarial link may do), in the
+/// order a checker reports them.
+pub(crate) fn network_rules<R: Reading>(r: &mut R, cfg: &NetConfig) -> Result<(), R::Stop> {
+    use Rel::*;
+    use Rule::*;
+    use Q::*;
+    let t0 = cfg.t_min();
     // Anchors: service and waste both zero at trace start; the initial
     // backlog A(−h) ≥ 0 is the adversary's choice.
-    let s0_zero = ctx.eq(LinExpr::var(nv.s(t0)), LinExpr::zero());
-    let w0_zero = ctx.eq(LinExpr::var(nv.w(t0)), LinExpr::zero());
-    let a0_nonneg = ctx.ge(LinExpr::var(nv.a(t0)), LinExpr::zero());
-    cs.push(s0_zero);
-    cs.push(w0_zero);
-    cs.push(a0_nonneg);
-
-    for t in t0..=t_end {
-        // Monotone cumulatives.
+    r.impose("service anchor (S = 0)", t0, Holds((r.at(S, t0), Eq, r.lit(Rat::zero()))))?;
+    r.impose("waste anchor (W = 0)", t0, Holds((r.at(W, t0), Eq, r.lit(Rat::zero()))))?;
+    r.impose("initial backlog (A ≥ 0)", t0, Holds((r.at(A, t0), Ge, r.lit(Rat::zero()))))?;
+    for t in t0..=cfg.t_max() {
+        let backlog = r.at(A, t) - r.at(L, t);
         if t > t0 {
-            let am = ctx.ge(LinExpr::var(nv.a(t)), LinExpr::var(nv.a(t - 1)));
-            let sm = ctx.ge(LinExpr::var(nv.s(t)), LinExpr::var(nv.s(t - 1)));
-            let wm = ctx.ge(LinExpr::var(nv.w(t)), LinExpr::var(nv.w(t - 1)));
-            cs.push(am);
-            cs.push(sm);
-            cs.push(wm);
+            for (name, q) in [("A monotone", A), ("S monotone", S), ("W monotone", W)] {
+                r.impose(name, t, Holds((r.at(q, t), Ge, r.at(q, t - 1))))?;
+            }
         }
         // Can't serve unsent (or lost) data.
-        let delivered_cap = LinExpr::var(nv.a(t)) - LinExpr::var(nv.l(t));
-        let no_phantom = ctx.le(LinExpr::var(nv.s(t)), delivered_cap);
-        cs.push(no_phantom);
-        // Token bucket cap.
-        let cap = ctx.le(LinExpr::var(nv.s(t)), nv.tokens(t));
-        cs.push(cap);
+        r.impose("no phantom service (S ≤ A−L)", t, Holds((r.at(S, t), Le, backlog.clone())))?;
+        r.impose("token bucket cap (S ≤ tokens)", t, Holds((r.at(S, t), Le, tokens(r, cfg, t))))?;
         // Bounded non-congestive delay: the link may lag the token line by
         // at most D steps.
         let lag = t - cfg.jitter as i64;
         if lag >= t0 {
-            let elapsed = Rat::from(lag + cfg.history as i64);
-            let floor = LinExpr::constant(&cfg.link_rate * &elapsed) - LinExpr::var(nv.w(lag));
-            let min_service = ctx.ge(LinExpr::var(nv.s(t)), floor);
-            cs.push(min_service);
+            let floor = (r.at(S, t), Ge, tokens(r, cfg, lag));
+            r.impose("service floor (S(t) ≥ tokens(t−D))", t, Holds(floor))?;
         }
-        // Waste only while idle.
         if t > t0 {
-            let wasted = ctx.gt(LinExpr::var(nv.w(t)), LinExpr::var(nv.w(t - 1)));
-            let backlog = LinExpr::var(nv.a(t)) - LinExpr::var(nv.l(t));
-            let idle = ctx.le(backlog, nv.tokens(t));
-            let guard = ctx.implies(wasted, idle);
-            cs.push(guard);
+            let wasted = (r.at(W, t), Gt, r.at(W, t - 1));
+            let idle = (backlog.clone(), Le, tokens(r, cfg, t));
+            r.impose("waste only while idle (W grew ⟹ A−L ≤ tokens)", t, If(wasted, idle))?;
         }
-        // Loss process.
-        match &cfg.buffer {
-            None => {
-                // Lossless scope (§4): the loss process is pinned to zero.
-                cs.push(ctx.eq(LinExpr::var(nv.l(t)), LinExpr::zero()));
-            }
-            Some(buffer) => {
-                if t == t0 {
-                    cs.push(ctx.eq(LinExpr::var(nv.l(t)), LinExpr::zero()));
-                } else {
-                    // Monotone, and never exceeding what was sent.
-                    cs.push(ctx.ge(LinExpr::var(nv.l(t)), LinExpr::var(nv.l(t - 1))));
-                    cs.push(ctx.le(LinExpr::var(nv.l(t)), LinExpr::var(nv.a(t))));
-                    // Buffer cap: undropped data may exceed the token line
-                    // by at most the buffer (CCAC's loss rule).
-                    let backlog = LinExpr::var(nv.a(t)) - LinExpr::var(nv.l(t));
-                    let cap = nv.tokens(t) + LinExpr::constant(buffer.clone());
-                    cs.push(ctx.le(backlog, cap.clone()));
-                    // Drops only on a full buffer: if L grows, the backlog
-                    // must sit exactly at the cap.
-                    let dropped = ctx.gt(LinExpr::var(nv.l(t)), LinExpr::var(nv.l(t - 1)));
-                    let backlog2 = LinExpr::var(nv.a(t)) - LinExpr::var(nv.l(t));
-                    let full = ctx.ge(backlog2, cap);
-                    let guard = ctx.implies(dropped, full);
-                    cs.push(guard);
-                }
-            }
-        }
+        let Some(buffer) = cfg.buffer.as_ref().filter(|_| t > t0) else {
+            // Lossless scope (§4), or trace start: no loss.
+            r.impose("no loss (L = 0)", t, Holds((r.at(L, t), Eq, r.lit(Rat::zero()))))?;
+            continue;
+        };
+        r.impose("L monotone", t, Holds((r.at(L, t), Ge, r.at(L, t - 1))))?;
+        r.impose("loss of sent data only (L ≤ A)", t, Holds((r.at(L, t), Le, r.at(A, t))))?;
+        // Undropped data may exceed the token line by at most the buffer
+        // (CCAC's loss rule), and drops happen only when the backlog sits
+        // exactly at that cap.
+        let cap = tokens(r, cfg, t) + r.lit(buffer.clone());
+        r.impose("buffer cap (A−L ≤ tokens + B)", t, Holds((backlog.clone(), Le, cap.clone())))?;
+        let dropped = (r.at(L, t), Gt, r.at(L, t - 1));
+        let full = (backlog, Ge, cap);
+        r.impose("drops only on a full buffer (L grew ⟹ A−L ≥ tokens + B)", t, If(dropped, full))?;
     }
-    ctx.and(cs)
+    Ok(())
+}
+
+/// The aggressive cwnd-limited sender rule, on `t ∈ [0, T]`:
+/// `A(t) = max(A(t−1), S(t−1) + cwnd(t))`.
+pub(crate) fn sender_rule<R: Reading>(r: &mut R, t_max: i64) -> Result<(), R::Stop> {
+    for t in 0..=t_max {
+        let max = Rule::Max(r.at(Q::A, t), r.at(Q::A, t - 1), r.at(Q::S, t - 1) + r.at(Q::Cwnd, t));
+        r.impose("sender rule (A(t) = max(A(t−1), S(t−1) + cwnd(t)))", t, max)?;
+    }
+    Ok(())
+}
+
+/// The solver reading: every rule becomes a term over `nv`.
+struct Encoder<'a> {
+    ctx: &'a mut Context,
+    nv: &'a NetVars,
+    cs: Vec<Term>,
+}
+
+impl Reading for Encoder<'_> {
+    type Val = LinExpr;
+    type Stop = Infallible;
+    fn at(&self, q: Q, t: i64) -> LinExpr {
+        let nv = self.nv;
+        LinExpr::var([&nv.a, &nv.s, &nv.w, &nv.l, &nv.cwnd][q as usize][nv.idx(t)])
+    }
+    fn lit(&self, k: Rat) -> LinExpr {
+        LinExpr::constant(k)
+    }
+    fn impose(&mut self, _: &str, _: i64, rule: Rule<LinExpr>) -> Result<(), Infallible> {
+        let ctx = &mut *self.ctx;
+        match rule {
+            Rule::Holds((lhs, rel, rhs)) => self.cs.push(rel.term(ctx, lhs, rhs)),
+            Rule::If((gl, grel, gr), (lhs, rel, rhs)) => {
+                let guard = grel.term(ctx, gl, gr);
+                let body = rel.term(ctx, lhs, rhs);
+                self.cs.push(ctx.implies(guard, body));
+            }
+            Rule::Max(x, a, b) => self.cs.extend(max_terms(ctx, x, a, b)),
+        }
+        Ok(())
+    }
+}
+
+/// The conjunction of all *network* feasibility constraints (everything the
+/// adversarial link may do), excluding the CCA/sender behaviour.
+pub fn network_constraints(ctx: &mut Context, nv: &NetVars) -> Term {
+    let mut enc = Encoder { ctx, nv, cs: Vec::new() };
+    let Ok(()) = network_rules(&mut enc, nv.cfg());
+    enc.ctx.and(enc.cs)
 }
 
 /// The aggressive cwnd-limited sender rule, enforced on `t ∈ [0, T]`:
 /// `A(t) = max(A(t−1), S(t−1) + cwnd(t))`.
 pub fn sender_constraints(ctx: &mut Context, nv: &NetVars) -> Term {
-    let mut cs: Vec<Term> = Vec::new();
-    for t in 0..=nv.cfg().t_max() {
-        let prev_a = LinExpr::var(nv.a(t - 1));
-        let window = LinExpr::var(nv.s(t - 1)) + LinExpr::var(nv.cwnd(t));
-        let at = LinExpr::var(nv.a(t));
-        let ge1 = ctx.ge(at.clone(), prev_a.clone());
-        let ge2 = ctx.ge(at.clone(), window.clone());
-        let le1 = ctx.le(at.clone(), prev_a);
-        let le2 = ctx.le(at, window);
-        let tight = ctx.or(vec![le1, le2]);
-        cs.push(ge1);
-        cs.push(ge2);
-        cs.push(tight);
-    }
-    ctx.and(cs)
+    let mut enc = Encoder { ctx, nv, cs: Vec::new() };
+    let Ok(()) = sender_rule(&mut enc, nv.cfg().t_max());
+    enc.ctx.and(enc.cs)
 }
 
 #[cfg(test)]

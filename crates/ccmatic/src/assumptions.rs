@@ -52,8 +52,9 @@ fn verifies(spec: &CcaSpec, net: &NetConfig, thresholds: &Thresholds) -> bool {
 ///
 /// Monotone because a larger `D` strictly enlarges the set of admitted
 /// traces: a proof at `D` implies a proof at every `D' ≤ D`, so the
-/// satisfied region is a prefix and linear/binary search applies (jitter is
-/// integral in the model, so this walks down from `max_d`).
+/// satisfied region is a prefix of `[0, max_d]`. Jitter is integral in
+/// the model, so this checks `D = 0` and then binary-searches the integers
+/// for the last verified `D` (about `log₂(max_d + 1)` further probes).
 pub fn max_tolerated_jitter(
     spec: &CcaSpec,
     base_net: &NetConfig,
@@ -61,9 +62,10 @@ pub fn max_tolerated_jitter(
     max_d: usize,
 ) -> Option<Guarantee> {
     let mut probes = 0;
-    // Binary search over the integral prefix property.
-    let (mut lo, mut hi) = (0usize, max_d + 1); // invariant: verified(lo-1)… we search first failing D
-                                                // First check D = 0.
+    // Binary search over the integral prefix property. Invariant: `lo`
+    // verifies, and `hi` fails or lies past `max_d`. `D = 0` is checked
+    // first, so the invariant holds from the start.
+    let (mut lo, mut hi) = (0usize, max_d + 1);
     let mut net = base_net.clone();
     net.jitter = 0;
     probes += 1;

@@ -21,19 +21,23 @@
 //!   of behaviours compatible with its service/waste schedule:
 //!   `∀t. S_τ(t) ≤ A(t)  ∧  (W_τ(t) > W_τ(t−1) ⟹ A(t) ≤ C·(t+h) − W_τ(t))`
 //!   (the paper's `[Sₜ, ∞]` / `[Sₜ, Cₜ−Wₜ]` intervals, derived by algebraic
-//!   manipulation of the CCAC constraints).
+//!   manipulation of the CCAC constraints), with the trace's losses read as
+//!   constants on lossy networks (DESIGN.md §11.1).
 //!
-//! On top of the feasibility encoding sits *region pruning* (DESIGN.md
-//! §11; always on, there is no unpruned path):
+//! σ itself is written once (the private `sigma` module); `learn` reads
+//! it over the solver and [`TraceReplay::refutes`] reads it in exact
+//! arithmetic. On top of the feasibility encoding sits *region pruning*
+//! (DESIGN.md §11; always on, there is no unpruned path):
 //!
-//! * For no-cwnd shapes under range pruning, `learn` asserts σ in
+//! * For no-cwnd shapes under range pruning, `learn` reads σ in
 //!   *region form* — the sender max-recursion is unrolled into per-step
 //!   linear ledger expressions over the coefficient variables themselves,
 //!   so a trace adds **zero** fresh real variables instead of `2·(T+1)`
 //!   response variables plus tightness disjunctions. The encoding is
 //!   logically equivalent (response variables are functionally determined
-//!   by the coefficients); the differential suite pins the enumerated
-//!   solution set to a brute-force verifier sweep.
+//!   by the coefficients); a unit test checks the two forms against
+//!   replay candidate by candidate, and the differential suite pins the
+//!   enumerated solution set to a brute-force verifier sweep.
 //! * [`SmtGenerator::learn_refuted`] additionally walks the refuted
 //!   candidate's coefficient neighbourhood (grid steps + symmetric tap
 //!   swaps), asserting a propositional blocking clause for every
@@ -43,8 +47,10 @@
 //!   candidate region by SAT unit propagation instead of LRA reasoning.
 
 use crate::replay::TraceReplay;
+use crate::sigma::{sigma, Reading};
 use crate::template::{CcaSpec, TemplateShape};
-use ccac_model::{NetConfig, Thresholds, Trace};
+use ccac_model::model::max_terms;
+use ccac_model::{NetConfig, Rel, Thresholds, Trace};
 use ccmatic_num::Rat;
 use ccmatic_proof::ProofStep;
 use ccmatic_smt::{Context, Interrupt, LinExpr, RealVar, SatResult, Solver, Term};
@@ -93,16 +99,12 @@ pub struct SmtGenerator {
     ctx: Context,
     solver: Solver,
     shape: TemplateShape,
-    /// The network model every learned trace must fit (seeding checks
-    /// carried traces against it).
-    pub(crate) net: NetConfig,
-    thresholds: Thresholds,
-    mode: FeasibilityMode,
     /// alphas (if any) then betas then gamma.
     coeffs: Vec<Coeff>,
-    /// Concrete replayer gating every dominance/symmetry block and whether
-    /// a warm-start seed gets the region BFS (must match this generator's
-    /// net/thresholds/mode so `refutes` mirrors `learn`).
+    /// The network, thresholds and feasibility mode every learned σ is
+    /// read under, and the concrete reading of σ that gates every
+    /// dominance/symmetry block and whether a warm-start seed gets the
+    /// region BFS.
     pub(crate) replay: TraceReplay,
     /// The solver's proof log, as far as exhaustion claims have taken it
     /// (empty unless the solver logs proofs).
@@ -192,16 +194,12 @@ impl SmtGenerator {
             }
             coeffs.push(Coeff { value, selectors });
         }
-        let replay = TraceReplay::new(net.clone(), thresholds.clone(), mode);
         SmtGenerator {
             ctx,
             solver,
             shape,
-            net,
-            thresholds,
-            mode,
             coeffs,
-            replay,
+            replay: TraceReplay::new(net, thresholds, mode),
             proof_log: Vec::new(),
             exhaustion_len: None,
             num_learned: 0,
@@ -242,23 +240,6 @@ impl SmtGenerator {
         names
     }
 
-    fn alpha(&self, i: usize) -> Option<&Coeff> {
-        if self.shape.use_cwnd {
-            Some(&self.coeffs[i])
-        } else {
-            None
-        }
-    }
-
-    fn beta(&self, i: usize) -> &Coeff {
-        let off = if self.shape.use_cwnd { self.shape.lookback } else { 0 };
-        &self.coeffs[off + i]
-    }
-
-    fn gamma(&self) -> &Coeff {
-        self.coeffs.last().unwrap()
-    }
-
     /// Ask the solver for a coefficient assignment consistent with every
     /// learned counterexample, abandoning the search when `interrupt` fires
     /// (its deadline passed). [`Proposal::Exhausted`] is
@@ -279,15 +260,7 @@ impl SmtGenerator {
     /// Read the current satisfying model as a coefficient assignment.
     fn read_model(&self) -> CcaSpec {
         let model = self.solver.model().expect("sat check leaves a model");
-        let read = |c: &Coeff| model.real(c.value);
-        let alpha = if self.shape.use_cwnd {
-            (0..self.shape.lookback).map(|i| read(self.alpha(i).unwrap())).collect()
-        } else {
-            Vec::new()
-        };
-        let beta = (0..self.shape.lookback).map(|i| read(self.beta(i))).collect();
-        let gamma = read(self.gamma());
-        CcaSpec { alpha, beta, gamma }
+        self.spec_from_flat(&self.coeffs.iter().map(|c| model.real(c.value)).collect::<Vec<_>>())
     }
 
     /// Whether `spec` lies in this generator's search space: one domain
@@ -319,237 +292,46 @@ impl SmtGenerator {
     }
 
     /// Learn a counterexample trace: assert `σ = feasible(A, τ) ⟹
-    /// desired(A, τ)`. No-cwnd shapes under range pruning use the
-    /// region-form encoding (directly over the coefficient variables, no
-    /// per-trace response variables); everything else takes the
-    /// response-variable path below.
+    /// desired(A, τ)`. No-cwnd shapes under range pruning read σ in
+    /// region form (directly over the coefficient variables, no per-trace
+    /// response variables); everything else reads it with fresh response
+    /// variables.
     pub fn learn(&mut self, cex: &Trace) {
         self.num_learned += 1;
-        if !self.shape.use_cwnd && self.mode == FeasibilityMode::RangePruning {
-            self.learn_region_form(cex);
-            return;
-        }
-        let n = self.num_learned;
-        let t_end = self.net.t_max();
-        let history = self.net.history as i64;
-        let link_rate = self.net.link_rate.clone();
-
-        // Fresh response variables for t ∈ [0, T].
-        let cwnd: Vec<RealVar> =
-            (0..=t_end).map(|t| self.ctx.real_var(format!("g{n}.cwnd[{t}]"))).collect();
-        let a: Vec<RealVar> =
-            (0..=t_end).map(|t| self.ctx.real_var(format!("g{n}.A[{t}]"))).collect();
-        let cw = |t: i64| -> LinExpr {
-            if t >= 0 {
-                LinExpr::var(cwnd[t as usize])
-            } else {
-                LinExpr::constant(cex.cwnd_at(t).clone())
-            }
-        };
-        let av = |t: i64| -> LinExpr {
-            if t >= 0 {
-                LinExpr::var(a[t as usize])
-            } else {
-                LinExpr::constant(cex.a_at(t).clone())
-            }
-        };
-
-        let mut cs: Vec<Term> = Vec::new();
-
-        // Template: cwnd(t) = Σ αᵢ·cwnd(t−i) + Σ βᵢ·S_τ(t−1−i) + γ.
-        for t in 0..=t_end {
-            let mut rhs = LinExpr::var(self.gamma().value);
-            for i in 0..self.shape.lookback {
-                // β tap is linear: the ack sample is a trace constant.
-                let ack_sample = cex.s_at(t - i as i64 - 2).clone();
-                rhs = rhs + LinExpr::term(self.beta(i).value, ack_sample);
-            }
-            if self.shape.use_cwnd {
-                for i in 0..self.shape.lookback {
-                    let back = t - i as i64 - 1;
-                    if back < 0 {
-                        // Historical cwnd is a trace constant: linear tap.
-                        rhs = rhs
-                            + LinExpr::term(
-                                self.alpha(i).unwrap().value,
-                                cex.cwnd_at(back).clone(),
-                            );
-                    } else {
-                        // Product of two variables: ite-linearize through
-                        // the selector booleans (§3.1.2).
-                        let p = self.ctx.real_var(format!("g{n}.p{i}[{t}]"));
-                        let selectors = self.alpha(i).unwrap().selectors.clone();
-                        for (value, sel) in selectors {
-                            let prod = LinExpr::term(cwnd[back as usize], value.clone());
-                            let eq = self.ctx.eq(LinExpr::var(p), prod);
-                            let bind = self.ctx.implies(sel, eq);
-                            cs.push(bind);
-                        }
-                        rhs = rhs + LinExpr::var(p);
-                    }
-                }
-            }
-            cs.push(self.ctx.eq(LinExpr::var(cwnd[t as usize]), rhs));
-        }
-
-        // Sender rule: A(t) = max(A(t−1), S_τ(t−1) + cwnd(t)).
-        for t in 0..=t_end {
-            let prev = av(t - 1);
-            let window = LinExpr::constant(cex.s_at(t - 1).clone()) + cw(t);
-            let at = av(t);
-            let ge1 = self.ctx.ge(at.clone(), prev.clone());
-            let ge2 = self.ctx.ge(at.clone(), window.clone());
-            let le1 = self.ctx.le(at.clone(), prev);
-            let le2 = self.ctx.le(at, window);
-            let tight = self.ctx.or(vec![le1, le2]);
-            cs.push(ge1);
-            cs.push(ge2);
-            cs.push(tight);
-        }
-
-        // Feasibility of the trace against this candidate's behaviour.
-        let mut feas = Vec::new();
-        match self.mode {
-            FeasibilityMode::Baseline => {
-                for t in 0..=t_end {
-                    feas.push(self.ctx.eq(av(t), LinExpr::constant(cex.a_at(t).clone())));
-                }
-            }
-            FeasibilityMode::RangePruning => {
-                for t in 0..=t_end {
-                    // S_τ(t) ≤ A(t): the link never served data the CCA
-                    // had not sent.
-                    feas.push(self.ctx.ge(av(t), LinExpr::constant(cex.s_at(t).clone())));
-                    // When the trace wasted tokens, the queue must have been
-                    // at or below the token line.
-                    if cex.waste_increased(t) {
-                        let tokens = &(&link_rate * &Rat::from(t + history)) - cex.w_at(t);
-                        feas.push(self.ctx.le(av(t), LinExpr::constant(tokens)));
-                    }
-                }
-            }
-        }
-        let feasible = self.ctx.and(feas);
-
-        // Desired property with trace-constant S and candidate-dependent
-        // A/cwnd. Constant comparisons fold inside the context.
-        let th = self.thresholds.clone();
-        let work = cex.s_at(t_end) - cex.s_at(0);
-        let target = &(&th.util * &link_rate) * &Rat::from(t_end);
-        let util_ok = if work >= target { self.ctx.tru() } else { self.ctx.fls() };
-        let cwnd_up = self.ctx.gt(cw(t_end), cw(0));
-        let cwnd_down = self.ctx.lt(cw(t_end), cw(0));
-        let mut queue_cs = Vec::new();
-        for t in 0..=t_end {
-            let queue = av(t) - LinExpr::constant(cex.s_at(t).clone());
-            queue_cs.push(self.ctx.le(queue, LinExpr::constant(th.delay.clone())));
-        }
-        let queue_ok = self.ctx.and(queue_cs);
-        let q_end = av(t_end) - LinExpr::constant(cex.s_at(t_end).clone());
-        let q_start = av(0) - LinExpr::constant(cex.s_at(0).clone());
-        let queue_down = self.ctx.lt(q_end, q_start);
-        let c1 = self.ctx.or(vec![util_ok, cwnd_up]);
-        let c2 = self.ctx.or(vec![queue_ok, queue_down, cwnd_down]);
-        let desired = self.ctx.and(vec![c1, c2]);
-
-        let sigma = self.ctx.implies(feasible, desired);
-        cs.push(sigma);
-        let all = self.ctx.and(cs);
-        self.solver.assert(&self.ctx, all);
+        let region = !self.shape.use_cwnd && self.replay.mode == FeasibilityMode::RangePruning;
+        self.assert_sigma(cex, region);
     }
 
-    /// Region-form learning (no-cwnd + range pruning): assert σ(A, τ)
-    /// directly over the coefficient variables.
+    /// Assert σ(A, τ) in region form or response-variable form.
     ///
-    /// Without cwnd taps the template is linear in the coefficients, so
-    /// `cwnd(k) = γ + Σᵢ βᵢ·S_τ(k−i−2)` is a linear expression with
-    /// trace-constant multipliers, and the sender recursion
-    /// `A(t) = max(A(t−1), S_τ(t−1) + cwnd(t))` unrolls to
+    /// Region form: without cwnd taps the template is linear in the
+    /// coefficients, so `cwnd(k) = γ + Σᵢ βᵢ·S_τ(k−i−2)` is a linear
+    /// expression, and the sender recursion unrolls to
     /// `A(t) = max(A_τ(−1), ℓ₀, …, ℓ_t)` with ledger terms
-    /// `ℓ_k = S_τ(k−1) + cwnd(k)`. Every predicate over `A(t)` becomes a
-    /// Boolean combination of linear atoms over the coefficients:
-    ///
-    /// * `A(t) ≥ b` ⟺ some max term reaches `b` (a disjunction),
-    /// * `A(t) ≤ b` ⟺ every max term stays at or below `b` (a conjunction),
-    /// * `A(T) < A(0) + d` ⟺ every `M_T` term is beaten by some `M_0`
-    ///   term plus `d`,
-    ///
-    /// and `cwnd(T) > cwnd(0)` collapses to the single atom
-    /// `Σᵢ βᵢ·(S_τ(T−i−2) − S_τ(−i−2)) > 0` (γ cancels). The encoding is
-    /// logically equivalent to the response-variable path — response
-    /// variables are functionally determined by the coefficients — so the
-    /// excluded candidate set is identical (the differential suite pins the
-    /// enumerated solution set to brute force) while the solver keeps
-    /// working over the same handful of real variables no matter how many
-    /// traces are learned.
-    fn learn_region_form(&mut self, cex: &Trace) {
-        let t_end = self.net.t_max();
-        let history = self.net.history as i64;
-        let link_rate = self.net.link_rate.clone();
-        let gamma = self.gamma().value;
-        let betas: Vec<RealVar> = (0..self.shape.lookback).map(|i| self.beta(i).value).collect();
-
-        // cwnd(k) over the coefficient variables.
-        let cwnd_expr = |k: i64| -> LinExpr {
-            let mut e = LinExpr::var(gamma);
-            for (i, b) in betas.iter().enumerate() {
-                e = e + LinExpr::term(*b, cex.s_at(k - i as i64 - 2).clone());
-            }
-            e
-        };
-        // Ledger: A(t) = max(A_τ(−1), ledger[0..=t]).
-        let ledger: Vec<LinExpr> = (0..=t_end)
-            .map(|k| LinExpr::constant(cex.s_at(k - 1).clone()) + cwnd_expr(k))
-            .collect();
-        let a_init = cex.a_at(-1).clone();
-
-        // Feasibility: S_τ(t) ≤ A(t), plus the waste-point upper bound.
-        let mut feas = Vec::new();
-        for t in 0..=t_end {
-            let upto = &ledger[..=t as usize];
-            feas.push(a_ge(&mut self.ctx, &a_init, upto, cex.s_at(t)));
-            if cex.waste_increased(t) {
-                let tokens = &(&link_rate * &Rat::from(t + history)) - cex.w_at(t);
-                feas.push(a_le(&mut self.ctx, &a_init, upto, &tokens));
-            }
-        }
-        let feasible = self.ctx.and(feas);
-
-        // Desired property, same shape as the response-variable path.
-        let th = self.thresholds.clone();
-        let work = cex.s_at(t_end) - cex.s_at(0);
-        let target = &(&th.util * &link_rate) * &Rat::from(t_end);
-        let util_ok = if work >= target { self.ctx.tru() } else { self.ctx.fls() };
-        let cwnd_up = self.ctx.gt(cwnd_expr(t_end), cwnd_expr(0));
-        let cwnd_down = self.ctx.lt(cwnd_expr(t_end), cwnd_expr(0));
-        let mut queue_cs = Vec::new();
-        for t in 0..=t_end {
-            let bound = cex.s_at(t) + &th.delay;
-            queue_cs.push(a_le(&mut self.ctx, &a_init, &ledger[..=t as usize], &bound));
-        }
-        let queue_ok = self.ctx.and(queue_cs);
-        // queue_down: A(T) − S_τ(T) < A(0) − S_τ(0), i.e. A(T) < A(0) + d
-        // with d = S_τ(T) − S_τ(0).
-        let d = cex.s_at(t_end) - cex.s_at(0);
-        let m0 = [LinExpr::constant(a_init.clone()), ledger[0].clone()];
-        let mut m_t: Vec<LinExpr> = Vec::with_capacity(ledger.len() + 1);
-        m_t.push(LinExpr::constant(a_init.clone()));
-        m_t.extend(ledger.iter().cloned());
-        let mut conj = Vec::with_capacity(m_t.len());
-        for m in &m_t {
-            let mut ors = Vec::with_capacity(m0.len());
-            for n in &m0 {
-                ors.push(self.ctx.lt(m.clone(), n.clone() + LinExpr::constant(d.clone())));
-            }
-            conj.push(self.ctx.or(ors));
-        }
-        let queue_down = self.ctx.and(conj);
-
-        let c1 = self.ctx.or(vec![util_ok, cwnd_up]);
-        let c2 = self.ctx.or(vec![queue_ok, queue_down, cwnd_down]);
-        let desired = self.ctx.and(vec![c1, c2]);
-        let sigma = self.ctx.implies(feasible, desired);
-        self.solver.assert(&self.ctx, sigma);
+    /// `ℓ_k = S_τ(k−1) + cwnd(k)`. Every comparison of two such maxima is
+    /// a Boolean combination of linear atoms over the coefficients
+    /// (`max X ≤ max Y` ⟺ every x is at or below some y, and so on). The
+    /// two forms are logically equivalent — response variables are
+    /// functionally determined by the coefficients — so the excluded
+    /// candidate set is identical, while the region form keeps the solver
+    /// on the same handful of real variables however many traces it
+    /// learns.
+    fn assert_sigma(&mut self, cex: &Trace, region: bool) {
+        let t_end = self.replay.net.t_max();
+        let fresh = (!region).then(|| {
+            let n = self.num_learned;
+            let mut vars = |q: &str| {
+                (0..=t_end).map(|t| self.ctx.real_var(format!("g{n}.{q}[{t}]"))).collect()
+            };
+            (n, vars("cwnd"), vars("A"))
+        });
+        let alphas = if self.shape.use_cwnd { self.shape.lookback } else { 0 };
+        let mut r = Symbolic { ctx: &mut self.ctx, coeffs: &self.coeffs, fresh, cs: Vec::new() };
+        let sigma = sigma(&mut r, &self.replay, alphas, self.shape.lookback, cex);
+        let Symbolic { ctx, mut cs, .. } = r;
+        cs.push(sigma);
+        let all = ctx.and(cs);
+        self.solver.assert(&self.ctx, all);
     }
 
     /// [`SmtGenerator::learn`] plus replay-verified *region blocking*: walk
@@ -571,7 +353,7 @@ impl SmtGenerator {
         if domain.len() < 2 {
             return;
         }
-        let t_end = self.net.t_max();
+        let t_end = self.replay.net.t_max();
         let start = refuted.flat();
         let mut seen: Vec<Vec<Rat>> = vec![start.clone()];
         let mut queue: VecDeque<Vec<Rat>> = VecDeque::from([start]);
@@ -638,30 +420,110 @@ impl SmtGenerator {
     }
 }
 
-/// `max(a_init, terms…) ≥ b`: some max term reaches `b`. Constant atoms
-/// fold inside the context.
-fn a_ge(ctx: &mut Context, a_init: &Rat, terms: &[LinExpr], b: &Rat) -> Term {
-    let mut ors = Vec::with_capacity(terms.len() + 1);
-    ors.push(ctx.ge(LinExpr::constant(a_init.clone()), LinExpr::constant(b.clone())));
-    for m in terms {
-        ors.push(ctx.ge(m.clone(), LinExpr::constant(b.clone())));
-    }
-    ctx.or(ors)
+/// σ read over the solver: a value is the max of a list of linear terms
+/// over the coefficient variables (one term unless the region form
+/// unrolled a sender recursion into it).
+struct Symbolic<'a> {
+    ctx: &'a mut Context,
+    coeffs: &'a [Coeff],
+    /// The response-variable form's trace number (which names its fresh
+    /// variables) and fresh `cwnd(t)` and `A(t)` variables; `None` reads σ
+    /// in region form.
+    fresh: Option<(u64, Vec<RealVar>, Vec<RealVar>)>,
+    /// Definitions of fresh variables, asserted with σ.
+    cs: Vec<Term>,
 }
 
-/// `max(a_init, terms…) ≤ b`: every max term stays at or below `b`.
-fn a_le(ctx: &mut Context, a_init: &Rat, terms: &[LinExpr], b: &Rat) -> Term {
-    let mut ands = Vec::with_capacity(terms.len() + 1);
-    ands.push(ctx.le(LinExpr::constant(a_init.clone()), LinExpr::constant(b.clone())));
-    for m in terms {
-        ands.push(ctx.le(m.clone(), LinExpr::constant(b.clone())));
+impl Reading for Symbolic<'_> {
+    type Val = Vec<LinExpr>;
+    type Prop = Term;
+    fn lit(&mut self, x: &Rat) -> Vec<LinExpr> {
+        vec![LinExpr::constant(x.clone())]
     }
-    ctx.and(ands)
+    fn tap(&mut self, c: usize, x: &Rat) -> Vec<LinExpr> {
+        vec![LinExpr::term(self.coeffs[c].value, x.clone())]
+    }
+    fn product(&mut self, c: usize, t: i64, v: &Vec<LinExpr>) -> Vec<LinExpr> {
+        // A product of two variables: ite-linearize through the selector
+        // booleans (§3.1.2).
+        let n = self.fresh.as_ref().expect("products only in the response-variable form").0;
+        let p = self.ctx.real_var(format!("g{n}.p{c}[{t}]"));
+        for (value, sel) in &self.coeffs[c].selectors {
+            let eq = self.ctx.eq(LinExpr::var(p), v[0].scaled(value));
+            let bind = self.ctx.implies(*sel, eq);
+            self.cs.push(bind);
+        }
+        vec![LinExpr::var(p)]
+    }
+    fn add(&mut self, a: Vec<LinExpr>, b: Vec<LinExpr>) -> Vec<LinExpr> {
+        // One side is a single term, and max X + y = max (X + y).
+        let (xs, y) = if b.len() == 1 { (a, b) } else { (b, a) };
+        let [y] = <[LinExpr; 1]>::try_from(y).expect("a sum has a single-term side");
+        xs.into_iter().map(|x| x + y.clone()).collect()
+    }
+    fn cwnd(&mut self, t: i64, rhs: Vec<LinExpr>) -> Vec<LinExpr> {
+        let Some((_, cwnd, _)) = &self.fresh else { return rhs };
+        let x = LinExpr::var(cwnd[t as usize]);
+        let def = self.ctx.eq(x.clone(), rhs[0].clone());
+        self.cs.push(def);
+        vec![x]
+    }
+    fn arrivals(&mut self, t: i64, prev: &Vec<LinExpr>, window: Vec<LinExpr>) -> Vec<LinExpr> {
+        let Some((_, _, a)) = &self.fresh else { return [prev.clone(), window].concat() };
+        let x = LinExpr::var(a[t as usize]);
+        let max = max_terms(self.ctx, x.clone(), prev[0].clone(), window[0].clone());
+        self.cs.extend(max);
+        vec![x]
+    }
+    fn cmp(&mut self, lhs: &Vec<LinExpr>, rel: Rel, rhs: &Vec<LinExpr>) -> Term {
+        if rel == Rel::Eq {
+            let le = self.cmp(lhs, Rel::Le, rhs);
+            let ge = self.cmp(lhs, Rel::Ge, rhs);
+            return self.ctx.and(vec![le, ge]);
+        }
+        // Between maxima: max X ≤ max Y (or <) iff every x is ≤ (or <)
+        // some y; max X ≥ max Y iff every y is reached by some x;
+        // max X > max Y iff some x is above every y.
+        let ctx = &mut *self.ctx;
+        let (outer, inner) = if rel == Rel::Ge { (rhs, lhs) } else { (lhs, rhs) };
+        let mut ps = Vec::with_capacity(outer.len());
+        for o in outer {
+            let mut qs: Vec<Term> = inner
+                .iter()
+                .map(|i| {
+                    let (x, y) = if rel == Rel::Ge { (i, o) } else { (o, i) };
+                    rel.term(ctx, x.clone(), y.clone())
+                })
+                .collect();
+            ps.push(match qs.len() {
+                1 => qs.pop().expect("one term"),
+                _ if rel == Rel::Gt => ctx.and(qs),
+                _ => ctx.or(qs),
+            });
+        }
+        if rel == Rel::Gt {
+            ctx.or(ps)
+        } else {
+            ctx.and(ps)
+        }
+    }
+    fn and(&mut self, ps: Vec<Term>) -> Term {
+        self.ctx.and(ps)
+    }
+    fn or(&mut self, ps: Vec<Term>) -> Term {
+        self.ctx.or(ps)
+    }
+    fn implies(&mut self, a: Term, b: impl FnOnce(&mut Self) -> Term) -> Term {
+        let b = b(self);
+        self.ctx.implies(a, b)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::brute::CandidateIter;
+    use crate::template::CoeffDomain;
     use crate::verifier::{CcaVerifier, VerifyConfig};
     use crate::{known, template::TemplateShape};
     use ccmatic_num::int;
@@ -816,5 +678,79 @@ mod tests {
             rp <= base,
             "range pruning ({rp}) must not keep more candidates than baseline ({base})"
         );
+    }
+
+    /// Whether σ as asserted in `g` admits `spec`: σ ∧ selectors(spec) is
+    /// satisfiable.
+    fn admits(g: &mut SmtGenerator, spec: &CcaSpec) -> bool {
+        g.solver.push();
+        for (coeff, v) in g.coeffs.iter().zip(spec.flat()) {
+            let sel = coeff.selectors.iter().find(|(a, _)| a == &v).expect("in the domain").1;
+            g.solver.assert(&g.ctx, sel);
+        }
+        let sat = g.solver.check(&g.ctx) == SatResult::Sat;
+        g.solver.pop();
+        sat
+    }
+
+    /// The three readings of σ agree. On verifier counterexamples (with
+    /// and without WCE) over a 3³ no-cwnd space and a lookback-2 cwnd
+    /// space, lossless and with a 1-BDP buffer, in both feasibility
+    /// modes, `refutes(spec, τ)` holds for every candidate of the space
+    /// exactly when σ(τ) ∧ selectors(spec) is Unsat, with σ read in the
+    /// response-variable form and, without cwnd taps, in the region form.
+    #[test]
+    fn sigma_readings_agree_on_every_candidate() {
+        let th = Thresholds::default();
+        let net =
+            NetConfig { horizon: 5, history: 3, link_rate: Rat::one(), jitter: 1, buffer: None };
+        let mut refuted = [0usize; 2];
+        for (use_cwnd, every) in [(false, 1), (true, 23)] {
+            let shape = TemplateShape { lookback: 2, use_cwnd, domain: CoeffDomain::Small };
+            for buffer in [None, Some(int(1))] {
+                let net = NetConfig { buffer, ..net.clone() };
+                let traces: Vec<Trace> = CandidateIter::new(shape.clone())
+                    .step_by(every)
+                    .enumerate()
+                    .filter_map(|(i, spec)| {
+                        let mut v = CcaVerifier::new(VerifyConfig {
+                            net: net.clone(),
+                            thresholds: th.clone(),
+                            worst_case: i % 2 == 1,
+                            wce_precision: Rat::new(1i64.into(), 2i64.into()),
+                            certify: false,
+                            ..Default::default()
+                        });
+                        v.verify(&spec).err()
+                    })
+                    .collect();
+                assert!(traces.len() >= 8, "{use_cwnd} {:?}: {} traces", net.buffer, traces.len());
+                for mode in [FeasibilityMode::Baseline, FeasibilityMode::RangePruning] {
+                    let replay = TraceReplay::new(net.clone(), th.clone(), mode);
+                    for (k, cex) in traces.iter().enumerate() {
+                        for region in [false, true] {
+                            if region && use_cwnd {
+                                continue;
+                            }
+                            let mut g =
+                                SmtGenerator::new(shape.clone(), net.clone(), th.clone(), mode);
+                            g.num_learned += 1;
+                            g.assert_sigma(cex, region);
+                            for spec in CandidateIter::new(shape.clone()) {
+                                let refutes = replay.refutes(&spec, cex);
+                                assert_eq!(
+                                    refutes,
+                                    !admits(&mut g, &spec),
+                                    "{spec} on trace {k}: {mode:?}, region {region}, buffer {:?}",
+                                    net.buffer
+                                );
+                                refuted[refutes as usize] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(refuted.iter().all(|&n| n > 100), "{refuted:?}");
     }
 }

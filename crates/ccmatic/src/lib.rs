@@ -63,6 +63,7 @@ pub mod json;
 pub mod known;
 pub mod lift;
 pub mod replay;
+mod sigma;
 pub mod sweep;
 pub mod synth;
 pub mod template;

@@ -3,34 +3,33 @@
 //!
 //! The generator's `learn` asserts `σ(A, τ) = feasible(A, τ) ⟹
 //! desired(A, τ)` symbolically over coefficient variables. For a *concrete*
-//! candidate the same formula is just exact rational arithmetic: evaluate
-//! the template recursion and the sender max-rule on the trace's service
-//! schedule, then check feasibility and the desired property. This module
-//! mirrors [`SmtGenerator::learn`](crate::generator::SmtGenerator::learn)
-//! constraint for constraint — the pair is pinned together by the
-//! agreement tests below, which replay every verifier counterexample
-//! against the candidate it refuted.
+//! candidate the same formula is exact rational arithmetic: this module is
+//! the [`Rat`] reading of the one σ the generator also reads (see the
+//! `sigma` module), so it states no recursion, feasibility or property of
+//! its own. The agreement tests replay every verifier counterexample
+//! against the candidate it refuted, and `generator::tests` pins
+//! `refutes` to the solver's verdict on σ for whole candidate spaces.
 //!
 //! Inside the generator the check gates every region-BFS block and
 //! decides whether a warm-start seed gets the region BFS at all. The
 //! fuzzer's confirm step uses it to claim a concrete refutation. The CEGIS
 //! loop does not call it; the test
 //! `synth::tests::learned_traces_never_refute_a_later_proposal` runs the
-//! loop and asserts that no learned trace ever refutes a later proposal,
-//! which is the generator encoding and this mirror agreeing.
+//! loop and asserts that no learned trace ever refutes a later proposal.
 
 use crate::generator::FeasibilityMode;
+use crate::sigma::{sigma, Reading};
 use crate::template::CcaSpec;
-use ccac_model::{NetConfig, Thresholds, Trace};
+use ccac_model::{NetConfig, Rel, Thresholds, Trace};
 use ccmatic_num::Rat;
 
 /// Replays traces against candidates under one network/threshold/mode
 /// configuration (must match the generator's).
 #[derive(Clone, Debug)]
 pub struct TraceReplay {
-    net: NetConfig,
-    thresholds: Thresholds,
-    mode: FeasibilityMode,
+    pub(crate) net: NetConfig,
+    pub(crate) thresholds: Thresholds,
+    pub(crate) mode: FeasibilityMode,
 }
 
 impl TraceReplay {
@@ -46,8 +45,7 @@ impl TraceReplay {
     /// Traces of a different shape (or too shallow for the candidate's
     /// lookback) make no claim and return `false`.
     pub fn refutes(&self, spec: &CcaSpec, cex: &Trace) -> bool {
-        let t_end = self.net.t_max();
-        if cex.t_min != self.net.t_min() || cex.t_max != t_end {
+        if cex.t_min != self.net.t_min() || cex.t_max != self.net.t_max() {
             return false;
         }
         // Deepest sample: β taps need S(t−i−2), α taps cwnd(t−i−1).
@@ -55,77 +53,66 @@ impl TraceReplay {
         if cex.t_min > -deepest {
             return false;
         }
+        !sigma(&mut Eval(spec), self, spec.alpha.len(), spec.beta.len(), cex)
+    }
+}
 
-        // Template recursion: cwnd(t) = γ + Σᵢ βᵢ·S_τ(t−i−2)
-        // + Σᵢ αᵢ·cwnd(t−i−1), with negative-index cwnd a trace constant.
-        let mut cwnd: Vec<Rat> = Vec::with_capacity(t_end as usize + 1);
-        let cw = |cwnd: &[Rat], t: i64| -> Rat {
-            if t >= 0 {
-                cwnd[t as usize].clone()
-            } else {
-                cex.cwnd_at(t).clone()
-            }
-        };
-        for t in 0..=t_end {
-            let mut v = spec.gamma.clone();
-            for (i, b) in spec.beta.iter().enumerate() {
-                v = &v + &(b * cex.s_at(t - i as i64 - 2));
-            }
-            for (i, a) in spec.alpha.iter().enumerate() {
-                v = &v + &(a * &cw(&cwnd, t - i as i64 - 1));
-            }
-            cwnd.push(v);
+/// σ read for one concrete candidate: values are exact numbers.
+struct Eval<'a>(&'a CcaSpec);
+
+impl Eval<'_> {
+    fn value(&self, c: usize) -> &Rat {
+        let (spec, alphas) = (self.0, self.0.alpha.len());
+        spec.alpha.get(c).or_else(|| spec.beta.get(c - alphas)).unwrap_or(&spec.gamma)
+    }
+}
+
+impl Reading for Eval<'_> {
+    type Val = Rat;
+    type Prop = bool;
+    fn lit(&mut self, x: &Rat) -> Rat {
+        x.clone()
+    }
+    fn tap(&mut self, c: usize, x: &Rat) -> Rat {
+        self.value(c) * x
+    }
+    fn product(&mut self, c: usize, _: i64, v: &Rat) -> Rat {
+        self.value(c) * v
+    }
+    fn add(&mut self, a: Rat, b: Rat) -> Rat {
+        a + b
+    }
+    fn cwnd(&mut self, _: i64, rhs: Rat) -> Rat {
+        rhs
+    }
+    fn arrivals(&mut self, _: i64, prev: &Rat, window: Rat) -> Rat {
+        if window >= *prev {
+            window
+        } else {
+            prev.clone()
         }
-
-        // Sender rule: A(t) = max(A(t−1), S_τ(t−1) + cwnd(t)).
-        let mut arr: Vec<Rat> = Vec::with_capacity(t_end as usize + 1);
-        let av = |arr: &[Rat], t: i64| -> Rat {
-            if t >= 0 {
-                arr[t as usize].clone()
-            } else {
-                cex.a_at(t).clone()
-            }
-        };
-        for t in 0..=t_end {
-            let prev = av(&arr, t - 1);
-            let window = cex.s_at(t - 1) + &cwnd[t as usize];
-            arr.push(prev.max(window));
-        }
-
-        // Feasibility of the trace against this candidate's behaviour.
-        let history = self.net.history as i64;
-        let feasible = match self.mode {
-            FeasibilityMode::Baseline => (0..=t_end).all(|t| &arr[t as usize] == cex.a_at(t)),
-            FeasibilityMode::RangePruning => (0..=t_end).all(|t| {
-                if &arr[t as usize] < cex.s_at(t) {
-                    return false;
-                }
-                if cex.waste_increased(t) {
-                    let tokens = &(&self.net.link_rate * &Rat::from(t + history)) - cex.w_at(t);
-                    if arr[t as usize] > tokens {
-                        return false;
-                    }
-                }
-                true
-            }),
-        };
-        if !feasible {
-            return false;
-        }
-
-        // Desired property with trace-constant S and replayed A/cwnd.
-        let th = &self.thresholds;
-        let work = cex.s_at(t_end) - cex.s_at(0);
-        let target = &(&th.util * &self.net.link_rate) * &Rat::from(t_end);
-        let util_ok = work >= target;
-        let cwnd_up = cw(&cwnd, t_end) > cw(&cwnd, 0);
-        let cwnd_down = cw(&cwnd, t_end) < cw(&cwnd, 0);
-        let queue_ok = (0..=t_end).all(|t| &arr[t as usize] - cex.s_at(t) <= th.delay);
-        let q_end = &arr[t_end as usize] - cex.s_at(t_end);
-        let q_start = &arr[0] - cex.s_at(0);
-        let queue_down = q_end < q_start;
-        let desired = (util_ok || cwnd_up) && (queue_ok || queue_down || cwnd_down);
-        !desired
+    }
+    fn cmp(&mut self, lhs: &Rat, rel: Rel, rhs: &Rat) -> bool {
+        rel.holds(lhs, rhs)
+    }
+    fn bound(&mut self, lhs: &Rat, rel: Rel, x: &Rat) -> bool {
+        rel.holds(lhs, x)
+    }
+    fn all(&mut self, t_end: i64, mut f: impl FnMut(&mut Self, i64, &mut dyn FnMut(bool))) -> bool {
+        (0..=t_end).all(|t| {
+            let mut holds = true;
+            f(self, t, &mut |p| holds &= p);
+            holds
+        })
+    }
+    fn and(&mut self, ps: Vec<bool>) -> bool {
+        ps.into_iter().all(|p| p)
+    }
+    fn or(&mut self, ps: Vec<bool>) -> bool {
+        ps.into_iter().any(|p| p)
+    }
+    fn implies(&mut self, a: bool, b: impl FnOnce(&mut Self) -> bool) -> bool {
+        !a || b(self)
     }
 }
 

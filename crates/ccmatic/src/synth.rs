@@ -178,7 +178,7 @@ impl GenAdapter {
     pub(crate) fn seed(&mut self, pairs: &[(CcaSpec, Trace)], stats: &mut Stats) {
         let g0 = Instant::now();
         for (refuted, trace) in pairs {
-            if ccac_model::check_trace(trace, &self.inner.net).is_err() {
+            if ccac_model::check_trace(trace, &self.inner.replay.net).is_err() {
                 stats.warm_traces_rejected += 1;
                 continue;
             }

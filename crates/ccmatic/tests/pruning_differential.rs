@@ -8,7 +8,11 @@
 //! asserted equal — on a no-cwnd space (region-form σ), a cwnd space
 //! (response-variable σ with ite-linearized α products) and a Baseline-mode
 //! space (exact-trace feasibility). A synthesis run may surface any member
-//! of the set, so there only membership is asserted.
+//! of the set, so there only membership is asserted. The lossy cases
+//! (finite buffers) check that σ reads a trace's losses the way the
+//! network model does: with `L` ignored, a learned lossy trace may fail to
+//! exclude the candidate it refuted, and enumeration re-proposes it until
+//! the iteration cap.
 
 use ccac_model::{NetConfig, Thresholds};
 use ccmatic::brute::CandidateIter;
@@ -17,7 +21,7 @@ use ccmatic::synth::{synthesize, OptMode, SynthOptions};
 use ccmatic::template::{CcaSpec, CoeffDomain, TemplateShape};
 use ccmatic::verifier::{CcaVerifier, VerifyConfig};
 use ccmatic_cegis::{Budget, Outcome};
-use ccmatic_num::Rat;
+use ccmatic_num::{int, rat, Rat};
 use std::time::Duration;
 
 fn base_opts(shape: TemplateShape, net: NetConfig) -> SynthOptions {
@@ -167,4 +171,32 @@ fn pruning_counters_report_activity() {
         "region pruning never fired on the small no-cwnd space: {:?}",
         r.stats
     );
+}
+
+/// The exhaustive solution set on the tiny space with a finite buffer, in
+/// every mode, equals brute force and is proven complete.
+fn lossy_enumeration_matches_brute_force(buffer: Rat) {
+    let mut opts = tiny_opts();
+    opts.net.buffer = Some(buffer.clone());
+    let brute = brute_force_solutions(&opts);
+    assert!(!brute.is_empty(), "buffer {buffer}: the lossy tiny space has solutions");
+    for mode in [OptMode::Baseline, OptMode::RangePruning, OptMode::RangePruningWce] {
+        let opts = SynthOptions { mode, ..opts.clone() };
+        assert_eq!(enumerated_solutions(&opts), brute, "buffer {buffer}, {mode:?}");
+    }
+}
+
+#[test]
+fn lossy_enumeration_matches_brute_force_half_bdp_buffer() {
+    lossy_enumeration_matches_brute_force(rat(1, 2));
+}
+
+#[test]
+fn lossy_enumeration_matches_brute_force_one_bdp_buffer() {
+    lossy_enumeration_matches_brute_force(int(1));
+}
+
+#[test]
+fn lossy_enumeration_matches_brute_force_two_bdp_buffer() {
+    lossy_enumeration_matches_brute_force(int(2));
 }
