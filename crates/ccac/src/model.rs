@@ -104,10 +104,9 @@ impl NetVars {
         self.cwnd[self.idx(t)]
     }
 
-    /// The sender's cumulative-ACK signal at time `t`: `ack(t) = S(t−1)`
-    /// (ACKs take one propagation unit to come back).
-    pub fn ack(&self, t: i64) -> LinExpr {
-        LinExpr::var(self.s(t - 1))
+    /// Quantity `q` at time `t`.
+    pub(crate) fn at(&self, q: Quantity, t: i64) -> RealVar {
+        [&self.a, &self.s, &self.w, &self.l, &self.cwnd][q as usize][self.idx(t)]
     }
 
     /// Tokens accumulated by time `t`, net of waste:
@@ -115,12 +114,6 @@ impl NetVars {
     pub fn tokens(&self, t: i64) -> LinExpr {
         let elapsed = Rat::from(t + self.cfg.history as i64);
         LinExpr::constant(&self.cfg.link_rate * &elapsed) - LinExpr::var(self.w(t))
-    }
-
-    /// Standing queue `A(t) − L(t) − S(t)` in BDP units (the lost bytes
-    /// never occupy the queue).
-    pub fn queue(&self, t: i64) -> LinExpr {
-        LinExpr::var(self.a(t)) - LinExpr::var(self.l(t)) - LinExpr::var(self.s(t))
     }
 }
 
@@ -194,12 +187,17 @@ pub fn max_terms(ctx: &mut Context, x: LinExpr, a: LinExpr, b: LinExpr) -> [Term
 
 /// The per-step quantities of the model, in [`Trace`](crate::Trace)
 /// column order.
-#[derive(Clone, Copy)]
-pub(crate) enum Q {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Quantity {
+    /// Cumulative arrivals `A(t)`.
     A,
+    /// Cumulative service `S(t)`.
     S,
+    /// Cumulative wasted tokens `W(t)`.
     W,
+    /// Cumulative lost bytes `L(t)`.
     L,
+    /// Congestion window `cwnd(t)`.
     Cwnd,
 }
 
@@ -228,7 +226,7 @@ pub(crate) trait Reading {
     /// Why imposing stopped (a rule the concrete reading found violated).
     type Stop;
     /// Quantity `q` at step `t`.
-    fn at(&self, q: Q, t: i64) -> Self::Val;
+    fn at(&self, q: Quantity, t: i64) -> Self::Val;
     fn lit(&self, k: Rat) -> Self::Val;
     /// Impose `rule`, named `name`, at step `t`.
     fn impose(&mut self, name: &str, t: i64, rule: Rule<Self::Val>) -> Result<(), Self::Stop>;
@@ -236,15 +234,15 @@ pub(crate) trait Reading {
 
 /// Tokens accumulated by time `t`, net of waste: `C·(t+h) − W(t)`.
 fn tokens<R: Reading>(r: &R, cfg: &NetConfig, t: i64) -> R::Val {
-    r.lit(&cfg.link_rate * &Rat::from(t + cfg.history as i64)) - r.at(Q::W, t)
+    r.lit(&cfg.link_rate * &Rat::from(t + cfg.history as i64)) - r.at(Quantity::W, t)
 }
 
 /// Every *network* rule (everything the adversarial link may do), in the
 /// order a checker reports them.
 pub(crate) fn network_rules<R: Reading>(r: &mut R, cfg: &NetConfig) -> Result<(), R::Stop> {
+    use Quantity::*;
     use Rel::*;
     use Rule::*;
-    use Q::*;
     let t0 = cfg.t_min();
     // Anchors: service and waste both zero at trace start; the initial
     // backlog A(−h) ≥ 0 is the adversary's choice.
@@ -295,8 +293,9 @@ pub(crate) fn network_rules<R: Reading>(r: &mut R, cfg: &NetConfig) -> Result<()
 /// The aggressive cwnd-limited sender rule, on `t ∈ [0, T]`:
 /// `A(t) = max(A(t−1), S(t−1) + cwnd(t))`.
 pub(crate) fn sender_rule<R: Reading>(r: &mut R, t_max: i64) -> Result<(), R::Stop> {
+    use Quantity::*;
     for t in 0..=t_max {
-        let max = Rule::Max(r.at(Q::A, t), r.at(Q::A, t - 1), r.at(Q::S, t - 1) + r.at(Q::Cwnd, t));
+        let max = Rule::Max(r.at(A, t), r.at(A, t - 1), r.at(S, t - 1) + r.at(Cwnd, t));
         r.impose("sender rule (A(t) = max(A(t−1), S(t−1) + cwnd(t)))", t, max)?;
     }
     Ok(())
@@ -312,9 +311,8 @@ struct Encoder<'a> {
 impl Reading for Encoder<'_> {
     type Val = LinExpr;
     type Stop = Infallible;
-    fn at(&self, q: Q, t: i64) -> LinExpr {
-        let nv = self.nv;
-        LinExpr::var([&nv.a, &nv.s, &nv.w, &nv.l, &nv.cwnd][q as usize][nv.idx(t)])
+    fn at(&self, q: Quantity, t: i64) -> LinExpr {
+        LinExpr::var(self.nv.at(q, t))
     }
     fn lit(&self, k: Rat) -> LinExpr {
         LinExpr::constant(k)

@@ -1,6 +1,18 @@
-//! The desired-property encoding (the paper's §3.1.1 relaxation).
+//! The desired property (the paper's §3.1.1 relaxation), stated once.
+//!
+//! [`desired`] writes `(util_ok ∨ cwnd_up) ∧ (queue_ok ∨ queue_down ∨
+//! cwnd_down)` against a [`Reading`] of its values and truth values, with
+//! the model's quantities `A`, `S`, `L` and `cwnd` read through a closure.
+//! Two code paths read it:
+//!
+//! * the verifier's solver encoding, [`desired_property`], over the trace
+//!   variables; [`base_query`] is the query every verifier asks;
+//! * σ(A, τ) in `ccmatic`, with the candidate's windows and arrivals on a
+//!   learned trace τ and τ's `S` and `L` as constants: as terms over the
+//!   generator's coefficients (response-variable and region form) and as
+//!   exact numbers (`TraceReplay::refutes`).
 
-use crate::model::NetVars;
+use crate::model::{network_constraints, sender_constraints, NetConfig, NetVars, Quantity, Rel};
 use ccmatic_num::Rat;
 use ccmatic_smt::{Context, LinExpr, Term};
 
@@ -21,62 +33,116 @@ impl Default for Thresholds {
     }
 }
 
-/// The individual disjuncts of the desired property, exposed so tools can
-/// report *which* clause a counterexample violates.
-#[derive(Clone, Copy, Debug)]
-pub struct DesiredParts {
-    /// `S(T) − S(0) ≥ thresh_U · C · T`.
-    pub util_ok: Term,
-    /// `cwnd(T) > cwnd(0)` — the CCA is ramping up.
-    pub cwnd_up: Term,
-    /// `∀ t ∈ [0,T]. queue(t) ≤ thresh_D`.
-    pub queue_ok: Term,
-    /// `queue(T) < queue(0)` — the backlog is draining.
-    pub queue_down: Term,
-    /// `cwnd(T) < cwnd(0)` — the CCA is backing off.
-    pub cwnd_down: Term,
-    /// The full property:
-    /// `(util_ok ∨ cwnd_up) ∧ (queue_ok ∨ queue_down ∨ cwnd_down)`.
-    pub desired: Term,
+/// One reading of the property: what its values and truth values are.
+pub trait Reading {
+    /// A quantity, or a difference of quantities.
+    type Val: Clone;
+    /// A truth value.
+    type Prop;
+    /// The constant `x`.
+    fn lit(&self, x: &Rat) -> Self::Val;
+    /// `a − b`.
+    fn sub(&self, a: Self::Val, b: Self::Val) -> Self::Val;
+    /// `lhs ⋈ rhs`.
+    fn cmp(&mut self, lhs: &Self::Val, rel: Rel, rhs: &Self::Val) -> Self::Prop;
+    /// The conjunction of what `f` hands its sink at every enforced step
+    /// `t ∈ [0, t_end]`; a reading that can decide a step alone may stop at
+    /// the first false one.
+    fn all(
+        &mut self,
+        t_end: i64,
+        mut f: impl FnMut(&mut Self, i64, &mut dyn FnMut(Self::Prop)),
+    ) -> Self::Prop {
+        let mut ps = Vec::new();
+        for t in 0..=t_end {
+            f(self, t, &mut |p| ps.push(p));
+        }
+        self.and(ps)
+    }
+    /// The conjunction of `ps` (true when `ps` is empty).
+    fn and(&mut self, ps: Vec<Self::Prop>) -> Self::Prop;
+    /// The disjunction of `ps` (false when `ps` is empty).
+    fn or(&mut self, ps: Vec<Self::Prop>) -> Self::Prop;
 }
 
-/// Encode the relaxed steady-state property over a trace.
+/// The relaxed steady-state property on `net`'s enforced window
+/// `t ∈ [0, T]`, where `at(r, q, t)` reads quantity `q` at step `t`:
 ///
-/// The relaxation follows the paper: on a finite window with arbitrary
-/// initial conditions, the best any CCA can do is either meet the target or
-/// move toward it; mathematical induction over consecutive windows then
-/// yields the steady-state guarantee (see the paper's §3.1.1 and DESIGN.md
-/// for the induction argument specialized to this encoding).
-pub fn desired_property(ctx: &mut Context, nv: &NetVars, th: &Thresholds) -> DesiredParts {
-    let cfg = nv.cfg().clone();
-    let t_end = cfg.t_max();
+/// ```text
+/// (util_ok ∨ cwnd_up) ∧ (queue_ok ∨ queue_down ∨ cwnd_down)
+/// util_ok    = S(T) − S(0) ≥ thresh_U · C · T
+/// cwnd_up    = cwnd(T) > cwnd(0)          cwnd_down = cwnd(T) < cwnd(0)
+/// queue_ok   = ∀t. queue(t) ≤ thresh_D    queue_down = queue(T) < queue(0)
+/// queue(t)   = A(t) − L(t) − S(t)
+/// ```
+///
+/// On a finite window with arbitrary initial conditions the best any CCA
+/// can do is meet the target or move toward it; induction over
+/// consecutive windows then yields the steady-state guarantee (the
+/// paper's §3.1.1; DESIGN.md specializes the argument to this encoding).
+pub fn desired<R: Reading>(
+    r: &mut R,
+    net: &NetConfig,
+    th: &Thresholds,
+    at: impl Fn(&R, Quantity, i64) -> R::Val,
+) -> R::Prop {
+    use Quantity::*;
+    use Rel::*;
+    let t_end = net.t_max();
+    let queue = |r: &R, t| r.sub(r.sub(at(r, A, t), at(r, L, t)), at(r, S, t));
+    let target = &(&th.util * &net.link_rate) * &Rat::from(t_end);
+    let util_ok = r.cmp(&r.sub(at(r, S, t_end), at(r, S, 0)), Ge, &r.lit(&target));
+    let cwnd_up = r.cmp(&at(r, Cwnd, t_end), Gt, &at(r, Cwnd, 0));
+    let cwnd_down = r.cmp(&at(r, Cwnd, t_end), Lt, &at(r, Cwnd, 0));
+    let delay = r.lit(&th.delay);
+    let queue_ok = r.all(t_end, |r, t, ok| ok(r.cmp(&queue(r, t), Le, &delay)));
+    let queue_down = r.cmp(&queue(r, t_end), Lt, &queue(r, 0));
+    let rampup_or_util = r.or(vec![util_ok, cwnd_up]);
+    let bounded_or_draining = r.or(vec![queue_ok, queue_down, cwnd_down]);
+    r.and(vec![rampup_or_util, bounded_or_draining])
+}
 
-    // Utilization over the enforced window.
-    let work = LinExpr::var(nv.s(t_end)) - LinExpr::var(nv.s(0));
-    let target = &(&th.util * &cfg.link_rate) * &Rat::from(t_end);
-    let util_ok = ctx.ge(work, LinExpr::constant(target));
-
-    let cwnd_up = ctx.gt(LinExpr::var(nv.cwnd(t_end)), LinExpr::var(nv.cwnd(0)));
-    let cwnd_down = ctx.lt(LinExpr::var(nv.cwnd(t_end)), LinExpr::var(nv.cwnd(0)));
-
-    let mut queue_cs = Vec::new();
-    for t in 0..=t_end {
-        queue_cs.push(ctx.le(nv.queue(t), LinExpr::constant(th.delay.clone())));
+/// The solver reading: values are linear expressions, truth values terms.
+impl Reading for Context {
+    type Val = LinExpr;
+    type Prop = Term;
+    fn lit(&self, x: &Rat) -> LinExpr {
+        LinExpr::constant(x.clone())
     }
-    let queue_ok = ctx.and(queue_cs);
-    let queue_down = ctx.lt(nv.queue(t_end), nv.queue(0));
+    fn sub(&self, a: LinExpr, b: LinExpr) -> LinExpr {
+        a - b
+    }
+    fn cmp(&mut self, lhs: &LinExpr, rel: Rel, rhs: &LinExpr) -> Term {
+        rel.term(self, lhs.clone(), rhs.clone())
+    }
+    fn and(&mut self, ps: Vec<Term>) -> Term {
+        Context::and(self, ps)
+    }
+    fn or(&mut self, ps: Vec<Term>) -> Term {
+        Context::or(self, ps)
+    }
+}
 
-    let rampup_or_util = ctx.or(vec![util_ok, cwnd_up]);
-    let bounded_or_draining = ctx.or(vec![queue_ok, queue_down, cwnd_down]);
-    let desired = ctx.and(vec![rampup_or_util, bounded_or_draining]);
+/// [`desired`] over the trace variables `nv`.
+pub fn desired_property(ctx: &mut Context, nv: &NetVars, th: &Thresholds) -> Term {
+    desired(ctx, nv.cfg(), th, |_, q, t| LinExpr::var(nv.at(q, t)))
+}
 
-    DesiredParts { util_ok, cwnd_up, queue_ok, queue_down, cwnd_down, desired }
+/// Every verifier's base query over `nv`, `network ∧ sender ∧ ¬desired`,
+/// as its three conjuncts in the order they are asserted. With a
+/// candidate's rule added, a model is a feasible trace on which the
+/// candidate misses the property.
+pub fn base_query(ctx: &mut Context, nv: &NetVars, th: &Thresholds) -> [Term; 3] {
+    let net = network_constraints(ctx, nv);
+    let snd = sender_constraints(ctx, nv);
+    let desired = desired_property(ctx, nv, th);
+    [net, snd, ctx.not(desired)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{alloc_net_vars, network_constraints, sender_constraints, NetConfig};
+    use crate::model::{alloc_net_vars, NetConfig};
     use ccmatic_num::int;
     use ccmatic_smt::{SatResult, Solver};
 
@@ -89,8 +155,6 @@ mod tests {
             NetConfig { horizon: 6, history: 2, link_rate: Rat::one(), jitter: 1, buffer: None };
         let mut ctx = Context::new();
         let nv = alloc_net_vars(&mut ctx, &cfg);
-        let net = network_constraints(&mut ctx, &nv);
-        let snd = sender_constraints(&mut ctx, &nv);
         let mut pins = Vec::new();
         for t in cfg.t_min()..=cfg.t_max() {
             // S(t) = t + h (full rate), W(t) = 0.
@@ -112,13 +176,11 @@ mod tests {
         }
         pins.push(ctx.eq(LinExpr::var(nv.a(cfg.t_min())), LinExpr::constant(int(2))));
         let pinned = ctx.and(pins);
-        let parts = desired_property(&mut ctx, &nv, &Thresholds::default());
-        let not_desired = ctx.not(parts.desired);
         let mut s = Solver::new();
-        s.assert(&ctx, net);
-        s.assert(&ctx, snd);
+        for term in base_query(&mut ctx, &nv, &Thresholds::default()) {
+            s.assert(&ctx, term);
+        }
         s.assert(&ctx, pinned);
-        s.assert(&ctx, not_desired);
         assert_eq!(
             s.check(&ctx),
             SatResult::Unsat,
@@ -134,8 +196,6 @@ mod tests {
             NetConfig { horizon: 6, history: 2, link_rate: Rat::one(), jitter: 1, buffer: None };
         let mut ctx = Context::new();
         let nv = alloc_net_vars(&mut ctx, &cfg);
-        let net = network_constraints(&mut ctx, &nv);
-        let snd = sender_constraints(&mut ctx, &nv);
         let mut pins = Vec::new();
         for t in cfg.t_min()..=cfg.t_max() {
             pins.push(ctx.eq(
@@ -145,13 +205,11 @@ mod tests {
         }
         pins.push(ctx.eq(LinExpr::var(nv.a(cfg.t_min())), LinExpr::zero()));
         let pinned = ctx.and(pins);
-        let parts = desired_property(&mut ctx, &nv, &Thresholds::default());
-        let not_desired = ctx.not(parts.desired);
         let mut s = Solver::new();
-        s.assert(&ctx, net);
-        s.assert(&ctx, snd);
+        for term in base_query(&mut ctx, &nv, &Thresholds::default()) {
+            s.assert(&ctx, term);
+        }
         s.assert(&ctx, pinned);
-        s.assert(&ctx, not_desired);
         assert_eq!(
             s.check(&ctx),
             SatResult::Sat,

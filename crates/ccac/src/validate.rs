@@ -15,7 +15,7 @@
 //! copy of them; the simulator (`ccmatic-simnet`) and the
 //! `sim_vs_verifier` checks stay the independent semantic check.
 
-use crate::model::{network_rules, sender_rule, Cmp, NetConfig, Reading, Rule, Q};
+use crate::model::{network_rules, sender_rule, Cmp, NetConfig, Quantity, Reading, Rule};
 use crate::trace::Trace;
 use ccmatic_num::Rat;
 
@@ -26,7 +26,7 @@ struct Check<'a>(&'a Trace);
 impl Reading for Check<'_> {
     type Val = Rat;
     type Stop = String;
-    fn at(&self, q: Q, t: i64) -> Rat {
+    fn at(&self, q: Quantity, t: i64) -> Rat {
         let tr = self.0;
         [&tr.a, &tr.s, &tr.w, &tr.l, &tr.cwnd][q as usize][(t - tr.t_min) as usize].clone()
     }
@@ -134,11 +134,14 @@ mod tests {
         }
     }
 
-    /// The two readings of the rules agree: on solver traces and random
-    /// perturbations of them, lossless and with a finite buffer,
-    /// `check_trace` accepts exactly the traces the solver encoding admits
-    /// once every variable is pinned to the trace, and `check_sender_rule`
-    /// likewise for the sender encoding.
+    /// The two readings of the rules agree: on solver traces, random
+    /// perturbations of them and each trace's whole `W` column shifted by
+    /// −1/2, lossless and with a finite buffer, `check_trace` accepts
+    /// exactly the traces the solver encoding admits once every variable
+    /// is pinned to the trace, and `check_sender_rule` likewise for the
+    /// sender encoding. On a base whose link serves at the token line
+    /// throughout, the service floor has slack `C` at jitter 1, so only the
+    /// waste anchor `W(−h) = 0` rejects the shifted trace.
     #[test]
     fn checker_and_encoding_agree_on_perturbed_traces() {
         let mut rng = SmallRng::seed_from_u64(33);
@@ -150,14 +153,19 @@ mod tests {
             let net = network_constraints(&mut ctx, &nv);
             let snd = sender_constraints(&mut ctx, &nv);
             // Base traces: constant-window senders, each also made to lose
-            // data (where the buffer allows it), to waste tokens, or to
-            // keep the link busy throughout.
+            // data (where the buffer allows it), to waste tokens, to keep
+            // the link busy throughout, or to serve at the token line.
             let (t_end, zero) = (cfg.t_max(), LinExpr::zero());
             let lossy = ctx.gt(LinExpr::var(nv.l(t_end)), zero.clone());
             let wasteful = ctx.gt(LinExpr::var(nv.w(t_end)), zero.clone());
             let busy = ctx.le(LinExpr::var(nv.w(t_end)), zero);
+            let at_line = (cfg.t_min()..=t_end)
+                .map(|t| ctx.eq(LinExpr::var(nv.s(t)), nv.tokens(t)))
+                .collect();
+            let at_line = ctx.and(at_line);
             for (window, extra) in [1, 3].into_iter().flat_map(|c| {
-                [None, Some(lossy), Some(wasteful), Some(busy)].map(|extra| (int(c), extra))
+                [None, Some(lossy), Some(wasteful), Some(busy), Some(at_line)]
+                    .map(|extra| (int(c), extra))
             }) {
                 let mut s = Solver::new();
                 s.assert(&ctx, net);
@@ -174,11 +182,16 @@ mod tests {
                     continue;
                 }
                 let base = Trace::from_model(s.model().unwrap(), &nv);
-                for round in 0..60 {
+                let mut shifted = base.clone();
+                shifted.w.iter_mut().for_each(|w| *w = &*w - &rat(1, 2));
+                let perturbed = (0..60).map(|round| {
                     let mut tr = base.clone();
                     for _ in 0..=round % 3 {
                         perturb(&mut rng, &mut tr);
                     }
+                    tr
+                });
+                for tr in perturbed.chain([shifted]) {
                     let pinned = pin(&mut ctx, &nv, &tr);
                     for (k, (rules, checked)) in
                         [(net, check_trace(&tr, &cfg)), (snd, check_sender_rule(&tr))]

@@ -20,10 +20,8 @@
 //! directions need.
 
 use crate::template::CcaSpec;
-use ccac_model::{
-    alloc_net_vars, desired_property, network_constraints, sender_constraints, NetConfig,
-    Thresholds, Trace,
-};
+use crate::verifier::rule_expr;
+use ccac_model::{alloc_net_vars, base_query, NetConfig, Thresholds, Trace};
 use ccmatic_num::Rat;
 use ccmatic_smt::{Context, LinExpr, SatResult, Solver};
 use std::fmt;
@@ -93,17 +91,6 @@ impl ConditionalCca {
     }
 }
 
-fn branch_expr(nv: &ccac_model::NetVars, spec: &CcaSpec, t: i64) -> LinExpr {
-    let mut rhs = LinExpr::constant(spec.gamma.clone());
-    for (i, a) in spec.alpha.iter().enumerate() {
-        rhs = rhs + LinExpr::term(nv.cwnd(t - (i as i64 + 1)), a.clone());
-    }
-    for (i, b) in spec.beta.iter().enumerate() {
-        rhs = rhs + LinExpr::term(nv.s(t - (i as i64 + 2)), b.clone());
-    }
-    rhs
-}
-
 /// Verify a conditional CCA against all traces of the model. `Ok(())` is a
 /// proof; `Err(trace)` a counterexample.
 pub fn verify_conditional(
@@ -119,18 +106,16 @@ pub fn verify_conditional(
     );
     let mut ctx = Context::new();
     let nv = alloc_net_vars(&mut ctx, net);
-    let net_cs = network_constraints(&mut ctx, &nv);
-    let snd_cs = sender_constraints(&mut ctx, &nv);
+    let base = base_query(&mut ctx, &nv, thresholds);
     let mut rule_cs = Vec::new();
     for t in 0..=net.t_max() {
         // Condition: delivery over the last RTT, ack(t−1) − ack(t−2)
         // = S(t−2) − S(t−3).
         let delivered = LinExpr::var(nv.s(t - 2)) - LinExpr::var(nv.s(t - 3));
         let cond = ctx.ge(delivered, LinExpr::constant(cca.theta.clone()));
-        let then_rhs = branch_expr(&nv, &cca.then_branch, t);
-        let else_rhs = branch_expr(&nv, &cca.else_branch, t);
-        let eq_then = ctx.eq(LinExpr::var(nv.cwnd(t)), then_rhs);
-        let eq_else = ctx.eq(LinExpr::var(nv.cwnd(t)), else_rhs);
+        let cwnd = LinExpr::var(nv.cwnd(t));
+        let eq_then = ctx.eq(cwnd.clone(), rule_expr(&nv, &cca.then_branch, t));
+        let eq_else = ctx.eq(cwnd, rule_expr(&nv, &cca.else_branch, t));
         let take_then = ctx.implies(cond, eq_then);
         let ncond = ctx.not(cond);
         let take_else = ctx.implies(ncond, eq_else);
@@ -138,10 +123,8 @@ pub fn verify_conditional(
         rule_cs.push(take_else);
     }
     let rule = ctx.and(rule_cs);
-    let parts = desired_property(&mut ctx, &nv, thresholds);
-    let bad = ctx.not(parts.desired);
     let mut solver = Solver::new();
-    for term in [net_cs, snd_cs, rule, bad] {
+    for term in base.into_iter().chain([rule]) {
         solver.assert(&ctx, term);
     }
     match solver.check(&ctx) {

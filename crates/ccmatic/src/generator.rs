@@ -50,6 +50,7 @@ use crate::replay::TraceReplay;
 use crate::sigma::{sigma, Reading};
 use crate::template::{CcaSpec, TemplateShape};
 use ccac_model::model::max_terms;
+use ccac_model::property;
 use ccac_model::{NetConfig, Rel, Thresholds, Trace};
 use ccmatic_num::Rat;
 use ccmatic_proof::ProofStep;
@@ -434,46 +435,16 @@ struct Symbolic<'a> {
     cs: Vec<Term>,
 }
 
-impl Reading for Symbolic<'_> {
+impl property::Reading for Symbolic<'_> {
     type Val = Vec<LinExpr>;
     type Prop = Term;
-    fn lit(&mut self, x: &Rat) -> Vec<LinExpr> {
+    fn lit(&self, x: &Rat) -> Vec<LinExpr> {
         vec![LinExpr::constant(x.clone())]
     }
-    fn tap(&mut self, c: usize, x: &Rat) -> Vec<LinExpr> {
-        vec![LinExpr::term(self.coeffs[c].value, x.clone())]
-    }
-    fn product(&mut self, c: usize, t: i64, v: &Vec<LinExpr>) -> Vec<LinExpr> {
-        // A product of two variables: ite-linearize through the selector
-        // booleans (§3.1.2).
-        let n = self.fresh.as_ref().expect("products only in the response-variable form").0;
-        let p = self.ctx.real_var(format!("g{n}.p{c}[{t}]"));
-        for (value, sel) in &self.coeffs[c].selectors {
-            let eq = self.ctx.eq(LinExpr::var(p), v[0].scaled(value));
-            let bind = self.ctx.implies(*sel, eq);
-            self.cs.push(bind);
-        }
-        vec![LinExpr::var(p)]
-    }
-    fn add(&mut self, a: Vec<LinExpr>, b: Vec<LinExpr>) -> Vec<LinExpr> {
-        // One side is a single term, and max X + y = max (X + y).
-        let (xs, y) = if b.len() == 1 { (a, b) } else { (b, a) };
-        let [y] = <[LinExpr; 1]>::try_from(y).expect("a sum has a single-term side");
-        xs.into_iter().map(|x| x + y.clone()).collect()
-    }
-    fn cwnd(&mut self, t: i64, rhs: Vec<LinExpr>) -> Vec<LinExpr> {
-        let Some((_, cwnd, _)) = &self.fresh else { return rhs };
-        let x = LinExpr::var(cwnd[t as usize]);
-        let def = self.ctx.eq(x.clone(), rhs[0].clone());
-        self.cs.push(def);
-        vec![x]
-    }
-    fn arrivals(&mut self, t: i64, prev: &Vec<LinExpr>, window: Vec<LinExpr>) -> Vec<LinExpr> {
-        let Some((_, _, a)) = &self.fresh else { return [prev.clone(), window].concat() };
-        let x = LinExpr::var(a[t as usize]);
-        let max = max_terms(self.ctx, x.clone(), prev[0].clone(), window[0].clone());
-        self.cs.extend(max);
-        vec![x]
+    fn sub(&self, a: Vec<LinExpr>, b: Vec<LinExpr>) -> Vec<LinExpr> {
+        // σ subtracts only trace constants, and max X − y = max (X − y).
+        let [y] = <[LinExpr; 1]>::try_from(b).expect("a difference subtracts a single term");
+        a.into_iter().map(|x| x - y.clone()).collect()
     }
     fn cmp(&mut self, lhs: &Vec<LinExpr>, rel: Rel, rhs: &Vec<LinExpr>) -> Term {
         if rel == Rel::Eq {
@@ -512,6 +483,44 @@ impl Reading for Symbolic<'_> {
     }
     fn or(&mut self, ps: Vec<Term>) -> Term {
         self.ctx.or(ps)
+    }
+}
+
+impl Reading for Symbolic<'_> {
+    fn tap(&mut self, c: usize, x: &Rat) -> Vec<LinExpr> {
+        vec![LinExpr::term(self.coeffs[c].value, x.clone())]
+    }
+    fn product(&mut self, c: usize, t: i64, v: &Vec<LinExpr>) -> Vec<LinExpr> {
+        // A product of two variables: ite-linearize through the selector
+        // booleans (§3.1.2).
+        let n = self.fresh.as_ref().expect("products only in the response-variable form").0;
+        let p = self.ctx.real_var(format!("g{n}.p{c}[{t}]"));
+        for (value, sel) in &self.coeffs[c].selectors {
+            let eq = self.ctx.eq(LinExpr::var(p), v[0].scaled(value));
+            let bind = self.ctx.implies(*sel, eq);
+            self.cs.push(bind);
+        }
+        vec![LinExpr::var(p)]
+    }
+    fn add(&mut self, a: Vec<LinExpr>, b: Vec<LinExpr>) -> Vec<LinExpr> {
+        // One side is a single term, and max X + y = max (X + y).
+        let (xs, y) = if b.len() == 1 { (a, b) } else { (b, a) };
+        let [y] = <[LinExpr; 1]>::try_from(y).expect("a sum has a single-term side");
+        xs.into_iter().map(|x| x + y.clone()).collect()
+    }
+    fn cwnd(&mut self, t: i64, rhs: Vec<LinExpr>) -> Vec<LinExpr> {
+        let Some((_, cwnd, _)) = &self.fresh else { return rhs };
+        let x = LinExpr::var(cwnd[t as usize]);
+        let def = self.ctx.eq(x.clone(), rhs[0].clone());
+        self.cs.push(def);
+        vec![x]
+    }
+    fn arrivals(&mut self, t: i64, prev: &Vec<LinExpr>, window: Vec<LinExpr>) -> Vec<LinExpr> {
+        let Some((_, _, a)) = &self.fresh else { return [prev.clone(), window].concat() };
+        let x = LinExpr::var(a[t as usize]);
+        let max = max_terms(self.ctx, x.clone(), prev[0].clone(), window[0].clone());
+        self.cs.extend(max);
+        vec![x]
     }
     fn implies(&mut self, a: Term, b: impl FnOnce(&mut Self) -> Term) -> Term {
         let b = b(self);

@@ -17,6 +17,11 @@
 //! * lookback past the trace start reads the model's anchors — `S` is 0
 //!   at and before `t = −h` — not the simulator's saturate-at-oldest.
 //!
+//! The cwnd step states no recursion of its own: it sums the terms of the
+//! template's one statement (`template::rule`, which the verifier and σ
+//! also read) over the lift's columns, in round coordinates, where `S`
+//! and `cwnd` read 0 before round 0.
+//!
 //! The lifted trace is *constructed* feasible for eager waste (ω = 1):
 //! the link step keeps `S` inside its band and waste only grows against
 //! surplus tokens. Partial waste (ω < 1) can push a *later* service floor
@@ -33,7 +38,7 @@
 //! stop only saves work on lifts the gate would reject; a lift that runs
 //! to the end still goes through `check_trace`, the only feasibility gate.
 
-use crate::template::CcaSpec;
+use crate::template::{self, CcaSpec, Sample};
 use ccac_model::{check_trace, NetConfig, Trace};
 use ccmatic_num::Rat;
 
@@ -178,24 +183,16 @@ impl Lifter {
         let mut arrivals = cfg.initial_backlog.clone();
 
         for u in 0..rounds {
-            // Model-template recursion: cwnd(t) = γ + Σᵢ βᵢ·S(t−i−2)
-            // + Σᵢ αᵢ·cwnd(t−i−1); lookback past round 0 reads the anchors
-            // (S = 0) resp. nothing (cwnd contributes 0 there — the
-            // enforced window never reaches it). Round `u − back` is row
-            // `u − back + 1`.
-            let mut rule = spec.gamma.clone();
-            for (i, b) in spec.beta.iter().enumerate() {
-                let back = i + 2;
-                if back <= u {
-                    rule = &rule + &(b * &s[u - back + 1]);
-                }
-            }
-            for (i, al) in spec.alpha.iter().enumerate() {
-                let back = i + 1;
-                if back <= u {
-                    rule = &rule + &(al * &cwnd[u - back + 1]);
-                }
-            }
+            // The template in round coordinates (round `k` is row `k + 1`).
+            // Before round 0, S reads the anchor (0) and cwnd reads 0 (the
+            // enforced window never reaches it), so neither adds a term.
+            let taps = template::rule(spec.alpha.len(), spec.beta.len(), u as i64);
+            let rule = taps.fold(Rat::zero(), |v, (c, x)| match x {
+                Sample::One => &v + spec.coeff(c),
+                Sample::S(k) | Sample::Cwnd(k) if k < 0 => v,
+                Sample::S(k) => &v + &(spec.coeff(c) * &s[k as usize + 1]),
+                Sample::Cwnd(k) => &v + &(spec.coeff(c) * &cwnd[k as usize + 1]),
+            });
             let cwnd_u = if u == 0 { cfg.initial_cwnd.clone().max(rule) } else { rule };
 
             // Aggressive cwnd-limited sender; `s[u]` is the previous

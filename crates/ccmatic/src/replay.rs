@@ -20,6 +20,7 @@
 use crate::generator::FeasibilityMode;
 use crate::sigma::{sigma, Reading};
 use crate::template::CcaSpec;
+use ccac_model::property;
 use ccac_model::{NetConfig, Rel, Thresholds, Trace};
 use ccmatic_num::Rat;
 
@@ -60,43 +61,17 @@ impl TraceReplay {
 /// σ read for one concrete candidate: values are exact numbers.
 struct Eval<'a>(&'a CcaSpec);
 
-impl Eval<'_> {
-    fn value(&self, c: usize) -> &Rat {
-        let (spec, alphas) = (self.0, self.0.alpha.len());
-        spec.alpha.get(c).or_else(|| spec.beta.get(c - alphas)).unwrap_or(&spec.gamma)
-    }
-}
-
-impl Reading for Eval<'_> {
+impl property::Reading for Eval<'_> {
     type Val = Rat;
     type Prop = bool;
-    fn lit(&mut self, x: &Rat) -> Rat {
+    fn lit(&self, x: &Rat) -> Rat {
         x.clone()
     }
-    fn tap(&mut self, c: usize, x: &Rat) -> Rat {
-        self.value(c) * x
-    }
-    fn product(&mut self, c: usize, _: i64, v: &Rat) -> Rat {
-        self.value(c) * v
-    }
-    fn add(&mut self, a: Rat, b: Rat) -> Rat {
-        a + b
-    }
-    fn cwnd(&mut self, _: i64, rhs: Rat) -> Rat {
-        rhs
-    }
-    fn arrivals(&mut self, _: i64, prev: &Rat, window: Rat) -> Rat {
-        if window >= *prev {
-            window
-        } else {
-            prev.clone()
-        }
+    fn sub(&self, a: Rat, b: Rat) -> Rat {
+        a - b
     }
     fn cmp(&mut self, lhs: &Rat, rel: Rel, rhs: &Rat) -> bool {
         rel.holds(lhs, rhs)
-    }
-    fn bound(&mut self, lhs: &Rat, rel: Rel, x: &Rat) -> bool {
-        rel.holds(lhs, x)
     }
     fn all(&mut self, t_end: i64, mut f: impl FnMut(&mut Self, i64, &mut dyn FnMut(bool))) -> bool {
         (0..=t_end).all(|t| {
@@ -111,6 +86,28 @@ impl Reading for Eval<'_> {
     fn or(&mut self, ps: Vec<bool>) -> bool {
         ps.into_iter().any(|p| p)
     }
+}
+
+impl Reading for Eval<'_> {
+    fn tap(&mut self, c: usize, x: &Rat) -> Rat {
+        self.0.coeff(c) * x
+    }
+    fn product(&mut self, c: usize, _: i64, v: &Rat) -> Rat {
+        self.0.coeff(c) * v
+    }
+    fn add(&mut self, a: Rat, b: Rat) -> Rat {
+        a + b
+    }
+    fn cwnd(&mut self, _: i64, rhs: Rat) -> Rat {
+        rhs
+    }
+    fn arrivals(&mut self, _: i64, prev: &Rat, window: Rat) -> Rat {
+        if window >= *prev {
+            window
+        } else {
+            prev.clone()
+        }
+    }
     fn implies(&mut self, a: bool, b: impl FnOnce(&mut Self) -> bool) -> bool {
         !a || b(self)
     }
@@ -119,17 +116,23 @@ impl Reading for Eval<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::brute::CandidateIter;
     use crate::known;
+    use crate::template::{CoeffDomain, TemplateShape};
     use crate::verifier::{CcaVerifier, VerifyConfig};
-    use ccmatic_num::int;
+    use ccmatic_num::{int, rat};
 
     fn net() -> NetConfig {
         NetConfig { horizon: 6, history: 5, link_rate: Rat::one(), jitter: 1, buffer: None }
     }
 
     fn verifier(worst_case: bool) -> CcaVerifier {
+        verifier_on(net(), worst_case)
+    }
+
+    fn verifier_on(net: NetConfig, worst_case: bool) -> CcaVerifier {
         CcaVerifier::new(VerifyConfig {
-            net: net(),
+            net,
             thresholds: Thresholds::default(),
             worst_case,
             wce_precision: Rat::new(1i64.into(), 2i64.into()),
@@ -141,23 +144,40 @@ mod tests {
     /// Every counterexample the verifier produces must replay as a
     /// refutation of the candidate it broke — in both feasibility modes
     /// (the verifier's trace satisfies the full network model, which
-    /// implies both encodings' feasibility).
+    /// implies both encodings' feasibility). The verifier and σ read one
+    /// property, so this holds on lossy nets (where the queue is
+    /// `A − L − S`) as on the lossless one, for the known-broken CCAs and
+    /// for every candidate of a 3³ no-cwnd space the verifier refutes,
+    /// with WCE on and off.
     #[test]
     fn verifier_counterexamples_replay_as_refutations() {
         let broken =
             [known::const_cwnd(Rat::zero()), known::const_cwnd(int(20)), known::copy_cwnd()];
-        for worst_case in [false, true] {
-            let mut v = verifier(worst_case);
-            for spec in &broken {
-                let cex = v.verify(spec).expect_err("known-broken candidate");
-                for mode in [FeasibilityMode::Baseline, FeasibilityMode::RangePruning] {
-                    let replay = TraceReplay::new(net(), Thresholds::default(), mode);
-                    assert!(
-                        replay.refutes(spec, &cex),
-                        "replay missed its own counterexample: {spec} (wce={worst_case}, {mode:?})"
-                    );
+        let shape = TemplateShape { lookback: 2, use_cwnd: false, domain: CoeffDomain::Small };
+        let specs: Vec<CcaSpec> = broken.into_iter().chain(CandidateIter::new(shape)).collect();
+        for buffer in [None, Some(rat(1, 2)), Some(int(1))] {
+            let net = NetConfig { buffer, ..net() };
+            let mut refuted = 0;
+            for worst_case in [false, true] {
+                let mut v = verifier_on(net.clone(), worst_case);
+                for (i, spec) in specs.iter().enumerate() {
+                    let Err(cex) = v.verify(spec) else {
+                        assert!(i >= 3 || net.buffer.is_some(), "{spec} is known to be broken");
+                        continue;
+                    };
+                    refuted += 1;
+                    for mode in [FeasibilityMode::Baseline, FeasibilityMode::RangePruning] {
+                        let replay = TraceReplay::new(net.clone(), Thresholds::default(), mode);
+                        assert!(
+                            replay.refutes(spec, &cex),
+                            "replay missed its own counterexample: {spec} \
+                             (buffer {buffer:?}, wce={worst_case}, {mode:?})",
+                            buffer = net.buffer
+                        );
+                    }
                 }
             }
+            assert!(refuted >= 50, "buffer {:?}: {refuted} refutations", net.buffer);
         }
     }
 

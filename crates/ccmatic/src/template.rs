@@ -1,7 +1,42 @@
 //! The CCA template (the paper's Equation ii) and its search space.
+//!
+//! `rule` states the template's recursion once, as the terms of
+//! `cwnd(t)`: a coefficient index and the sample it multiplies. Each
+//! reader says only what a coefficient and a sample are, and sums:
+//!
+//! * the verifier (`verifier::rule_expr`, also both branches of
+//!   `conditional::verify_conditional`): concrete coefficients over the
+//!   trace variables;
+//! * σ (the `sigma` module): the generator's coefficients, or one
+//!   candidate's, over a learned trace's constants and the candidate's own
+//!   windows;
+//! * the lift's cwnd step (`lift::Lifter`): exact numbers on the lift's
+//!   columns, with `S` and `cwnd` reading 0 before round 0.
 
 use ccmatic_num::{rat, Rat};
 use std::fmt;
+
+/// What a template coefficient multiplies.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Sample {
+    /// The unit γ multiplies.
+    One,
+    /// Service `S(t)`.
+    S(i64),
+    /// The window `cwnd(t)`.
+    Cwnd(i64),
+}
+
+/// The template (Equation ii) at step `t`,
+/// `cwnd(t) = γ + Σᵢ βᵢ·ack(t−i−1) + Σᵢ αᵢ·cwnd(t−i−1)` with
+/// `ack(t) = S(t−1)`, as its terms `(c, x)`: coefficient `c` (an index
+/// into [`CcaSpec::flat`]) times sample `x`, for a template with `alphas`
+/// cwnd taps and `betas` ack taps.
+pub(crate) fn rule(alphas: usize, betas: usize, t: i64) -> impl Iterator<Item = (usize, Sample)> {
+    let acks = (0..betas).map(move |i| (alphas + i, Sample::S(t - i as i64 - 2)));
+    let windows = (0..alphas).map(move |i| (i, Sample::Cwnd(t - i as i64 - 1)));
+    std::iter::once((alphas + betas, Sample::One)).chain(acks).chain(windows)
+}
 
 /// Discrete domains the generator may pick coefficients from (§4).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,6 +165,12 @@ impl CcaSpec {
             self.beta.iter().map(Rat::to_f64).collect(),
             self.gamma.to_f64(),
         )
+    }
+
+    /// Coefficient `c` of [`CcaSpec::flat`].
+    pub(crate) fn coeff(&self, c: usize) -> &Rat {
+        let alphas = self.alpha.len();
+        self.alpha.get(c).or_else(|| self.beta.get(c - alphas)).unwrap_or(&self.gamma)
     }
 
     /// All coefficients in generator order (alphas, betas, gamma) — the

@@ -20,11 +20,8 @@
 //! solver. Theory lemmas over base atoms survive the pops, so successive
 //! candidates (and successive WCE probes) start warm.
 
-use crate::template::CcaSpec;
-use ccac_model::{
-    alloc_net_vars, desired_property, network_constraints, sender_constraints, NetConfig, NetVars,
-    Thresholds, Trace,
-};
+use crate::template::{self, CcaSpec, Sample};
+use ccac_model::{alloc_net_vars, base_query, NetConfig, NetVars, Thresholds, Trace};
 use ccmatic_cegis::Verdict;
 use ccmatic_num::Rat;
 use ccmatic_proof::{ProofStep, Replayer};
@@ -107,14 +104,15 @@ pub struct CertAudit {
 }
 
 impl CertAudit {
-    /// Hand the steps `solver` logged since the last audit to `replayer`,
-    /// then check the certificates ending at `lens` (increasing lengths
-    /// into the replayer's log) through the independent checker, and panic
-    /// with the checker's diagnosis if one is rejected.
-    fn replay(&mut self, replayer: &mut Replayer, solver: &mut Solver, lens: &[usize]) {
+    /// Hand `steps`, what the solver logged since the last audit, to
+    /// `replayer`, then check the certificates ending at `lens`
+    /// (increasing lengths into the replayer's log) through the
+    /// independent checker, and panic with the checker's diagnosis if one
+    /// is rejected.
+    fn replay(&mut self, replayer: &mut Replayer, steps: Vec<ProofStep>, lens: &[usize]) {
         let t0 = std::time::Instant::now();
         let replayed0 = replayer.steps_replayed();
-        replayer.append(solver.take_proof_steps());
+        replayer.append(steps);
         for &len in lens {
             let stats = match replayer.check_prefix(len) {
                 Ok(stats) => stats,
@@ -205,20 +203,11 @@ impl CcaVerifier {
 
     /// Encode the template rule with *concrete* coefficients over the trace
     /// variables: for `t ∈ [0, T]`,
-    /// `cwnd(t) = Σ αᵢ·cwnd(t−i) + Σ βᵢ·S(t−1−i) + γ`.
+    /// `cwnd(t) = γ + Σᵢ βᵢ·S(t−i−2) + Σᵢ αᵢ·cwnd(t−i−1)`.
     pub fn template_constraints(ctx: &mut Context, nv: &NetVars, spec: &CcaSpec) -> Term {
-        let mut cs = Vec::new();
-        for t in 0..=nv.cfg().t_max() {
-            let mut rhs = LinExpr::constant(spec.gamma.clone());
-            for (i, a) in spec.alpha.iter().enumerate() {
-                rhs = rhs + LinExpr::term(nv.cwnd(t - (i as i64 + 1)), a.clone());
-            }
-            for (i, b) in spec.beta.iter().enumerate() {
-                // ack(t−i−1) = S(t−i−2)
-                rhs = rhs + LinExpr::term(nv.s(t - (i as i64 + 2)), b.clone());
-            }
-            cs.push(ctx.eq(LinExpr::var(nv.cwnd(t)), rhs));
-        }
+        let cs = (0..=nv.cfg().t_max())
+            .map(|t| ctx.eq(LinExpr::var(nv.cwnd(t)), rule_expr(nv, spec, t)))
+            .collect();
         ctx.and(cs)
     }
 
@@ -266,94 +255,98 @@ impl CcaVerifier {
         self.verify_incremental(spec, interrupt)
     }
 
-    /// Build the long-lived incremental encoding if it does not exist yet.
-    fn ensure_inc(&mut self) {
-        if self.inc.is_none() {
+    /// The long-lived incremental encoding, built on first use: the base
+    /// query ([`base_query`]) and, with `worst_case`, the WCE band bounds.
+    fn ensure_inc(&mut self) -> &mut IncState {
+        let cfg = &self.cfg;
+        self.inc.get_or_insert_with(|| {
             let mut ctx = Context::new();
-            let nv = alloc_net_vars(&mut ctx, &self.cfg.net);
-            let net = network_constraints(&mut ctx, &nv);
-            let snd = sender_constraints(&mut ctx, &nv);
-            let parts = desired_property(&mut ctx, &nv, &self.cfg.thresholds);
-            let bad = ctx.not(parts.desired);
+            let nv = alloc_net_vars(&mut ctx, &cfg.net);
+            let base = base_query(&mut ctx, &nv, &cfg.thresholds);
             let mut solver = Solver::new();
-            if self.cfg.certify {
+            if cfg.certify {
                 // Must be enabled before the base assertions so input
                 // clauses (and later atom definitions) reach the proof log.
                 solver.enable_proofs();
             }
-            solver.assert(&ctx, net);
-            solver.assert(&ctx, snd);
-            solver.assert(&ctx, bad);
-            let band = if self.cfg.worst_case {
+            for term in base {
+                solver.assert(&ctx, term);
+            }
+            let band = cfg.worst_case.then(|| {
                 let m = ctx.real_var("band");
-                for t in 0..=self.cfg.net.t_max() {
+                for t in 0..=cfg.net.t_max() {
                     let band = nv.tokens(t) - LinExpr::var(nv.s(t));
                     let le = ctx.le(LinExpr::var(m), band);
                     solver.assert(&ctx, le);
                 }
-                Some(m)
-            } else {
-                None
-            };
-            self.inc = Some(IncState { ctx, nv, solver, band });
-        }
+                m
+            });
+            IncState { ctx, nv, solver, band }
+        })
     }
 
     fn verify_incremental(&mut self, spec: &CcaSpec, interrupt: &Interrupt) -> Verdict<Trace> {
-        self.ensure_inc();
         let params = self.wce_params(interrupt);
-        let st = self.inc.as_mut().expect("just built");
+        let certify = self.cfg.certify;
+        let st = self.ensure_inc();
 
         st.solver.push();
         let tmpl = Self::template_constraints(&mut st.ctx, &st.nv, spec);
         st.solver.assert(&st.ctx, tmpl);
         // Certificates are lengths into the proof log (none when proofs
-        // are off), taken before the pop below: popping the candidate scope
-        // logs the deletion of its clauses (the empty clause included).
-        let (verdict, certificates) = if let Some(m) = st.band {
+        // are off), and the log is taken before the pop below: popping the
+        // candidate scope logs the deletion of its clauses (the empty
+        // clause included).
+        let (verdict, probes, certificates) = if let Some(m) = st.band {
             match maximize_scoped(&mut st.ctx, &mut st.solver, &LinExpr::var(m), &params) {
                 MaximizeOutcome::Infeasible { certificate } => {
-                    self.solver_probes += 1;
-                    (Verdict::Pass, certificate.into_iter().collect())
+                    (Verdict::Pass, 1, certificate.into_iter().collect())
                 }
                 MaximizeOutcome::Feasible { model, probes, certificates, .. } => {
-                    self.solver_probes += probes as u64;
-                    (Verdict::Fail(Trace::from_model(&model, &st.nv)), certificates)
+                    (Verdict::Fail(Trace::from_model(&model, &st.nv)), probes as u64, certificates)
                 }
-                MaximizeOutcome::Aborted => {
-                    self.solver_probes += 1;
-                    (Verdict::Timeout, Vec::new())
-                }
+                MaximizeOutcome::Aborted => (Verdict::Timeout, 1, Vec::new()),
             }
         } else {
-            self.solver_probes += 1;
             let saved = std::mem::replace(&mut st.solver.interrupt, interrupt.clone());
             let res = st.solver.check(&st.ctx);
             st.solver.interrupt = saved;
             match res {
                 SatResult::Unsat => {
-                    (Verdict::Pass, st.solver.proof_position().into_iter().collect())
+                    (Verdict::Pass, 1, st.solver.proof_position().into_iter().collect())
                 }
-                SatResult::Sat => (
-                    Verdict::Fail(Trace::from_model(
-                        st.solver.model().expect("sat has a model"),
-                        &st.nv,
-                    )),
-                    Vec::new(),
-                ),
-                SatResult::Unknown => (Verdict::Timeout, Vec::new()),
+                SatResult::Sat => {
+                    let model = st.solver.model().expect("sat has a model");
+                    (Verdict::Fail(Trace::from_model(model, &st.nv)), 1, Vec::new())
+                }
+                SatResult::Unknown => (Verdict::Timeout, 1, Vec::new()),
             }
         };
-        if self.cfg.certify {
-            self.cert_audit.replay(&mut self.replayer, &mut st.solver, &certificates);
+        let steps = if certify { st.solver.take_proof_steps() } else { Vec::new() };
+        st.solver.pop();
+        self.solver_probes += probes;
+        if certify {
+            self.cert_audit.replay(&mut self.replayer, steps, &certificates);
             if let Verdict::Pass = verdict {
                 let len = certificates.last().expect("certify mode must produce a certificate");
                 self.last_pass_cert = Some(*len);
             }
         }
-        st.solver.pop();
         verdict
     }
+}
+
+/// The template rule of `spec` at step `t` ([`template::rule`]) over the
+/// trace variables: `γ + Σᵢ βᵢ·S(t−i−2) + Σᵢ αᵢ·cwnd(t−i−1)`.
+pub(crate) fn rule_expr(nv: &NetVars, spec: &CcaSpec, t: i64) -> LinExpr {
+    template::rule(spec.alpha.len(), spec.beta.len(), t).fold(LinExpr::zero(), |v, (c, x)| {
+        let k = spec.coeff(c).clone();
+        v + match x {
+            Sample::One => LinExpr::constant(k),
+            Sample::S(at) => LinExpr::term(nv.s(at), k),
+            Sample::Cwnd(at) => LinExpr::term(nv.cwnd(at), k),
+        }
+    })
 }
 
 #[cfg(test)]

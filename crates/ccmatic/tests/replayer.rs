@@ -16,10 +16,7 @@
 //!   truncation) is rejected by the chain both inside an earlier link and in
 //!   the last one, with `check`'s verdict at each length.
 
-use ccac_model::{
-    alloc_net_vars, desired_property, network_constraints, sender_constraints, NetConfig,
-    Thresholds,
-};
+use ccac_model::{alloc_net_vars, base_query, NetConfig, Thresholds};
 use ccmatic::known;
 use ccmatic::template::CcaSpec;
 use ccmatic::verifier::{CcaVerifier, VerifyConfig};
@@ -64,13 +61,10 @@ fn verifier_log(specs: &[CcaSpec]) -> (Vec<ProofStep>, Vec<usize>) {
     let cfg = verify_config();
     let mut ctx = Context::new();
     let nv = alloc_net_vars(&mut ctx, &cfg.net);
-    let net = network_constraints(&mut ctx, &nv);
-    let snd = sender_constraints(&mut ctx, &nv);
-    let bad = desired_property(&mut ctx, &nv, &cfg.thresholds).desired;
-    let bad = ctx.not(bad);
+    let base = base_query(&mut ctx, &nv, &cfg.thresholds);
     let mut solver = Solver::new();
     solver.enable_proofs();
-    for t in [net, snd, bad] {
+    for t in base {
         solver.assert(&ctx, t);
     }
     let m = ctx.real_var("band");
